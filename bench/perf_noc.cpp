@@ -1,29 +1,23 @@
 /// DES / NoC performance: wall-time and event-efficiency of the cycle-level
 /// CMP simulator that produces Figs. 10-13.
 ///
-/// The headline table runs fixed NPB cells (workload x chip count) three
-/// ways — calendar event queue (default), legacy binary heap, and the
-/// opt-in NoC idle-skip pump — verifying that calendar and heap produce
-/// bit-identical ExecStats and reporting wall seconds, simulated
-/// cycles/second and events per instruction for each. The numbers land in
-/// BENCH_perf_noc.json (schema_version + git provenance via JsonReport)
-/// so the DES perf trajectory is tracked per PR alongside the solver's.
+/// The headline table runs fixed NPB cells (workload x chip count) and
+/// reports wall seconds, simulated cycles/second and events per
+/// instruction for each. The numbers land in BENCH_perf_noc.json
+/// (schema_version + git provenance via JsonReport) so the DES perf
+/// trajectory is tracked per PR alongside the solver's.
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/des_drift.hpp"
 #include "obs/metrics.hpp"
 #include "perf/noc.hpp"
-#include "perf/pdes.hpp"
 #include "perf/system.hpp"
 #include "perf/workload.hpp"
-#include "sweep/task_engine.hpp"
 
 namespace {
 
@@ -35,20 +29,12 @@ struct CellRun {
   std::uint64_t events = 0;  ///< DES events scheduled by this run
 };
 
-CellRun run_cell(const std::string& workload, std::size_t chips,
-                 aqua::EventQueue::Impl impl, bool idle_skip,
-                 aqua::PdesMode pdes = aqua::PdesMode::kOff,
-                 aqua::PdesExec exec = aqua::PdesExec::kSerial) {
+CellRun run_cell(const std::string& workload, std::size_t chips) {
   aqua::CmpConfig cfg;
   cfg.chips = chips;
-  cfg.noc_idle_skip = idle_skip;
-  cfg.pdes = pdes;
-  cfg.pdes_exec = exec;
   aqua::WorkloadProfile p = aqua::npb_profile(workload);
   p.instructions_per_thread = 12'000;
 
-  const aqua::EventQueue::Impl before = aqua::EventQueue::default_impl();
-  aqua::EventQueue::set_default_impl(impl);
   aqua::CmpSystem system(cfg, p, aqua::gigahertz(1.6), /*seed=*/1);
   aqua::obs::Counter& events_counter =
       aqua::obs::Registry::instance().counter("perf.events");
@@ -58,22 +44,7 @@ CellRun run_cell(const std::string& workload, std::size_t chips,
   run.stats = system.run();
   run.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   run.events = events_counter.value() - events0;
-  aqua::EventQueue::set_default_impl(before);
   return run;
-}
-
-/// The stats a queue swap must preserve bit-for-bit (timing-visible DES
-/// outputs; wall-clock fields excluded).
-bool identical(const aqua::ExecStats& a, const aqua::ExecStats& b) {
-  return a.cycles == b.cycles && a.instructions == b.instructions &&
-         a.mem_ops == b.mem_ops && a.l1_misses == b.l1_misses &&
-         a.l2_data_misses == b.l2_data_misses &&
-         a.dram_accesses == b.dram_accesses &&
-         a.coherence_forwards == b.coherence_forwards &&
-         a.invalidations == b.invalidations && a.barriers == b.barriers &&
-         a.noc.packets_delivered == b.noc.packets_delivered &&
-         a.noc.total_packet_latency == b.noc.total_packet_latency &&
-         a.noc.total_hops == b.noc.total_hops;
 }
 
 // ------------------------------------------------------- micro-timings ----
@@ -120,57 +91,6 @@ void microbench_mesh_drain(benchmark::State& state) {
 BENCHMARK(microbench_mesh_drain)->Arg(2)->Arg(6)->Unit(
     benchmark::kMillisecond);
 
-/// Per-cell PDES timing under the merge scheduler, gated on bit-identity
-/// with the serial (off) run.
-struct PdesCell {
-  CellRun run;
-  bool identical_to_serial = false;
-};
-
-PdesCell run_pdes_cell(const std::string& workload, std::size_t chips,
-                       aqua::PdesMode mode, const CellRun& serial) {
-  PdesCell cell;
-  cell.run = run_cell(workload, chips, aqua::EventQueue::Impl::kCalendar,
-                      false, mode);
-  cell.identical_to_serial = identical(cell.run.stats, serial.stats);
-  return cell;
-}
-
-/// Runs the headline cells as engine tasks (one per cell) under PDES chip
-/// mode: the scheduler is per-CmpSystem, so cross-cell parallelism and
-/// intra-cell PDES accounting compose without shared state.
-double run_engine_cells(std::size_t workers,
-                        const std::vector<aqua::ExecStats>& serial,
-                        bool* identical_out) {
-  using aqua::sweep::TaskEngine;
-  TaskEngine::shared().configure(workers);
-  const std::vector<std::pair<std::string, std::size_t>> cells = {
-      {"ft", 2}, {"ft", 6}, {"cg", 2}, {"cg", 6}};
-  std::vector<aqua::ExecStats> out(cells.size());
-  std::vector<TaskEngine::Task> tasks(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    tasks[i].body = [&cells, &out, i](aqua::sweep::WorkerContext&) {
-      aqua::CmpConfig cfg;
-      cfg.chips = cells[i].second;
-      cfg.pdes = aqua::PdesMode::kChip;
-      aqua::WorkloadProfile p = aqua::npb_profile(cells[i].first);
-      p.instructions_per_thread = 12'000;
-      aqua::CmpSystem system(cfg, p, aqua::gigahertz(1.6), /*seed=*/1);
-      out[i] = system.run();
-    };
-  }
-  const auto t0 = Clock::now();
-  TaskEngine::shared().run(std::move(tasks));
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  bool same = true;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    same = same && identical(out[i], serial[i]);
-  }
-  *identical_out = same;
-  return seconds;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,22 +100,13 @@ int main(int argc, char** argv) {
   const std::vector<std::string> workloads = {"ft", "cg"};
   const std::vector<std::size_t> chip_counts = {2, 6};
 
-  aqua::Table t({"bench", "chips", "calendar_s", "heap_s", "skip_s",
-                 "cycles", "Mcyc_per_s", "ev_per_instr", "identical"});
+  aqua::Table t({"bench", "chips", "calendar_s", "cycles", "Mcyc_per_s",
+                 "ev_per_instr"});
   aqua::bench::JsonReport report("perf_noc");
-  bool all_identical = true;
 
   for (const std::string& w : workloads) {
     for (std::size_t chips : chip_counts) {
-      const CellRun cal =
-          run_cell(w, chips, aqua::EventQueue::Impl::kCalendar, false);
-      const CellRun heap =
-          run_cell(w, chips, aqua::EventQueue::Impl::kBinaryHeap, false);
-      const CellRun skip =
-          run_cell(w, chips, aqua::EventQueue::Impl::kCalendar, true);
-      const bool same = identical(cal.stats, heap.stats);
-      all_identical = all_identical && same;
-
+      const CellRun cal = run_cell(w, chips);
       const double mcps =
           cal.seconds > 0.0
               ? static_cast<double>(cal.stats.cycles) / cal.seconds / 1e6
@@ -209,17 +120,12 @@ int main(int argc, char** argv) {
           .add(w)
           .add_int(static_cast<long long>(chips))
           .add(cal.seconds, 3)
-          .add(heap.seconds, 3)
-          .add(skip.seconds, 3)
           .add_int(static_cast<long long>(cal.stats.cycles))
           .add(mcps, 2)
-          .add(ev_per_instr, 3)
-          .add(same ? "yes" : "NO");
+          .add(ev_per_instr, 3);
 
       const std::string key = w + "_" + std::to_string(chips) + "chip";
       report.add(key + "_calendar_seconds", cal.seconds, 4);
-      report.add(key + "_heap_seconds", heap.seconds, 4);
-      report.add(key + "_idle_skip_seconds", skip.seconds, 4);
       report.add(key + "_cycles", static_cast<std::int64_t>(cal.stats.cycles));
       report.add(key + "_cycles_per_second",
                  cal.seconds > 0.0
@@ -227,196 +133,14 @@ int main(int argc, char** argv) {
                      : 0.0,
                  0);
       report.add(key + "_events_per_instruction", ev_per_instr, 4);
-      report.add(key + "_idle_skip_events_per_instruction",
-                 skip.stats.instructions > 0
-                     ? static_cast<double>(skip.events) /
-                           static_cast<double>(skip.stats.instructions)
-                     : 0.0,
-                 4);
       report.add(key + "_noc_ticks",
                  static_cast<std::int64_t>(cal.stats.noc.ticks));
       report.add(key + "_noc_cycles_skipped",
                  static_cast<std::int64_t>(cal.stats.noc.cycles_skipped));
-      report.add(key + "_idle_skip_ticks",
-                 static_cast<std::int64_t>(skip.stats.noc.ticks));
-      report.add(key + "_queue_identical", same);
-      report.add(key + "_idle_skip_cycle_drift",
-                 cal.stats.cycles > 0
-                     ? static_cast<double>(skip.stats.cycles) /
-                               static_cast<double>(cal.stats.cycles) -
-                           1.0
-                     : 0.0,
-                 5);
     }
   }
 
   t.print(std::cout);
-  std::cout << (all_identical
-                    ? "\ncalendar and heap queues are bit-identical\n"
-                    : "\nERROR: queue implementations diverge\n");
-  report.add("all_queue_identical", all_identical);
-
-  // ---- Conservative PDES: partitioned merge scheduler vs serial --------
-  // Same cells under AQUA_DES_PDES-equivalent config modes; every mode
-  // must reproduce the serial ExecStats bit-for-bit (the determinism
-  // contract), and the window/channel stats quantify the parallelism a
-  // threaded executor could exploit.
-  aqua::Table pt({"bench", "chips", "mode", "seconds", "windows",
-                  "ev_per_window", "cross_msgs", "stalls", "identical"});
-  bool all_pdes_identical = true;
-  std::vector<aqua::ExecStats> serial_stats;
-  std::vector<double> serial_seconds_by_cell;
-  for (const std::string& w : workloads) {
-    for (std::size_t chips : chip_counts) {
-      const CellRun serial =
-          run_cell(w, chips, aqua::EventQueue::Impl::kCalendar, false);
-      serial_stats.push_back(serial.stats);
-      serial_seconds_by_cell.push_back(serial.seconds);
-      const std::string key = w + "_" + std::to_string(chips) + "chip_pdes";
-      for (const aqua::PdesMode mode :
-           {aqua::PdesMode::kChip, aqua::PdesMode::kQuadrant}) {
-        const PdesCell cell = run_pdes_cell(w, chips, mode, serial);
-        all_pdes_identical = all_pdes_identical && cell.identical_to_serial;
-        const aqua::PdesRunStats& ps = cell.run.stats.pdes;
-        const double ev_per_window =
-            ps.windows > 0 ? static_cast<double>(ps.window_events_total) /
-                                 static_cast<double>(ps.windows)
-                           : 0.0;
-        pt.row()
-            .add(w)
-            .add_int(static_cast<long long>(chips))
-            .add(std::string(aqua::to_string(mode)))
-            .add(cell.run.seconds, 3)
-            .add_int(static_cast<long long>(ps.windows))
-            .add(ev_per_window, 2)
-            .add_int(static_cast<long long>(ps.cross_messages))
-            .add_int(static_cast<long long>(ps.barrier_stalls))
-            .add(cell.identical_to_serial ? "yes" : "NO");
-        const std::string mk = key + "_" + std::string(aqua::to_string(mode));
-        report.add(mk + "_seconds", cell.run.seconds, 4);
-        report.add(mk + "_windows", static_cast<std::int64_t>(ps.windows));
-        report.add(mk + "_events_per_window", ev_per_window, 3);
-        report.add(mk + "_window_events_max",
-                   static_cast<std::int64_t>(ps.window_events_max));
-        report.add(mk + "_cross_messages",
-                   static_cast<std::int64_t>(ps.cross_messages));
-        report.add(mk + "_barrier_stalls",
-                   static_cast<std::int64_t>(ps.barrier_stalls));
-        report.add(mk + "_lookahead",
-                   static_cast<std::int64_t>(ps.lookahead));
-        report.add(mk + "_identical", cell.identical_to_serial);
-      }
-    }
-  }
-  pt.print(std::cout);
-  std::cout << (all_pdes_identical
-                    ? "\nPDES modes reproduce the serial schedule "
-                      "bit-for-bit\n"
-                    : "\nERROR: PDES diverges from the serial schedule\n");
-  report.add("all_pdes_identical", all_pdes_identical);
-
-  // ---- Threaded window executor (AQUA_DES_PDES_EXEC=threads) -----------
-  // The relaxed-order executor trades bit-identity for intra-cell
-  // overlap; the bench reports its wall time next to the serial merge and
-  // gates the statistical-equivalence contract (<=1% cycle drift, <=5%
-  // latency-distribution distance). Drift keys are plain numeric so the
-  // perf gate treats them as two-sided work metrics: any change to the
-  // deterministic drift shows up as a baseline diff, not noise.
-  aqua::Table tt({"bench", "chips", "mode", "serial_s", "threads_s",
-                  "speedup", "windows", "tasks", "maxconc", "drift%",
-                  "lat_tvd", "in_bounds"});
-  bool all_threads_in_bounds = true;
-  {
-    std::size_t cell_index = 0;
-    for (const std::string& w : workloads) {
-      for (std::size_t chips : chip_counts) {
-        const aqua::ExecStats& serial = serial_stats[cell_index];
-        const double serial_seconds = serial_seconds_by_cell[cell_index];
-        ++cell_index;
-        const std::string key =
-            w + "_" + std::to_string(chips) + "chip_threads";
-        for (const aqua::PdesMode mode :
-             {aqua::PdesMode::kChip, aqua::PdesMode::kQuadrant}) {
-          const CellRun cell =
-              run_cell(w, chips, aqua::EventQueue::Impl::kCalendar, false,
-                       mode, aqua::PdesExec::kThreads);
-          const aqua::PdesRunStats& ps = cell.stats.pdes;
-          const double drift =
-              serial.cycles > 0
-                  ? static_cast<double>(cell.stats.cycles) /
-                            static_cast<double>(serial.cycles) -
-                        1.0
-                  : 0.0;
-          const std::vector<std::uint64_t> serial_hist(
-              serial.noc.latency_hist.begin(), serial.noc.latency_hist.end());
-          const std::vector<std::uint64_t> threads_hist(
-              cell.stats.noc.latency_hist.begin(),
-              cell.stats.noc.latency_hist.end());
-          const double tvd =
-              aqua::obs::total_variation_distance(serial_hist, threads_hist);
-          const bool in_bounds =
-              std::abs(drift) <= 0.01 && tvd <= 0.05 &&
-              cell.stats.instructions == serial.instructions;
-          all_threads_in_bounds = all_threads_in_bounds && in_bounds;
-          tt.row()
-              .add(w)
-              .add_int(static_cast<long long>(chips))
-              .add(std::string(aqua::to_string(mode)))
-              .add(serial_seconds, 3)
-              .add(cell.seconds, 3)
-              .add(cell.seconds > 0.0 ? serial_seconds / cell.seconds : 0.0,
-                   2)
-              .add_int(static_cast<long long>(ps.exec_windows))
-              .add_int(static_cast<long long>(ps.exec_tasks))
-              .add_int(static_cast<long long>(ps.exec_max_concurrency))
-              .add(100.0 * drift, 3)
-              .add(tvd, 4)
-              .add(in_bounds ? "yes" : "NO");
-          const std::string mk = key + "_" + std::string(aqua::to_string(mode));
-          report.add(mk + "_seconds", cell.seconds, 4);
-          report.add(mk + "_cycle_drift", drift, 5);
-          report.add(mk + "_latency_tvd", tvd, 5);
-          report.add(mk + "_exec_windows",
-                     static_cast<std::int64_t>(ps.exec_windows));
-          report.add(mk + "_exec_rounds",
-                     static_cast<std::int64_t>(ps.exec_rounds));
-          report.add(mk + "_exec_tasks",
-                     static_cast<std::int64_t>(ps.exec_tasks));
-          report.add(mk + "_exec_clamped",
-                     static_cast<std::int64_t>(ps.exec_clamped));
-          report.add(mk + "_exec_max_concurrency",
-                     static_cast<std::int64_t>(ps.exec_max_concurrency));
-          report.add(mk + "_in_bounds", in_bounds);
-        }
-      }
-    }
-  }
-  tt.print(std::cout);
-  std::cout << (all_threads_in_bounds
-                    ? "\nthreaded executor inside the drift bounds\n"
-                    : "\nERROR: threaded executor drift out of bounds\n");
-  report.add("all_threads_in_bounds", all_threads_in_bounds);
-
-  // ---- PDES x engine workers: cross-cell scaling with PDES on ----------
-  double w1_seconds = 0.0;
-  for (const std::size_t workers :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    bool same = false;
-    const double seconds = run_engine_cells(workers, serial_stats, &same);
-    if (workers == 1) w1_seconds = seconds;
-    all_pdes_identical = all_pdes_identical && same;
-    std::cout << "pdes=chip engine workers=" << workers << " wall="
-              << seconds << "s speedup=" << (w1_seconds / seconds)
-              << (same ? "" : "  TABLE MISMATCH") << "\n";
-    const std::string w = std::to_string(workers);
-    report.add("pdes_chip_engine_w" + w + "_seconds", seconds, 4);
-    report.add("pdes_chip_engine_identical_w" + w, same);
-  }
-  aqua::sweep::TaskEngine::shared().configure(0);
-
   report.write();
-
-  const int rc = aqua::bench::run_microbenchmarks(argc, argv);
-  return all_identical && all_pdes_identical && all_threads_in_bounds ? rc
-                                                                      : 1;
+  return aqua::bench::run_microbenchmarks(argc, argv);
 }

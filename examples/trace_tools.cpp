@@ -41,7 +41,6 @@
 
 #include "common/table.hpp"
 #include "obs/bench_compare.hpp"
-#include "obs/des_drift.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/trace_reader.hpp"
 #include "perf/system.hpp"
@@ -61,9 +60,6 @@ int usage() {
             << "  trace_tools perf-gate [--json] [--time-threshold X]\n"
             << "      [--work-threshold Y] <fresh.json> <baseline-dir-or-"
                "json>...\n"
-            << "  trace_tools des-drift [--json] [--cycle-bound X]\n"
-               "      [--ipc-bound Y] [--latency-bound Z] <base.jsonl> "
-               "<fresh.jsonl>\n"
             << "  trace_tools merge <out.json> <trace.json>...\n"
             << "  trace_tools check <trace.json>...\n"
             << "  trace_tools cache <dir-or-file>...\n";
@@ -259,11 +255,6 @@ int run_critical_path(int argc, char** argv) {
               << ", \"floor_us\": " << aqua::obs::json_number(c.floor_us)
               << ", \"max_speedup\": "
               << aqua::obs::json_number(c.max_speedup())
-              << ", \"pdes_floor_us\": "
-              << aqua::obs::json_number(c.pdes_floor_us)
-              << ", \"pdes_max_speedup\": "
-              << aqua::obs::json_number(c.pdes_max_speedup())
-              << ", \"pdes_partitions\": " << c.pdes_partitions
               << ", \"chains\": [";
     bool comma = false;
     for (const aqua::obs::StrictChainRow& r : c.chains) {
@@ -271,8 +262,7 @@ int run_critical_path(int argc, char** argv) {
       row.add("chain", static_cast<std::uint64_t>(r.chain))
           .add("worker", static_cast<std::uint64_t>(r.worker))
           .add("tasks", static_cast<std::uint64_t>(r.tasks))
-          .add("total_us", r.total_us)
-          .add("pdes_total_us", r.pdes_total_us);
+          .add("total_us", r.total_us);
       std::cout << (comma ? "," : "") << row.str();
       comma = true;
     }
@@ -301,15 +291,6 @@ int run_critical_path(int argc, char** argv) {
   std::cout << "\nserial floor     " << c.floor_us / 1e3
             << " ms -> max speedup over one worker " << c.max_speedup()
             << "x\n";
-  if (c.pdes_partitions > 0) {
-    // PDES partition markers present: strict cells split across partition
-    // lanes, so the intra-cell serial bound (the busiest lane) replaces
-    // whole-cell atomicity in the floor.
-    std::cout << "pdes floor       " << c.pdes_floor_us / 1e3 << " ms over "
-              << c.pdes_partitions
-              << " partition lane(s) -> max speedup " << c.pdes_max_speedup()
-              << "x\n";
-  }
   return 0;
 }
 
@@ -436,84 +417,6 @@ int run_perf_gate(int argc, char** argv) {
     return result.passed() ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "perf-gate: " << e.what() << "\n";
-    return 2;
-  }
-}
-
-/// `des-drift`: statistical-equivalence gate for the relaxed-order
-/// threaded PDES executor (obs/des_drift.hpp). Pairs the perf_run records
-/// of two run reports cell by cell and bounds per-cell cycle drift, IPC
-/// drift and the NoC latency-distribution distance. Exit 0 = within
-/// bounds, 1 = drift exceeded or cells unmatched, 2 = usage / unreadable
-/// input / no pairable cells.
-int run_des_drift(int argc, char** argv) {
-  int first = 2;
-  const bool json = eat_json_flag(first, argc, argv);
-  aqua::obs::DriftBounds bounds;
-  while (first + 1 < argc) {
-    const std::string flag = argv[first];
-    if (flag == "--cycle-bound") {
-      bounds.cycles = std::stod(argv[first + 1]);
-      first += 2;
-    } else if (flag == "--ipc-bound") {
-      bounds.ipc = std::stod(argv[first + 1]);
-      first += 2;
-    } else if (flag == "--latency-bound") {
-      bounds.latency_distance = std::stod(argv[first + 1]);
-      first += 2;
-    } else {
-      break;
-    }
-  }
-  if (first + 1 >= argc) return usage();
-
-  try {
-    const auto base = aqua::obs::load_perf_run_samples(argv[first]);
-    const auto fresh = aqua::obs::load_perf_run_samples(argv[first + 1]);
-    if (base.empty() || fresh.empty()) {
-      std::cerr << "des-drift: no perf_run records in "
-                << (base.empty() ? argv[first] : argv[first + 1]) << "\n";
-      return 2;
-    }
-    const aqua::obs::DriftReport report =
-        aqua::obs::compare_drift(base, fresh, bounds);
-
-    if (json) {
-      std::cout << "{\"cells\": " << report.cells.size()
-                << ", \"unmatched\": " << report.unmatched.size()
-                << ", \"max_cycle_drift\": " << report.max_cycle_drift
-                << ", \"max_ipc_drift\": " << report.max_ipc_drift
-                << ", \"max_latency_distance\": "
-                << report.max_latency_distance
-                << ", \"passed\": " << (report.ok ? "true" : "false")
-                << "}\n";
-      return report.ok ? 0 : 1;
-    }
-
-    std::cout << "des-drift: " << argv[first] << " vs " << argv[first + 1]
-              << " (cycles <=" << bounds.cycles * 100.0 << "%, ipc <="
-              << bounds.ipc * 100.0 << "%, latency TVD <="
-              << bounds.latency_distance * 100.0 << "%)\n";
-    aqua::Table table({"cell", "base cycles", "fresh cycles", "cycle drift",
-                       "ipc drift", "lat dist", "verdict"});
-    for (const aqua::obs::DriftCell& cell : report.cells) {
-      table.row()
-          .add(cell.key)
-          .add(cell.base_cycles)
-          .add(cell.fresh_cycles)
-          .add(cell.cycle_drift, 5)
-          .add(cell.ipc_drift, 5)
-          .add(cell.latency_distance, 5)
-          .add(cell.ok ? "ok" : "DRIFTED");
-    }
-    table.print(std::cout);
-    for (const std::string& miss : report.unmatched) {
-      std::cout << "unmatched: " << miss << "\n";
-    }
-    std::cout << (report.ok ? "PASS\n" : "FAIL\n");
-    return report.ok ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::cerr << "des-drift: " << e.what() << "\n";
     return 2;
   }
 }
@@ -713,7 +616,6 @@ int main(int argc, char** argv) {
   if (mode == "timeline") return run_timeline(argc, argv);
   if (mode == "critical-path") return run_critical_path(argc, argv);
   if (mode == "perf-gate") return run_perf_gate(argc, argv);
-  if (mode == "des-drift") return run_des_drift(argc, argv);
   if (mode == "merge") return run_merge(argc, argv);
   if (mode == "check") return run_check(argc, argv);
   if (mode == "cache") return run_cache(argc, argv);

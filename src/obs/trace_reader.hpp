@@ -32,8 +32,13 @@ struct JsonValue {
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 };
 
+/// Deepest container nesting parse_json accepts. The parser recurses once
+/// per level, so the cap bounds its stack use on untrusted input (a frame
+/// of a million '[' would otherwise overflow the stack).
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Parses one JSON document; throws std::runtime_error with a position on
-/// malformed input.
+/// malformed input, including nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 /// One event as read back from a Chrome trace file.
@@ -119,12 +124,6 @@ struct StrictChainRow {
   std::uint32_t worker = 0;  ///< home worker observed in the trace
   std::uint64_t tasks = 0;
   double total_us = 0.0;
-  /// Chain total after splitting each task across its PDES partition
-  /// lanes (`des.partition` markers): the task's cost is scaled by the
-  /// busiest partition's event share, the intra-cell serial bound the
-  /// conservative window protocol cannot beat. Equals total_us for tasks
-  /// without PDES markers.
-  double pdes_total_us = 0.0;
 };
 
 /// The theoretical floor for AQUA_SWEEP_WORKERS=inf: every loose/unpinned
@@ -137,20 +136,10 @@ struct CriticalPathSummary {
   double longest_chain_us = 0.0;
   std::uint32_t longest_chain = 0;  ///< its chain id (valid when chains>0)
   double floor_us = 0.0;  ///< max(longest_chain_us, longest_task_us)
-  /// The floor after splitting strict tasks across PDES partition lanes
-  /// (see StrictChainRow::pdes_total_us). Equals floor_us when the trace
-  /// carries no `des.partition` markers — whole-cell atomicity is then
-  /// the only bound the trace supports.
-  double pdes_floor_us = 0.0;
-  std::uint64_t pdes_partitions = 0;  ///< distinct partition lanes seen
   std::vector<StrictChainRow> chains;  ///< ordered by descending total
   /// total_task_us / floor_us — the speedup bound over one worker.
   [[nodiscard]] double max_speedup() const {
     return floor_us > 0.0 ? total_task_us / floor_us : 1.0;
-  }
-  /// The bound once intra-cell PDES parallelism is granted as well.
-  [[nodiscard]] double pdes_max_speedup() const {
-    return pdes_floor_us > 0.0 ? total_task_us / pdes_floor_us : 1.0;
   }
 };
 

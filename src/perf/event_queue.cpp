@@ -1,39 +1,16 @@
 #include "perf/event_queue.hpp"
 
 #include <bit>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace aqua {
 
-namespace {
-
-EventQueue::Impl& default_impl_slot() {
-  static EventQueue::Impl impl = [] {
-    const char* env = std::getenv("AQUA_DES_QUEUE");
-    if (env != nullptr && std::string_view(env) == "heap") {
-      return EventQueue::Impl::kBinaryHeap;
-    }
-    return EventQueue::Impl::kCalendar;
-  }();
-  return impl;
-}
-
-}  // namespace
-
-EventQueue::Impl EventQueue::default_impl() { return default_impl_slot(); }
-
-void EventQueue::set_default_impl(Impl impl) { default_impl_slot() = impl; }
-
-EventQueue::EventQueue(Impl impl) : impl_(impl) {
+EventQueue::EventQueue() {
   static_assert((kNearHorizon & (kNearHorizon - 1)) == 0,
                 "ring size must be a power of two");
-  if (impl_ == Impl::kCalendar) {
-    ring_.resize(static_cast<std::size_t>(kNearHorizon));
-  }
+  ring_.resize(static_cast<std::size_t>(kNearHorizon));
 }
 
 void EventQueue::push(Entry&& e) {
@@ -41,7 +18,7 @@ void EventQueue::push(Entry&& e) {
   if (e.when < now_) require(false, "cannot schedule an event in the past");
   ++pending_;
   if (pending_ > max_pending_) max_pending_ = pending_;
-  if (impl_ == Impl::kCalendar && e.when - now_ < kNearHorizon) {
+  if (e.when - now_ < kNearHorizon) {
     Bucket& b = ring_[e.when & (kNearHorizon - 1)];
     if (b.next == b.entries.size()) {
       // Bucket is logically empty: recycle any consumed storage (keeping
@@ -77,40 +54,6 @@ void EventQueue::schedule_typed(Cycle when, TypedFn fn, void* ctx,
   e.msg = msg;
   ++typed_;
   push(std::move(e));
-}
-
-void EventQueue::schedule_typed_stamped(Cycle when, std::uint64_t stamp,
-                                        TypedFn fn, void* ctx, void* target,
-                                        const Message& msg) {
-  Entry e;
-  e.when = when;
-  e.seq = stamp;
-  e.typed = fn;
-  e.ctx = ctx;
-  e.target = target;
-  e.msg = msg;
-  // seq_ keeps counting schedules so scheduled() stays meaningful, but the
-  // entry's tie-break is the caller's stamp.
-  ++seq_;
-  ++typed_;
-  push(std::move(e));
-}
-
-EventQueue::Key EventQueue::next_key() const {
-  if (pending_ == 0) ensure(false, "next_key on empty event queue");
-  // Mirror step()'s source selection exactly: heap-first on a tied cycle.
-  if (ring_count_ == 0) {
-    const Entry& top = heap_.top();
-    return Key{top.when, top.seq};
-  }
-  const Cycle ring_time = next_ring_time();
-  if (!heap_.empty() && heap_.top().when <= ring_time) {
-    const Entry& top = heap_.top();
-    return Key{top.when, top.seq};
-  }
-  const Bucket& b = ring_[ring_time & (kNearHorizon - 1)];
-  const Entry& e = b.entries[b.next];
-  return Key{e.when, e.seq};
 }
 
 Cycle EventQueue::next_ring_time() const {

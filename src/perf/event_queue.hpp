@@ -18,9 +18,8 @@
 /// preserve this exactly: an overflow entry for cycle `t` was necessarily
 /// scheduled while `t` was still beyond the ring horizon, i.e. before every
 /// ring entry for `t` existed, so draining the heap first on a tied cycle
-/// is precisely FIFO order. The legacy single-heap implementation is kept
-/// behind `Impl::kBinaryHeap` so tests and benches can verify the two
-/// produce bit-identical simulations (see tests/perf/test_queue_invariance).
+/// is precisely FIFO order (tests/perf/test_event_queue_params checks the
+/// queue against a plain `(when, seq)` priority-queue oracle).
 ///
 /// Hot events (core advance, message delivery) avoid the SmallFunction
 /// dispatch entirely: `schedule_typed` stores a bare function pointer plus
@@ -51,23 +50,10 @@ class EventQueue {
   /// the core/bank the event acts on; the Message rides inline.
   using TypedFn = void (*)(void* ctx, void* target, const Message& msg);
 
-  enum class Impl : std::uint8_t {
-    kCalendar,    ///< bucket ring + overflow heap (default)
-    kBinaryHeap,  ///< legacy single std::priority_queue
-  };
-
   /// Width of the calendar ring in cycles. Must be a power of two.
   static constexpr Cycle kNearHorizon = 1024;
 
-  explicit EventQueue(Impl impl = default_impl());
-
-  /// Implementation used by default-constructed queues. Initialized from
-  /// the AQUA_DES_QUEUE environment variable ("heap" selects the legacy
-  /// binary heap), overridable at runtime for A/B tests and benches.
-  static Impl default_impl();
-  static void set_default_impl(Impl impl);
-
-  [[nodiscard]] Impl impl() const { return impl_; }
+  EventQueue();
 
   /// Schedules `fn` to run at absolute cycle `when` (>= now()).
   void schedule(Cycle when, Callback fn);
@@ -84,23 +70,6 @@ class EventQueue {
                          const Message& msg) {
     schedule_typed(now_ + delay, fn, ctx, target, msg);
   }
-
-  /// Typed schedule with an externally supplied tie-break sequence number
-  /// (the PDES scheduler's global stamp, perf/pdes.hpp). Stamps pushed into
-  /// one queue must be monotonically increasing over wall order — the same
-  /// property the internal counter has — so the ring-bucket FIFO and the
-  /// heap-first-on-tied-cycle rule still pop the minimum (when, stamp).
-  void schedule_typed_stamped(Cycle when, std::uint64_t stamp, TypedFn fn,
-                              void* ctx, void* target, const Message& msg);
-
-  /// Ordering key of the earliest pending event — what step() would fire
-  /// next. Only valid when !empty(). Lets a merge executor compare several
-  /// queues without popping.
-  struct Key {
-    Cycle when = 0;
-    std::uint64_t seq = 0;
-  };
-  [[nodiscard]] Key next_key() const;
 
   [[nodiscard]] Cycle now() const { return now_; }
   [[nodiscard]] bool empty() const { return pending_ == 0; }
@@ -164,8 +133,7 @@ class EventQueue {
   /// Earliest ring cycle; only valid when ring_count_ > 0.
   [[nodiscard]] Cycle next_ring_time() const;
 
-  Impl impl_;
-  std::vector<Bucket> ring_;  ///< kNearHorizon buckets (calendar mode only)
+  std::vector<Bucket> ring_;  ///< kNearHorizon buckets
   std::array<std::uint64_t, kBitmapWords> bitmap_{};  ///< non-empty buckets
   std::size_t ring_count_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;

@@ -462,24 +462,14 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
     }
 
     // Freeing an input slot returns a credit upstream (1-cycle turnaround
-    // idealized to immediate) — unless the threaded PDES executor banked
-    // credit returns to the window boundary (order-insensitivity).
+    // idealized to immediate).
     if (port != kLocal) {
       const NodeId up = nbr[port];
       if (up == kNoNeighbor) {
         ensure(false, "input port faces the mesh edge");
       }
-      if (defer_credits_) {
-        deferred_credits_.push_back(
-            (static_cast<std::uint32_t>(up) * kPortCount +
-             static_cast<std::uint32_t>(opposite(port))) *
-                3 +
-            vc);
-        ++stats_.credits_deferred;
-      } else {
-        Router& ur = routers_[up];
-        ++ur.credits[opposite(port)][vc];
-      }
+      Router& ur = routers_[up];
+      ++ur.credits[opposite(port)][vc];
     }
 
     if (out == kLocal) {
@@ -510,42 +500,16 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
   pass_next_ = next_work;
 }
 
-void Mesh3d::flush_deferred_credits() {
-  if (deferred_credits_.empty()) return;
-  // Canonical (router, port, vc) order: the bank's application is
-  // independent of the thread interleaving that filled it.
-  std::sort(deferred_credits_.begin(), deferred_credits_.end());
-  for (const std::uint32_t key : deferred_credits_) {
-    const std::uint32_t vc = key % 3;
-    const std::uint32_t port = (key / 3) % kPortCount;
-    const auto router = static_cast<NodeId>(key / 3 / kPortCount);
-    ++routers_[router].credits[port][vc];
-  }
-  deferred_credits_.clear();
-}
-
 bool Mesh3d::credit_invariants_ok() const {
-  // Banked returns per encoded link key (usually empty outside a window).
-  std::vector<std::uint32_t> bank(deferred_credits_);
-  std::sort(bank.begin(), bank.end());
   for (NodeId id = 0; id < routers_.size(); ++id) {
     for (std::uint8_t port = kXPos; port < kPortCount; ++port) {
       const NodeId down = neighbors_[id][port];
       if (down == kNoNeighbor) continue;
       const Port back = opposite(static_cast<Port>(port));
       for (std::uint8_t vc = 0; vc < 3; ++vc) {
-        const std::uint32_t key =
-            (static_cast<std::uint32_t>(id) * kPortCount +
-             static_cast<std::uint32_t>(port)) *
-                3 +
-            vc;
-        const auto [lo, hi] = std::equal_range(bank.begin(), bank.end(), key);
-        const auto banked = static_cast<std::size_t>(hi - lo);
         const std::size_t credits = routers_[id].credits[port][vc];
         const std::size_t buffered = routers_[down].in[back][vc].flits;
-        if (credits + banked + buffered != config_.vc_buffer_flits) {
-          return false;
-        }
+        if (credits + buffered != config_.vc_buffer_flits) return false;
       }
     }
   }

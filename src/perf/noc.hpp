@@ -11,12 +11,10 @@
 ///
 /// The mesh is ticked one cycle at a time, but only routers holding flits
 /// do work, and `tick`/`inject` report the next cycle at which anything can
-/// move, so the host simulator can skip quiet cycles entirely (idle-skip;
-/// `stats().cycles_skipped` counts the cycles saved). Hosts that need the
-/// legacy one-tick-per-active-cycle arbitration clock (bit-identical event
-/// interleaving) call `skip_cycle` on quiet cycles instead of `tick`: it
-/// advances the round-robin state exactly as a motionless tick would,
-/// without scanning any buffers.
+/// move. The host calls `skip_cycle` on the quiet cycles in between instead
+/// of `tick`: it advances the round-robin arbitration state exactly as a
+/// motionless tick would, without scanning any buffers
+/// (`stats().cycles_skipped` counts those cycles).
 ///
 /// VC buffers store flits as *runs*: consecutive flits of one packet that
 /// arrived back-to-back collapse into a single {packet, start, count}
@@ -50,7 +48,7 @@ struct Packet {
 struct NocStats {
   /// Log2 buckets of the per-packet latency distribution: bucket i counts
   /// deliveries with latency in [2^(i-1), 2^i) (bucket 0 = latency 0).
-  /// Feeds the des-drift distribution-distance metric (obs/des_drift.hpp).
+  /// Reported per run as the `noc_latency_hist` run-report field.
   static constexpr std::size_t kLatencyBuckets = 16;
 
   std::uint64_t packets_injected = 0;
@@ -59,9 +57,7 @@ struct NocStats {
   std::uint64_t total_packet_latency = 0;  ///< sum of (deliver - inject)
   std::uint64_t total_hops = 0;
   std::uint64_t ticks = 0;  ///< mesh cycles actually simulated (not skipped)
-  std::uint64_t cycles_skipped = 0;  ///< active-network cycles idle-skipped
-  std::uint64_t credits_deferred = 0;  ///< credit returns banked to a window
-                                       ///< boundary (threaded PDES exec)
+  std::uint64_t cycles_skipped = 0;  ///< active-network cycles skip_cycle'd
   std::array<std::uint64_t, kLatencyBuckets> latency_hist{};
 
   /// Buckets `latency` into latency_hist.
@@ -123,21 +119,9 @@ class Mesh3d {
   /// every active-network cycle.
   void skip_cycle(Cycle now);
 
-  // -- Deferred credit return (threaded PDES exec, DESIGN.md §12) --------
-  /// When enabled, credits freed by the switch pass are banked per
-  /// (router, port, vc) instead of returned to the upstream router
-  /// mid-cycle; `flush_deferred_credits` applies the bank in canonical
-  /// link order. Understating free slots never overflows a buffer (the
-  /// downstream flit count is checked independently), it only delays
-  /// upstream progress — which makes credit flow insensitive to the order
-  /// partition threads ran within the window.
-  void set_defer_credits(bool on) { defer_credits_ = on; }
-  /// Applies all banked credits in ascending (router, port, vc) order.
-  void flush_deferred_credits();
   /// Test hook: verifies exact credit conservation on every live link —
-  /// upstream credits + banked returns + downstream buffered flits must
-  /// equal the VC buffer depth. Returns false on any violation (including
-  /// a credit count that would exceed the buffer).
+  /// upstream credits + downstream buffered flits must equal the VC buffer
+  /// depth. Returns false on any violation.
   [[nodiscard]] bool credit_invariants_ok() const;
 
   [[nodiscard]] const NocStats& stats() const { return stats_; }
@@ -269,11 +253,6 @@ class Mesh3d {
   Cycle activity_since_ = kIdle;  ///< first cycle of the current busy spell
   Cycle pass_next_ = kIdle;  ///< next-work accumulator of the current tick
   NocStats stats_;
-  // Deferred credit bank: encoded (router * kPortCount + port) * 3 + vc
-  // keys, sorted at flush so the application order is canonical regardless
-  // of which thread's switch pass freed the slot.
-  bool defer_credits_ = false;
-  std::vector<std::uint32_t> deferred_credits_;
 
   // Activity tracking: only routers holding flits and NIs with queued
   // backlog are visited per tick (the mesh is usually mostly quiet).

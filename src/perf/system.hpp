@@ -6,21 +6,18 @@
 /// substitute that turns (workload, frequency) into execution time.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/pool.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "perf/cache.hpp"
 #include "perf/event_queue.hpp"
 #include "perf/faults.hpp"
 #include "perf/noc.hpp"
 #include "perf/params.hpp"
-#include "perf/pdes.hpp"
 #include "perf/protocol.hpp"
 #include "perf/tracefile.hpp"
 #include "perf/workload.hpp"
@@ -44,10 +41,6 @@ struct ExecStats {
   std::uint64_t barriers = 0;
   std::uint64_t l2_overflow_inserts = 0;  ///< see DESIGN.md L2 note
   NocStats noc;
-  /// Conservative-PDES accounting (all zero when AQUA_DES_PDES=off). Not
-  /// part of any golden table: the timing fields above must be identical
-  /// across PDES modes, while these describe the partition schedule.
-  PdesRunStats pdes;
 
   // CPI stack: total core-cycles (summed over cores) spent in each state.
   // busy + stalls + barrier_wait ~= cycles * cores (idle tails aside).
@@ -99,11 +92,9 @@ struct ExecStats {
 /// pointer + Message payload, no closure), directory pending queues are
 /// pooled intrusive lists, and the NoC is self-scheduling: it reports its
 /// next work cycle and full ticks only run on cycles that can move flits.
-/// By default the pump event still fires every active-network cycle so the
-/// event stream (and therefore every result) stays bit-identical to the
-/// original per-cycle design; CmpConfig::noc_idle_skip drops those filler
-/// events entirely in exchange for slightly different same-cycle handler
-/// interleaving.
+/// The pump event still fires every active-network cycle so the event
+/// stream (and therefore every result) stays bit-identical to the original
+/// per-cycle design.
 class CmpSystem {
  public:
   CmpSystem(const CmpConfig& config, const WorkloadProfile& profile,
@@ -220,26 +211,6 @@ class CmpSystem {
     std::uint64_t generation = 0;
   };
 
-  /// Per-partition side-effect bank for the threaded PDES window executor
-  /// (DESIGN.md §12). A partition window-task may only touch its own lane
-  /// (indexed by partition, never by worker, so results are independent of
-  /// the worker count); the coordinator drains lanes in ascending
-  /// partition order at each round boundary — the canonical order that
-  /// makes the relaxed execution deterministic.
-  struct ExecLane {
-    ExecStats stats;  ///< counter shard, merged field-wise after the run
-    std::vector<std::pair<Cycle, Packet>> sends;  ///< banked NoC injections
-    struct DramReq {
-      Bank* bank;
-      Message msg;
-      Cycle at;
-    };
-    std::vector<DramReq> dram;       ///< banked memory-controller requests
-    std::uint64_t barrier_arrivals = 0;  ///< cores that hit the barrier
-    std::uint64_t finished = 0;          ///< cores that completed
-    Cycle completion = 0;                ///< max completion cycle in lane
-  };
-
   // ---- typed event thunks (EventQueue fast path) ----
   static void advance_event(void* ctx, void* target, const Message& msg);
   static void access_event(void* ctx, void* target, const Message& msg);
@@ -255,8 +226,6 @@ class CmpSystem {
             NodeId requestor, bool dirty = false, std::int32_t acks = 0,
             DataSource source = DataSource::kNone);
   void deliver(const Packet& packet);
-  /// Arms (or advances) the single pending NoC pump event to `when`.
-  void schedule_pump(Cycle when);
 
   // Core behavior.
   void advance_core(Core& core);
@@ -278,8 +247,8 @@ class CmpSystem {
   void process_request(Bank& bank, const Message& msg);
   void finish_transaction(Bank& bank, LineAddr line);
   void pump_pending(Bank& bank, LineAddr line);
-  void queue_pending_back(Bank& bank, DirEntry& e, const Message& msg);
-  void queue_pending_front(Bank& bank, DirEntry& e, const Message& msg);
+  void queue_pending_back(DirEntry& e, const Message& msg);
+  void queue_pending_front(DirEntry& e, const Message& msg);
   void respond_with_data(Bank& bank, LineAddr line, NodeId requestor,
                          MsgType kind, std::int32_t acks,
                          DataSource source);
@@ -295,36 +264,9 @@ class CmpSystem {
   [[nodiscard]] NodeId home_tile_of(LineAddr line) const {
     return home_tiles_[line % home_tiles_.size()];
   }
-  /// Owning PDES partition of a tile (0 when PDES is off — the scheduler
-  /// ignores the hint then).
-  [[nodiscard]] std::uint32_t partition_of(NodeId tile) const {
-    return partition_of_tile_.empty() ? 0u : partition_of_tile_[tile];
-  }
 
   void init_topology();
 
-  // ---- threaded PDES window executor (DESIGN.md §12) ----
-  /// Stats shard for the current context: the lane of the executing
-  /// partition window-task, or the run-wide stats_ on the coordinator /
-  /// fabric / serial path. Handlers must route every counter through here.
-  [[nodiscard]] ExecStats& run_stats();
-  /// Pending-node pool for a bank: per-partition in threaded mode (each
-  /// bank is owned by exactly one partition), the shared pool otherwise.
-  [[nodiscard]] ObjectPool<PendingNode>& pool_for(const Bank& bank);
-  /// Records a core's completion (banked into its lane in parallel
-  /// context, applied directly otherwise).
-  void note_core_done(Cycle at);
-  /// The window/round loop replacing the serial step() loop.
-  void run_threaded();
-  /// Coordinator round boundary: flushes outboxes, injects banked packets
-  /// and DRAM requests in canonical lane order, applies barrier arrivals
-  /// and completions.
-  void merge_round();
-  /// Threaded-mode barrier release: fires once every participant has
-  /// arrived, at the cycle of the last arrival.
-  void release_barrier_threaded();
-  /// Folds every lane's counter shard into stats_ (order-independent).
-  void merge_exec_lanes();
   [[noreturn]] void report_deadlock();
 
   CmpConfig config_;
@@ -334,37 +276,13 @@ class CmpSystem {
   Cycle dram_latency_cycles_ = 0;
   Cycle dram_service_cycles_ = 0;
 
-  /// Event scheduler: a single queue when PDES is off, the per-partition
-  /// stamped-merge scheduler otherwise (perf/pdes.hpp). Activated lazily
-  /// at the top of run() so inject_faults can force the serial path.
-  DesScheduler events_;
-  PdesMode pdes_mode_ = PdesMode::kOff;  ///< effective mode for this run
-  PdesExec pdes_exec_ = PdesExec::kSerial;  ///< effective executor
-  /// True while the run uses the threaded window executor: PDES active,
-  /// pdes_exec_ == kThreads and at least two model partitions. Faulted
-  /// plans force PDES off entirely, so this never coexists with faults.
-  bool threaded_exec_ = false;
-  std::vector<ExecLane> lanes_;  ///< one per partition (threaded mode)
-  /// Per-partition pending-node pools (threaded mode): ObjectPool is
-  /// neither copyable nor movable, so a deque grows them in place.
-  std::deque<ObjectPool<PendingNode>> partition_pools_;
-  /// Test hook (tests/perf fuzzer): when non-zero, merge_round() permutes
-  /// the lane drain order and each lane's same-round send order under this
-  /// seed, proving the banked mechanisms are order-insensitive.
-  std::uint64_t flush_fuzz_seed_ = 0;
-  Xoshiro256 fuzz_rng_{1};
-  /// Tile -> owning partition (empty until run() activates PDES).
-  std::vector<std::uint32_t> partition_of_tile_;
+  EventQueue events_;
   std::unique_ptr<Mesh3d> noc_;
-  // NoC pump scheduling. Default (exact) mode: one pump event per
-  // active-network cycle, legacy event stream, lazy mesh tick gated by
-  // noc_gate_ (cycles below the gate only advance the arbitration clock).
-  // Idle-skip mode (config_.noc_idle_skip): a single pump event parked at
-  // pump_at_, moved earlier as needed; quiet spans have no events at all.
-  bool noc_idle_skip_ = false;
+  // NoC pump scheduling: one pump event per active-network cycle (the
+  // legacy event stream) with a lazy mesh tick gated by noc_gate_ — cycles
+  // below the gate only advance the arbitration clock.
   bool noc_pumping_ = false;  ///< a live pump event exists
-  Cycle pump_at_ = 0;         ///< idle-skip: cycle of the live pump event
-  Cycle noc_gate_ = 0;        ///< exact: earliest cycle a tick can move flits
+  Cycle noc_gate_ = 0;        ///< earliest cycle a tick can move flits
 
   // Topology tables (built once): tile -> core index (-1 = not a core
   // tile) and line-interleaving -> home bank tile.

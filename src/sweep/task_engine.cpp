@@ -33,26 +33,10 @@ EngineMetrics& engine_metrics() {
 }
 
 thread_local TaskEngine* tls_engine = nullptr;
-/// The context of the batch task currently executing on this thread (set
-/// around drain() / run_inline()); run_subtasks uses it so group callers
-/// need no explicit WorkerContext parameter.
-thread_local WorkerContext* tls_ctx = nullptr;
 
 }  // namespace
 
 // ---------------------------------------------------------------- batch --
-
-/// A window-scoped barrier (run_subtasks): tasks claimed via the atomic
-/// cursor, completion tracked under the owning batch's sub_m. Lives on the
-/// caller's stack; helpers may only reach it through Batch::subgroups, and
-/// only while it is registered there.
-struct TaskEngine::SubtaskGroup {
-  std::vector<Task>* tasks = nullptr;
-  std::atomic<std::size_t> next{0};  ///< claim cursor
-  std::size_t remaining = 0;         ///< unfinished tasks (under sub_m)
-  std::size_t active = 0;            ///< threads processing now (under sub_m)
-  std::exception_ptr error;          ///< first subtask error (under sub_m)
-};
 
 struct TaskEngine::Batch {
   /// Owner pops the strict lane front-to-back (submission order, never
@@ -91,16 +75,6 @@ struct TaskEngine::Batch {
   std::mutex error_m;
   std::exception_ptr first_error;
 
-  /// Subtask groups published by run_subtasks callers mid-batch. sub_cv
-  /// signals new groups, group progress, and the batch's last task
-  /// finishing — the three events a parked helper or group caller waits
-  /// on. All fields of a registered group are guarded by sub_m except its
-  /// claim cursor.
-  std::mutex sub_m;
-  std::condition_variable sub_cv;
-  std::vector<SubtaskGroup*> subgroups;
-  std::atomic<std::uint64_t> subtasks{0};
-
   // Run counters (relaxed; folded into Stats after the batch).
   std::atomic<std::uint64_t> executed{0};
   std::atomic<std::uint64_t> strict_executed{0};
@@ -116,14 +90,8 @@ struct TaskEngine::Batch {
 
   void note_done() {
     if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      {
-        std::lock_guard lock(done_m);
-        done_cv.notify_all();
-      }
-      // Parked subtask helpers wait on sub_cv and must observe the batch
-      // draining so they can leave.
-      std::lock_guard lock(sub_m);
-      sub_cv.notify_all();
+      std::lock_guard lock(done_m);
+      done_cv.notify_all();
     }
   }
 
@@ -173,10 +141,10 @@ TaskEngine::TaskEngine(std::size_t workers) {
 TaskEngine::~TaskEngine() { stop_workers(); }
 
 TaskEngine& TaskEngine::shared() {
-  // Function-local static like shared_pool(): constructed on first use,
-  // stopped and joined at process exit. The metrics registry it reports
-  // into is constructed earlier (the constructor touches it), so static
-  // destruction order keeps it alive until the workers are gone.
+  // Function-local static: constructed on first use, stopped and joined
+  // at process exit. The metrics registry it reports into is constructed
+  // earlier (the constructor touches it), so static destruction order
+  // keeps it alive until the workers are gone.
   static TaskEngine engine;
   return engine;
 }
@@ -223,10 +191,6 @@ void TaskEngine::run(std::vector<Task> tasks) {
     return;
   }
   std::lock_guard run_lock(run_mutex_);
-  run_locked(tasks);
-}
-
-void TaskEngine::run_locked(std::vector<Task>& tasks) {
   AQUA_TRACE_SCOPE_ARG("engine.run", "engine", tasks.size());
 
   Batch batch(worker_count_);
@@ -274,7 +238,6 @@ void TaskEngine::run_locked(std::vector<Task>& tasks) {
   stats.lifo_spawned = batch.lifo_spawned.load();
   stats.local_hits = batch.local_hits.load();
   stats.local_misses = batch.local_misses.load();
-  stats.subtasks = batch.subtasks.load();
   stats.per_worker.reserve(worker_count_);
   for (const auto& c : batch.per_worker) stats.per_worker.push_back(c.load());
   {
@@ -290,8 +253,6 @@ void TaskEngine::run_inline(std::vector<Task>& tasks) {
   // batch (so worker-local state reuse matches a one-worker engine).
   std::exception_ptr first_error;
   WorkerContext ctx(nullptr, 0, 1);
-  WorkerContext* prev_ctx = tls_ctx;
-  tls_ctx = &ctx;
   for (Task& t : tasks) {
     try {
       t.body(ctx);
@@ -299,84 +260,7 @@ void TaskEngine::run_inline(std::vector<Task>& tasks) {
       if (!first_error) first_error = std::current_exception();
     }
   }
-  tls_ctx = prev_ctx;
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void TaskEngine::run_subtasks(std::vector<Task> tasks) {
-  if (tasks.empty()) return;
-  if (tls_engine != this) {
-    // Not on an engine worker. Idle engine: run as an ordinary batch for
-    // full parallelism (direct CmpSystem::run calls from tests/benches).
-    // A batch already active on other threads: execute inline rather than
-    // block a simulation behind an unrelated sweep.
-    if (run_mutex_.try_lock()) {
-      std::lock_guard<std::mutex> run_lock(run_mutex_, std::adopt_lock);
-      run_locked(tasks);
-    } else {
-      run_inline(tasks);
-    }
-    return;
-  }
-  // On an engine worker mid-batch: publish the group so idle workers of
-  // this batch help, and drain it ourselves — never picking up unrelated
-  // batch tasks, so the window barrier stays tight.
-  Batch* batch = batch_;  // stable: cleared only after our task finishes
-  WorkerContext* ctx = tls_ctx;
-  if (batch == nullptr || ctx == nullptr) {  // nested-inline run: stay serial
-    run_inline(tasks);
-    return;
-  }
-  SubtaskGroup group;
-  group.tasks = &tasks;
-  {
-    std::lock_guard lock(batch->sub_m);
-    group.remaining = tasks.size();
-    ++group.active;  // the caller processes its own group first
-    batch->subgroups.push_back(&group);
-    batch->sub_cv.notify_all();
-  }
-  process_group(*batch, group, *ctx);
-  std::exception_ptr error;
-  {
-    std::unique_lock lock(batch->sub_m);
-    batch->sub_cv.wait(
-        lock, [&] { return group.remaining == 0 && group.active == 0; });
-    auto& groups = batch->subgroups;
-    groups.erase(std::find(groups.begin(), groups.end(), &group));
-    error = group.error;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void TaskEngine::process_group(Batch& batch, SubtaskGroup& group,
-                               WorkerContext& ctx) {
-  const auto wid = static_cast<std::uint32_t>(ctx.worker());
-  for (;;) {
-    const std::size_t i = group.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= group.tasks->size()) break;
-    {
-      // Group subtasks are loose by contract (PDES partition windows);
-      // recording them under the loose span keeps the worker-timeline
-      // tooling meaningful without a new span kind.
-      obs::FlightRecorder::TaskScope scope(obs::FlightRecorder::kTaskLoose,
-                                           wid,
-                                           obs::FlightRecorder::kNoChain);
-      try {
-        (*group.tasks)[i].body(ctx);
-      } catch (...) {
-        std::lock_guard lock(batch.sub_m);
-        if (!group.error) group.error = std::current_exception();
-      }
-    }
-    batch.subtasks.fetch_add(1, std::memory_order_relaxed);
-    engine_metrics().executed.add();
-    std::lock_guard lock(batch.sub_m);
-    --group.remaining;
-  }
-  std::lock_guard lock(batch.sub_m);
-  --group.active;
-  batch.sub_cv.notify_all();
 }
 
 TaskEngine::Stats TaskEngine::last_run_stats() const {
@@ -402,9 +286,7 @@ void TaskEngine::worker_loop(std::size_t id) {
       // Fresh context per batch: cached solver state must not leak across
       // experiments (and its memory is released when the sweep ends).
       WorkerContext ctx(this, id, worker_count_);
-      tls_ctx = &ctx;
       drain(*batch, ctx);
-      tls_ctx = nullptr;
     }
     {
       std::lock_guard lock(batch->done_m);
@@ -553,32 +435,17 @@ void TaskEngine::drain(Batch& batch, WorkerContext& ctx) {
               obs::FlightRecorder::kNoChain);
       continue;
     }
-    // Nothing queued, claimable, or stealable. Before leaving the batch,
-    // park as a subtask helper: a task on another worker may publish
-    // window subtask groups (run_subtasks) this worker can join. The
-    // worker leaves only once the whole batch has drained, so run()'s
-    // drained_workers accounting is unchanged.
-    {
-      std::unique_lock lock(batch.sub_m);
-      SubtaskGroup* group = nullptr;
-      for (SubtaskGroup* g : batch.subgroups) {
-        if (g->next.load(std::memory_order_relaxed) < g->tasks->size()) {
-          group = g;
-          break;
-        }
-      }
-      if (group != nullptr) {
-        ++group->active;
-        lock.unlock();
-        process_group(batch, *group, ctx);
-        continue;
-      }
-      if (batch.remaining.load(std::memory_order_acquire) == 0) {
-        depth.set(0.0);
-        return;
-      }
-      batch.sub_cv.wait(lock);
-    }
+    // Nothing queued, claimable, or stealable: whatever is left is already
+    // running elsewhere. Stay until the whole batch has drained anyway:
+    // returning early, which destroys this worker's context and solver
+    // state while the others still compute, measured 6-20% slower on the
+    // thermal sweeps (perfbench freqcap, 4 workers on a 4-core host).
+    depth.set(0.0);
+    std::unique_lock lock(batch.done_m);
+    batch.done_cv.wait(lock, [&] {
+      return batch.remaining.load(std::memory_order_acquire) == 0;
+    });
+    return;
   }
 }
 

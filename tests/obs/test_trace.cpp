@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <new>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -239,6 +241,35 @@ TEST(FlightRecorderTest, DisabledModeAddsNoAllocationsPerTaskTransition) {
       << "disabled flight-recorder transitions must not allocate";
   EXPECT_EQ(tracer.event_count(), 0u)
       << "disabled flight-recorder transitions must not record";
+}
+
+// parse_json reads untrusted input (service frames): nesting is capped at
+// kMaxJsonDepth levels, for arrays and objects alike, with a parse error
+// rather than unbounded recursion beyond it.
+TEST(JsonReaderTest, NestingIsCappedAtMaxDepth) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"a\":";
+    text += "1";
+    return text + std::string(depth, '}');
+  };
+  ASSERT_EQ(kMaxJsonDepth, 64u);
+  EXPECT_TRUE(parse_json(arrays(kMaxJsonDepth)).is_array());
+  EXPECT_TRUE(parse_json(objects(kMaxJsonDepth)).is_object());
+  EXPECT_THROW(parse_json(arrays(kMaxJsonDepth + 1)), std::runtime_error);
+  EXPECT_THROW(parse_json(objects(kMaxJsonDepth + 1)), std::runtime_error);
+  // Depth counts open containers, not total ones: siblings do not add up.
+  std::string wide = "[" + arrays(kMaxJsonDepth - 1);
+  for (int i = 0; i < 200; ++i) {
+    wide += ',';
+    wide += arrays(kMaxJsonDepth - 1);
+  }
+  wide += ']';
+  EXPECT_TRUE(parse_json(wide).is_array());
+  EXPECT_THROW(parse_json(std::string(1u << 20, '[')), std::runtime_error);
 }
 
 TEST(TracePathTest, SetPathMarksExplicit) {

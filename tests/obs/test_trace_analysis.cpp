@@ -115,41 +115,6 @@ TEST(CriticalPathTest, StrictChainsGroupByAffinityNotWorker) {
   EXPECT_DOUBLE_EQ(c.max_speedup(), 220.0 / 150.0);
 }
 
-TEST(CriticalPathTest, PdesMarkersSplitStrictChainsByPartition) {
-  std::vector<ParsedTraceEvent> events;
-  // Chain 1: two strict cells of 100us and 60us on worker 0. The first
-  // cell ran PDES over three lanes with event counts 50/30/20 (busiest
-  // share 0.5); the second carries no markers (whole-cell atomic).
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 1, 0.0, 100.0));
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 1, 100.0, 60.0));
-  ParsedTraceEvent p0 = marker(FlightRecorder::kDesPartition, 0, 50);
-  ParsedTraceEvent p1 = marker(FlightRecorder::kDesPartition, 1, 30);
-  ParsedTraceEvent p2 = marker(FlightRecorder::kDesPartition, 2, 20);
-  p0.tid = p1.tid = p2.tid = 0;
-  p0.ts_us = p1.ts_us = p2.ts_us = 90.0;  // inside the first span
-  events.push_back(p0);
-  events.push_back(p1);
-  events.push_back(p2);
-
-  const CriticalPathSummary c = critical_path_of(events);
-  EXPECT_EQ(c.pdes_partitions, 3u);
-  EXPECT_DOUBLE_EQ(c.floor_us, 160.0);  // whole-cell chain total
-  ASSERT_EQ(c.chains.size(), 1u);
-  EXPECT_DOUBLE_EQ(c.chains[0].total_us, 160.0);
-  // 100us * 0.5 (busiest lane) + 60us unmarked = 110us.
-  EXPECT_DOUBLE_EQ(c.chains[0].pdes_total_us, 110.0);
-  EXPECT_DOUBLE_EQ(c.pdes_floor_us, 110.0);
-  EXPECT_DOUBLE_EQ(c.pdes_max_speedup(), 160.0 / 110.0);
-}
-
-TEST(CriticalPathTest, NoPdesMarkersKeepsWholeCellFloor) {
-  std::vector<ParsedTraceEvent> events;
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 1, 0.0, 100.0));
-  const CriticalPathSummary c = critical_path_of(events);
-  EXPECT_EQ(c.pdes_partitions, 0u);
-  EXPECT_DOUBLE_EQ(c.pdes_floor_us, c.floor_us);
-}
-
 TEST(CriticalPathTest, FloorIsLongestTaskWithoutStrictChains) {
   std::vector<ParsedTraceEvent> events;
   events.push_back(task(FlightRecorder::kTaskLoose, 0, 9, 0.0, 80.0));

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <queue>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "perf/event_queue.hpp"
@@ -77,7 +81,7 @@ TEST(EventQueue, StepCycleRunsAllAtSameTime) {
 // must still fire in time order, including when the queue fast-forwards
 // across several empty horizons.
 TEST(EventQueue, FarFutureOverflowOrder) {
-  EventQueue q(EventQueue::Impl::kCalendar);
+  EventQueue q;
   std::vector<int> order;
   q.schedule(5 * EventQueue::kNearHorizon, [&] { order.push_back(3); });
   q.schedule(EventQueue::kNearHorizon + 7, [&] { order.push_back(2); });
@@ -93,7 +97,7 @@ TEST(EventQueue, FarFutureOverflowOrder) {
 // the heap entries were necessarily scheduled first, so they must fire
 // first to preserve global FIFO order.
 TEST(EventQueue, HeapRingTieIsFifo) {
-  EventQueue q(EventQueue::Impl::kCalendar);
+  EventQueue q;
   const Cycle target = EventQueue::kNearHorizon + 6;
   std::vector<int> order;
   q.schedule(target, [&] { order.push_back(1); });  // -> overflow heap
@@ -108,54 +112,219 @@ TEST(EventQueue, HeapRingTieIsFifo) {
 // Typed fast-path events share the same sequence counter as closures: a
 // mixed same-cycle schedule fires in exact schedule order.
 TEST(EventQueue, TypedAndClosureEventsShareFifoOrder) {
-  for (EventQueue::Impl impl :
-       {EventQueue::Impl::kCalendar, EventQueue::Impl::kBinaryHeap}) {
-    EventQueue q(impl);
-    std::vector<int> order;
-    auto typed = [](void* ctx, void* target, const Message& msg) {
-      static_cast<std::vector<int>*>(ctx)->push_back(
-          static_cast<int>(msg.line));
-      (void)target;
-    };
-    q.schedule(7, [&] { order.push_back(0); });
-    Message m1;
-    m1.line = 1;
-    q.schedule_typed(7, typed, &order, nullptr, m1);
-    q.schedule(7, [&] { order.push_back(2); });
-    Message m3;
-    m3.line = 3;
-    q.schedule_typed(7, typed, &order, nullptr, m3);
-    EXPECT_TRUE(q.run());
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3})) << "impl mismatch";
-    EXPECT_EQ(q.typed_scheduled(), 2u);
-    EXPECT_EQ(q.scheduled(), 4u);
-  }
+  EventQueue q;
+  std::vector<int> order;
+  auto typed = [](void* ctx, void* target, const Message& msg) {
+    static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(msg.line));
+    (void)target;
+  };
+  q.schedule(7, [&] { order.push_back(0); });
+  Message m1;
+  m1.line = 1;
+  q.schedule_typed(7, typed, &order, nullptr, m1);
+  q.schedule(7, [&] { order.push_back(2); });
+  Message m3;
+  m3.line = 3;
+  q.schedule_typed(7, typed, &order, nullptr, m3);
+  EXPECT_TRUE(q.run());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.typed_scheduled(), 2u);
+  EXPECT_EQ(q.scheduled(), 4u);
 }
 
-// A randomized schedule (mixed deltas, same-cycle ties, reschedules) fires
-// in the same global order under both implementations.
-TEST(EventQueue, CalendarMatchesHeapOnRandomSchedule) {
-  auto run_one = [](EventQueue::Impl impl) {
-    EventQueue q(impl);
-    std::vector<std::pair<Cycle, int>> fired;
-    std::uint64_t state = 12345;
-    auto next_rand = [&state] {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      return state >> 33;
-    };
-    int id = 0;
-    for (int i = 0; i < 200; ++i) {
-      const Cycle when = next_rand() % (3 * EventQueue::kNearHorizon);
-      const int tag = id++;
-      q.schedule(when, [&fired, &q, tag] {
-        fired.emplace_back(q.now(), tag);
-      });
+// ---------------------------------------------------- reference oracle ----
+
+constexpr Cycle kHorizon = EventQueue::kNearHorizon;
+
+/// Deterministic event program shared by the queue under test and the
+/// oracle. What an event schedules when it fires depends only on (seed,
+/// tag, now), and tags are handed out in schedule order, so both runs stay
+/// in lockstep exactly as long as their firing orders agree.
+struct EventProgram {
+  std::uint64_t seed = 1;
+  int max_events = 4000;
+
+  /// Cycles that collect events from both tiers: the initial events aimed
+  /// at them land in the overflow heap (scheduled at cycle 0, at or past
+  /// the horizon), and handler follow-ups aimed at them from within a
+  /// horizon land in the ring — same-cycle ties across the ring/overflow
+  /// boundary.
+  static constexpr std::array<Cycle, 4> kHot = {
+      kHorizon + 6, 2 * kHorizon + 6, 2 * kHorizon + 500, 3 * kHorizon + 1};
+
+  static std::uint64_t mix(std::uint64_t x) {
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  }
+
+  [[nodiscard]] std::vector<Cycle> initial() const {
+    std::vector<Cycle> out;
+    std::uint64_t x = mix(seed);
+    for (int i = 0; i < 300; ++i) {
+      x = mix(x);
+      out.push_back(x % (3 * kHorizon));
     }
+    for (const Cycle hot : kHot) {
+      out.push_back(hot);
+      out.push_back(hot);
+    }
+    return out;
+  }
+
+  /// Absolute cycles of the follow-ups an event `tag` fired at `now`
+  /// schedules: same-cycle, short, anywhere in the ring, straddling the
+  /// horizon, past it, or onto a hot cycle.
+  [[nodiscard]] std::vector<Cycle> follow_ups(int tag, Cycle now) const {
+    std::uint64_t x = mix(seed ^ mix(static_cast<std::uint64_t>(tag)) ^
+                          (now << 24));
+    const auto next = [&x] { return x = mix(x); };
+    const std::uint64_t r = next() % 100;
+    const int n = r < 45 ? 0 : r < 85 ? 1 : 2;
+    std::vector<Cycle> out;
+    for (int i = 0; i < n; ++i) {
+      switch (next() % 8) {
+        case 0:
+          out.push_back(now);
+          break;
+        case 1:
+        case 2:
+          out.push_back(now + 1 + next() % 16);
+          break;
+        case 3:
+          out.push_back(now + next() % kHorizon);
+          break;
+        case 4:
+          out.push_back(now + kHorizon - 1 + next() % 3);
+          break;
+        case 5:
+          out.push_back(now + kHorizon + next() % (2 * kHorizon));
+          break;
+        default: {
+          std::vector<Cycle> ahead;
+          for (const Cycle hot : kHot) {
+            if (hot >= now) ahead.push_back(hot);
+          }
+          out.push_back(ahead.empty() ? now + 1
+                                      : ahead[next() % ahead.size()]);
+          break;
+        }
+      }
+    }
+    return out;
+  }
+};
+
+using FiringLog = std::vector<std::pair<Cycle, int>>;  ///< (cycle, tag)
+
+/// The reference: one std::priority_queue ordered by (when, seq).
+FiringLog run_oracle(const EventProgram& prog) {
+  struct Entry {
+    Cycle when;
+    std::uint64_t seq;
+    int tag;
+  };
+  const auto later = [](const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(later)> heap(later);
+  std::uint64_t seq = 0;
+  int next_tag = 0;
+  const auto schedule = [&](Cycle when) {
+    heap.push(Entry{when, seq++, next_tag++});
+  };
+  for (const Cycle when : prog.initial()) schedule(when);
+  FiringLog fired;
+  while (!heap.empty()) {
+    const Entry e = heap.top();
+    heap.pop();
+    fired.emplace_back(e.when, e.tag);
+    for (const Cycle when : prog.follow_ups(e.tag, e.when)) {
+      if (next_tag >= prog.max_events) break;
+      schedule(when);
+    }
+  }
+  return fired;
+}
+
+/// The same program on the calendar queue: even tags ride the typed fast
+/// path, odd tags are closures. Records which tier each schedule entered
+/// so the test can prove the interesting cases actually occurred.
+struct CalendarRun {
+  explicit CalendarRun(const EventProgram& p) : prog(p) {}
+
+  const EventProgram& prog;
+  EventQueue q;
+  int next_tag = 0;
+  FiringLog fired;
+  std::vector<bool> overflow;  ///< by tag: entered past the ring horizon
+  std::uint64_t handler_overflow = 0;  ///< past-horizon handler schedules
+
+  void schedule(Cycle when) {
+    const int tag = next_tag++;
+    overflow.push_back(when - q.now() >= kHorizon);
+    if (tag % 2 == 0) {
+      Message m;
+      m.line = static_cast<LineAddr>(tag);
+      q.schedule_typed(when, &CalendarRun::typed_fire, this, nullptr, m);
+    } else {
+      q.schedule(when, [this, tag] { fire(tag); });
+    }
+  }
+
+  static void typed_fire(void* ctx, void*, const Message& msg) {
+    static_cast<CalendarRun*>(ctx)->fire(static_cast<int>(msg.line));
+  }
+
+  void fire(int tag) {
+    fired.emplace_back(q.now(), tag);
+    for (const Cycle when : prog.follow_ups(tag, q.now())) {
+      if (next_tag >= prog.max_events) break;
+      handler_overflow += when - q.now() >= kHorizon;
+      schedule(when);
+    }
+  }
+
+  FiringLog run() {
+    for (const Cycle when : prog.initial()) schedule(when);
     EXPECT_TRUE(q.run());
     return fired;
-  };
-  EXPECT_EQ(run_one(EventQueue::Impl::kCalendar),
-            run_one(EventQueue::Impl::kBinaryHeap));
+  }
+};
+
+// A randomized program — handler-scheduled follow-ups, mixed typed and
+// closure events, schedules past kNearHorizon, and same-cycle ties across
+// the ring/overflow boundary — fires in exactly the order of a plain
+// (when, seq) priority queue.
+TEST(EventQueue, CalendarMatchesHeapOnRandomSchedule) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const EventProgram prog{seed};
+    CalendarRun cal(prog);
+    const FiringLog got = cal.run();
+    const FiringLog want = run_oracle(prog);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(got.size(), static_cast<std::size_t>(cal.next_tag));
+
+    // The program must have exercised what the oracle is there to check.
+    EXPECT_GT(cal.q.typed_scheduled(), 0u);
+    EXPECT_LT(cal.q.typed_scheduled(), cal.q.scheduled());
+    EXPECT_GT(cal.handler_overflow, 0u) << "seed " << seed;
+    std::size_t tied_cycles = 0;
+    for (std::size_t i = 0; i < got.size();) {
+      std::size_t j = i;
+      bool ring = false;
+      bool heap = false;
+      for (; j < got.size() && got[j].first == got[i].first; ++j) {
+        (cal.overflow[static_cast<std::size_t>(got[j].second)] ? heap : ring) =
+            true;
+      }
+      tied_cycles += ring && heap;
+      i = j;
+    }
+    EXPECT_GT(tied_cycles, 0u) << "seed " << seed;
+  }
 }
 
 // --------------------------------------------------------------- params ----

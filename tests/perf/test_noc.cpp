@@ -130,9 +130,12 @@ TEST(Noc, AllToAllStressAllDelivered) {
       ++sent;
     }
     h.mesh->tick(++t);
+    // Credit flow: every freed slot goes back upstream, none is minted.
+    ASSERT_TRUE(h.mesh->credit_invariants_ok()) << "cycle " << t;
   }
   while (h.mesh->active() && t < 100000) h.mesh->tick(++t);
   EXPECT_FALSE(h.mesh->active()) << "packets stuck in the mesh";
+  EXPECT_TRUE(h.mesh->credit_invariants_ok());
   EXPECT_EQ(h.delivered.size(), sent);
   EXPECT_EQ(h.mesh->stats().packets_delivered, sent);
 }

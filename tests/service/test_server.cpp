@@ -261,6 +261,25 @@ TEST_F(ServerTest, MalformedJsonGetsBadRequestAndTheStreamContinues) {
   EXPECT_EQ(pong->op, Response::Op::kPong);
 }
 
+// A maximum-size frame of '[' used to recurse the JSON reader once per byte
+// and overflow the stack, killing the daemon. The nesting cap turns it into
+// an ordinary bad_request on a connection that keeps working.
+TEST_F(ServerTest, DeeplyNestedJsonGetsBadRequestAndTheStreamContinues) {
+  SweepServer& server = start({});
+  RawConn conn(server.port());
+  conn.send_bytes(encode_frame(std::string(kMaxFrameBytes, '[')));
+  const auto error = conn.read_response();
+  ASSERT_TRUE(error.has_value()) << "deep nesting must be answered";
+  EXPECT_EQ(error->op, Response::Op::kError);
+  EXPECT_EQ(error->code, error_code::kBadRequest);
+
+  conn.send_bytes(ping_frame(2));
+  const auto pong = conn.read_response();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->op, Response::Op::kPong);
+  EXPECT_EQ(server.stats_snapshot().at("bad_requests"), 1.0);
+}
+
 TEST_F(ServerTest, BadLengthPrefixClosesOnlyThatConnection) {
   SweepServer& server = start({});
   {

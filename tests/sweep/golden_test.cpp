@@ -173,64 +173,6 @@ TEST(Golden, Fig13Npb8ChipHighFrequency) {
   });
 }
 
-// Conservative-PDES determinism across the whole NPB figure family
-// (DESIGN.md §12): the fig10-13 tables must render byte-identically with
-// AQUA_DES_PDES=chip and =quadrant, both serially and under the task
-// engine at 1 and 8 sweep workers — the partitioned scheduler replays the
-// serial event order exactly, and sweep workers only change which thread
-// runs a cell, never its result. The serial reference is re-checked
-// against the committed corpus first, so a divergence points at the right
-// layer.
-TEST(Golden, Fig10ToFig13PdesModesRenderByteIdentically) {
-  struct Scenario {
-    const char* name;
-    std::function<std::string()> run;
-  };
-  const std::vector<Scenario> scenarios = {
-      {"fig10g",
-       [] {
-         return render(npb_experiment(make_low_power_cmp(), 6,
-                                      CoolingKind::kWaterPipe, 80.0,
-                                      /*instruction_scale=*/0.02, grid16()));
-       }},
-      {"fig11g",
-       [] {
-         return render(npb_experiment(make_low_power_cmp(), 8,
-                                      CoolingKind::kMineralOil, 80.0,
-                                      /*instruction_scale=*/0.012, grid16()));
-       }},
-      {"fig12g",
-       [] {
-         return render(npb_experiment(make_high_frequency_cmp(), 6,
-                                      CoolingKind::kWaterPipe, 80.0,
-                                      /*instruction_scale=*/0.012, grid16()));
-       }},
-      {"fig13g",
-       [] {
-         return render(npb_experiment(make_high_frequency_cmp(), 8,
-                                      CoolingKind::kWaterPipe, 80.0,
-                                      /*instruction_scale=*/0.01, grid16()));
-       }},
-  };
-  clear_sweep_env();
-  sweep::SweepCache::instance().configure("");
-  sweep::TaskEngine& engine = sweep::TaskEngine::shared();
-  for (const Scenario& sc : scenarios) {
-    const std::string serial = sc.run();
-    expect_matches_golden(std::string(sc.name) + ".txt", serial);
-    for (const char* mode : {"chip", "quadrant"}) {
-      ScopedEnv pdes("AQUA_DES_PDES", std::string(mode));
-      engine.configure(1);
-      EXPECT_EQ(sc.run(), serial)
-          << sc.name << " pdes=" << mode << " diverged at 1 worker";
-      engine.configure(8);
-      EXPECT_EQ(sc.run(), serial)
-          << sc.name << " pdes=" << mode << " diverged at 8 workers";
-    }
-    engine.configure(0);
-  }
-}
-
 TEST(Golden, Fig14HtcSweep) {
   exercise("fig14g", /*shard_phase=*/true, [] {
     return render(htc_sweep(make_low_power_cmp(), 3,
