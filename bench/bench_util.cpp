@@ -134,7 +134,7 @@ JsonReport& JsonReport::add_stats(const std::string& prefix,
   add(prefix + "_solves", stats.solves);
   add(prefix + "_iterations", stats.iterations);
   add(prefix + "_vcycles", stats.vcycles);
-  add(prefix + "_wall_seconds", stats.wall_seconds, 6);
+  add(prefix + "_solver_seconds", stats.wall_seconds, 6);
   return *this;
 }
 

@@ -85,7 +85,8 @@ class JsonReport {
   JsonReport& add(const std::string& key, const std::string& value);
 
   /// Expands one SolverStats into `<prefix>_solves`, `_iterations`,
-  /// `_vcycles` and `_wall_seconds` entries.
+  /// `_vcycles` and `_solver_seconds` (CG time summed across threads)
+  /// entries.
   JsonReport& add_stats(const std::string& prefix, const SolverStats& stats);
 
   /// Expands a sweep's cell-provenance counters into `sweep_cells`,

@@ -3,6 +3,8 @@
 /// options at the 80 C threshold. Paper findings: air and water-pipe carry
 /// at most 4 and 7 chips; immersion continues to 14; water on top.
 
+#include <chrono>
+
 #include "bench_util.hpp"
 #include "power/chip_model.hpp"
 
@@ -33,8 +35,13 @@ int main(int argc, char** argv) {
   aqua::bench::install_interrupt_guard();
   aqua::bench::banner("Figure 7",
                       "max frequency vs. #chips, low-power CMP, 80 C");
+  const auto sweep_start = std::chrono::steady_clock::now();
   const aqua::FreqVsChipsData data =
       aqua::frequency_vs_chips(aqua::make_low_power_cmp(), 14);
+  const double sweep_seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() -
+                                   sweep_start)
+                                   .count();
   if (aqua::bench::interrupted_epilogue("fig07")) {
     return aqua::bench::kInterruptedExit;
   }
@@ -51,6 +58,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n\n";
   report.add_stats("sweep", data.solver);
+  report.add("sweep_wall_seconds", sweep_seconds, 3);
   report.add_sweep_provenance(data.max_chips * data.series.size(),
                               data.resumed_cells, data.cached_cells, 0,
                               data.shard_skipped, data.failed_cells.size());

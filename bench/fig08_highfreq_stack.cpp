@@ -4,6 +4,8 @@
 /// wider VFS range lets the high-frequency chip stack higher than the
 /// low-power chip despite its higher peak power.
 
+#include <chrono>
+
 #include "bench_util.hpp"
 #include "power/chip_model.hpp"
 
@@ -26,8 +28,13 @@ int main(int argc, char** argv) {
   aqua::bench::install_interrupt_guard();
   aqua::bench::banner("Figure 8",
                       "max frequency vs. #chips, high-frequency CMP, 80 C");
+  const auto sweep_start = std::chrono::steady_clock::now();
   const aqua::FreqVsChipsData data =
       aqua::frequency_vs_chips(aqua::make_high_frequency_cmp(), 15);
+  const double sweep_seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() -
+                                   sweep_start)
+                                   .count();
   if (aqua::bench::interrupted_epilogue("fig08")) {
     return aqua::bench::kInterruptedExit;
   }
@@ -44,6 +51,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n\n";
   report.add_stats("sweep", data.solver);
+  report.add("sweep_wall_seconds", sweep_seconds, 3);
   report.add_sweep_provenance(data.max_chips * data.series.size(),
                               data.resumed_cells, data.cached_cells, 0,
                               data.shard_skipped, data.failed_cells.size());

@@ -85,7 +85,7 @@ void report_config(const std::string& tag, const aqua::ChipModel& chip,
 struct SteadyProblem {
   aqua::StackThermalModel model;
   // Two power maps (different VFS steps) so consecutive solves do real
-  // work at the warm-start distance of a bisection step, instead of
+  // work at the warm-start distance of a VFS step change, instead of
   // re-solving an already-converged system.
   std::vector<std::vector<double>> powers_lo;
   std::vector<std::vector<double>> powers_hi;

@@ -37,7 +37,7 @@ struct FreqVsChipsData {
   double threshold_c = 80.0;
   std::vector<FreqVsChipsSeries> series;  ///< in all_cooling_options() order
   /// Aggregated linear-solver counters over the whole sweep (every finder,
-  /// every bisection step) — what the benches print and emit as JSON.
+  /// one solve per cap) — what the benches print and emit as JSON.
   SolverStats solver;
   /// Cells that threw and were isolated (journal cell keys, e.g.
   /// "chip=low_power_cmp;chips=3;cooling=water"); their table entries stay

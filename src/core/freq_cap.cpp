@@ -67,34 +67,52 @@ FrequencyCap MaxFrequencyFinder::find(std::size_t chips,
   const auto find_start = std::chrono::steady_clock::now();
   StackThermalModel& model = model_for(chips, cooling, flip);
   const VfsLadder& ladder = chip_.ladder();
+  const std::size_t top = ladder.size() - 1;
 
-  // Stage attribution for the run report: the power-model evaluations
-  // (McPAT stand-in) vs. the thermal solves (HotSpot stand-in) inside the
-  // bisection.
+  // Stage attribution for the run report: the power-model evaluation
+  // (McPAT stand-in) vs. the thermal solve (HotSpot stand-in).
   double power_seconds = 0.0;
-  std::size_t steps_evaluated = 0;
+  std::vector<std::vector<double>> powers;
+  {
+    AQUA_TRACE_SCOPE_ARG("power.block_powers", "power", top);
+    const auto t0 = std::chrono::steady_clock::now();
+    powers = stack_powers(chip_, model.stack(), ladder.step(top));
+    power_seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  }
+  const double t_top = model.solve_steady(powers).max_die_temperature_c();
 
-  auto temperature_of_step = [&](std::size_t step) {
-    const Hertz f = ladder.step(step);
-    std::vector<std::vector<double>> powers;
-    {
-      AQUA_TRACE_SCOPE_ARG("power.block_powers", "power", step);
-      const auto t0 = std::chrono::steady_clock::now();
-      powers = stack_powers(chip_, model.stack(), f);
-      power_seconds += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    }
-    ++steps_evaluated;
-    return model.solve_steady(powers).max_die_temperature_c();
-  };
+  // Superposition: the temperature rise is linear in a power map that is a
+  // scalar multiple of the top step's, so each step's peak is the top
+  // step's rise scaled by the power ratio. Walk down to the highest step
+  // under the threshold; if even the lowest step fails, the configuration
+  // is infeasible (the paper's "cannot be drawn" points).
+  const double ambient_c = model.boundary().ambient_c;
+  const double top_power = chip_.total_power(ladder.step(top)).value();
+  FrequencyCap cap;
+  std::size_t step = top;
+  cap.max_temperature_c = t_top;
+  while (cap.max_temperature_c > threshold_c_ && step > 0) {
+    --step;
+    cap.max_temperature_c =
+        ambient_c + chip_.total_power(ladder.step(step)).value() / top_power *
+                        (t_top - ambient_c);
+  }
+  cap.feasible = cap.max_temperature_c <= threshold_c_;
+  if (cap.feasible) {
+    cap.step_index = step;
+    cap.frequency = ladder.step(step);
+    cap.chip_power = chip_.total_power(cap.frequency);
+    cap.total_power = cap.chip_power * static_cast<double>(chips);
+  }
 
   // Per-stage timings and the cap decision, recorded when reporting is on
   // (AQUA_METRICS / AQUA_RUN_REPORT). "power" covers the power-model
-  // evaluations, "thermal" the solves — together the find() wall time.
-  const auto emit_report = [&](const FrequencyCap& cap) {
-    obs::RunReport& report = obs::RunReport::instance();
-    if (!report.enabled()) return;
+  // evaluation, "thermal" the solve and the ladder walk — together the
+  // find() wall time.
+  obs::RunReport& report = obs::RunReport::instance();
+  if (report.enabled()) {
     const double total_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       find_start)
@@ -103,14 +121,14 @@ FrequencyCap MaxFrequencyFinder::find(std::size_t chips,
       w.add("stage", "power")
           .add("op", "freq_cap.block_powers")
           .add("chips", static_cast<std::uint64_t>(chips))
-          .add("steps", static_cast<std::uint64_t>(steps_evaluated))
+          .add("steps", std::uint64_t{1})
           .add("seconds", power_seconds);
     });
     report.emit("stage", [&](obs::JsonWriter& w) {
       w.add("stage", "thermal")
           .add("op", "freq_cap.solve")
           .add("chips", static_cast<std::uint64_t>(chips))
-          .add("steps", static_cast<std::uint64_t>(steps_evaluated))
+          .add("steps", std::uint64_t{1})
           .add("seconds", total_seconds - power_seconds);
     });
     report.emit("freq_cap", [&](obs::JsonWriter& w) {
@@ -121,48 +139,7 @@ FrequencyCap MaxFrequencyFinder::find(std::size_t chips,
           .add("max_temperature_c", cap.max_temperature_c)
           .add("seconds", total_seconds);
     });
-  };
-
-  FrequencyCap cap;
-  // Temperature is monotone in the VFS step, so bisect for the highest
-  // feasible step. Check the lowest step first: if it fails, the whole
-  // configuration is infeasible (the paper's "cannot be drawn" points).
-  double t_lo = temperature_of_step(0);
-  if (t_lo > threshold_c_) {
-    cap.feasible = false;
-    cap.max_temperature_c = t_lo;
-    emit_report(cap);
-    return cap;
   }
-  std::size_t lo = 0;                    // known feasible
-  std::size_t hi = ladder.size() - 1;    // candidate
-  double t_best = t_lo;
-  if (lo != hi) {
-    const double t_hi = temperature_of_step(hi);
-    if (t_hi <= threshold_c_) {
-      lo = hi;
-      t_best = t_hi;
-    } else {
-      while (hi - lo > 1) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        const double t_mid = temperature_of_step(mid);
-        if (t_mid <= threshold_c_) {
-          lo = mid;
-          t_best = t_mid;
-        } else {
-          hi = mid;
-        }
-      }
-    }
-  }
-
-  cap.feasible = true;
-  cap.step_index = lo;
-  cap.frequency = ladder.step(lo);
-  cap.max_temperature_c = t_best;
-  cap.chip_power = chip_.total_power(cap.frequency);
-  cap.total_power = cap.chip_power * static_cast<double>(chips);
-  emit_report(cap);
   return cap;
 }
 

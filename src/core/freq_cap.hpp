@@ -30,10 +30,18 @@ struct FrequencyCap {
 /// Thermal models are cached per (chips, flip) across calls: the matrix
 /// structure and multigrid hierarchy depend only on the stack geometry,
 /// and a cooling change is a boundary value-refresh on the cached model
-/// (StackThermalModel::set_boundary). The monotonicity of steady
-/// temperature in frequency (power rises with f, the system is linear in
-/// power) lets the search bisect over the VFS ladder with warm-started
-/// solves.
+/// (StackThermalModel::set_boundary).
+///
+/// find() does one warm-started steady solve at the top VFS step and gets
+/// every lower step by superposition: the steady system G·(T−T_amb)=P is
+/// linear, so T(f) = T_amb + r(f)·(T(f_max) − T_amb) with
+/// r(f) = total_power(f)/total_power(f_max). Precondition: the power map
+/// is temperature-independent and a scalar multiple of the top step's —
+/// ChipModel::block_powers(layer, f) equals r(f)·block_powers(layer, f_max)
+/// for every layer (tests/core/test_freq_cap_superposition.cpp checks it).
+/// Temperature-dependent power breaks that, so the leakage loop
+/// (core/coupled) and DTM (core/dtm) keep real solves and must not call
+/// this finder.
 class MaxFrequencyFinder {
  public:
   MaxFrequencyFinder(ChipModel chip, PackageConfig package,

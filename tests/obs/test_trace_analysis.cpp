@@ -130,6 +130,10 @@ TEST(CriticalPathTest, FloorIsLongestTaskWithoutStrictChains) {
 
 TEST(BenchCompareTest, ClassifiesMetricKinds) {
   EXPECT_EQ(classify_metric("sweep_wall_seconds"), MetricKind::kTiming);
+  // Solver time summed across threads is still a timing, never work.
+  EXPECT_EQ(classify_metric("sweep_solver_seconds"), MetricKind::kTiming);
+  EXPECT_EQ(classify_metric("fig07_lowpower_multigrid_solver_seconds"),
+            MetricKind::kTiming);
   EXPECT_EQ(classify_metric("cost_breakdown.solve_us"), MetricKind::kTiming);
   EXPECT_EQ(classify_metric("engine_tasks_per_sec"), MetricKind::kRate);
   EXPECT_EQ(classify_metric("cg_2chip_cycles_per_second"), MetricKind::kRate);
