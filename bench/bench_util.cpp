@@ -26,8 +26,8 @@ void install_interrupt_guard() { sweep::install_sweep_interrupt_handlers(); }
 bool interrupted_epilogue(const std::string& id) {
   if (!sweep::sweep_interrupted()) return false;
   std::cout << "\n[" << id << "] interrupted: remaining cells were skipped; "
-               "journal/cache appends are flushed at a cell boundary. "
-               "Re-run with AQUA_SWEEP_RESUME pointing at the same journal "
+               "cache appends are flushed at a cell boundary. "
+               "Re-run with AQUA_SWEEP_CACHE pointing at the same directory "
                "to finish the table bit-identically.\n";
   return true;
 }
@@ -139,13 +139,11 @@ JsonReport& JsonReport::add_stats(const std::string& prefix,
 }
 
 JsonReport& JsonReport::add_sweep_provenance(std::size_t cells,
-                                             std::size_t resumed,
                                              std::size_t cached,
                                              std::size_t deduped,
                                              std::size_t shard_skipped,
                                              std::size_t failed) {
   add("sweep_cells", cells);
-  add("sweep_resumed", resumed);
   add("sweep_cache_hits", cached);
   add("sweep_deduped", deduped);
   add("sweep_shard_skipped", shard_skipped);
@@ -163,7 +161,6 @@ JsonReport& JsonReport::add_cost_breakdown(const sweep::CostBreakdown& cost) {
   };
   field("total_us", cost.total_us);
   field("key_us", cost.key_us);
-  field("journal_us", cost.journal_us);
   field("memo_us", cost.memo_us);
   field("cache_us", cost.cache_us);
   field("compute_us", cost.compute_us);

@@ -30,11 +30,11 @@ inline constexpr int kInterruptedExit = 130;
 /// Installs the SIGINT/SIGTERM sweep interrupt guard (DESIGN.md §13): the
 /// long-running fig drivers call this first so an interrupt stops new
 /// cells at the runner's entry gate instead of killing the process
-/// mid-journal-write.
+/// mid-cache-write.
 void install_interrupt_guard();
 
 /// When the interrupt guard fired during the sweep, prints the
-/// flushed-at-a-cell-boundary / AQUA_SWEEP_RESUME hint and returns true —
+/// flushed-at-a-cell-boundary / AQUA_SWEEP_CACHE hint and returns true —
 /// the driver then returns kInterruptedExit instead of publishing a
 /// partial table and BENCH json.
 bool interrupted_epilogue(const std::string& id);
@@ -60,8 +60,10 @@ int run_microbenchmarks(int argc, char** argv);
 /// schema_version + git provenance; 3 = adds the sweep_* provenance keys
 /// (cells, journal resumes, cache hits, dedupes, shard holes, failures);
 /// 4 = adds the nested "cost_breakdown" object (per-phase wall times and
-/// solver/DES work from the sweep cost ledger, DESIGN.md §11).
-inline constexpr int kSchemaVersion = 4;
+/// solver/DES work from the sweep cost ledger, DESIGN.md §11); 5 = drops
+/// the resume-journal keys (`sweep_resumed` and the ledger's journal
+/// lookup time) with the journal itself.
+inline constexpr int kSchemaVersion = 5;
 
 /// Machine-readable counterpart of the printed tables: a flat ordered
 /// key -> value map written as `BENCH_<name>.json` in the working
@@ -90,11 +92,11 @@ class JsonReport {
   JsonReport& add_stats(const std::string& prefix, const SolverStats& stats);
 
   /// Expands a sweep's cell-provenance counters into `sweep_cells`,
-  /// `sweep_resumed`, `sweep_cache_hits`, `sweep_deduped`,
-  /// `sweep_shard_skipped` and `sweep_failed` (schema_version 3) — the
-  /// numbers the CI warm-cache gate reads back from BENCH_*.json.
-  JsonReport& add_sweep_provenance(std::size_t cells, std::size_t resumed,
-                                   std::size_t cached, std::size_t deduped,
+  /// `sweep_cache_hits`, `sweep_deduped`, `sweep_shard_skipped` and
+  /// `sweep_failed` — the numbers the CI warm-cache gate reads back from
+  /// BENCH_*.json.
+  JsonReport& add_sweep_provenance(std::size_t cells, std::size_t cached,
+                                   std::size_t deduped,
                                    std::size_t shard_skipped,
                                    std::size_t failed);
 

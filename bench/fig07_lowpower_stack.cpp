@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
   report.add_stats("sweep", data.solver);
   report.add("sweep_wall_seconds", sweep_seconds, 3);
   report.add_sweep_provenance(data.max_chips * data.series.size(),
-                              data.resumed_cells, data.cached_cells, 0,
-                              data.shard_skipped, data.failed_cells.size());
+                              data.cached_cells, 0, data.shard_skipped,
+                              data.failed_cells.size());
   report.add_cost_breakdown(data.cost);
   report.write();
   return aqua::bench::run_microbenchmarks(argc, argv);

@@ -79,8 +79,8 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
   // cooling) pair (rows carries the synthetic "avg" row, hence -1).
   report.add_sweep_provenance(
       data.coolings.size() + feasible * (data.rows.size() - 1),
-      data.resumed_cells, data.cached_cells, data.deduped_cells,
-      data.shard_skipped, data.failed_cells.size());
+      data.cached_cells, data.deduped_cells, data.shard_skipped,
+      data.failed_cells.size());
   report.add("des_instructions", static_cast<std::int64_t>(instr));
   report.add("des_events", static_cast<std::int64_t>(events));
   report.add("des_events_per_instruction",

@@ -5,8 +5,8 @@
 /// non-zero. Also records the engine's batch dispatch rate for empty
 /// tasks.
 ///
-/// Emits BENCH_sweep_parallel.json (schema v4). AQUA_NPB_SCALE scales the
-/// DES portion as usual; the sweep cache/journal/shard env is cleared so
+/// Emits BENCH_sweep_parallel.json (schema v5). AQUA_NPB_SCALE scales the
+/// DES portion as usual; the sweep cache/poison/shard env is cleared so
 /// every run is a cold compute (warm runs would void the scaling numbers).
 
 #include <chrono>
@@ -18,9 +18,9 @@
 #include "bench_util.hpp"
 #include "obs/metrics.hpp"
 #include "power/chip_model.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
+#include "sweep/runner.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 
@@ -132,11 +132,10 @@ BENCHMARK(microbench_engine_dispatch)->Arg(1000)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   aqua::bench::banner("Sweep scaling",
                       "fig07+fig10 mix at 1/2/4/8 engine workers");
-  // Cold computes only: a warm cache or resume journal would serve cells
-  // without work and void both the scaling numbers and the gate.
+  // Cold computes only: a warm cache would serve cells without work and
+  // void both the scaling numbers and the gate.
   ::unsetenv(aqua::sweep::SweepCache::kEnv);
-  ::unsetenv(aqua::SweepJournal::kResumeEnv);
-  ::unsetenv(aqua::SweepJournal::kPoisonEnv);
+  ::unsetenv(aqua::sweep::SweepRunner::kPoisonEnv);
   ::unsetenv(aqua::sweep::ShardPlan::kShardsEnv);
   ::unsetenv(aqua::sweep::ShardPlan::kShardIdEnv);
   aqua::sweep::SweepCache::instance().configure("");

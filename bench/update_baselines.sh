@@ -44,10 +44,10 @@ for bin in "${!BENCHES[@]}"; do
     echo "[$name] run $i/$RUNS"
     (
       cd "$WORK"
-      # Cold, serial-independent runs: no cache/journal/shard reuse, and
+      # Cold, serial-independent runs: no cache/shard reuse, and
       # the shortest microbench budget (tables and counters don't depend
       # on it).
-      env -u AQUA_SWEEP_CACHE -u AQUA_SWEEP_RESUME -u AQUA_FAULT_CELL \
+      env -u AQUA_SWEEP_CACHE -u AQUA_FAULT_CELL \
           -u AQUA_SWEEP_SHARDS -u AQUA_SWEEP_SHARD_ID -u AQUA_TRACE \
           "$BUILD/$bin" --benchmark_min_time=0.01 > /dev/null
     )

@@ -1,30 +1,31 @@
 /// Fault-injection smoke test — the CI gate for the resilience layer.
 ///
 /// Exercises, in one deterministic process:
-///   1. a reference Fig. 7-style sweep (no journal, no faults),
-///   2. the same sweep with one cell poisoned via AQUA_FAULT_CELL: the
-///      cell must fail in isolation (table hole + journal record) while
-///      every other cell matches the reference,
-///   3. a re-run against the same AQUA_SWEEP_RESUME journal with the
-///      poison lifted — emulating a mid-sweep kill + relaunch: completed
-///      cells resume from the journal, the failed cell is recomputed, and
-///      the final table must be bit-identical to the uninterrupted
-///      reference,
+///   1. a reference Fig. 7-style sweep (no cache, no faults),
+///   2. the same sweep on a fresh AQUA_SWEEP_CACHE-style cache with one
+///      cell poisoned via AQUA_FAULT_CELL: the cell must fail in isolation
+///      (table hole, never cached) while every other cell matches the
+///      reference and is stored,
+///   3. a re-run against the same cache file with the poison lifted —
+///      emulating a mid-sweep kill + relaunch: completed cells are served
+///      from the cache, the failed cell is recomputed, and the final table
+///      must be bit-identical to the uninterrupted reference,
 ///   4. a seeded DES fault plan (dead core, mid-run kill, failed link)
 ///      injected into a CmpSystem run, which must complete degraded.
 ///
-/// Exits non-zero on any mismatch. Usage: fault_smoke [journal-path]
-/// (default: ./fault_smoke_journal.jsonl, truncated at start).
+/// Exits non-zero on any mismatch. Usage: fault_smoke [cache-dir]
+/// (default: ./fault_smoke_cache, emptied at start).
 
-#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 
 #include "core/experiments.hpp"
 #include "perf/system.hpp"
 #include "power/chip_model.hpp"
-#include "resilience/journal.hpp"
 #include "resilience/schedule.hpp"
+#include "sweep/cache.hpp"
+#include "sweep/runner.hpp"
 
 namespace {
 
@@ -51,25 +52,26 @@ bool same_tables(const aqua::FreqVsChipsData& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string journal =
-      argc > 1 ? argv[1] : "fault_smoke_journal.jsonl";
-  std::remove(journal.c_str());
+  const std::string cache_dir = argc > 1 ? argv[1] : "fault_smoke_cache";
+  std::filesystem::remove_all(cache_dir);
+  aqua::sweep::SweepCache& cache = aqua::sweep::SweepCache::instance();
   const aqua::ChipModel chip = aqua::make_low_power_cmp();
   constexpr std::size_t kChips = 3;
   // Every cell key names this poisoned cell's sweep + coordinates.
   const std::string poisoned_cell =
       "chip=" + chip.name() + ";chips=2;cooling=water";
 
-  std::cout << "[1/4] reference sweep (no faults, no journal)\n";
-  unsetenv(aqua::SweepJournal::kResumeEnv);
-  unsetenv(aqua::SweepJournal::kPoisonEnv);
+  std::cout << "[1/4] reference sweep (no faults, no cache)\n";
+  unsetenv(aqua::sweep::SweepRunner::kPoisonEnv);
+  cache.configure("");
   const aqua::FreqVsChipsData reference =
       aqua::frequency_vs_chips(chip, kChips);
   check(reference.failed_cells.empty(), "reference has no failed cells");
+  const std::size_t cells = kChips * reference.series.size();
 
-  std::cout << "[2/4] poisoned sweep (journaled)\n";
-  setenv(aqua::SweepJournal::kResumeEnv, journal.c_str(), 1);
-  setenv(aqua::SweepJournal::kPoisonEnv,
+  std::cout << "[2/4] poisoned sweep (cached)\n";
+  cache.configure(cache_dir);
+  setenv(aqua::sweep::SweepRunner::kPoisonEnv,
          ("freq_vs_chips:" + poisoned_cell).c_str(), 1);
   const aqua::FreqVsChipsData poisoned =
       aqua::frequency_vs_chips(chip, kChips);
@@ -90,17 +92,20 @@ int main(int argc, char** argv) {
     }
   }
   check(others_match, "all other cells match the reference bit-exactly");
+  check(cache.stats().stores == cells - 1 && cache.stats().skips == 1,
+        "every cell but the poisoned one was cached");
 
   std::cout << "[3/4] resume after emulated mid-sweep kill\n";
-  unsetenv(aqua::SweepJournal::kPoisonEnv);
+  unsetenv(aqua::sweep::SweepRunner::kPoisonEnv);
+  cache.configure(cache_dir);  // reload from disk, as a relaunch would
   const aqua::FreqVsChipsData resumed =
       aqua::frequency_vs_chips(chip, kChips);
   check(resumed.failed_cells.empty(), "no failures after the poison lifts");
-  check(resumed.resumed_cells == kChips * reference.series.size() - 1,
-        "every completed cell was served from the journal");
+  check(resumed.cached_cells == cells - 1,
+        "every completed cell was served from the cache");
   check(same_tables(reference, resumed),
         "resumed table is bit-identical to the uninterrupted reference");
-  unsetenv(aqua::SweepJournal::kResumeEnv);
+  cache.configure("");
 
   std::cout << "[4/4] seeded DES fault plan\n";
   aqua::CmpConfig config;  // 1 chip, 4 cores, 4x4 mesh

@@ -9,7 +9,7 @@
 /// the streamed cells — byte-identical to the corresponding bench driver's
 /// output, because both sides render through aqua::Table with the same
 /// column order and precision. The trailing source tally (computed /
-/// cache / single_flight / journal) is what the CI smoke job asserts on:
+/// cache / single_flight) is what the CI smoke job asserts on:
 /// a second pass against a warm daemon must be >90% non-computed.
 ///
 /// Retries are handled by SweepClient: overload rejections back off with
@@ -137,7 +137,7 @@ int print_figure(const aqua::service::FigureResult& result) {
   // The source tally the CI smoke job greps: every key the server can
   // report is printed (zeroes included) so the line is stable to parse.
   std::map<std::string, std::size_t> sources{
-      {"computed", 0}, {"cache", 0}, {"single_flight", 0}, {"journal", 0}};
+      {"computed", 0}, {"cache", 0}, {"single_flight", 0}};
   for (const aqua::service::CellResult& cell : result.cells) {
     if (cell.ok()) ++sources[cell.source];
   }

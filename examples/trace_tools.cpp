@@ -192,7 +192,6 @@ int run_timeline(int argc, char** argv) {
           .add("loose", static_cast<std::uint64_t>(w.loose))
           .add("unpinned", static_cast<std::uint64_t>(w.unpinned))
           .add("stolen", static_cast<std::uint64_t>(w.stolen))
-          .add("lifo", static_cast<std::uint64_t>(w.lifo))
           .add("steals_in", static_cast<std::uint64_t>(w.steals_in))
           .add("steals_out", static_cast<std::uint64_t>(w.steals_out))
           .add("busy_us", w.busy_us)
@@ -211,7 +210,7 @@ int run_timeline(int argc, char** argv) {
     return 0;
   }
   aqua::Table table({"worker", "tasks", "strict", "loose", "unpinned",
-                     "stolen", "lifo", "steals out", "busy ms", "idle ms",
+                     "stolen", "steals out", "busy ms", "idle ms",
                      "max gap ms", "util %"});
   for (const aqua::obs::WorkerTimelineRow& w : t.workers) {
     table.row()
@@ -221,7 +220,6 @@ int run_timeline(int argc, char** argv) {
         .add_int(static_cast<long long>(w.loose))
         .add_int(static_cast<long long>(w.unpinned))
         .add_int(static_cast<long long>(w.stolen))
-        .add_int(static_cast<long long>(w.lifo))
         .add_int(static_cast<long long>(w.steals_out))
         .add(w.busy_us / 1e3)
         .add(w.idle_us / 1e3)
@@ -515,7 +513,6 @@ int run_summarize_service(int argc, char** argv) {
             << " deadline_exceeded=" << summary.deadline_exceeded
             << " single_flight=" << summary.single_flight_hits
             << " cache=" << summary.cache_hits
-            << " journal=" << summary.journal_hits
             << " computed=" << summary.computed
             << " failed=" << summary.failed
             << " connections=" << summary.total_connections << "\n";

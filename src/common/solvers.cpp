@@ -185,7 +185,7 @@ SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
       out.iterations = it;
       return finish(std::move(out));
     }
-    a.multiply_parallel(p, ap, options.threads);
+    a.multiply(p, ap);
     const double pap = dot(p, ap);
     if (!(pap > 0.0)) {  // negated compare also catches NaN curvature
       return break_down(it,

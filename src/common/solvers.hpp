@@ -105,7 +105,6 @@ struct SolveResult {
 struct SolverOptions {
   double tolerance = 1e-9;      ///< relative residual target ||r||/||b||
   std::size_t max_iterations = 20000;
-  std::size_t threads = 1;      ///< worker threads for the SpMV
   /// When true (default), CG breakdown raises aqua::Error as before; when
   /// false, the solve returns with SolveResult::breakdown set so callers
   /// (solve_cg_resilient) can fall back instead of dying.

@@ -1,7 +1,6 @@
 #include "common/sparse.hpp"
 
 #include <algorithm>
-#include <thread>
 
 namespace aqua {
 
@@ -16,48 +15,6 @@ void SparseMatrix::multiply(std::span<const double> x,
       acc += values_[k] * x[col_idx_[k]];
     }
     y[r] = acc;
-  }
-}
-
-void SparseMatrix::multiply_parallel(std::span<const double> x,
-                                     std::span<double> y,
-                                     std::size_t threads) const {
-  require(x.size() == cols_, "SpMV: x dimension mismatch");
-  require(y.size() == rows(), "SpMV: y dimension mismatch");
-  const std::size_t n = rows();
-  if (threads <= 1 || n < 4096) {
-    multiply(x, y);
-    return;
-  }
-  // Partition rows so every worker owns roughly nnz/threads nonzeros — the
-  // SpMV cost is per-nonzero, and boundary rows can be much denser than
-  // interior ones. row_ptr_ is non-decreasing, so the first row whose
-  // prefix-nnz exceeds t * nnz/threads is found by binary search.
-  const std::size_t nnz = values_.size();
-  std::vector<std::jthread> workers;
-  workers.reserve(threads);
-  std::size_t lo = 0;
-  for (std::size_t t = 0; t < threads && lo < n; ++t) {
-    std::size_t hi;
-    if (t + 1 == threads) {
-      hi = n;
-    } else {
-      const std::size_t target_nnz = (t + 1) * nnz / threads;
-      hi = static_cast<std::size_t>(
-          std::upper_bound(row_ptr_.begin(), row_ptr_.end(), target_nnz) -
-          row_ptr_.begin());
-      hi = std::clamp(hi == 0 ? 0 : hi - 1, lo + 1, n);
-    }
-    workers.emplace_back([this, &x, &y, lo, hi] {
-      for (std::size_t r = lo; r < hi; ++r) {
-        double acc = 0.0;
-        for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-          acc += values_[k] * x[col_idx_[k]];
-        }
-        y[r] = acc;
-      }
-    });
-    lo = hi;
   }
 }
 

@@ -34,13 +34,6 @@ class SparseMatrix {
   /// y = A * x. `y` must already have rows() elements.
   void multiply(std::span<const double> x, std::span<double> y) const;
 
-  /// Multi-threaded y = A * x (used by the CG solver on large grids).
-  /// Rows are partitioned so each worker gets an equal share of the
-  /// *nonzeros*, not the rows — boundary-heavy rows would otherwise skew
-  /// the per-thread work. Falls back to serial when threads <= 1.
-  void multiply_parallel(std::span<const double> x, std::span<double> y,
-                         std::size_t threads) const;
-
   /// Diagonal entries (0 where a row has no diagonal). Used for Jacobi
   /// preconditioning and Gauss-Seidel sweeps.
   [[nodiscard]] std::vector<double> diagonal() const;

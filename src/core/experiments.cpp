@@ -1,7 +1,6 @@
 #include "core/experiments.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <mutex>
@@ -123,8 +122,8 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   // the hierarchy locally, costing work, never correctness: rendered
   // frequencies are VFS-ladder-quantized, so a stolen cell's fresh solve
   // chain cannot move the table). The finder is built lazily inside the
-  // compute, so cells served from the journal, cache, or another shard
-  // never assemble a thermal model.
+  // compute, so cells served from the cache or another shard never
+  // assemble a thermal model.
   std::vector<sweep::TaskEngine::Task> tasks;
   tasks.reserve(max_chips * options.size());
   for (std::size_t c = 0; c < max_chips; ++c) {
@@ -167,7 +166,6 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   }
   sweep::TaskEngine::shared().run(std::move(tasks));
   const sweep::SweepRunner::Stats st = runner.stats();
-  data.resumed_cells = st.journal_hits;
   data.cached_cells = st.cache_hits;
   data.shard_skipped = st.shard_skipped;
   data.cost = runner.cost();
@@ -201,7 +199,7 @@ std::optional<double> NpbData::mean_relative(CoolingKind kind) const {
 NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
                        CoolingKind baseline, double threshold_c,
                        double instruction_scale, GridOptions grid,
-                       std::uint64_t seed, const PerfFaultPlan& faults) {
+                       std::uint64_t seed) {
   require(instruction_scale > 0.0, "instruction scale must be positive");
   AQUA_TRACE_SCOPE_ARG("experiment.npb", "experiment", chips);
   const auto start = std::chrono::steady_clock::now();
@@ -218,19 +216,17 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
 
   sweep::SweepRunner runner("npb");
   std::mutex failed_mu;
-  std::atomic<std::uint64_t> cores_failed{0};
-  data.degraded = !faults.empty();
 
   // Thermal caps: every shard needs all four caps as inputs to its own DES
   // cells, so cap cells are never sharded. They go through the same runner
-  // as everything else, which is exactly what makes them journal-resumable
-  // and — because freq_cap_cell is the same key family the Fig. 7/8 sweeps
-  // use — warm-servable from a cache those sweeps filled. The cap cells
-  // run as a strict same-affinity chain: one home worker, submission
-  // order, never stolen, all four sharing one worker-local finder — the
-  // rendered max_temperature_c comes from warm-started solves, so the
-  // exact solve sequence of the serial run is part of the golden corpus
-  // and must be preserved verbatim. The finder is built lazily: a fully
+  // as everything else, which is exactly what makes them resumable from
+  // the content cache and — because freq_cap_cell is the same key family
+  // the Fig. 7/8 sweeps use — warm-servable from a cache those sweeps
+  // filled. The cap cells run as a strict same-affinity chain: one home
+  // worker, submission order, never stolen, all four sharing one
+  // worker-local finder — the rendered max_temperature_c comes from
+  // warm-started solves, so the exact solve sequence of the serial run is
+  // part of the golden corpus and must be preserved verbatim. The finder is built lazily: a fully
   // warm run never assembles a thermal model. A cap failure aborts the
   // experiment (there is no table without the caps).
   {
@@ -291,20 +287,12 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
     data.rows[b].relative.resize(data.coolings.size());
   }
 
-  // A fault-degraded run's plan is not part of the key, so it must never
-  // be persisted; the in-process memo still dedupes it (the same plan is
-  // injected into every cell of this run).
-  sweep::CellPolicy des_policy;
-  des_policy.cacheable = faults.empty();
-
   // One unpinned task per feasible (benchmark, cooling) table slot: DES
   // cells carry no reusable solver state, so they overlap freely with any
   // other work. The key omits cooling, so two options capping at the same
   // frequency collide on purpose — the runner's single-flight memo makes
   // whichever slot arrives first the leader and serves concurrent
-  // duplicates as memo hits, computing each unique key exactly once. Each
-  // slot keeps its own journal record, so kill/resume and shard merges
-  // stay per-table-slot.
+  // duplicates as memo hits, computing each unique key exactly once.
   std::vector<sweep::TaskEngine::Task> des_tasks;
   des_tasks.reserve(suite.size() * data.coolings.size());
   for (std::size_t b = 0; b < suite.size(); ++b) {
@@ -317,20 +305,17 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
         const sweep::CellConfig config = sweep::npb_des_cell(
             chips, base_config.cores_per_chip, suite[b].name,
             data.caps[k].frequency.value(), suite[b].instructions_per_thread,
-            seed, !faults.empty());
+            seed, /*faulted=*/false);
         const std::string cellkey = "chip=" + data.chip_name +
                                     ";chips=" + std::to_string(chips) +
                                     ";bench=" + suite[b].name +
                                     ";cooling=" + to_string(data.coolings[k]);
         const sweep::CellSource src = runner.run(
-            config, cellkey, des_policy,
+            config, cellkey, {},
             [&] {
               CmpSystem system(base_config, suite[b], data.caps[k].frequency,
                                seed);
-              if (!faults.empty()) system.inject_faults(faults);
               const ExecStats stats = system.run();
-              cores_failed.store(stats.cores_failed,
-                                 std::memory_order_relaxed);
               return std::map<std::string, double>{{"seconds", stats.seconds}};
             },
             [&](const std::map<std::string, double>& values) {
@@ -349,12 +334,10 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   }
   sweep::TaskEngine::shared().run(std::move(des_tasks));
   const sweep::SweepRunner::Stats st = runner.stats();
-  data.resumed_cells = st.journal_hits;
   data.cached_cells = st.cache_hits;
   data.deduped_cells = st.memo_hits;
   data.shard_skipped = st.shard_skipped;
   data.cost = runner.cost();
-  data.cores_failed = cores_failed.load();
   std::sort(data.failed_cells.begin(), data.failed_cells.end());
 
   // Normalize to the baseline option.

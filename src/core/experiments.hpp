@@ -12,7 +12,6 @@
 #include "core/cooling.hpp"
 #include "core/cosim.hpp"
 #include "core/freq_cap.hpp"
-#include "perf/faults.hpp"
 #include "perf/workload.hpp"
 #include "sweep/cost.hpp"
 
@@ -39,12 +38,10 @@ struct FreqVsChipsData {
   /// Aggregated linear-solver counters over the whole sweep (every finder,
   /// one solve per cap) — what the benches print and emit as JSON.
   SolverStats solver;
-  /// Cells that threw and were isolated (journal cell keys, e.g.
+  /// Cells that threw and were isolated (display cell names, e.g.
   /// "chip=low_power_cmp;chips=3;cooling=water"); their table entries stay
   /// empty. An aborted cell never aborts the sweep.
   std::vector<std::string> failed_cells;
-  /// Cells served from an AQUA_SWEEP_RESUME journal instead of recomputed.
-  std::size_t resumed_cells = 0;
   /// Cells served warm from the AQUA_SWEEP_CACHE content cache.
   std::size_t cached_cells = 0;
   /// Cells owned by another shard (AQUA_SWEEP_SHARDS) and left as holes.
@@ -93,10 +90,8 @@ struct NpbData {
   std::vector<CoolingKind> coolings;
   std::vector<FrequencyCap> caps;   ///< per cooling option
   std::vector<NpbRow> rows;         ///< one per NPB program + "avg"
-  /// Isolated cell failures / journal resumes (see FreqVsChipsData).
-  /// resumed_cells counts cap cells as well as DES cells.
+  /// Isolated cell failures (see FreqVsChipsData).
   std::vector<std::string> failed_cells;
-  std::size_t resumed_cells = 0;
   /// Cells served warm from the AQUA_SWEEP_CACHE content cache.
   std::size_t cached_cells = 0;
   /// DES cells deduped in-process onto another cooling option's identical
@@ -104,9 +99,6 @@ struct NpbData {
   std::size_t deduped_cells = 0;
   /// DES cells owned by another shard and left as holes.
   std::size_t shard_skipped = 0;
-  /// True when a non-empty fault plan was injected into the DES runs.
-  bool degraded = false;
-  std::uint64_t cores_failed = 0;   ///< per-run plan losses (one run's worth)
   /// Per-phase cost ledger over the cap + DES cells (DESIGN.md §11).
   sweep::CostBreakdown cost;
 
@@ -118,15 +110,11 @@ struct NpbData {
 /// non-air cooling options (the paper omits air for 6+ chips), normalized
 /// to `baseline`. `instruction_scale` scales per-thread instruction counts
 /// (1.0 = the default profile length). The 9 x 4 simulations run on the
-/// process-wide shared pool. A non-empty `faults` plan is injected into
-/// every DES run (same plan per cell, so relative times stay comparable)
-/// and marks the result degraded; an empty plan leaves the runs
-/// bit-identical to the pre-fault-layer pipeline.
+/// process-wide shared pool.
 NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
                        CoolingKind baseline, double threshold_c = 80.0,
                        double instruction_scale = 1.0,
-                       GridOptions grid = {}, std::uint64_t seed = 1,
-                       const PerfFaultPlan& faults = {});
+                       GridOptions grid = {}, std::uint64_t seed = 1);
 
 // ---------------------------------------------------------------------------
 // Temperature vs. heat-transfer coefficient (Fig. 14)

@@ -46,6 +46,18 @@ bool has_suffix(std::string_view key, std::string_view suffix) {
          key.substr(key.size() - suffix.size()) == suffix;
 }
 
+/// Drops a trailing per-worker-count tag `_w<digits>` (perf_sweep_parallel
+/// reports every metric once per worker count: `wall_seconds_w4`, ...), so
+/// the stem classifies by its unit suffix like any other key.
+std::string_view strip_worker_suffix(std::string_view key) {
+  const std::size_t pos = key.rfind("_w");
+  if (pos == std::string_view::npos || pos + 2 == key.size()) return key;
+  for (const char c : key.substr(pos + 2)) {
+    if (c < '0' || c > '9') return key;
+  }
+  return key.substr(0, pos);
+}
+
 }  // namespace
 
 std::map<std::string, double> load_bench_metrics(const std::string& path) {
@@ -62,8 +74,15 @@ std::string bench_name_of(const std::string& path) {
              : std::string();
 }
 
-MetricKind classify_metric(std::string_view key) {
-  if (key == "schema_version") return MetricKind::kIgnored;
+MetricKind classify_metric(std::string_view full_key) {
+  if (full_key == "schema_version") return MetricKind::kIgnored;
+  // The per-worker speedup keys are wall-clock ratios: as noisy as the
+  // timings they divide, and one-sided the same way a rate is.
+  if (full_key.substr(0, 8) == "speedup_") return MetricKind::kRate;
+  const std::string_view key = strip_worker_suffix(full_key);
+  // Steal counts depend on which idle worker wins a race: scheduling
+  // noise, not deterministic work.
+  if (key == "steals") return MetricKind::kIgnored;
   for (const char* suffix : {"_seconds", "_wall_seconds", "_us", "_ns",
                              "_ms", "seconds"}) {
     if (has_suffix(key, suffix)) return MetricKind::kTiming;
@@ -77,9 +96,6 @@ MetricKind classify_metric(std::string_view key) {
   if (has_suffix(key, "_per_sec") || has_suffix(key, "_per_second")) {
     return MetricKind::kRate;
   }
-  // The per-worker speedup keys are wall-clock ratios: as noisy as the
-  // timings they divide, and one-sided the same way a rate is.
-  if (key.substr(0, 8) == "speedup_") return MetricKind::kRate;
   return MetricKind::kWork;
 }
 

@@ -46,7 +46,7 @@ std::string bench_name_of(const std::string& path);
 enum class MetricKind { kTiming, kRate, kWork, kIgnored };
 
 /// Classifies a flattened metric key (suffix match on the timing/rate
-/// units).
+/// units, after dropping a trailing per-worker-count `_w<digits>` tag).
 MetricKind classify_metric(std::string_view key);
 
 struct GateThresholds {

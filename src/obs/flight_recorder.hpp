@@ -9,7 +9,7 @@
 ///
 ///   * a TaskScope span per executed task, named by how the task reached
 ///     the worker (`engine.task.strict` / `.loose` / `.unpinned` /
-///     `.stolen` / `.lifo`) — the per-worker rows a Chrome/Perfetto view
+///     `.stolen`) — the per-worker rows a Chrome/Perfetto view
 ///     shows, and what `trace_tools timeline` / `critical-path` aggregate;
 ///   * zero-duration marker events for steals (`engine.steal`) and shared-
 ///     queue claims (`engine.claim`);
@@ -51,7 +51,7 @@ constexpr std::uint32_t pair_lo(std::int64_t packed) {
 class FlightRecorder {
  public:
   /// Chain half for tasks that belong to no dependent chain (unpinned /
-  /// stolen / LIFO-spawned work).
+  /// stolen work).
   static constexpr std::uint32_t kNoChain = 0xFFFFFFFFu;
 
   /// Event names (string literals: the tracer stores the pointers). The
@@ -62,7 +62,6 @@ class FlightRecorder {
   static constexpr const char* kTaskLoose = "engine.task.loose";
   static constexpr const char* kTaskUnpinned = "engine.task.unpinned";
   static constexpr const char* kTaskStolen = "engine.task.stolen";
-  static constexpr const char* kTaskLifo = "engine.task.lifo";
   static constexpr const char* kSteal = "engine.steal";
   static constexpr const char* kClaim = "engine.claim";
   static constexpr const char* kQueueDepth = "engine.queue_depth";

@@ -417,7 +417,6 @@ TimelineSummary summarize_worker_timeline(
     else if (kind == "loose") ++row.loose;
     else if (kind == "unpinned") ++row.unpinned;
     else if (kind == "stolen") ++row.stolen;
-    else if (kind == "lifo") ++row.lifo;
     intervals[w].emplace_back(e.ts_us, e.ts_us + e.dur_us);
     if (!any || e.ts_us < window_start) window_start = e.ts_us;
     if (!any || e.ts_us + e.dur_us > window_end) {
@@ -528,7 +527,6 @@ ServiceSummary summarize_service_records(
       summary.failed += number_or(rec, "failed");
       summary.computed += number_or(rec, "computed");
       summary.cache_hits += number_or(rec, "cache_hits");
-      summary.journal_hits += number_or(rec, "journal_hits");
       summary.total_connections += number_or(rec, "total_connections");
     } else if (kind->string == "service_conn") {
       ServiceConnRow row;

@@ -94,7 +94,6 @@ struct WorkerTimelineRow {
   std::uint64_t loose = 0;     ///< tasks run from the own loose lane
   std::uint64_t unpinned = 0;  ///< tasks claimed from the shared queue
   std::uint64_t stolen = 0;    ///< tasks stolen from another worker
-  std::uint64_t lifo = 0;      ///< tasks run from the LIFO spawn slot
   std::uint64_t steals_in = 0;   ///< steals this worker performed
   std::uint64_t steals_out = 0;  ///< tasks other workers stole from it
   double busy_us = 0.0;          ///< sum of task-span durations
@@ -177,7 +176,6 @@ struct ServiceSummary {
   double failed = 0.0;
   double computed = 0.0;      ///< runner cells actually solved
   double cache_hits = 0.0;
-  double journal_hits = 0.0;
   double total_connections = 0.0;
   std::vector<ServiceConnRow> connections;  ///< ordered by connection id
 
@@ -191,11 +189,10 @@ struct ServiceSummary {
     return accepted > 0.0 ? deadline_exceeded / accepted : 0.0;
   }
   /// Fraction of admitted cells answered without a fresh solve — the
-  /// single-flight + cache + journal savings.
+  /// single-flight + cache savings.
   [[nodiscard]] double warm_fraction() const {
-    return accepted > 0.0
-               ? (single_flight_hits + cache_hits + journal_hits) / accepted
-               : 0.0;
+    return accepted > 0.0 ? (single_flight_hits + cache_hits) / accepted
+                          : 0.0;
   }
 };
 

@@ -2,9 +2,9 @@
 /// length-prefixed JSON protocol on AQUA_SERVICE_HOST:AQUA_SERVICE_PORT
 /// (default 127.0.0.1:7447), running every cell through one shared
 /// SweepRunner so concurrent clients dedupe in flight and share the
-/// content-addressed cache (AQUA_SWEEP_CACHE) and journal
-/// (AQUA_SWEEP_RESUME). SIGTERM/SIGINT drain in-flight work, flush
-/// reports, and exit 0 — EXPERIMENTS.md documents the runbook.
+/// content-addressed cache (AQUA_SWEEP_CACHE). SIGTERM/SIGINT drain
+/// in-flight work, flush reports, and exit 0 — EXPERIMENTS.md documents
+/// the runbook.
 
 #include <algorithm>
 #include <atomic>
@@ -54,7 +54,7 @@ int usage(const char* argv0) {
       << "  AQUA_SERVICE_MAX_CONNECTIONS  concurrent clients (64)\n"
       << "  AQUA_SERVICE_DEADLINE_MS      default per-cell deadline (none)\n"
       << "  AQUA_SERVICE_DRAIN_TIMEOUT_S  shutdown drain budget (30)\n"
-      << "  AQUA_SWEEP_CACHE / AQUA_SWEEP_RESUME / AQUA_RUN_REPORT as usual\n";
+      << "  AQUA_SWEEP_CACHE / AQUA_RUN_REPORT as usual\n";
   return 2;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
 /// C++ client for the sweep service (DESIGN.md §13). Submissions are
-/// idempotent by cell key — a retried cell lands on the server's memo,
-/// cache or journal instead of recomputing — so the client retries
+/// idempotent by cell key — a retried cell lands on the server's memo or
+/// cache instead of recomputing — so the client retries
 /// aggressively and safely:
 ///
 ///   * `overloaded` responses: jittered exponential backoff (deterministic
@@ -45,7 +45,7 @@ struct CellResult {
   std::string status;  ///< "ok" or an error_code::* string
   std::string cell;
   std::string tag;
-  std::string source;  ///< computed / cache / single_flight / journal
+  std::string source;  ///< computed / cache / single_flight
   std::string message;
   std::map<std::string, double> values;
   [[nodiscard]] bool ok() const { return status == "ok"; }

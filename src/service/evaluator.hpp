@@ -3,7 +3,7 @@
 /// Request → sweep-cell translation for the service (DESIGN.md §13). A
 /// submitted (family, params) pair becomes a CellJob: the canonical
 /// CellConfig (built through sweep/cells.hpp so service cells share cache
-/// and journal identity with the Fig. 7-13 drivers), the human-readable
+/// identity with the Fig. 7-13 drivers), the human-readable
 /// cell name, the cell policy and the compute closure. Validation is
 /// strict and happens here — anything malformed throws aqua::Error, which
 /// the server answers as a bad_request without touching a solver.
@@ -35,7 +35,7 @@ namespace aqua::service {
 
 struct CellJob {
   sweep::CellConfig config;
-  std::string cell;  ///< journal name, same spelling as the fig drivers
+  std::string cell;  ///< display name, same spelling as the fig drivers
   sweep::CellPolicy policy;
   std::function<std::map<std::string, double>()> compute;
 };

@@ -25,7 +25,7 @@
 /// Responses (server → client):
 ///   {"op":"result","id":N,"cell":"...","tag":"...","source":"computed",
 ///    "values":{"k":1.0,...}}          source ∈ computed/cache/
-///                                     single_flight/journal
+///                                     single_flight
 ///   {"op":"error","id":N,"code":"overloaded","retry_after_ms":R,
 ///    "message":"..."}                 code ∈ overloaded/deadline_exceeded/
 ///                                     failed/bad_request/shutting_down

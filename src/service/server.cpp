@@ -595,9 +595,6 @@ void SweepServer::run_job(Job& job, std::size_t /*slot*/) {
     case sweep::CellSource::kCache:
       result.source = "cache";
       break;
-    case sweep::CellSource::kJournal:
-      result.source = "journal";
-      break;
     default:
       result.source = "computed";
       break;
@@ -669,7 +666,6 @@ std::map<std::string, double> SweepServer::stats_snapshot() const {
       static_cast<double>(failed_cells_.load(std::memory_order_relaxed));
   stats["computed"] = static_cast<double>(runner.computed);
   stats["cache_hits"] = static_cast<double>(runner.cache_hits);
-  stats["journal_hits"] = static_cast<double>(runner.journal_hits);
   stats["total_connections"] =
       static_cast<double>(total_connections_.load(std::memory_order_relaxed));
   stats["draining"] = draining_.load(std::memory_order_relaxed) ? 1.0 : 0.0;

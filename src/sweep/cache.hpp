@@ -67,8 +67,8 @@ class SweepCache {
   void store(const CellConfig& config,
              const std::map<std::string, double>& values);
 
-  /// Counts a cell that was deliberately not cached (poisoned or degraded
-  /// by fault injection) — the never-cache paths of DESIGN.md §9.
+  /// Counts a cell that was deliberately not cached (poisoned by
+  /// AQUA_FAULT_CELL) — the never-cache path of DESIGN.md §9.
   void count_skip();
 
   struct Stats {

@@ -20,12 +20,11 @@ namespace aqua::sweep {
 struct CellCost {
   double total_us = 0.0;      ///< whole SweepRunner::run call
   double key_us = 0.0;        ///< canonical-key rendering
-  double journal_us = 0.0;    ///< resume-journal lookup
   double memo_us = 0.0;       ///< memo map ops + single-flight waiting
   double cache_us = 0.0;      ///< content-cache lookup
   double compute_us = 0.0;    ///< the compute closure (solve + DES + misc)
   double solve_us = 0.0;      ///< solver wall inside the compute
-  double serialize_us = 0.0;  ///< journal append + cache store
+  double serialize_us = 0.0;  ///< cache store / failure report
   double apply_us = 0.0;      ///< the caller's table-write closure
   std::uint64_t cg_iterations = 0;
   std::uint64_t vcycles = 0;
@@ -38,7 +37,6 @@ struct CostBreakdown {
   std::uint64_t cells = 0;
   double total_us = 0.0;
   double key_us = 0.0;
-  double journal_us = 0.0;
   double memo_us = 0.0;
   double cache_us = 0.0;
   double compute_us = 0.0;
@@ -53,7 +51,6 @@ struct CostBreakdown {
     ++cells;
     total_us += cost.total_us;
     key_us += cost.key_us;
-    journal_us += cost.journal_us;
     memo_us += cost.memo_us;
     cache_us += cost.cache_us;
     compute_us += cost.compute_us;
@@ -69,7 +66,6 @@ struct CostBreakdown {
     cells += other.cells;
     total_us += other.total_us;
     key_us += other.key_us;
-    journal_us += other.journal_us;
     memo_us += other.memo_us;
     cache_us += other.cache_us;
     compute_us += other.compute_us;

@@ -45,7 +45,7 @@ namespace {
 std::atomic<bool> g_interrupted{false};
 
 extern "C" void aqua_sweep_interrupt_handler(int) {
-  // Async-signal-safe: one lock-free store. Everything else (journal
+  // Async-signal-safe: one lock-free store. Everything else (cache
   // flushes, table output, exit codes) happens cooperatively on the
   // normal control path when the runner observes the flag.
   g_interrupted.store(true, std::memory_order_relaxed);

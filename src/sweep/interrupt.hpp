@@ -10,18 +10,18 @@
 ///     precedence-chain boundaries (entry, memo wait, pre-compute,
 ///     post-compute) and returns `CellSource::kCancelled` instead of
 ///     computing past it. A cancelled cell is retryable by contract: it is
-///     never journaled as failed, never cached, and a cancelled
+///     never reported as failed, never cached, and a cancelled
 ///     single-flight leader abandons its memo entry so waiters wake and
 ///     retry rather than inheriting a phantom failure.
 ///
 ///   * the process-wide sweep interrupt flag — set by the SIGINT/SIGTERM
 ///     handlers the long-running drivers install. The runner checks it on
 ///     every cell entry, so an interrupted sweep stops starting new work
-///     within one cell, leaves the journal/cache files at a clean line
-///     boundary (both are appended-and-flushed per cell), and the driver
-///     exits cleanly instead of dying mid-write. Re-running with
-///     AQUA_SWEEP_RESUME then recomputes only the missing cells and the
-///     table is bit-identical to an uninterrupted run.
+///     within one cell, leaves the AQUA_SWEEP_CACHE file at a clean line
+///     boundary (it is appended-and-flushed per cell), and the driver
+///     exits cleanly instead of dying mid-write. Re-running on the same
+///     cache then recomputes only the missing cells and the table is
+///     bit-identical to an uninterrupted run.
 ///
 /// Signal-safety: the handler only stores to a lock-free atomic flag.
 

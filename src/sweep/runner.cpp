@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
+#include <cstdlib>
+#include <string_view>
 
-#include "common/error.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_reader.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/task_engine.hpp"
 
@@ -45,7 +44,6 @@ WorkCounters& work_counters() {
 const char* to_string(CellSource source) {
   switch (source) {
     case CellSource::kComputed: return "computed";
-    case CellSource::kJournal: return "journal";
     case CellSource::kMemo: return "memo";
     case CellSource::kCache: return "cache";
     case CellSource::kShardSkipped: return "shard_skipped";
@@ -56,9 +54,35 @@ const char* to_string(CellSource source) {
 }
 
 SweepRunner::SweepRunner(std::string sweep)
-    : sweep_(std::move(sweep)),
-      journal_(sweep_),
-      shard_(ShardPlan::from_env()) {}
+    : sweep_(std::move(sweep)), shard_(ShardPlan::from_env()) {
+  const char* env = std::getenv(kPoisonEnv);
+  if (env == nullptr) return;
+  // "sweep:cell,sweep:cell" — keep only this sweep's cells.
+  const std::string_view spec(env);
+  std::size_t pos = 0;
+  while (pos <= spec.size()) {
+    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
+    const std::string_view item = spec.substr(pos, comma - pos);
+    const std::size_t colon = item.find(':');
+    if (colon != std::string_view::npos && item.substr(0, colon) == sweep_) {
+      poisons_.emplace_back(item.substr(colon + 1));
+    }
+    pos = comma + 1;
+  }
+}
+
+void SweepRunner::report_failed(const std::string& cell,
+                                const std::string& error) const {
+  obs::RunReport& report = obs::RunReport::instance();
+  if (!report.enabled()) return;
+  report.emit("degraded_result", [&](obs::JsonWriter& w) {
+    w.add("stage", "experiment")
+        .add("what", "sweep_cell_failed")
+        .add("sweep", sweep_)
+        .add("cell", cell)
+        .add("error", error);
+  });
+}
 
 CellSource SweepRunner::run(
     const CellConfig& config, const std::string& cell,
@@ -82,34 +106,20 @@ CellSource SweepRunner::run(
 
   // 0. Cancellation gate: a cell whose token already fired (or that starts
   // after SIGINT/SIGTERM raised the process-wide interrupt flag) does no
-  // work at all. Nothing is journaled — cancelled cells are retryable, not
-  // failures — so an interrupted sweep resumes exactly where it stopped.
+  // work at all. Cancelled cells are retryable, not failures: a re-run on
+  // the same cache serves every finished cell and computes only the rest.
   if (token.cancelled() || sweep_interrupted()) {
     return record_cancelled();
   }
 
-  // 1. Journal resume: a previously completed cell is served verbatim.
-  {
-    const auto t0 = SteadyClock::now();
-    const auto* values = journal_.lookup(cell);
-    cost.journal_us += us_since(t0);
-    if (values != nullptr) {
-      const auto t1 = SteadyClock::now();
-      apply(*values);
-      cost.apply_us += us_since(t1);
-      journal_hits_.fetch_add(1, std::memory_order_relaxed);
-      return finish(CellSource::kJournal);
-    }
-  }
-
   SweepCache& cache = SweepCache::instance();
 
-  // 2. Poison: deterministic fault injection always fails the cell, and a
+  // 1. Poison: deterministic fault injection always fails the cell, and a
   // poisoned cell must never reach the cache (in either direction).
-  if (journal_.poisoned(cell)) {
+  if (std::find(poisons_.begin(), poisons_.end(), cell) != poisons_.end()) {
     const auto t0 = SteadyClock::now();
-    journal_.record_failed(cell, std::string("cell poisoned by ") +
-                                     SweepJournal::kPoisonEnv + ": " + cell);
+    report_failed(cell,
+                  std::string("cell poisoned by ") + kPoisonEnv + ": " + cell);
     cost.serialize_us += us_since(t0);
     cache.count_skip();
     failed_.fetch_add(1, std::memory_order_relaxed);
@@ -120,7 +130,7 @@ CellSource SweepRunner::run(
   const std::string canonical = config.canonical();
   cost.key_us += us_since(key_start);
 
-  // 3. In-process memo, single-flight: the first cell to reach a canonical
+  // 2. In-process memo, single-flight: the first cell to reach a canonical
   // key becomes its leader and carries on down the precedence chain;
   // concurrent cells with the same key park on the entry (releasing the
   // map lock) and are served as memo hits once the leader publishes. The
@@ -163,16 +173,13 @@ CellSource SweepRunner::run(
     const auto t0 = SteadyClock::now();
     apply(values);
     cost.apply_us += us_since(t0);
-    const auto t1 = SteadyClock::now();
-    journal_.record_ok(cell, values);
-    cost.serialize_us += us_since(t1);
     memo_hits_.fetch_add(1, std::memory_order_relaxed);
     return finish(CellSource::kMemo);
   }
   cost.memo_us += us_since(memo_start);
 
   // The leader abandons the entry on every non-publishing exit so waiters
-  // re-enter the chain with their own cell's policy and journal identity.
+  // re-enter the chain with their own cell's policy and name.
   const auto abandon = [&] {
     std::lock_guard lock(memo_mutex_);
     entry->abandoned = true;
@@ -186,10 +193,8 @@ CellSource SweepRunner::run(
     entry->cv.notify_all();
   };
 
-  // 4. Content-addressed cache: warm cells skip the compute entirely. The
-  // values are re-journaled under this sweep's cell name so a shard
-  // journal merge sees cache-served cells too.
-  if (policy.cacheable) {
+  // 3. Content-addressed cache: warm cells skip the compute entirely.
+  {
     const auto t0 = SteadyClock::now();
     std::map<std::string, double> values;
     const bool hit = cache.lookup(config, &values);
@@ -199,15 +204,12 @@ CellSource SweepRunner::run(
       const auto t1 = SteadyClock::now();
       apply(values);
       cost.apply_us += us_since(t1);
-      const auto t2 = SteadyClock::now();
-      journal_.record_ok(cell, values);
-      cost.serialize_us += us_since(t2);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       return finish(CellSource::kCache);
     }
   }
 
-  // 5. Shard partition: cells owned by other shards are left as holes.
+  // 4. Shard partition: cells owned by other shards are left as holes.
   if (policy.shardable && shard_.active() && !shard_.owns(config.hash())) {
     abandon();
     shard_skipped_.fetch_add(1, std::memory_order_relaxed);
@@ -222,7 +224,7 @@ CellSource SweepRunner::run(
     return record_cancelled();
   }
 
-  // 6. Compute, isolate-and-continue. Failed cells are never memoized (a
+  // 5. Compute, isolate-and-continue. Failed cells are never memoized (a
   // later identical cell retries, matching the serial semantics) and never
   // cached. The work counters around the compute attribute solver wall /
   // CG iterations / V-cycles / DES events to this cell (exact in serial
@@ -240,7 +242,7 @@ CellSource SweepRunner::run(
     cost.compute_us += us_since(compute_start);
     abandon();
     const auto t0 = SteadyClock::now();
-    journal_.record_failed(cell, e.what());
+    report_failed(cell, e.what());
     cost.serialize_us += us_since(t0);
     failed_.fetch_add(1, std::memory_order_relaxed);
     return finish(CellSource::kFailed);
@@ -252,10 +254,10 @@ CellSource SweepRunner::run(
   cost.vcycles += work.vcycles.value() - vcycles_before;
   cost.des_events += work.des_events.value() - events_before;
 
-  // A leader cancelled mid-compute discards its values: nothing is
-  // journaled, cached, or published (satellite 2's abandoned-leader
-  // contract — waiters wake with a retryable abandon, not a phantom
-  // result from a request whose client already gave up).
+  // A leader cancelled mid-compute discards its values: nothing is cached
+  // or published (the abandoned-leader contract — waiters wake with a
+  // retryable abandon, not a phantom result from a request whose client
+  // already gave up).
   if (token.cancelled()) {
     abandon();
     return record_cancelled();
@@ -266,12 +268,7 @@ CellSource SweepRunner::run(
   apply(values);
   cost.apply_us += us_since(apply_start);
   const auto serialize_start = SteadyClock::now();
-  journal_.record_ok(cell, values);
-  if (policy.cacheable) {
-    cache.store(config, values);
-  } else {
-    cache.count_skip();
-  }
+  cache.store(config, values);
   cost.serialize_us += us_since(serialize_start);
   computed_.fetch_add(1, std::memory_order_relaxed);
   return finish(CellSource::kComputed);
@@ -291,7 +288,6 @@ void SweepRunner::record_cost(const std::string& cell, CellSource source,
         .add("source", to_string(source))
         .add("total_us", cost.total_us)
         .add("key_us", cost.key_us)
-        .add("journal_us", cost.journal_us)
         .add("memo_us", cost.memo_us)
         .add("cache_us", cost.cache_us)
         .add("compute_us", cost.compute_us)
@@ -312,7 +308,6 @@ CostBreakdown SweepRunner::cost() const {
 SweepRunner::Stats SweepRunner::stats() const {
   Stats s;
   s.computed = computed_.load(std::memory_order_relaxed);
-  s.journal_hits = journal_hits_.load(std::memory_order_relaxed);
   s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.shard_skipped = shard_skipped_.load(std::memory_order_relaxed);
@@ -330,7 +325,6 @@ void SweepRunner::emit_report() const {
     w.add("sweep", sweep_)
         .add("cells", static_cast<std::uint64_t>(s.cells()))
         .add("computed", static_cast<std::uint64_t>(s.computed))
-        .add("journal_hits", static_cast<std::uint64_t>(s.journal_hits))
         .add("memo_hits", static_cast<std::uint64_t>(s.memo_hits))
         .add("cache_hits", static_cast<std::uint64_t>(s.cache_hits))
         .add("shard_skipped", static_cast<std::uint64_t>(s.shard_skipped))
@@ -342,33 +336,6 @@ void SweepRunner::emit_report() const {
         .add("cache_stores", c.stores)
         .add("cache_skips", c.skips);
   });
-}
-
-std::size_t merge_journal_files(const std::string& out_path,
-                                const std::vector<std::string>& inputs) {
-  std::ofstream out(out_path, std::ios::app);
-  ensure(out.is_open(), "cannot open merged journal: " + out_path);
-  std::size_t written = 0;
-  for (const std::string& input : inputs) {
-    std::ifstream in(input);
-    if (!in.is_open()) continue;  // a shard that never wrote is fine
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        const obs::JsonValue rec = obs::parse_json(line);
-        const obs::JsonValue* kind = rec.find("kind");
-        if (kind == nullptr || kind->string != "sweep_cell") continue;
-      } catch (const std::exception&) {
-        continue;  // torn shard line: skip, the cell just recomputes
-      }
-      out << line << '\n';
-      ++written;
-    }
-  }
-  out.flush();
-  ensure(out.good(), "failed writing merged journal: " + out_path);
-  return written;
 }
 
 void dispatch_cells(std::size_t count,

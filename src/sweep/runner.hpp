@@ -3,10 +3,10 @@
 /// SweepRunner: the one code path every Fig. 7-13 sweep cell goes through
 /// (DESIGN.md §9). It composes, in fixed precedence order:
 ///
-///   1. journal resume  (AQUA_SWEEP_RESUME, PR-4 semantics unchanged)
-///   2. poison          (AQUA_FAULT_CELL cells always fail, are journaled
-///                       as failed, and are NEVER written to the cache)
-///   3. in-process memo (dedupe of identical cells inside one sweep —
+///   1. poison          (AQUA_FAULT_CELL cells always fail, emit a
+///                       `degraded_result` record, and are NEVER written
+///                       to the cache)
+///   2. in-process memo (dedupe of identical cells inside one sweep —
 ///                       e.g. two cooling options capping at the same
 ///                       frequency share one DES run). Under the task
 ///                       engine the memo is single-flight: the first
@@ -17,26 +17,31 @@
 ///                       once per sweep. A leader that fails or is
 ///                       shard-skipped abandons the entry and waiters
 ///                       retry from the top of the precedence chain.
-///   4. content cache   (AQUA_SWEEP_CACHE warm hits skip the compute and
-///                       are re-journaled so shard merges see them)
-///   5. shard skip      (AQUA_SWEEP_SHARDS/_SHARD_ID: cells owned by other
+///   3. content cache   (AQUA_SWEEP_CACHE warm hits skip the compute; the
+///                       one persistent cell store, for kill/resume and
+///                       shard assembly alike)
+///   4. shard skip      (AQUA_SWEEP_SHARDS/_SHARD_ID: cells owned by other
 ///                       shards are left as holes)
-///   6. compute         (isolate-and-continue: a throwing cell is
-///                       journaled as failed, never cached, and does not
-///                       abort the sweep)
+///   5. compute         (isolate-and-continue: a throwing cell emits a
+///                       `degraded_result` record, is never cached, and
+///                       does not abort the sweep)
 ///
 /// Poison outranks memo/cache on purpose: deterministic fault injection
 /// must not be maskable by a warm cache. Cache outranks shard so every
 /// shard applies already-known cells and only computes its own misses.
+///
+/// AQUA_FAULT_CELL=<sweep>:<cell>[,<sweep>:<cell>...] names the poisoned
+/// cells by this runner's sweep name and the caller's display cell name;
+/// it is read at construction, so tests can repoint it.
 ///
 /// Cancellation (DESIGN.md §13): run() takes an optional CancelToken and
 /// checks it at the chain boundaries — on entry (where it also honors the
 /// process-wide sweep interrupt flag), while parked on a single-flight
 /// memo entry (the wait is bounded by the token's deadline), before the
 /// compute, and after it. A cancelled cell returns CellSource::kCancelled
-/// and is retryable by contract: never journaled (as ok OR failed), never
-/// cached, and a cancelled leader abandons its memo entry so waiters wake
-/// and retry as leaders instead of inheriting a phantom failure.
+/// and is retryable by contract: never reported as failed, never cached,
+/// and a cancelled leader abandons its memo entry so waiters wake and
+/// retry as leaders instead of inheriting a phantom failure.
 
 #include <atomic>
 #include <condition_variable>
@@ -49,7 +54,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "resilience/journal.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/cost.hpp"
 #include "sweep/interrupt.hpp"
@@ -60,18 +64,17 @@ namespace aqua::sweep {
 /// Where a cell's values came from.
 enum class CellSource {
   kComputed,
-  kJournal,
   kMemo,
   kCache,
   kShardSkipped,
   kFailed,
   /// The cell's CancelToken fired (deadline or explicit cancel) or the
   /// process-wide sweep interrupt flag is up. Retryable: nothing was
-  /// journaled or cached, and `apply` did not run.
+  /// reported or cached, and `apply` did not run.
   kCancelled,
 };
 
-/// Stable lowercase name ("computed", "journal", ... — the `cell_cost`
+/// Stable lowercase name ("computed", "memo", ... — the `cell_cost`
 /// run-report records carry it).
 const char* to_string(CellSource source);
 
@@ -80,15 +83,14 @@ struct CellPolicy {
   /// false: the cell runs on every shard (e.g. NPB frequency caps, which
   /// every shard needs as inputs to its own DES cells).
   bool shardable = true;
-  /// false: never persisted (fault-degraded runs whose plan is not part of
-  /// the key). Memo dedupe still applies within the sweep.
-  bool cacheable = true;
 };
 
 class SweepRunner {
  public:
-  /// `sweep` names the journal namespace (same contract as SweepJournal).
-  /// Shard plan and cache state are read at construction.
+  static constexpr const char* kPoisonEnv = "AQUA_FAULT_CELL";
+
+  /// `sweep` names the runner in run-report records and AQUA_FAULT_CELL
+  /// specs. Shard plan and poison spec are read at construction.
   explicit SweepRunner(std::string sweep);
 
   /// Runs one cell. `compute` produces the cell's values; `apply` writes
@@ -107,15 +109,14 @@ class SweepRunner {
 
   struct Stats {
     std::size_t computed = 0;
-    std::size_t journal_hits = 0;
     std::size_t memo_hits = 0;
     std::size_t cache_hits = 0;
     std::size_t shard_skipped = 0;
     std::size_t failed = 0;
     std::size_t cancelled = 0;
     [[nodiscard]] std::size_t cells() const {
-      return computed + journal_hits + memo_hits + cache_hits +
-             shard_skipped + failed + cancelled;
+      return computed + memo_hits + cache_hits + shard_skipped + failed +
+             cancelled;
     }
   };
   [[nodiscard]] Stats stats() const;
@@ -136,8 +137,11 @@ class SweepRunner {
   /// emits its `cell_cost` record.
   void record_cost(const std::string& cell, CellSource source,
                    const CellCost& cost);
+  /// Emits the failed cell's `degraded_result` run-report record.
+  void report_failed(const std::string& cell, const std::string& error) const;
+
   std::string sweep_;
-  SweepJournal journal_;
+  std::vector<std::string> poisons_;  ///< this sweep's AQUA_FAULT_CELL cells
   ShardPlan shard_;
 
   /// Single-flight memo entry: one per canonical key. `memo_mutex_` only
@@ -158,20 +162,12 @@ class SweepRunner {
   CostBreakdown cost_;
 
   std::atomic<std::size_t> computed_{0};
-  std::atomic<std::size_t> journal_hits_{0};
   std::atomic<std::size_t> memo_hits_{0};
   std::atomic<std::size_t> cache_hits_{0};
   std::atomic<std::size_t> shard_skipped_{0};
   std::atomic<std::size_t> failed_{0};
   std::atomic<std::size_t> cancelled_{0};
 };
-
-/// Merges JSON-lines sweep journals: appends every valid "sweep_cell" line
-/// of `inputs` (in order) to `out_path`, skipping unparsable lines.
-/// Returns the number of records written. The merge of per-shard journals
-/// replayed with AQUA_SWEEP_RESUME reassembles the full table.
-std::size_t merge_journal_files(const std::string& out_path,
-                                const std::vector<std::string>& inputs);
 
 /// Dispatches `count` independent, placement-free cells as unpinned tasks
 /// on the shared TaskEngine: workers claim the next unclaimed cell index,

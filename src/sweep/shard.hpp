@@ -10,11 +10,12 @@
 /// A cell belongs to shard k iff hash(cell) % N == k, so the partition is
 /// a pure function of the canonical cell key: every shard agrees on who
 /// owns what without any coordination, re-running a shard is idempotent,
-/// and adding journal/cache files from other shards never conflicts.
-/// Cells this shard does not own are skipped (left as table holes); the
-/// full table is assembled by merging the per-shard journals
-/// (sweep::merge_journal_files) and replaying once with AQUA_SWEEP_RESUME
-/// pointed at the merge.
+/// and adding cache files from other shards never conflicts. Cells this
+/// shard does not own are skipped (left as table holes). The full table is
+/// assembled from the content cache: run each shard with its own
+/// AQUA_SWEEP_CACHE directory, concatenate the per-shard sweep_cache.jsonl
+/// files into one, and replay once unsharded against it (the lenient cache
+/// loader dedups repeated cells and skips torn lines).
 
 #include <cstddef>
 #include <cstdint>

@@ -22,7 +22,6 @@ struct EngineMetrics {
   obs::Counter& steals = obs::Registry::instance().counter("engine.steals");
   obs::Counter& shared_claimed =
       obs::Registry::instance().counter("engine.shared_claimed");
-  obs::Counter& lifo = obs::Registry::instance().counter("engine.lifo_spawned");
   obs::Counter& runs = obs::Registry::instance().counter("engine.runs");
   obs::Gauge& workers = obs::Registry::instance().gauge("engine.workers");
 };
@@ -80,7 +79,6 @@ struct TaskEngine::Batch {
   std::atomic<std::uint64_t> strict_executed{0};
   std::atomic<std::uint64_t> shared_claimed{0};
   std::atomic<std::uint64_t> stolen{0};
-  std::atomic<std::uint64_t> lifo_spawned{0};
   std::atomic<std::uint64_t> local_hits{0};
   std::atomic<std::uint64_t> local_misses{0};
   std::vector<std::atomic<std::uint64_t>> per_worker;
@@ -102,16 +100,6 @@ struct TaskEngine::Batch {
 };
 
 // ------------------------------------------------------- worker context --
-
-void WorkerContext::spawn_local(std::function<void(WorkerContext&)> body) {
-  require(engine_ != nullptr && engine_->batch_ != nullptr,
-          "spawn_local outside a running batch");
-  require(!lifo_slot_, "spawn_local: the LIFO slot is already occupied");
-  lifo_slot_ = std::move(body);
-  // The spawned task joins the batch's accounting so run() waits for it.
-  engine_->batch_->remaining.fetch_add(1, std::memory_order_relaxed);
-  engine_->batch_->lifo_spawned.fetch_add(1, std::memory_order_relaxed);
-}
 
 void WorkerContext::note_local(bool hit) {
   if (engine_ == nullptr || engine_->batch_ == nullptr) return;
@@ -235,7 +223,6 @@ void TaskEngine::run(std::vector<Task> tasks) {
   stats.strict_executed = batch.strict_executed.load();
   stats.shared_claimed = batch.shared_claimed.load();
   stats.stolen = batch.stolen.load();
-  stats.lifo_spawned = batch.lifo_spawned.load();
   stats.local_hits = batch.local_hits.load();
   stats.local_misses = batch.local_misses.load();
   stats.per_worker.reserve(worker_count_);
@@ -312,22 +299,6 @@ void TaskEngine::execute(Batch& batch, WorkerContext& ctx,
   if (strict) batch.strict_executed.fetch_add(1, std::memory_order_relaxed);
   batch.per_worker[ctx.worker()].fetch_add(1, std::memory_order_relaxed);
   engine_metrics().executed.add();
-  // Follow-on work from the LIFO slot runs immediately, before any queue.
-  while (ctx.lifo_slot_) {
-    std::function<void(WorkerContext&)> spawned = std::move(ctx.lifo_slot_);
-    ctx.lifo_slot_ = nullptr;
-    obs::FlightRecorder::TaskScope scope(obs::FlightRecorder::kTaskLifo, worker,
-                                         obs::FlightRecorder::kNoChain);
-    try {
-      spawned(ctx);
-    } catch (...) {
-      batch.record_error(std::current_exception());
-    }
-    batch.executed.fetch_add(1, std::memory_order_relaxed);
-    batch.per_worker[ctx.worker()].fetch_add(1, std::memory_order_relaxed);
-    engine_metrics().executed.add();
-    batch.note_done();
-  }
   batch.note_done();
 }
 

@@ -4,10 +4,9 @@
 ///
 /// One process, all cores: every sweep cell becomes a task in a batch, and
 /// a fixed set of persistent workers drains the batch through worker-local
-/// queues in the mxtasking style — a one-element LIFO slot for follow-on
-/// work a task spawns on its own worker, a strict FIFO lane that never
-/// moves, a loose lane the owner drains front-to-back, a shared claim
-/// queue for unpinned tasks, and back-of-queue stealing between workers so
+/// queues in the mxtasking style — a strict FIFO lane that never moves, a
+/// loose lane the owner drains front-to-back, a shared claim queue for
+/// unpinned tasks, and back-of-queue stealing between workers so
 /// a tail of slow cells never leaves fast workers idle.
 ///
 /// Affinity annotations place tasks:
@@ -88,11 +87,6 @@ class WorkerContext {
     return *static_cast<T*>(slot.value.get());
   }
 
-  /// Pushes follow-on work into this worker's one-element LIFO slot: it
-  /// runs next on this worker, before any queued task. At most one spawn
-  /// may be pending at a time (the slot is a slot, not a queue).
-  void spawn_local(std::function<void(WorkerContext&)> body);
-
  private:
   friend class TaskEngine;
   WorkerContext(TaskEngine* engine, std::size_t worker, std::size_t workers)
@@ -109,7 +103,6 @@ class WorkerContext {
   std::size_t worker_;
   std::size_t workers_;
   std::unordered_map<std::uint64_t, Slot> slots_;
-  std::function<void(WorkerContext&)> lifo_slot_;
 };
 
 class TaskEngine {
@@ -156,7 +149,6 @@ class TaskEngine {
     std::uint64_t strict_executed = 0; ///< of which strict-lane
     std::uint64_t shared_claimed = 0;  ///< unpinned tasks claimed
     std::uint64_t stolen = 0;          ///< loose tasks taken off-home
-    std::uint64_t lifo_spawned = 0;    ///< tasks run from the LIFO slot
     std::uint64_t local_hits = 0;      ///< WorkerContext::local reuses
     std::uint64_t local_misses = 0;    ///< WorkerContext::local builds
     std::vector<std::uint64_t> per_worker;  ///< tasks executed per worker

@@ -111,19 +111,6 @@ TEST(Solvers, CgRejectsNonPositiveDiagonal) {
   EXPECT_THROW(solve_cg(b.build(), {1.0, 1.0}), Error);
 }
 
-TEST(Solvers, ParallelSpmvCgMatchesSerialCg) {
-  const SparseMatrix a = grid_laplacian(20);
-  std::vector<double> b(400, 1.0);
-  SolverOptions serial;
-  SolverOptions parallel;
-  parallel.threads = 4;
-  const SolveResult r1 = solve_cg(a, b, serial);
-  const SolveResult r2 = solve_cg(a, b, parallel);
-  ASSERT_TRUE(r1.converged);
-  ASSERT_TRUE(r2.converged);
-  for (std::size_t i = 0; i < 400; ++i) EXPECT_NEAR(r1.x[i], r2.x[i], 1e-8);
-}
-
 // ------------------------------------------------------ resilient solve ----
 
 TEST(Solvers, BreakdownReturnsInsteadOfThrowing) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace aqua {
 namespace {
@@ -55,27 +54,6 @@ TEST(Sparse, MultiplyMatchesDense) {
   // Interior row i: -x[i-1] + 2 x[i] - x[i+1].
   EXPECT_DOUBLE_EQ(y[2], -2.0 + 6.0 - 4.0);
   EXPECT_DOUBLE_EQ(y[4], -4.0 + 5.0);
-}
-
-TEST(Sparse, ParallelMultiplyMatchesSerial) {
-  Xoshiro256 rng(1);
-  const std::size_t n = 5000;
-  SparseBuilder b(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    b.add(i, i, 4.0 + rng.uniform());
-    if (i + 1 < n) {
-      b.add(i, i + 1, -1.0);
-      b.add(i + 1, i, -1.0);
-    }
-  }
-  const SparseMatrix m = b.build();
-  std::vector<double> x(n);
-  for (double& v : x) v = rng.uniform(-1.0, 1.0);
-  std::vector<double> y1(n);
-  std::vector<double> y2(n);
-  m.multiply(x, y1);
-  m.multiply_parallel(x, y2, 4);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(y1[i], y2[i]);
 }
 
 TEST(Sparse, Diagonal) {

@@ -85,6 +85,20 @@ TEST(WorkerTimelineTest, AggregatesPerWorkerMixStealsAndGaps) {
   EXPECT_DOUBLE_EQ(w1.idle_us, 0.0);
 }
 
+TEST(WorkerTimelineTest, UnknownTaskKindsStillCountAsTasks) {
+  // Traces recorded by older engines carry task kinds this one no longer
+  // emits (e.g. `engine.task.lifo`): they load and count toward the
+  // worker's tasks and busy time without a lane column of their own.
+  const std::vector<ParsedTraceEvent> events = trace_events_of(parse_json(
+      R"({"traceEvents":[{"name":"engine.task.lifo","cat":"engine",)"
+      R"("ph":"X","ts":0,"dur":25,"tid":0,"args":{"v":4294967295}}]})"));
+  const TimelineSummary t = summarize_worker_timeline(events);
+  EXPECT_EQ(t.tasks, 1u);
+  ASSERT_EQ(t.workers.size(), 1u);
+  EXPECT_EQ(t.workers[0].tasks, 1u);
+  EXPECT_DOUBLE_EQ(t.workers[0].busy_us, 25.0);
+}
+
 TEST(WorkerTimelineTest, EmptyTraceYieldsEmptySummary) {
   const TimelineSummary t = summarize_worker_timeline({});
   EXPECT_EQ(t.tasks, 0u);
@@ -146,6 +160,15 @@ TEST(BenchCompareTest, ClassifiesMetricKinds) {
   EXPECT_EQ(classify_metric("cost_breakdown.cg_iterations"),
             MetricKind::kIgnored);
   EXPECT_EQ(classify_metric("cost_breakdown.cells"), MetricKind::kIgnored);
+  // perf_sweep_parallel's per-worker-count keys classify by their stem.
+  EXPECT_EQ(classify_metric("wall_seconds_w4"), MetricKind::kTiming);
+  EXPECT_EQ(classify_metric("wall_seconds_w16"), MetricKind::kTiming);
+  EXPECT_EQ(classify_metric("cells_per_sec_w8"), MetricKind::kRate);
+  EXPECT_EQ(classify_metric("steals_w2"), MetricKind::kIgnored);
+  EXPECT_EQ(classify_metric("identical_w1"), MetricKind::kWork);
+  // Only a digit run after `_w` is a worker tag.
+  EXPECT_EQ(classify_metric("queue_w"), MetricKind::kWork);
+  EXPECT_EQ(classify_metric("max_chips_water"), MetricKind::kWork);
 }
 
 TEST(BenchCompareTest, MedianAbsorbsOneOutlierRun) {
@@ -240,7 +263,7 @@ TEST(ServiceSummaryTest, AggregatesServiceAndConnectionRecords) {
   records.push_back(parse_json(
       R"({"kind":"service","accepted":90,"rejected_overload":10,)"
       R"("deadline_exceeded":9,"single_flight_hits":30,"bad_requests":2,)"
-      R"("failed":1,"computed":40,"cache_hits":15,"journal_hits":5,)"
+      R"("failed":1,"computed":40,"cache_hits":20,)"
       R"("total_connections":3})"));
   records.push_back(parse_json(
       R"({"kind":"service_conn","conn":2,"requests":40,"results":35,)"
@@ -259,7 +282,7 @@ TEST(ServiceSummaryTest, AggregatesServiceAndConnectionRecords) {
   EXPECT_DOUBLE_EQ(summary.rejected_overload, 10.0);
   EXPECT_DOUBLE_EQ(summary.rejection_rate(), 0.1);   // 10 / (90 + 10)
   EXPECT_DOUBLE_EQ(summary.deadline_rate(), 0.1);    // 9 / 90
-  EXPECT_DOUBLE_EQ(summary.warm_fraction(), 50.0 / 90.0);  // 30+15+5 of 90
+  EXPECT_DOUBLE_EQ(summary.warm_fraction(), 50.0 / 90.0);  // 30+20 of 90
   ASSERT_EQ(summary.connections.size(), 2u);
   EXPECT_EQ(summary.connections[0].conn, 1u);  // sorted by id
   EXPECT_EQ(summary.connections[0].single_flight, 18u);

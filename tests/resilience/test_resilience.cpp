@@ -1,14 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <set>
-#include <string>
 
 #include "resilience/availability.hpp"
-#include "resilience/journal.hpp"
 #include "resilience/schedule.hpp"
 
 namespace aqua {
@@ -147,87 +141,6 @@ TEST(FaultSchedule, HarsherEnvironmentDiesFaster) {
   const double hours = 20000.0;
   EXPECT_GT(immersion_core_death_prob(film, sea, hours),
             immersion_core_death_prob(film, tap, hours));
-}
-
-// ---------------------------------------------------------------- journal --
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-};
-
-std::string temp_journal_path(const char* tag) {
-  return std::string(::testing::TempDir()) + "/aqua_journal_" + tag + ".jsonl";
-}
-
-TEST(SweepJournal, InactiveWithoutEnv) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
-  SweepJournal journal("fig07");
-  EXPECT_FALSE(journal.active());
-  EXPECT_EQ(journal.lookup("chips=1;cooling=air"), nullptr);
-  EXPECT_FALSE(journal.poisoned("chips=1;cooling=air"));
-  // Recording without a journal path is a no-op, not an error.
-  journal.record_ok("chips=1;cooling=air", {{"ghz", 2.0}});
-}
-
-TEST(SweepJournal, RoundTripServesOkCells) {
-  const std::string path = temp_journal_path("roundtrip");
-  std::remove(path.c_str());
-  ScopedEnv env(SweepJournal::kResumeEnv, path);
-  {
-    SweepJournal writer("fig07");
-    ASSERT_TRUE(writer.active());
-    writer.record_ok("chips=1;cooling=air", {{"ghz", 2.0}, {"feasible", 1.0}});
-    writer.record_ok("chips=2;cooling=water", {{"ghz", 3.25}});
-    writer.record_failed("chips=3;cooling=air", "poisoned for test");
-  }
-  SweepJournal reader("fig07");
-  const auto* cell = reader.lookup("chips=1;cooling=air");
-  ASSERT_NE(cell, nullptr);
-  EXPECT_DOUBLE_EQ(cell->at("ghz"), 2.0);
-  EXPECT_DOUBLE_EQ(cell->at("feasible"), 1.0);
-  const auto* other = reader.lookup("chips=2;cooling=water");
-  ASSERT_NE(other, nullptr);
-  EXPECT_DOUBLE_EQ(other->at("ghz"), 3.25);
-  // Failed cells retry, they are never served.
-  EXPECT_EQ(reader.lookup("chips=3;cooling=air"), nullptr);
-  EXPECT_EQ(reader.resumed_cells(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(SweepJournal, OtherSweepsRecordsAreIgnored) {
-  const std::string path = temp_journal_path("cross");
-  std::remove(path.c_str());
-  ScopedEnv env(SweepJournal::kResumeEnv, path);
-  {
-    SweepJournal writer("fig07");
-    writer.record_ok("chips=1;cooling=air", {{"ghz", 2.0}});
-  }
-  SweepJournal reader("npb");  // different sweep, same file
-  EXPECT_EQ(reader.lookup("chips=1;cooling=air"), nullptr);
-  EXPECT_EQ(reader.resumed_cells(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(SweepJournal, PoisonSpecTargetsSweepAndCell) {
-  ScopedEnv env(SweepJournal::kPoisonEnv,
-                "fig07:chips=2;cooling=water,npb:chips=1;bench=cg");
-  SweepJournal fig07("fig07");
-  EXPECT_TRUE(fig07.poisoned("chips=2;cooling=water"));
-  EXPECT_FALSE(fig07.poisoned("chips=1;bench=cg"));
-  EXPECT_FALSE(fig07.poisoned("chips=3;cooling=water"));
-  SweepJournal npb("npb");
-  EXPECT_TRUE(npb.poisoned("chips=1;bench=cg"));
-  EXPECT_FALSE(npb.poisoned("chips=2;cooling=water"));
 }
 
 // ----------------------------------------------------------- availability --

@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "resilience/journal.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "sweep/runner.hpp"
 #include "sweep/cache.hpp"
 
 namespace aqua::service {
@@ -45,13 +45,12 @@ class ScopedEnv {
 };
 
 /// Every test runs against a fresh ephemeral-port server with a quiet
-/// sweep environment (no cache, no journal), so nothing leaks between
+/// sweep environment (no cache, no poison), so nothing leaks between
 /// tests or from the developer's shell.
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::unsetenv(SweepJournal::kResumeEnv);
-    ::unsetenv(SweepJournal::kPoisonEnv);
+    ::unsetenv(sweep::SweepRunner::kPoisonEnv);
     sweep::SweepCache::instance().configure("");
   }
 
@@ -357,7 +356,7 @@ TEST_F(ServerTest, ConnectDisconnectChurnLeavesNoDebris) {
 TEST_F(ServerTest, FigureDoneReportsFailedCells) {
   // One poisoned fig07 cell: its typed failure must show up in the
   // figure_done tally, not just in the per-connection counters.
-  ScopedEnv poison(SweepJournal::kPoisonEnv,
+  ScopedEnv poison(sweep::SweepRunner::kPoisonEnv,
                    "service:chip=low_power_cmp;chips=1;cooling=air");
   ServerConfig config;
   config.workers = 4;

@@ -9,8 +9,8 @@
 ///   3. a warm AQUA_SWEEP_CACHE run (which must also do ZERO thermal
 ///      solves and ZERO simulated DES instructions — cache hits skip the
 ///      compute entirely, they don't just speed it up),
-///   4. for a representative subset, a 4-shard run whose per-shard
-///      journals are merged and replayed (again with zero recompute).
+///   4. a 4-shard run with one cache per shard, whose cache files are
+///      concatenated and replayed unsharded (again with zero recompute).
 ///
 /// Regenerate the corpus after an intended numerical change with
 ///   AQUA_UPDATE_GOLDEN=1 ctest -R golden
@@ -18,13 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "core/experiments.hpp"
 #include "power/chip_model.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/shard.hpp"
@@ -49,10 +49,10 @@ GridOptions grid16() {
   return grid;
 }
 
-/// Drives one scenario through the serial / warm-cache / (optionally)
-/// sharded executions. `run` executes the experiment with whatever env is
+/// Drives one scenario through the serial / engine / warm-cache / sharded
+/// executions. `run` executes the experiment with whatever env is
 /// active and returns its rendered text.
-void exercise(const std::string& name, bool shard_phase,
+void exercise(const std::string& name,
               const std::function<std::string()>& run) {
   namespace fs = std::filesystem;
   clear_sweep_env();
@@ -92,57 +92,57 @@ void exercise(const std::string& name, bool shard_phase,
       << "a warm run must not re-simulate the DES";
   sweep::SweepCache::instance().configure("");
 
-  if (!shard_phase) {
-    return;
-  }
-
-  // --- 3. four disjoint shard passes (cache off, so the shards really
-  // compute), merged journals, and a resume replay of the merged file.
+  // --- 3. four disjoint shard passes, each on its own fresh cache (so the
+  // shards really compute), their cache files concatenated into one, and
+  // an unsharded replay on the concatenation.
   constexpr int kShards = 4;
-  std::vector<std::string> shard_files;
-  for (int k = 0; k < kShards; ++k) {
-    const std::string file = std::string(::testing::TempDir()) +
-                             "aqua_golden_" + name + "_shard" +
-                             std::to_string(k) + ".jsonl";
-    fs::remove(file);
-    ScopedEnv shards(sweep::ShardPlan::kShardsEnv, std::to_string(kShards));
-    ScopedEnv shard_id(sweep::ShardPlan::kShardIdEnv, std::to_string(k));
-    ScopedEnv journal(SweepJournal::kResumeEnv, file);
-    run();
-    shard_files.push_back(file);
+  const std::string merged_dir = cache_dir + "_merged";
+  fs::remove_all(merged_dir);
+  fs::create_directories(merged_dir);
+  {
+    std::ofstream merged(fs::path(merged_dir) / sweep::SweepCache::kFileName);
+    for (int k = 0; k < kShards; ++k) {
+      const std::string shard_dir = cache_dir + "_shard" + std::to_string(k);
+      fs::remove_all(shard_dir);
+      sweep::SweepCache::instance().configure(shard_dir);
+      ScopedEnv shards(sweep::ShardPlan::kShardsEnv, std::to_string(kShards));
+      ScopedEnv shard_id(sweep::ShardPlan::kShardIdEnv, std::to_string(k));
+      run();
+      // A shard that owns no cell writes no file; streaming an empty
+      // buffer would set failbit on `merged` and drop later shards.
+      std::ifstream in(fs::path(shard_dir) / sweep::SweepCache::kFileName);
+      if (in.peek() != std::ifstream::traits_type::eof()) merged << in.rdbuf();
+    }
   }
-  const std::string merged = std::string(::testing::TempDir()) +
-                             "aqua_golden_" + name + "_merged.jsonl";
-  fs::remove(merged);
-  const std::size_t records = sweep::merge_journal_files(merged, shard_files);
-  EXPECT_GT(records, 0u);
-  ScopedEnv journal(SweepJournal::kResumeEnv, merged);
+  sweep::SweepCache::instance().configure(merged_dir);
   WorkProbe replay_probe;
   const std::string replayed = run();
-  EXPECT_EQ(replayed, serial) << "merged-shard replay diverged from serial";
+  sweep::SweepCache::instance().configure("");
+  EXPECT_EQ(replayed, serial)
+      << "concatenated-shard replay diverged from serial";
   EXPECT_EQ(replay_probe.solves(), 0u)
-      << "the merged journal must cover every thermal cell";
+      << "the concatenated caches must cover every thermal cell";
   EXPECT_EQ(replay_probe.des_instructions(), 0u)
-      << "the merged journal must cover every DES cell";
+      << "the concatenated caches must cover every DES cell";
 }
 
 // ------------------------------------------------------- the corpus --
 
 TEST(Golden, Fig07FreqVsChipsLowPower) {
-  exercise("fig07g", /*shard_phase=*/true, [] {
+  exercise("fig07g", [] {
     return render(frequency_vs_chips(make_low_power_cmp(), 5, 80.0, grid16()));
   });
 }
 
 TEST(Golden, Fig08FreqVsChipsHighFrequency) {
-  exercise("fig08g", /*shard_phase=*/false, [] {
+  exercise("fig08g", [] {
     return render(
         frequency_vs_chips(make_high_frequency_cmp(), 4, 80.0, grid16()));
   });
 }
 
 TEST(Golden, Fig10Npb6ChipLowPower) {
-  exercise("fig10g", /*shard_phase=*/true, [] {
+  exercise("fig10g", [] {
     return render(npb_experiment(make_low_power_cmp(), 6,
                                  CoolingKind::kWaterPipe, 80.0,
                                  /*instruction_scale=*/0.02, grid16()));
@@ -150,7 +150,7 @@ TEST(Golden, Fig10Npb6ChipLowPower) {
 }
 
 TEST(Golden, Fig11Npb8ChipLowPower) {
-  exercise("fig11g", /*shard_phase=*/false, [] {
+  exercise("fig11g", [] {
     return render(npb_experiment(make_low_power_cmp(), 8,
                                  CoolingKind::kMineralOil, 80.0,
                                  /*instruction_scale=*/0.012, grid16()));
@@ -158,7 +158,7 @@ TEST(Golden, Fig11Npb8ChipLowPower) {
 }
 
 TEST(Golden, Fig12Npb6ChipHighFrequency) {
-  exercise("fig12g", /*shard_phase=*/false, [] {
+  exercise("fig12g", [] {
     return render(npb_experiment(make_high_frequency_cmp(), 6,
                                  CoolingKind::kWaterPipe, 80.0,
                                  /*instruction_scale=*/0.012, grid16()));
@@ -166,7 +166,7 @@ TEST(Golden, Fig12Npb6ChipHighFrequency) {
 }
 
 TEST(Golden, Fig13Npb8ChipHighFrequency) {
-  exercise("fig13g", /*shard_phase=*/false, [] {
+  exercise("fig13g", [] {
     return render(npb_experiment(make_high_frequency_cmp(), 8,
                                  CoolingKind::kWaterPipe, 80.0,
                                  /*instruction_scale=*/0.01, grid16()));
@@ -174,14 +174,14 @@ TEST(Golden, Fig13Npb8ChipHighFrequency) {
 }
 
 TEST(Golden, Fig14HtcSweep) {
-  exercise("fig14g", /*shard_phase=*/true, [] {
+  exercise("fig14g", [] {
     return render(htc_sweep(make_low_power_cmp(), 3,
                             {50.0, 200.0, 800.0, 2400.0}, grid16()));
   });
 }
 
 TEST(Golden, Fig15RotationSweep) {
-  exercise("fig15g", /*shard_phase=*/false, [] {
+  exercise("fig15g", [] {
     return render(rotation_sweep(make_high_frequency_cmp(), 3,
                                  CoolingOption(CoolingKind::kWaterImmersion),
                                  grid16()));

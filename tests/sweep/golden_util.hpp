@@ -16,8 +16,8 @@
 #include "common/solvers.hpp"
 #include "core/experiments.hpp"
 #include "obs/metrics.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cell_key.hpp"
+#include "sweep/runner.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 
@@ -41,8 +41,7 @@ class ScopedEnv {
 };
 
 inline void clear_sweep_env() {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(sweep::SweepRunner::kPoisonEnv);
   ::unsetenv(sweep::ShardPlan::kShardsEnv);
   ::unsetenv(sweep::ShardPlan::kShardIdEnv);
   ::unsetenv(sweep::TaskEngine::kWorkersEnv);

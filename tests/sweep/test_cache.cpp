@@ -1,6 +1,6 @@
 /// Negative-path tests for the content-addressed sweep cache (DESIGN.md
 /// §9): corrupt and truncated lines are skipped and recomputed, stale-salt
-/// files yield zero hits, and poisoned / fault-degraded cells are never
+/// files yield zero hits, and poisoned or failed cells are never
 /// persisted.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,8 @@
 #include <sstream>
 #include <string>
 
-#include "resilience/journal.hpp"
+#include "core/experiments.hpp"
+#include "power/chip_model.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cells.hpp"
 #include "sweep/runner.hpp"
@@ -38,8 +39,7 @@ class ScopedEnv {
 class SweepCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ::unsetenv(SweepJournal::kResumeEnv);
-    ::unsetenv(SweepJournal::kPoisonEnv);
+    ::unsetenv(SweepRunner::kPoisonEnv);
     ::unsetenv(ShardPlan::kShardsEnv);
     ::unsetenv(ShardPlan::kShardIdEnv);
     dir_ = std::string(::testing::TempDir()) + "/aqua_cache_" +
@@ -197,7 +197,7 @@ TEST_F(SweepCacheTest, StaleSaltYieldsZeroHits) {
 
 TEST_F(SweepCacheTest, PoisonedCellIsNeverWrittenToTheCache) {
   const std::string cell = "chip=low_power;chips=4;htc=800.000000";
-  ScopedEnv poison(SweepJournal::kPoisonEnv, "cache_poison:" + cell);
+  ScopedEnv poison(SweepRunner::kPoisonEnv, "cache_poison:" + cell);
 
   SweepRunner runner("cache_poison");
   const CellConfig config = htc_cell("low_power", 4, 800.0, {});
@@ -225,28 +225,6 @@ TEST_F(SweepCacheTest, PoisonedCellIsNeverWrittenToTheCache) {
   EXPECT_EQ(again.run(config, cell, {}, [] {
     return std::map<std::string, double>{{"temperature_c", 61.5}};
   }, [](const std::map<std::string, double>&) {}), CellSource::kFailed);
-}
-
-TEST_F(SweepCacheTest, UncacheablePolicySkipsPersistence) {
-  SweepRunner runner("cache_degraded");
-  const CellConfig config = npb_des_cell(6, 4, "ft", 1.6e9, 1000, 1, true);
-  CellPolicy policy;
-  policy.cacheable = false;  // fault-degraded: the plan is not in the key
-  const CellSource src = runner.run(
-      config, "bench=ft;cooling=water", policy,
-      [] { return std::map<std::string, double>{{"seconds", 1.25}}; },
-      [](const std::map<std::string, double>&) {});
-  EXPECT_EQ(src, CellSource::kComputed);
-  EXPECT_EQ(inspect_cache_file(file_path()).records, 0u);
-  EXPECT_GE(SweepCache::instance().stats().skips, 1u);
-
-  // The in-process memo still dedupes the identical slot.
-  EXPECT_EQ(runner.run(config, "bench=ft;cooling=fluorinert", policy,
-                       [] {
-                         return std::map<std::string, double>{{"seconds", 9.0}};
-                       },
-                       [](const std::map<std::string, double>&) {}),
-            CellSource::kMemo);
 }
 
 TEST_F(SweepCacheTest, FailedComputeIsNeverCached) {
@@ -295,6 +273,49 @@ TEST_F(SweepCacheTest, PerSweepBreakdownSeparatesFamilies) {
   EXPECT_EQ(summary.per_sweep.at("htc"), 1u);
   EXPECT_EQ(summary.per_sweep.at("freq_cap"), 1u);
   EXPECT_EQ(summary.per_sweep.at("npb_des"), 1u);
+}
+
+TEST_F(SweepCacheTest, NpbScaleChangeReusesOnlyTheCaps) {
+  // The DES cell key carries the per-thread instruction count, so re-running
+  // an NPB experiment at another instruction scale on the same cache must
+  // serve only the scale-independent frequency caps and match a fresh run
+  // at the new scale exactly.
+  GridOptions grid;
+  grid.nx = 16;
+  grid.ny = 16;
+  const ChipModel chip = make_low_power_cmp();
+  const auto run = [&](double scale) {
+    return npb_experiment(chip, 2, CoolingKind::kWaterPipe, 80.0, scale, grid);
+  };
+  const NpbData first = run(0.004);
+  const NpbData rerun = run(0.008);
+  SweepCache::instance().configure("");
+  const NpbData fresh = run(0.008);
+
+  EXPECT_EQ(first.cached_cells, 0u);
+  EXPECT_EQ(rerun.cached_cells, rerun.coolings.size())
+      << "exactly the cap cells are cache hits";
+  ASSERT_EQ(rerun.caps.size(), fresh.caps.size());
+  for (std::size_t k = 0; k < fresh.caps.size(); ++k) {
+    EXPECT_EQ(rerun.caps[k].feasible, fresh.caps[k].feasible) << k;
+    EXPECT_EQ(rerun.caps[k].frequency.value(), fresh.caps[k].frequency.value())
+        << k;
+    EXPECT_EQ(rerun.caps[k].max_temperature_c, fresh.caps[k].max_temperature_c)
+        << k;
+    EXPECT_EQ(rerun.caps[k].chip_power.value(),
+              fresh.caps[k].chip_power.value())
+        << k;
+  }
+  ASSERT_EQ(rerun.rows.size(), fresh.rows.size());
+  for (std::size_t b = 0; b < fresh.rows.size(); ++b) {
+    EXPECT_EQ(rerun.rows[b].seconds, fresh.rows[b].seconds)
+        << fresh.rows[b].benchmark;
+    EXPECT_EQ(rerun.rows[b].relative, fresh.rows[b].relative)
+        << fresh.rows[b].benchmark;
+    if (fresh.rows[b].benchmark == "avg") continue;  // relative-only row
+    EXPECT_NE(first.rows[b].seconds, fresh.rows[b].seconds)
+        << "the two scales must simulate different programs";
+  }
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/runner.hpp"
@@ -68,8 +67,7 @@ void dispatch(std::size_t cells, const std::function<void(std::size_t)>& body) {
 }
 
 TEST(RunnerConcurrency, SingleFlightMemoComputesEachKeyExactlyOnce) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   constexpr std::size_t kKeys = 3;
   constexpr std::size_t kDuplicates = 8;
   SweepRunner runner("stress");
@@ -107,8 +105,7 @@ TEST(RunnerConcurrency, SingleFlightMemoComputesEachKeyExactlyOnce) {
 }
 
 TEST(RunnerConcurrency, FailedLeaderIsRetriedAndNeverMemoized) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   ScopedCacheDir cache("aqua_runner_failed_leader");
   constexpr std::size_t kDuplicates = 8;
   SweepRunner runner("stress");
@@ -138,10 +135,9 @@ TEST(RunnerConcurrency, FailedLeaderIsRetriedAndNeverMemoized) {
 }
 
 TEST(RunnerConcurrency, PoisonedCellsFailAndNeverTouchTheCache) {
-  ::unsetenv(SweepJournal::kResumeEnv);
   ScopedCacheDir cache("aqua_runner_poison");
   constexpr std::size_t kCells = 8;
-  ::setenv(SweepJournal::kPoisonEnv, "stress:cell3", 1);
+  ::setenv(SweepRunner::kPoisonEnv, "stress:cell3", 1);
   std::atomic<int> poisoned_computes{0};
   {
     SweepRunner runner("stress");
@@ -164,13 +160,13 @@ TEST(RunnerConcurrency, PoisonedCellsFailAndNeverTouchTheCache) {
   {
     // The reverse direction: a warm cache (cell 3 was computed by an
     // unpoisoned earlier run) must not mask the poison.
-    ::unsetenv(SweepJournal::kPoisonEnv);
+    ::unsetenv(SweepRunner::kPoisonEnv);
     SweepRunner warm_runner("stress");
     warm_runner.run(
         stress_cell(3), "cell3", {},
         [] { return std::map<std::string, double>{{"value", 3.0}}; },
         [](const std::map<std::string, double>&) {});
-    ::setenv(SweepJournal::kPoisonEnv, "stress:cell3", 1);
+    ::setenv(SweepRunner::kPoisonEnv, "stress:cell3", 1);
     SweepRunner poisoned_runner("stress");
     const CellSource src = poisoned_runner.run(
         stress_cell(3), "cell3", {},
@@ -180,12 +176,11 @@ TEST(RunnerConcurrency, PoisonedCellsFailAndNeverTouchTheCache) {
         });
     EXPECT_EQ(src, CellSource::kFailed);
   }
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
 }
 
 TEST(RunnerConcurrency, FailingCellsStayIsolatedFromSiblings) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   ScopedCacheDir cache("aqua_runner_isolation");
   constexpr std::size_t kCells = 32;
   SweepRunner runner("stress");
@@ -215,8 +210,7 @@ TEST(RunnerConcurrency, FailingCellsStayIsolatedFromSiblings) {
 }
 
 TEST(RunnerConcurrency, ConcurrentColdRunWarmsTheCacheForAFreshRunner) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   ScopedCacheDir cache("aqua_runner_warm");
   constexpr std::size_t kCells = 24;
   std::atomic<int> computes{0};
@@ -250,8 +244,7 @@ TEST(RunnerConcurrency, ConcurrentColdRunWarmsTheCacheForAFreshRunner) {
 // ---------------------------------------------------------------------------
 
 TEST(RunnerCancellation, ExpiredDeadlineNeverStartsTheCompute) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   SweepCache::instance().configure("");
   SweepRunner runner("cancel");
   int computed = 0;
@@ -273,13 +266,12 @@ TEST(RunnerCancellation, ExpiredDeadlineNeverStartsTheCompute) {
 }
 
 TEST(RunnerCancellation, CancelledResultIsNeverCachedAndRetriesClean) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   ScopedCacheDir cache("aqua_runner_cancel_clean");
   SweepRunner runner("cancel");
   CancelToken token = CancelToken::cancellable();
   // The token fires mid-compute: the finished value must be discarded at
-  // the post-compute gate — not cached, not journaled, not applied.
+  // the post-compute gate — not cached, not applied.
   EXPECT_EQ(runner.run(
                 stress_cell(1), "cell1", {},
                 [&] {
@@ -309,8 +301,7 @@ TEST(RunnerCancellation, CancelledResultIsNeverCachedAndRetriesClean) {
 }
 
 TEST(RunnerCancellation, CancelledLeaderWakesWaitersRetryable) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   SweepCache::instance().configure("");
   SweepRunner runner("cancel");
   CancelToken leader_token = CancelToken::cancellable();
@@ -363,8 +354,7 @@ TEST(RunnerCancellation, CancelledLeaderWakesWaitersRetryable) {
 }
 
 TEST(RunnerCancellation, MemoWaiterHonorsItsOwnDeadline) {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   SweepCache::instance().configure("");
   SweepRunner runner("cancel");
   std::atomic<bool> leader_started{false};
@@ -406,12 +396,8 @@ TEST(RunnerCancellation, MemoWaiterHonorsItsOwnDeadline) {
 }
 
 TEST(RunnerCancellation, InterruptFlagStopsNewCellsAndResumesBitIdentical) {
-  ::unsetenv(SweepJournal::kPoisonEnv);
-  SweepCache::instance().configure("");
-  const std::string journal =
-      std::string(::testing::TempDir()) + "aqua_interrupt_resume.jsonl";
-  std::filesystem::remove(journal);
-  ::setenv(SweepJournal::kResumeEnv, journal.c_str(), 1);
+  ::unsetenv(SweepRunner::kPoisonEnv);
+  ScopedCacheDir cache("aqua_interrupt_resume");
 
   const auto compute_value = [](std::size_t i) {
     return 100.0 + static_cast<double>(i) * 0.0625;
@@ -423,7 +409,7 @@ TEST(RunnerCancellation, InterruptFlagStopsNewCellsAndResumesBitIdentical) {
     SweepRunner runner("interrupt");
     for (std::size_t i = 0; i < kCells; ++i) {
       // The "signal" lands after cell 3: the remaining cells must be
-      // skipped at the entry gate, before any journal append.
+      // skipped at the entry gate, before any cache append.
       if (i == 4) set_sweep_interrupted(true);
       const std::string cell = "cell" + std::to_string(i);
       const CellSource source = runner.run(
@@ -442,9 +428,11 @@ TEST(RunnerCancellation, InterruptFlagStopsNewCellsAndResumesBitIdentical) {
   set_sweep_interrupted(false);
   EXPECT_EQ(first_pass.size(), 4u);
 
-  // Resume against the same journal: the finished cells come back from it
-  // (no recompute), the interrupted tail computes now, and every value is
-  // bit-identical to an uninterrupted run.
+  // Resume on the same cache file, reloaded as a relaunched process would:
+  // the finished cells come back from it (no recompute), the interrupted
+  // tail computes now, and every value is bit-identical to an
+  // uninterrupted run.
+  SweepCache::instance().configure(cache.dir());
   SweepRunner resumed("interrupt");
   std::map<std::string, double> second_pass;
   std::size_t recomputed = 0;
@@ -459,7 +447,7 @@ TEST(RunnerCancellation, InterruptFlagStopsNewCellsAndResumesBitIdentical) {
         [&](const std::map<std::string, double>& v) {
           second_pass[cell] = v.at("value");
         });
-    EXPECT_EQ(source, i < 4 ? CellSource::kJournal : CellSource::kComputed)
+    EXPECT_EQ(source, i < 4 ? CellSource::kCache : CellSource::kComputed)
         << "cell " << i;
   }
   EXPECT_EQ(recomputed, kCells - 4);
@@ -470,8 +458,6 @@ TEST(RunnerCancellation, InterruptFlagStopsNewCellsAndResumesBitIdentical) {
   for (const auto& [cell, value] : first_pass) {
     EXPECT_EQ(second_pass.at(cell), value) << cell;
   }
-  ::unsetenv(SweepJournal::kResumeEnv);
-  std::filesystem::remove(journal);
 }
 
 }  // namespace

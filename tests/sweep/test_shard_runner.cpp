@@ -1,6 +1,7 @@
 /// Shard scheduler and SweepRunner tests: env parsing, the deterministic
-/// partition, the runner's source-precedence contract, and the per-shard
-/// journal merge that reassembles a full table.
+/// partition, the runner's source-precedence contract, the AQUA_FAULT_CELL
+/// spec, and the concatenated per-shard caches that reassemble a full
+/// table.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "resilience/journal.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cells.hpp"
 #include "sweep/runner.hpp"
@@ -36,8 +36,7 @@ class ScopedEnv {
 };
 
 void clear_sweep_env() {
-  ::unsetenv(SweepJournal::kResumeEnv);
-  ::unsetenv(SweepJournal::kPoisonEnv);
+  ::unsetenv(SweepRunner::kPoisonEnv);
   ::unsetenv(ShardPlan::kShardsEnv);
   ::unsetenv(ShardPlan::kShardIdEnv);
 }
@@ -166,59 +165,30 @@ TEST(SweepRunner, MemoDedupesIdenticalCellsUnderDistinctNames) {
   EXPECT_EQ(runner.stats().memo_hits, 1u);
 }
 
-TEST(SweepRunner, JournalOutranksEverything) {
+TEST(SweepRunner, PoisonSpecTargetsSweepAndCell) {
   clear_sweep_env();
-  const std::string path = temp_path("journal_first.jsonl");
-  std::filesystem::remove(path);
-  ScopedEnv env(SweepJournal::kResumeEnv, path);
-  const CellConfig config = htc_cell("low_power", 4, 800.0, {});
-  {
-    SweepRunner first("runner_journal");
-    first.run(config, "cell-a", {}, [&] { return fake_compute(config, nullptr); },
-              [](const std::map<std::string, double>&) {});
-  }
-  // Second runner: the journaled value is served without compute, even
-  // though the cache is cold and the cell would otherwise recompute.
-  SweepRunner second("runner_journal");
-  int computed = 0;
-  EXPECT_EQ(second.run(config, "cell-a", {},
-                       [&] { return fake_compute(config, &computed); },
-                       [](const std::map<std::string, double>&) {}),
-            CellSource::kJournal);
-  EXPECT_EQ(computed, 0);
-  EXPECT_EQ(second.stats().journal_hits, 1u);
-  std::filesystem::remove(path);
-}
-
-TEST(SweepRunner, CacheHitIsReJournaled) {
-  clear_sweep_env();
-  const std::string cache_dir = temp_path("cache_rejournal");
-  std::filesystem::remove_all(cache_dir);
-  SweepCache::instance().configure(cache_dir);
-  const std::string journal = temp_path("rejournal.jsonl");
-  std::filesystem::remove(journal);
-
-  const CellConfig config = htc_cell("low_power", 4, 800.0, {});
-  SweepCache::instance().store(config, {{"value", 17.0}});
-  {
-    ScopedEnv env(SweepJournal::kResumeEnv, journal);
-    SweepRunner runner("runner_rejournal");
-    int computed = 0;
-    EXPECT_EQ(runner.run(config, "cell-a", {},
-                         [&] { return fake_compute(config, &computed); },
-                         [](const std::map<std::string, double>&) {}),
-              CellSource::kCache);
-    EXPECT_EQ(computed, 0);
-  }
-  // The journal now carries the cache-served cell, so a merge/resume sees
-  // it like any computed cell.
-  std::ifstream in(journal);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("\"cell\": \"cell-a\""), std::string::npos);
-  EXPECT_NE(content.find("\"v_value\": 17"), std::string::npos);
   SweepCache::instance().configure("");
-  std::filesystem::remove(journal);
+  ScopedEnv env(SweepRunner::kPoisonEnv,
+                "fig07:chips=2;cooling=water,npb:chips=1;bench=cg");
+  const CellConfig config = htc_cell("low_power", 4, 800.0, {});
+  int computed = 0;
+  const auto run = [&](SweepRunner& runner, const std::string& cell) {
+    return runner.run(config, cell, {},
+                      [&] { return fake_compute(config, &computed); },
+                      [](const std::map<std::string, double>&) {});
+  };
+  // A poisoned cell fails before the memo, so it neither computes nor is
+  // served from an identical key that an unpoisoned cell already computed.
+  SweepRunner fig07("fig07");
+  EXPECT_EQ(run(fig07, "chips=2;cooling=water"), CellSource::kFailed);
+  EXPECT_EQ(run(fig07, "chips=1;bench=cg"), CellSource::kComputed);
+  EXPECT_EQ(run(fig07, "chips=3;cooling=water"), CellSource::kMemo);
+  EXPECT_EQ(run(fig07, "chips=2;cooling=water"), CellSource::kFailed);
+  EXPECT_EQ(fig07.stats().failed, 2u);
+  SweepRunner npb("npb");
+  EXPECT_EQ(run(npb, "chips=1;bench=cg"), CellSource::kFailed);
+  EXPECT_EQ(run(npb, "chips=2;cooling=water"), CellSource::kComputed);
+  EXPECT_EQ(computed, 2);
 }
 
 TEST(SweepRunner, ShardSkipLeavesHolesAndCountsThem) {
@@ -274,31 +244,38 @@ TEST(SweepRunner, UnshardablePolicyRunsOnEveryShard) {
   EXPECT_EQ(computed, 3);
 }
 
-// ------------------------------------------------------------ journal merge --
+// ------------------------------------------------------- shard assembly --
 
-TEST(JournalMerge, ShardedJournalsReassembleTheFullTable) {
+TEST(SweepRunner, ShardedCachesReassembleTheFullTable) {
+  namespace fs = std::filesystem;
   clear_sweep_env();
-  SweepCache::instance().configure("");
-  const std::string merged = temp_path("merged.jsonl");
-  std::filesystem::remove(merged);
-  std::vector<std::string> shard_files;
-
   std::vector<CellConfig> cells;
   for (std::size_t i = 0; i < 24; ++i) {
-    cells.push_back(
-        rotation_cell("high_freq", 4, "water", i, 1.0e9 + 1e8 * static_cast<double>(i), {}));
+    cells.push_back(rotation_cell("high_freq", 4, "water", i,
+                                  1.0e9 + 1e8 * static_cast<double>(i), {}));
   }
+  // Unshardable: every shard computes and caches it, so the concatenated
+  // file carries it three times.
+  const CellConfig cap = freq_cap_cell("high_freq", 4, "water", 80.0, {});
+  CellPolicy cap_policy;
+  cap_policy.shardable = false;
 
-  // Shard passes: 3 workers, disjoint journals.
+  // Shard passes: 3 workers, each with its own cache directory.
   std::map<std::string, double> serial;
+  std::vector<std::string> shard_dirs;
   for (std::size_t k = 0; k < 3; ++k) {
-    const std::string path = temp_path("shard" + std::to_string(k) + ".jsonl");
-    std::filesystem::remove(path);
-    shard_files.push_back(path);
-    ScopedEnv env(SweepJournal::kResumeEnv, path);
+    const std::string dir = temp_path("cache_shard" + std::to_string(k));
+    fs::remove_all(dir);
+    shard_dirs.push_back(dir);
+    SweepCache::instance().configure(dir);
     ScopedEnv shards(ShardPlan::kShardsEnv, "3");
     ScopedEnv id(ShardPlan::kShardIdEnv, std::to_string(k));
     SweepRunner runner("merge_sweep");
+    runner.run(cap, "cap", cap_policy,
+               [&] { return fake_compute(cap, nullptr); },
+               [&](const std::map<std::string, double>& v) {
+                 serial[cap.canonical()] = v.at("value");
+               });
     for (const CellConfig& cell : cells) {
       runner.run(cell, cell.canonical(), {},
                  [&] { return fake_compute(cell, nullptr); },
@@ -307,44 +284,51 @@ TEST(JournalMerge, ShardedJournalsReassembleTheFullTable) {
                  });
     }
   }
-  ASSERT_EQ(serial.size(), cells.size());
+  ASSERT_EQ(serial.size(), cells.size() + 1);
 
-  // Garbage at the end of one shard file (a torn line from a kill) must
-  // not break the merge.
-  { std::ofstream(shard_files[1], std::ios::app) << "{\"kind\": \"sweep_c"; }
-
-  const std::size_t written = merge_journal_files(merged, shard_files);
-  EXPECT_EQ(written, cells.size());
-
-  // Replay from the merged journal with sharding off: every cell is a
-  // journal hit and the values match the shard passes exactly.
-  ScopedEnv env(SweepJournal::kResumeEnv, merged);
-  SweepRunner replay("merge_sweep");
-  std::map<std::string, double> resumed;
-  for (const CellConfig& cell : cells) {
-    EXPECT_EQ(replay.run(cell, cell.canonical(), {},
-                         [&]() -> std::map<std::string, double> {
-                           throw std::runtime_error("must not recompute");
-                         },
-                         [&](const std::map<std::string, double>& v) {
-                           resumed[cell.canonical()] = v.at("value");
-                         }),
-              CellSource::kJournal);
+  // `cat` the shard files into one cache, then tear its tail the way a
+  // killed writer would: the lenient loader skips the torn line and
+  // dedups the repeated cap records.
+  const std::string merged = temp_path("cache_merged");
+  fs::remove_all(merged);
+  fs::create_directories(merged);
+  const fs::path merged_file = fs::path(merged) / SweepCache::kFileName;
+  {
+    std::ofstream out(merged_file);
+    for (const std::string& dir : shard_dirs) {
+      std::ifstream in(fs::path(dir) / SweepCache::kFileName);
+      out << in.rdbuf();
+    }
+    out << "{\"kind\": \"sweep_c";
   }
-  EXPECT_EQ(resumed, serial);
-  EXPECT_EQ(replay.stats().journal_hits, cells.size());
+  SweepCache::instance().configure(merged);
+  EXPECT_EQ(SweepCache::instance().stats().loaded, cells.size() + 1);
+  EXPECT_EQ(SweepCache::instance().stats().bad_lines, 1u);
 
-  for (const std::string& path : shard_files) std::filesystem::remove(path);
-  std::filesystem::remove(merged);
-}
+  // Unsharded replay: every cell is a cache hit with the shard's value.
+  SweepRunner replay("merge_sweep");
+  std::map<std::string, double> replayed;
+  const auto must_not_compute = []() -> std::map<std::string, double> {
+    throw std::runtime_error("must not recompute");
+  };
+  EXPECT_EQ(replay.run(cap, "cap", cap_policy, must_not_compute,
+                       [&](const std::map<std::string, double>& v) {
+                         replayed[cap.canonical()] = v.at("value");
+                       }),
+            CellSource::kCache);
+  for (const CellConfig& cell : cells) {
+    EXPECT_EQ(replay.run(cell, cell.canonical(), {}, must_not_compute,
+                         [&](const std::map<std::string, double>& v) {
+                           replayed[cell.canonical()] = v.at("value");
+                         }),
+              CellSource::kCache);
+  }
+  EXPECT_EQ(replayed, serial);
+  EXPECT_EQ(replay.stats().cache_hits, cells.size() + 1);
 
-TEST(JournalMerge, MissingInputsAreTolerated) {
-  const std::string merged = temp_path("merged_empty.jsonl");
-  std::filesystem::remove(merged);
-  EXPECT_EQ(merge_journal_files(merged, {temp_path("nope1.jsonl"),
-                                         temp_path("nope2.jsonl")}),
-            0u);
-  std::filesystem::remove(merged);
+  SweepCache::instance().configure("");
+  for (const std::string& dir : shard_dirs) fs::remove_all(dir);
+  fs::remove_all(merged);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 /// TaskEngine unit tests: placement (strict / loose / unpinned lanes),
-/// submission-order guarantees, worker-local state reuse, the LIFO spawn
-/// slot, stealing under injected delays, exception isolation, nested-run
-/// inlining, and the AQUA_SWEEP_WORKERS env contract.
+/// submission-order guarantees, worker-local state reuse, stealing under
+/// injected delays, exception isolation, nested-run inlining, and the
+/// AQUA_SWEEP_WORKERS env contract.
 
 #include "sweep/task_engine.hpp"
 
@@ -139,25 +139,6 @@ TEST(TaskEngine, WorkerLocalStateDoesNotLeakAcrossBatches) {
   batch();
   batch();
   EXPECT_EQ(builds.load(), 2) << "each run() starts with fresh local state";
-}
-
-TEST(TaskEngine, SpawnLocalRunsOnTheSameWorkerBeforeQueuedWork) {
-  TaskEngine engine(2);
-  std::atomic<std::size_t> spawner_worker{99};
-  std::atomic<std::size_t> spawned_worker{77};
-  std::vector<Task> tasks(1);
-  tasks[0].affinity = 1;
-  tasks[0].body = [&](WorkerContext& ctx) {
-    spawner_worker.store(ctx.worker());
-    ctx.spawn_local([&](WorkerContext& inner) {
-      spawned_worker.store(inner.worker());
-    });
-  };
-  engine.run(std::move(tasks));
-  EXPECT_EQ(spawned_worker.load(), spawner_worker.load());
-  const TaskEngine::Stats stats = engine.last_run_stats();
-  EXPECT_EQ(stats.lifo_spawned, 1u);
-  EXPECT_EQ(stats.executed, 2u) << "the spawned task counts as executed";
 }
 
 TEST(TaskEngine, FirstExceptionRethrowsAfterTheBatchDrains) {
