@@ -65,7 +65,8 @@ class MultigridPreconditioner final : public Preconditioner {
 
   /// Recomputes every coarse operator and the coarsest LU from the current
   /// values of `fine`. `fine` must have the same sparsity structure as the
-  /// matrix the hierarchy was built from.
+  /// matrix the hierarchy was built from. Bit-identical to a hierarchy
+  /// built from `fine`: both sum fine entries in fine CSR order.
   void refresh_values(const SparseMatrix& fine);
 
   /// Number of levels including the coarsest (>= 1).

@@ -60,10 +60,11 @@ std::size_t SparseMatrix::entry_index(std::size_t row, std::size_t col) const {
 }
 
 SparseMatrix SparseBuilder::build() const {
-  std::vector<Entry> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(), [](const Entry& a, const Entry& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  std::vector<Entry> sorted = entries_;  // stable: see build()'s contract
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Entry& a, const Entry& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
 
   SparseMatrix m;
   m.cols_ = cols_;

@@ -91,7 +91,8 @@ class SparseBuilder {
 
   /// Converts accumulated entries into CSR (duplicates summed, entries with
   /// per-row sorted column order, exact zeros kept — the thermal assembly
-  /// never produces structural zeros worth pruning).
+  /// never produces structural zeros worth pruning). Duplicates sum in
+  /// insertion order, so the result is bit-reproducible.
   [[nodiscard]] SparseMatrix build() const;
 
  private:

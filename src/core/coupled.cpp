@@ -27,7 +27,7 @@ CoupledResult solve_coupled(const ChipModel& chip, std::size_t chips,
   result.worst_case_power =
       chip.total_power(f) * static_cast<double>(chips);
 
-  // Worst-case solve for comparison (also a good warm start).
+  // Worst-case solve for comparison.
   {
     const ThermalSolution sol = model.solve_steady(reference);
     result.worst_case_temperature_c = sol.max_die_temperature_c();

@@ -35,27 +35,18 @@ void report_experiment(const char* name,
   });
 }
 
-/// Full value set of a frequency-cap cell. The Fig. 7/8 sweeps only read
-/// feasible/ghz back, but the NPB experiments reconstruct the whole
-/// FrequencyCap from the same cached cell, so every field is stored. "hz"
-/// carries the raw frequency (the double the DES runs key on); "ghz" is
-/// kept alongside it so tables never re-derive (and possibly drift) it.
-std::map<std::string, double> cap_values(const FrequencyCap& cap) {
-  std::map<std::string, double> values{{"feasible", cap.feasible ? 1.0 : 0.0}};
-  if (cap.feasible) {
-    values["step"] = static_cast<double>(cap.step_index);
-    values["hz"] = cap.frequency.value();
-    values["ghz"] = cap.frequency.gigahertz();
-    values["max_temperature_c"] = cap.max_temperature_c;
-    values["chip_power_w"] = cap.chip_power.value();
-    values["total_power_w"] = cap.total_power.value();
-  }
-  return values;
+/// The worker's finder for `key`, built on first use.
+MaxFrequencyFinder& local_finder(sweep::WorkerContext& ctx, std::uint64_t key,
+                                 const ChipModel& chip, double threshold_c,
+                                 const GridOptions& grid) {
+  return ctx.local<MaxFrequencyFinder>(key, [&] {
+    return new MaxFrequencyFinder(chip, PackageConfig{}, threshold_c, grid);
+  });
 }
 
-/// Inverse of cap_values. Tolerates value sets with only "feasible" (an
+/// Inverse of freq_cap_values. Tolerates value sets with only "feasible" (an
 /// infeasible cap stores nothing else).
-FrequencyCap cap_from_values(const std::map<std::string, double>& values) {
+FrequencyCap cap_from_values(const CellValues& values) {
   const auto get = [&](const char* name, double fallback) {
     const auto it = values.find(name);
     return it == values.end() ? fallback : it->second;
@@ -118,12 +109,11 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   // worker-local finder, so the matrix structure and multigrid hierarchy
   // are assembled once per height and each cooling change is only a
   // boundary value-refresh on that cached model — no locks, the state is
-  // worker-owned. An idle worker may still steal tail cells (it rebuilds
-  // the hierarchy locally, costing work, never correctness: rendered
-  // frequencies are VFS-ladder-quantized, so a stolen cell's fresh solve
-  // chain cannot move the table). The finder is built lazily inside the
-  // compute, so cells served from the cache or another shard never
-  // assemble a thermal model.
+  // worker-owned. An idle worker may still steal tail cells; it rebuilds
+  // the hierarchy locally, which costs work but never moves a value,
+  // because every cap is a pure function of its key. The finder is built
+  // lazily inside the compute, so cells served from the cache or another
+  // shard never assemble a thermal model.
   std::vector<sweep::TaskEngine::Task> tasks;
   tasks.reserve(max_chips * options.size());
   for (std::size_t c = 0; c < max_chips; ++c) {
@@ -141,12 +131,9 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
         const sweep::CellSource src = runner.run(
             config, cell, {},
             [&] {
-              MaxFrequencyFinder& finder =
-                  ctx.local<MaxFrequencyFinder>(chips, [&] {
-                    return new MaxFrequencyFinder(chip, PackageConfig{},
-                                                  threshold_c, grid);
-                  });
-              return cap_values(finder.find(chips, options[k]));
+              return freq_cap_values(
+                  local_finder(ctx, chips, chip, threshold_c, grid), chips,
+                  options[k]);
             },
             [&](const std::map<std::string, double>& values) {
               const auto feasible = values.find("feasible");
@@ -222,13 +209,11 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   // as everything else, which is exactly what makes them resumable from
   // the content cache and — because freq_cap_cell is the same key family
   // the Fig. 7/8 sweeps use — warm-servable from a cache those sweeps
-  // filled. The cap cells run as a strict same-affinity chain: one home
-  // worker, submission order, never stolen, all four sharing one
-  // worker-local finder — the rendered max_temperature_c comes from
-  // warm-started solves, so the exact solve sequence of the serial run is
-  // part of the golden corpus and must be preserved verbatim. The finder is built lazily: a fully
-  // warm run never assembles a thermal model. A cap failure aborts the
-  // experiment (there is no table without the caps).
+  // filled. The four caps are loose affinity-0 tasks sharing one
+  // worker-local finder, so the stack is assembled once; a stolen cap
+  // rebuilds it and gets the same bits. The finder is built lazily: a
+  // fully warm run never assembles a thermal model. A cap failure aborts
+  // the experiment (there is no table without the caps).
   {
     sweep::CellPolicy cap_policy;
     cap_policy.shardable = false;
@@ -239,7 +224,6 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
     for (std::size_t k = 0; k < data.coolings.size(); ++k) {
       sweep::TaskEngine::Task task;
       task.affinity = 0;
-      task.strict = true;
       task.body = [&, k](sweep::WorkerContext& ctx) {
         const CoolingOption option{data.coolings[k]};
         const std::string cell = "cap;chip=" + data.chip_name +
@@ -250,12 +234,9 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
         const sweep::CellSource src = runner.run(
             config, cell, cap_policy,
             [&] {
-              MaxFrequencyFinder& finder =
-                  ctx.local<MaxFrequencyFinder>(0, [&] {
-                    return new MaxFrequencyFinder(chip, PackageConfig{},
-                                                  threshold_c, grid);
-                  });
-              return cap_values(finder.find(chips, option));
+              return freq_cap_values(
+                  local_finder(ctx, 0, chip, threshold_c, grid), chips,
+                  option);
             },
             [&](const std::map<std::string, double>& values) {
               data.caps[k] = cap_from_values(values);
@@ -313,10 +294,8 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
         const sweep::CellSource src = runner.run(
             config, cellkey, {},
             [&] {
-              CmpSystem system(base_config, suite[b], data.caps[k].frequency,
-                               seed);
-              const ExecStats stats = system.run();
-              return std::map<std::string, double>{{"seconds", stats.seconds}};
+              return npb_des_values(base_config, suite[b],
+                                    data.caps[k].frequency, seed);
             },
             [&](const std::map<std::string, double>& values) {
               const auto seconds = values.find("seconds");
@@ -398,27 +377,7 @@ std::vector<HtcSweepPoint> htc_sweep(const ChipModel& chip, std::size_t chips,
         sweep::htc_cell(chip.name(), chips, htcs[i], grid);
     const sweep::CellSource src = runner.run(
         config, cell, {},
-        [&] {
-          PackageConfig package;
-          // Boundary with the swept coefficient on both wetted paths (the
-          // sweep generalizes the immersion options).
-          ThermalBoundary boundary;
-          boundary.ambient_c = package.ambient_c;
-          boundary.top_htc = HeatTransferCoefficient(htcs[i]);
-          boundary.bottom_htc = HeatTransferCoefficient(htcs[i]);
-          boundary.film_on_bottom = true;
-
-          const Stack3d stack(chip.floorplan(), chips, FlipPolicy::kNone);
-          StackThermalModel model(stack, package, boundary, grid);
-          std::vector<std::vector<double>> powers;
-          for (std::size_t l = 0; l < stack.layer_count(); ++l) {
-            powers.push_back(
-                chip.block_powers(stack.layer(l), chip.max_frequency()));
-          }
-          return std::map<std::string, double>{
-              {"temperature_c",
-               model.solve_steady(powers).max_die_temperature_c()}};
-        },
+        [&] { return htc_values(chip, chips, htcs[i], grid); },
         [&](const std::map<std::string, double>& values) {
           const auto temp = values.find("temperature_c");
           if (temp != values.end()) points[i].temperature_c = temp->second;
@@ -452,14 +411,7 @@ std::vector<RotationPoint> rotation_sweep(const ChipModel& chip,
         chip.name(), chips, cooling.name(), i, f.value(), grid);
     const sweep::CellSource src = runner.run(
         config, cell, {},
-        [&] {
-          MaxFrequencyFinder finder(chip, PackageConfig{}, 80.0, grid);
-          return std::map<std::string, double>{
-              {"no_flip_c",
-               finder.temperature_at(chips, cooling, f, FlipPolicy::kNone)},
-              {"flip_c", finder.temperature_at(chips, cooling, f,
-                                               FlipPolicy::kFlipEven)}};
-        },
+        [&] { return rotation_values(chip, chips, cooling, f, grid); },
         [&](const std::map<std::string, double>& values) {
           const auto no_flip = values.find("no_flip_c");
           const auto flip = values.find("flip_c");
@@ -476,6 +428,60 @@ std::vector<RotationPoint> rotation_sweep(const ChipModel& chip,
   report_experiment("rotation_sweep", start, solver_totals_since(before));
   runner.emit_report();
   return points;
+}
+
+CellValues freq_cap_values(MaxFrequencyFinder& finder, std::size_t chips,
+                           const CoolingOption& cooling) {
+  const FrequencyCap cap = finder.find(chips, cooling);
+  CellValues values{{"feasible", cap.feasible ? 1.0 : 0.0}};
+  if (cap.feasible) {
+    values["step"] = static_cast<double>(cap.step_index);
+    values["hz"] = cap.frequency.value();
+    values["ghz"] = cap.frequency.gigahertz();
+    values["max_temperature_c"] = cap.max_temperature_c;
+    values["chip_power_w"] = cap.chip_power.value();
+    values["total_power_w"] = cap.total_power.value();
+  }
+  return values;
+}
+
+CellValues npb_des_values(const CmpConfig& config,
+                          const WorkloadProfile& profile, Hertz f,
+                          std::uint64_t seed) {
+  CmpSystem system(config, profile, f, seed);
+  const ExecStats stats = system.run();
+  return {{"seconds", stats.seconds}};
+}
+
+CellValues htc_values(const ChipModel& chip, std::size_t chips, double htc,
+                      GridOptions grid) {
+  PackageConfig package;
+  // Boundary with the swept coefficient on both wetted paths (the sweep
+  // generalizes the immersion options).
+  ThermalBoundary boundary;
+  boundary.ambient_c = package.ambient_c;
+  boundary.top_htc = HeatTransferCoefficient(htc);
+  boundary.bottom_htc = HeatTransferCoefficient(htc);
+  boundary.film_on_bottom = true;
+
+  const Stack3d stack(chip.floorplan(), chips, FlipPolicy::kNone);
+  StackThermalModel model(stack, package, boundary, grid);
+  std::vector<std::vector<double>> powers;
+  for (std::size_t l = 0; l < stack.layer_count(); ++l) {
+    powers.push_back(chip.block_powers(stack.layer(l), chip.max_frequency()));
+  }
+  return {{"temperature_c",
+           model.solve_steady(powers).max_die_temperature_c()}};
+}
+
+CellValues rotation_values(const ChipModel& chip, std::size_t chips,
+                           const CoolingOption& cooling, Hertz f,
+                           GridOptions grid) {
+  MaxFrequencyFinder finder(chip, PackageConfig{}, 80.0, grid);
+  return {{"no_flip_c",
+           finder.temperature_at(chips, cooling, f, FlipPolicy::kNone)},
+          {"flip_c",
+           finder.temperature_at(chips, cooling, f, FlipPolicy::kFlipEven)}};
 }
 
 }  // namespace aqua

@@ -5,6 +5,7 @@
 /// check their shape against the paper's findings). One function per
 /// experiment family; DESIGN.md maps figures to these.
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -152,5 +153,35 @@ std::vector<RotationPoint> rotation_sweep(const ChipModel& chip,
                                           std::size_t chips,
                                           const CoolingOption& cooling,
                                           GridOptions grid = {});
+
+// ---------------------------------------------------------------------------
+// Cell computes, one per sweep-cell family (sweep/cells.hpp), called by the
+// drivers above and service::make_cell_job. Each returns a cell's value
+// set and is a pure function of its cell key (DESIGN.md §9).
+// ---------------------------------------------------------------------------
+using CellValues = std::map<std::string, double>;
+
+/// freq_cap: every FrequencyCap field, since the NPB experiments rebuild
+/// the cap from a cell the Fig. 7/8 sweeps may have cached. "hz" is the
+/// raw frequency the DES runs key on; "ghz" is stored alongside it so
+/// tables never re-derive (and possibly drift) it.
+CellValues freq_cap_values(MaxFrequencyFinder& finder, std::size_t chips,
+                           const CoolingOption& cooling);
+
+/// npb_des: simulated seconds of one DES run of `profile` at `f`.
+CellValues npb_des_values(const CmpConfig& config,
+                          const WorkloadProfile& profile, Hertz f,
+                          std::uint64_t seed);
+
+/// htc: peak die temperature at the chip's top VFS step with `htc` on
+/// both wetted paths (Fig. 14).
+CellValues htc_values(const ChipModel& chip, std::size_t chips, double htc,
+                      GridOptions grid);
+
+/// rotation: peak die temperature at `f` unrotated and with the even
+/// layers flipped 180 degrees (Figs. 15/16).
+CellValues rotation_values(const ChipModel& chip, std::size_t chips,
+                           const CoolingOption& cooling, Hertz f,
+                           GridOptions grid);
 
 }  // namespace aqua

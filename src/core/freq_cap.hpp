@@ -30,9 +30,10 @@ struct FrequencyCap {
 /// Thermal models are cached per (chips, flip) across calls: the matrix
 /// structure and multigrid hierarchy depend only on the stack geometry,
 /// and a cooling change is a boundary value-refresh on the cached model
-/// (StackThermalModel::set_boundary).
+/// (StackThermalModel::set_boundary). The cache never changes a result:
+/// every call returns the bits a freshly built finder would.
 ///
-/// find() does one warm-started steady solve at the top VFS step and gets
+/// find() does one steady solve from zero at the top VFS step and gets
 /// every lower step by superposition: the steady system G·(T−T_amb)=P is
 /// linear, so T(f) = T_amb + r(f)·(T(f_max) − T_amb) with
 /// r(f) = total_power(f)/total_power(f_max). Precondition: the power map

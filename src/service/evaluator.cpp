@@ -6,9 +6,9 @@
 
 #include "common/error.hpp"
 #include "core/cooling.hpp"
+#include "core/experiments.hpp"
 #include "core/freq_cap.hpp"
 #include "perf/params.hpp"
-#include "perf/system.hpp"
 #include "perf/workload.hpp"
 #include "power/chip_model.hpp"
 #include "sweep/cells.hpp"
@@ -47,13 +47,8 @@ double double_param(const std::map<std::string, std::string>& params,
 double double_param_or(const std::map<std::string, std::string>& params,
                        const char* key, double fallback, double lo,
                        double hi) {
-  const auto it = params.find(key);
-  if (it == params.end()) return fallback;
-  const double value = parse_double(it->second, key);
-  require(value >= lo && value <= hi,
-          std::string("param \"") + key + "\" out of range [" +
-              std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  return value;
+  if (params.find(key) == params.end()) return fallback;
+  return double_param(params, key, lo, hi);
 }
 
 std::size_t size_param(const std::map<std::string, std::string>& params,
@@ -105,8 +100,8 @@ GridOptions grid_from_params(const std::map<std::string, std::string>& params) {
 
 /// Worker-local frequency-cap finders, keyed by (chip, threshold, grid):
 /// the same reuse the fig drivers get from WorkerContext::local, here per
-/// server worker thread. Results are VFS-ladder-quantized, so a fresh
-/// finder and a warm one render identical caps — the cache only saves
+/// server worker thread. A reused finder returns the same bits as a fresh
+/// one (every cap is a pure function of its key), so the map only saves
 /// matrix/hierarchy assembly. Bounded so a hostile param sweep cannot
 /// accumulate models without limit.
 MaxFrequencyFinder& worker_finder(const ChipModel& chip, double threshold_c,
@@ -127,22 +122,6 @@ MaxFrequencyFinder& worker_finder(const ChipModel& chip, double threshold_c,
   return *it->second;
 }
 
-/// Same value set the Fig. 7/8 and NPB cap cells store (experiments.cpp):
-/// the full FrequencyCap, so service results interoperate with cells the
-/// bench drivers cached and vice versa.
-std::map<std::string, double> cap_values(const FrequencyCap& cap) {
-  std::map<std::string, double> values{{"feasible", cap.feasible ? 1.0 : 0.0}};
-  if (cap.feasible) {
-    values["step"] = static_cast<double>(cap.step_index);
-    values["hz"] = cap.frequency.value();
-    values["ghz"] = cap.frequency.gigahertz();
-    values["max_temperature_c"] = cap.max_temperature_c;
-    values["chip_power_w"] = cap.chip_power.value();
-    values["total_power_w"] = cap.total_power.value();
-  }
-  return values;
-}
-
 CellJob freq_cap_job(const std::map<std::string, std::string>& params) {
   const ChipModel& chip = chip_by_name(required(params, "chip"));
   const std::size_t chips = size_param(params, "chips", 1, 32);
@@ -158,8 +137,8 @@ CellJob freq_cap_job(const std::map<std::string, std::string>& params) {
   job.cell = "chip=" + chip.name() + ";chips=" + std::to_string(chips) +
              ";cooling=" + cooling.name();
   job.compute = [&chip, chips, cooling, threshold_c, grid] {
-    return cap_values(
-        worker_finder(chip, threshold_c, grid).find(chips, cooling));
+    return freq_cap_values(worker_finder(chip, threshold_c, grid), chips,
+                           cooling);
   };
   return job;
 }
@@ -182,13 +161,11 @@ CellJob npb_des_job(const std::map<std::string, std::string>& params) {
                                    /*faulted=*/false);
   job.cell = "chips=" + std::to_string(chips) + ";bench=" + benchmark +
              ";hz=" + sweep::format_double_exact(hz);
-  job.compute = [chips, cores, profile, hz, seed] {
-    CmpConfig config;
-    config.chips = chips;
-    config.cores_per_chip = cores;
-    CmpSystem system(config, profile, Hertz(hz), seed);
-    const ExecStats stats = system.run();
-    return std::map<std::string, double>{{"seconds", stats.seconds}};
+  CmpConfig config;
+  config.chips = chips;
+  config.cores_per_chip = cores;
+  job.compute = [config, profile, hz, seed] {
+    return npb_des_values(config, profile, Hertz(hz), seed);
   };
   return job;
 }
@@ -204,23 +181,7 @@ CellJob htc_job(const std::map<std::string, std::string>& params) {
   job.cell = "chip=" + chip.name() + ";chips=" + std::to_string(chips) +
              ";htc=" + std::to_string(htc);
   job.compute = [&chip, chips, htc, grid] {
-    // Mirrors htc_sweep (experiments.cpp): the swept coefficient on both
-    // wetted paths at the chip's top frequency.
-    PackageConfig package;
-    ThermalBoundary boundary;
-    boundary.ambient_c = package.ambient_c;
-    boundary.top_htc = HeatTransferCoefficient(htc);
-    boundary.bottom_htc = HeatTransferCoefficient(htc);
-    boundary.film_on_bottom = true;
-    const Stack3d stack(chip.floorplan(), chips, FlipPolicy::kNone);
-    StackThermalModel model(stack, package, boundary, grid);
-    std::vector<std::vector<double>> powers;
-    for (std::size_t l = 0; l < stack.layer_count(); ++l) {
-      powers.push_back(chip.block_powers(stack.layer(l),
-                                         chip.max_frequency()));
-    }
-    return std::map<std::string, double>{
-        {"temperature_c", model.solve_steady(powers).max_die_temperature_c()}};
+    return htc_values(chip, chips, htc, grid);
   };
   return job;
 }
@@ -240,12 +201,7 @@ CellJob rotation_job(const std::map<std::string, std::string>& params) {
   job.cell = "chip=" + chip.name() + ";chips=" + std::to_string(chips) +
              ";cooling=" + cooling.name() + ";step=" + std::to_string(step);
   job.compute = [&chip, chips, cooling, f, grid] {
-    MaxFrequencyFinder finder(chip, PackageConfig{}, 80.0, grid);
-    return std::map<std::string, double>{
-        {"no_flip_c",
-         finder.temperature_at(chips, cooling, f, FlipPolicy::kNone)},
-        {"flip_c",
-         finder.temperature_at(chips, cooling, f, FlipPolicy::kFlipEven)}};
+    return rotation_values(chip, chips, cooling, f, grid);
   };
   return job;
 }

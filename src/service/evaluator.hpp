@@ -17,10 +17,10 @@
 ///
 /// `chip` names a model factory (low_power_cmp, high_frequency_cmp,
 /// xeon_e5_2667v4, xeon_phi_7290); `cooling` one of the paper's five
-/// options by its table name. freq_cap computes reuse a worker-local
-/// MaxFrequencyFinder per (chip, threshold, grid), so a warm worker only
-/// refreshes boundary values between cells of one stack family — results
-/// are VFS-ladder-quantized and identical either way.
+/// options by its table name. The computes are the figure drivers' own
+/// (core/experiments.hpp); this file adds validation and display names.
+/// freq_cap reuses a worker-local MaxFrequencyFinder per (chip, threshold,
+/// grid), which never changes a cap, only saves its assembly.
 
 #include <cstddef>
 #include <functional>

@@ -36,7 +36,7 @@ namespace aqua::sweep {
 /// version whenever the meaning of a cell's fields or the numerics behind
 /// a cached value change: a stale-salt cache then yields zero hits and the
 /// sweeps recompute (and re-store) everything.
-inline constexpr std::string_view kCellKeySalt = "aqua-sweep-v2";
+inline constexpr std::string_view kCellKeySalt = "aqua-sweep-v3";
 
 /// FNV-1a over `data`, continuing from `seed` (pass the default offset
 /// basis to start a fresh hash).

@@ -5,7 +5,7 @@
 /// SweepRunner fills one CellCost per cell, emits it as a `cell_cost`
 /// run-report record, and folds it into a per-runner CostBreakdown that the
 /// figure benches publish under the BENCH_*.json `cost_breakdown` key
-/// (schema_version 4).
+/// (schema_version 5).
 
 #include <cstdint>
 

@@ -40,7 +40,7 @@ thread_local TaskEngine* tls_engine = nullptr;
 struct TaskEngine::Batch {
   /// Owner pops the strict lane front-to-back (submission order, never
   /// stolen) and the loose lane front-to-back; thieves take from the loose
-  /// back — the cells least likely to share the owner's warm state.
+  /// back — the cells least likely to share the owner's cached models.
   struct WorkerQueue {
     std::mutex m;
     std::vector<std::uint32_t> strict;
@@ -343,7 +343,7 @@ void TaskEngine::drain(Batch& batch, WorkerContext& ctx) {
 
   // Victim = the worker advertising the largest stealable (loose) backlog;
   // the steal takes from the back — the cells least likely to share the
-  // warm state of the chain the victim is currently walking.
+  // cached models the victim is currently using.
   const auto steal = [&](std::uint32_t* out) {
     for (;;) {
       std::size_t victim = batch.queues.size();

@@ -21,17 +21,15 @@
 ///     the back of the queue (it then rebuilds the state it needs, which
 ///     costs work, never correctness).
 ///   * `strict = true`: the task runs on its home worker in submission
-///     order, never stolen. This is for history-dependent chains whose
-///     low-order bits must match the serial run exactly — e.g. the NPB
-///     frequency-cap cells, whose warm-started solve sequence is part of
-///     the golden corpus.
+///     order, never stolen. Nothing in src/ needs it (every sweep cell is
+///     a pure function of its key); it stays only because
+///     perfbench/harness/npb.cpp still sets it.
 ///
 /// Determinism contract: workers only ever write results through their
 /// task's own pre-sized slot (a table cell owned by exactly one task), so
 /// the assembled table is byte-identical to the serial order regardless of
-/// completion order. Loose/unpinned tasks must therefore be pure in their
-/// slot values (the same robustness the shard partition already demands);
-/// strict tasks additionally keep their exact solve chain.
+/// completion order. Tasks must therefore be pure in their slot values
+/// (the same robustness the shard partition already demands).
 ///
 /// Env contract:
 ///   AQUA_SWEEP_WORKERS=N  -> worker count of the shared engine (N >= 1;
@@ -39,8 +37,8 @@
 ///     repoint programmatically with TaskEngine::shared().configure(n).
 ///
 /// Worker-local state (`WorkerContext::local<T>`) lives for one run():
-/// batches are independent and a sweep's cached solver state must not leak
-/// into the next experiment's chains.
+/// batches are independent, so a sweep's cached models are freed before
+/// the next experiment starts.
 
 #include <atomic>
 #include <condition_variable>

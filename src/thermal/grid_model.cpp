@@ -213,7 +213,6 @@ void StackThermalModel::assemble() {
 
   apply_boundary_values();
   multigrid_.reset();
-  warm_start_.clear();
 }
 
 void StackThermalModel::apply_boundary_values() {
@@ -264,8 +263,8 @@ void StackThermalModel::set_boundary(const ThermalBoundary& boundary) {
   if (boundary == boundary_) return;
   boundary_ = boundary;
   apply_boundary_values();
-  // The hierarchy's index structure survives a value refresh; the previous
-  // solution stays as a warm start (still a valid initial guess).
+  // The hierarchy's index structure survives a value refresh, and the
+  // refreshed values are bit-identical to a hierarchy built at `boundary`.
   if (multigrid_) multigrid_->refresh_values(matrix_);
 }
 
@@ -303,13 +302,13 @@ ThermalSolution StackThermalModel::solve_steady(
   AQUA_TRACE_SCOPE_ARG("thermal.solve_steady", "thermal",
                        stack_.layer_count());
   const std::vector<double> rhs = power_vector(layer_block_powers);
-  // Resilient solve: the first attempt runs the configured solver exactly
-  // (bit-identical to plain solve_cg when healthy); breakdown/divergence
-  // falls back multigrid -> jacobi -> relaxed jacobi (DESIGN.md §8).
+  // Resilient solve from x0 = 0, never from an earlier solution: the first
+  // attempt runs the configured solver exactly; breakdown/divergence falls
+  // back multigrid -> jacobi -> relaxed jacobi (DESIGN.md §8).
   const Preconditioner* precond = preconditioner();
   last_solve_ =
-      solve_cg_resilient(matrix_, rhs, options_.solver, warm_start_, precond,
-                         &stats_, precond != nullptr ? "multigrid" : "jacobi");
+      solve_cg_resilient(matrix_, rhs, options_.solver, {}, precond, &stats_,
+                         precond != nullptr ? "multigrid" : "jacobi");
   ensure(last_solve_.converged, "steady-state thermal solve did not converge");
   if (multigrid_) {
     const std::size_t new_vcycles = multigrid_->vcycles() - vcycles_seen_;
@@ -317,7 +316,6 @@ ThermalSolution StackThermalModel::solve_steady(
     record_global_vcycles(new_vcycles);
     vcycles_seen_ = multigrid_->vcycles();
   }
-  warm_start_ = last_solve_.x;
 
   std::vector<double> temps = last_solve_.x;
   for (double& t : temps) t += boundary_.ambient_c;

@@ -93,9 +93,10 @@ class ThermalSolution {
 ///
 /// Typical use: construct once per (stack, grid) pair, then call
 /// `solve_steady` repeatedly with different power maps (e.g. across a VFS
-/// sweep) and `set_boundary` across cooling options; the previous solution
-/// warm-starts the next solve and the matrix structure, multigrid
-/// hierarchy and heat capacities are reused throughout.
+/// sweep) and `set_boundary` across cooling options; the matrix structure,
+/// multigrid hierarchy and heat capacities are reused throughout, never
+/// changing an answer: solves start from x0 = 0 and a refreshed hierarchy
+/// is bit-identical to a fresh one.
 class StackThermalModel {
  public:
   StackThermalModel(const Stack3d& stack, const PackageConfig& package,
@@ -111,9 +112,9 @@ class StackThermalModel {
       const std::vector<double>& block_powers);
 
   /// Swaps the boundary conditions (cooling option) in place: only the
-  /// boundary-row conductance values change, so the CSR structure, the
-  /// multigrid hierarchy's index arrays and the warm-start survive. A
-  /// no-op when `boundary` equals the current one.
+  /// boundary-row conductance values change, so the CSR structure and the
+  /// multigrid hierarchy's index arrays survive. A no-op when `boundary`
+  /// equals the current one.
   void set_boundary(const ThermalBoundary& boundary);
 
   [[nodiscard]] const Stack3d& stack() const { return stack_; }
@@ -178,7 +179,6 @@ class StackThermalModel {
   std::size_t node_count_ = 0;
   SparseMatrix matrix_;
   std::vector<double> capacities_;
-  std::vector<double> warm_start_;
   SolveResult last_solve_;
   SolverStats stats_;
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
 
 namespace aqua {
@@ -30,6 +33,22 @@ TEST(Sparse, BuilderAccumulatesDuplicates) {
   m.multiply(std::vector<double>{1.0, 0.0}, y);
   EXPECT_DOUBLE_EQ(y[0], 3.5);
   EXPECT_DOUBLE_EQ(y[1], -1.0);
+
+  // Duplicates sum in insertion order. The sum below is order-sensitive
+  // in floating point, and with more than 16 entries an unstable sort
+  // (introsort) would permute the equal (0, 0) keys.
+  SparseBuilder many(2, 24);
+  double expected = 0.0;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    many.add(1, 23 - i, 1.0);
+    const double v = i % 2 == 0 ? 1.0 : 1e-16 * (i + 1);
+    many.add(0, 0, v);
+    expected += v;
+  }
+  const SparseMatrix dup = many.build();
+  EXPECT_EQ(dup.nonzeros(), 25u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(dup.values()[dup.entry_index(0, 0)]),
+            std::bit_cast<std::uint64_t>(expected));
 }
 
 TEST(Sparse, ColumnsSortedWithinRow) {

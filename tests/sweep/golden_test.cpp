@@ -12,6 +12,10 @@
 ///   4. a 4-shard run with one cache per shard, whose cache files are
 ///      concatenated and replayed unsharded (again with zero recompute).
 ///
+/// A cross-figure phase then fills one cache from Figs. 7 and 8 and
+/// replays the NPB figures from it: their caps are the same freq_cap cells,
+/// so the replay must match the corpus without a single thermal solve.
+///
 /// Regenerate the corpus after an intended numerical change with
 ///   AQUA_UPDATE_GOLDEN=1 ctest -R golden
 
@@ -21,6 +25,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.hpp"
@@ -38,6 +43,7 @@ using sweep_golden::ScopedEnv;
 using sweep_golden::WorkProbe;
 using sweep_golden::clear_sweep_env;
 using sweep_golden::expect_matches_golden;
+using sweep_golden::read_golden;
 using sweep_golden::render;
 
 /// The corpus runs at 16x16 to keep the suite fast; the grid is part of
@@ -141,37 +147,37 @@ TEST(Golden, Fig08FreqVsChipsHighFrequency) {
   });
 }
 
-TEST(Golden, Fig10Npb6ChipLowPower) {
-  exercise("fig10g", [] {
-    return render(npb_experiment(make_low_power_cmp(), 6,
-                                 CoolingKind::kWaterPipe, 80.0,
-                                 /*instruction_scale=*/0.02, grid16()));
-  });
+std::string fig10() {
+  return render(npb_experiment(make_low_power_cmp(), 6,
+                               CoolingKind::kWaterPipe, 80.0,
+                               /*instruction_scale=*/0.02, grid16()));
 }
 
-TEST(Golden, Fig11Npb8ChipLowPower) {
-  exercise("fig11g", [] {
-    return render(npb_experiment(make_low_power_cmp(), 8,
-                                 CoolingKind::kMineralOil, 80.0,
-                                 /*instruction_scale=*/0.012, grid16()));
-  });
+std::string fig11() {
+  return render(npb_experiment(make_low_power_cmp(), 8,
+                               CoolingKind::kMineralOil, 80.0,
+                               /*instruction_scale=*/0.012, grid16()));
 }
 
-TEST(Golden, Fig12Npb6ChipHighFrequency) {
-  exercise("fig12g", [] {
-    return render(npb_experiment(make_high_frequency_cmp(), 6,
-                                 CoolingKind::kWaterPipe, 80.0,
-                                 /*instruction_scale=*/0.012, grid16()));
-  });
+std::string fig12() {
+  return render(npb_experiment(make_high_frequency_cmp(), 6,
+                               CoolingKind::kWaterPipe, 80.0,
+                               /*instruction_scale=*/0.012, grid16()));
 }
 
-TEST(Golden, Fig13Npb8ChipHighFrequency) {
-  exercise("fig13g", [] {
-    return render(npb_experiment(make_high_frequency_cmp(), 8,
-                                 CoolingKind::kWaterPipe, 80.0,
-                                 /*instruction_scale=*/0.01, grid16()));
-  });
+std::string fig13() {
+  return render(npb_experiment(make_high_frequency_cmp(), 8,
+                               CoolingKind::kWaterPipe, 80.0,
+                               /*instruction_scale=*/0.01, grid16()));
 }
+
+TEST(Golden, Fig10Npb6ChipLowPower) { exercise("fig10g", fig10); }
+
+TEST(Golden, Fig11Npb8ChipLowPower) { exercise("fig11g", fig11); }
+
+TEST(Golden, Fig12Npb6ChipHighFrequency) { exercise("fig12g", fig12); }
+
+TEST(Golden, Fig13Npb8ChipHighFrequency) { exercise("fig13g", fig13); }
 
 TEST(Golden, Fig14HtcSweep) {
   exercise("fig14g", [] {
@@ -186,6 +192,38 @@ TEST(Golden, Fig15RotationSweep) {
                                  CoolingOption(CoolingKind::kWaterImmersion),
                                  grid16()));
   });
+}
+
+// ------------------------------------------------ cross-figure reuse --
+
+/// Figs. 7 and 8, run up to 8 chips, fill one cache with every freq_cap
+/// cell the NPB figures need. Figs. 10-13 then replay from that cache:
+/// byte-identical to their fresh runs (the corpus), with every cap served
+/// from the cache. This holds only because a cap does not depend on which
+/// figure's worker computed it or what that worker solved before.
+TEST(Golden, CrossFigureCapsReplayFromAFig07Fig08Cache) {
+  namespace fs = std::filesystem;
+  clear_sweep_env();
+  const std::string cache_dir =
+      std::string(::testing::TempDir()) + "aqua_golden_cross_figure";
+  fs::remove_all(cache_dir);
+  sweep::SweepCache::instance().configure(cache_dir);
+  (void)frequency_vs_chips(make_low_power_cmp(), 8, 80.0, grid16());
+  (void)frequency_vs_chips(make_high_frequency_cmp(), 8, 80.0, grid16());
+
+  const std::pair<const char*, std::string (*)()> replays[] = {
+      {"fig10g", fig10}, {"fig11g", fig11}, {"fig12g", fig12},
+      {"fig13g", fig13}};
+  for (const auto& [name, run] : replays) {
+    SCOPED_TRACE(name);
+    WorkProbe probe;
+    // Compared, never written: AQUA_UPDATE_GOLDEN regenerates the corpus
+    // from the fresh runs above, not from a replay.
+    EXPECT_EQ(run(), read_golden(std::string(name) + ".txt"));
+    EXPECT_EQ(probe.solves(), 0u)
+        << "every cap must be served from the Fig. 7/8 cache";
+  }
+  sweep::SweepCache::instance().configure("");
 }
 
 }  // namespace

@@ -116,24 +116,33 @@ inline std::string render(const std::vector<RotationPoint>& points) {
   return os.str();
 }
 
+/// Contents of tests/golden/<name>; fails the test when the file is
+/// missing.
+inline std::string read_golden(const std::string& name) {
+  const std::string path = std::string(AQUA_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    ADD_FAILURE() << "missing golden file " << path
+                  << " — regenerate with AQUA_UPDATE_GOLDEN=1 ctest -R golden";
+    return {};
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 /// Compares `text` with tests/golden/<name>; AQUA_UPDATE_GOLDEN=1 rewrites
 /// the file instead (the corpus regeneration path).
 inline void expect_matches_golden(const std::string& name,
                                   const std::string& text) {
-  const std::string path = std::string(AQUA_GOLDEN_DIR) + "/" + name;
   if (std::getenv("AQUA_UPDATE_GOLDEN") != nullptr) {
+    const std::string path = std::string(AQUA_GOLDEN_DIR) + "/" + name;
     std::ofstream out(path);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << text;
     return;
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open())
-      << "missing golden file " << path
-      << " — regenerate with AQUA_UPDATE_GOLDEN=1 ctest -R golden";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), text)
+  EXPECT_EQ(read_golden(name), text)
       << "output diverged from golden " << name
       << " — if the change is intended, regenerate with "
          "AQUA_UPDATE_GOLDEN=1";
