@@ -15,10 +15,14 @@
 /// requirement for use inside CG. The coarsest level is solved directly by
 /// a cached dense LU factorization.
 ///
-/// The hierarchy's *structure* depends only on the grid shape and matrix
-/// sparsity; `refresh_values` re-runs the Galerkin products and re-factors
-/// the coarse LU after the fine matrix's values changed in place (the
-/// thermal model's boundary swap), without rebuilding any index arrays.
+/// Each coarse operator is written row by row: a coarse row visits its
+/// children in ascending fine index, so every entry sums in the order
+/// SparseBuilder's stable sort would, and the same pass records where each
+/// fine nonzero lands. The hierarchy's *structure* depends only on the grid
+/// shape and matrix sparsity; `refresh_values` takes the fine rows whose
+/// values changed in place (the thermal model's boundary swap), re-sums
+/// only the coarse rows above them and re-factors the coarse LU, without
+/// rebuilding any index arrays.
 
 #include <cstddef>
 #include <cstdint>
@@ -63,14 +67,21 @@ class MultigridPreconditioner final : public Preconditioner {
   /// z = V-cycle(r): one V-cycle on A z = r from a zero initial guess.
   void apply(std::span<const double> r, std::span<double> z) const override;
 
-  /// Recomputes every coarse operator and the coarsest LU from the current
-  /// values of `fine`. `fine` must have the same sparsity structure as the
-  /// matrix the hierarchy was built from. Bit-identical to a hierarchy
-  /// built from `fine`: both sum fine entries in fine CSR order.
+  /// Takes the current values of `fine` and recomputes the coarse rows
+  /// they reach and the coarsest LU. `fine` must have the same row_ptr and
+  /// col_idx as the matrix the hierarchy was built from (throws
+  /// otherwise). Bit-identical to a hierarchy built from `fine`: both sum
+  /// fine entries in fine CSR order.
   void refresh_values(const SparseMatrix& fine);
 
   /// Number of levels including the coarsest (>= 1).
   [[nodiscard]] std::size_t level_count() const { return levels_.size(); }
+
+  /// Operator of level `l` (0 is the fine matrix; for tests / diagnostics).
+  [[nodiscard]] const SparseMatrix& level_operator(std::size_t l) const {
+    require(l < levels_.size(), "multigrid: level out of range");
+    return levels_[l].a;
+  }
 
   /// Total V-cycles applied since construction (for SolverStats).
   [[nodiscard]] std::size_t vcycles() const { return vcycles_; }
@@ -82,7 +93,10 @@ class MultigridPreconditioner final : public Preconditioner {
     SparseMatrix a;
     GridShape shape;
     std::vector<double> inv_diag;        ///< 1/a_ii for the smoother
-    std::vector<std::uint32_t> parent;   ///< node -> coarse node (not on coarsest)
+    // Coarsening to the next level (empty on the coarsest):
+    std::vector<std::uint32_t> parent;   ///< node -> coarse node
+    std::vector<std::size_t> child_ptr;  ///< coarse node c's children are
+    std::vector<std::uint32_t> children; ///<   children[child_ptr[c]..[c+1])
     std::vector<std::size_t> entry_map;  ///< own nnz k -> coarse entry index
     // V-cycle scratch (apply() is const but stateful; see class comment).
     mutable std::vector<double> x, rhs, res;

@@ -1,6 +1,7 @@
 #include "common/sparse.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace aqua {
 
@@ -50,13 +51,45 @@ void SparseMatrix::gauss_seidel_sweep(std::span<const double> b,
 
 std::size_t SparseMatrix::entry_index(std::size_t row, std::size_t col) const {
   require(row < rows() && col < cols_, "entry_index out of range");
-  // Columns are sorted within a row (SparseBuilder invariant).
+  // Columns are sorted within a row (from_csr invariant).
   const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row]);
   const auto end = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row + 1]);
   const auto it =
       std::lower_bound(begin, end, static_cast<std::uint32_t>(col));
   require(it != end && *it == col, "entry_index: entry structurally absent");
   return static_cast<std::size_t>(it - col_idx_.begin());
+}
+
+SparseMatrix SparseMatrix::from_csr(std::size_t cols,
+                                   std::vector<std::size_t> row_ptr,
+                                   std::vector<std::uint32_t> col_idx,
+                                   std::vector<double> values) {
+  require(cols <= UINT32_MAX, "sparse matrix limited to 2^32 columns");
+  require(!row_ptr.empty() && row_ptr.front() == 0 &&
+              row_ptr.back() == col_idx.size() &&
+              col_idx.size() == values.size(),
+          "from_csr: array sizes do not match row_ptr");
+  // Hot path (once per assembled or coarsened matrix): build the error
+  // strings only on failure.
+  for (std::size_t r = 0; r + 1 < row_ptr.size(); ++r) {
+    if (row_ptr[r] > row_ptr[r + 1]) {
+      require(false, "from_csr: row_ptr decreases");
+    }
+  }
+  for (std::size_t r = 0; r + 1 < row_ptr.size(); ++r) {
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      if (col_idx[k] >= cols) require(false, "from_csr: column out of range");
+      if (k > row_ptr[r] && col_idx[k - 1] >= col_idx[k]) {
+        require(false, "from_csr: columns not strictly ascending within a row");
+      }
+    }
+  }
+  SparseMatrix m;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
 }
 
 SparseMatrix SparseBuilder::build() const {
@@ -66,15 +99,15 @@ SparseMatrix SparseBuilder::build() const {
                      return a.row != b.row ? a.row < b.row : a.col < b.col;
                    });
 
-  SparseMatrix m;
-  m.cols_ = cols_;
-  m.row_ptr_.assign(rows_ + 1, 0);
-  m.col_idx_.reserve(sorted.size());
-  m.values_.reserve(sorted.size());
+  std::vector<std::size_t> row_ptr(rows_ + 1, 0);
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(sorted.size());
+  values.reserve(sorted.size());
 
   std::size_t i = 0;
   for (std::size_t r = 0; r < rows_; ++r) {
-    m.row_ptr_[r] = m.values_.size();
+    row_ptr[r] = values.size();
     while (i < sorted.size() && sorted[i].row == r) {
       const std::uint32_t c = sorted[i].col;
       double acc = 0.0;
@@ -82,12 +115,13 @@ SparseMatrix SparseBuilder::build() const {
         acc += sorted[i].value;
         ++i;
       }
-      m.col_idx_.push_back(c);
-      m.values_.push_back(acc);
+      col_idx.push_back(c);
+      values.push_back(acc);
     }
   }
-  m.row_ptr_[rows_] = m.values_.size();
-  return m;
+  row_ptr[rows_] = values.size();
+  return SparseMatrix::from_csr(cols_, std::move(row_ptr), std::move(col_idx),
+                                std::move(values));
 }
 
 }  // namespace aqua

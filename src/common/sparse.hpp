@@ -2,9 +2,12 @@
 
 /// Compressed-sparse-row matrix and a COO-style assembler.
 ///
-/// The thermal grid model assembles its conductance matrix by accumulating
-/// pairwise conductances (classic finite-volume stamping); SparseBuilder
-/// supports duplicate-coordinate accumulation and converts to CSR once.
+/// Structured producers (the thermal stencil, the multigrid Galerkin
+/// levels) write the CSR arrays directly and hand them to
+/// `SparseMatrix::from_csr`, which validates them. SparseBuilder is the
+/// general assembler: it accumulates duplicate coordinates in insertion
+/// order and converts to CSR once. It is also the tests' oracle for the
+/// structured writers, which must reproduce its output bit for bit.
 /// Column indices are stored as 32 bits: the largest grids are a few
 /// hundred thousand nodes, and halving the index footprint measurably
 /// speeds up the memory-bound SpMV at the heart of the CG solver.
@@ -18,14 +21,21 @@
 
 namespace aqua {
 
-class SparseBuilder;
-
 /// Immutable-structure CSR sparse matrix. Values may be updated in place
-/// through `set_value` / `value_at` (used by the thermal model to refresh
-/// boundary conductances without reassembling the matrix).
+/// through `set_value` (used by the thermal model to refresh boundary
+/// conductances without reassembling the matrix).
 class SparseMatrix {
  public:
   SparseMatrix() = default;
+
+  /// Adopts CSR arrays for a rows x `cols` matrix, rows = row_ptr.size()-1.
+  /// Throws unless row_ptr starts at 0 and never decreases, its last entry
+  /// equals both array sizes, and every row's columns are strictly
+  /// ascending and below `cols`.
+  [[nodiscard]] static SparseMatrix from_csr(std::size_t cols,
+                                             std::vector<std::size_t> row_ptr,
+                                             std::vector<std::uint32_t> col_idx,
+                                             std::vector<double> values);
 
   [[nodiscard]] std::size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -43,14 +53,17 @@ class SparseMatrix {
                           std::span<double> x) const;
 
   /// Position of entry (row, col) inside the values() array; throws if the
-  /// entry is structurally absent. For value-refresh bookkeeping.
+  /// entry is structurally absent. A binary search per call: structured
+  /// producers record positions while writing instead.
   [[nodiscard]] std::size_t entry_index(std::size_t row,
                                         std::size_t col) const;
 
-  /// Overwrites the value at position `k` (from entry_index). The sparsity
+  /// Overwrites the value at position `k` of values(). The sparsity
   /// structure is immutable; only the numeric value changes.
   void set_value(std::size_t k, double v) {
-    require(k < values_.size(), "set_value: index out of range");
+    // Hot path (per nonzero in a multigrid refresh): build the error string
+    // only on failure.
+    if (k >= values_.size()) require(false, "set_value: index out of range");
     values_[k] = v;
   }
 
@@ -60,8 +73,6 @@ class SparseMatrix {
   [[nodiscard]] std::span<const double> values() const { return values_; }
 
  private:
-  friend class SparseBuilder;
-
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_ptr_;
   std::vector<std::uint32_t> col_idx_;

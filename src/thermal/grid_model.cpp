@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
@@ -130,31 +132,12 @@ void StackThermalModel::assemble() {
                    k_sink * sink_ratio * sink_ratio,
                    package_.heatsink_material.heat_capacity.value()});
 
-  // The builder stamps *interior* conductances only; the boundary terms are
-  // applied afterwards as in-place diagonal updates so a cooling swap never
-  // reassembles (set_boundary).
-  SparseBuilder builder(node_count_, node_count_);
-  capacities_.assign(node_count_, 0.0);
-
-  auto stamp_pair = [&builder](std::size_t a, std::size_t b, double g) {
-    builder.add(a, a, g);
-    builder.add(b, b, g);
-    builder.add(a, b, -g);
-    builder.add(b, a, -g);
-  };
-
+  std::vector<double> gx(n_layers);
+  std::vector<double> gy(n_layers);
   for (std::size_t l = 0; l < n_layers; ++l) {
     const LayerProps& p = props[l];
-    const double gx = p.k_lateral * p.thickness * dy / dx;
-    const double gy = p.k_lateral * p.thickness * dx / dy;
-    for (std::size_t iy = 0; iy < ny; ++iy) {
-      for (std::size_t ix = 0; ix < nx; ++ix) {
-        const std::size_t here = node(l, ix, iy);
-        capacities_[here] = p.heat_capacity * p.thickness * cell_area;
-        if (ix + 1 < nx) stamp_pair(here, node(l, ix + 1, iy), gx);
-        if (iy + 1 < ny) stamp_pair(here, node(l, ix, iy + 1), gy);
-      }
-    }
+    gx[l] = p.k_lateral * p.thickness * dy / dx;
+    gy[l] = p.k_lateral * p.thickness * dx / dy;
   }
 
   // Vertical inter-layer conductances (per cell column). Interface layers
@@ -169,6 +152,7 @@ void StackThermalModel::assemble() {
     return cell_area / r;
   };
 
+  std::vector<double> gv(n_layers - 1);
   for (std::size_t l = 0; l + 1 < n_layers; ++l) {
     double it = 0.0;
     double ik = 1.0;
@@ -179,37 +163,74 @@ void StackThermalModel::assemble() {
       it = package_.tim_thickness;
       ik = package_.tim_material.conductivity.value();
     }  // spreader -> heatsink: direct contact
-    const double g = vertical_g(l, it, ik);
-    for (std::size_t iy = 0; iy < ny; ++iy) {
-      for (std::size_t ix = 0; ix < nx; ++ix) {
-        stamp_pair(node(l, ix, iy), node(l + 1, ix, iy), g);
-      }
-    }
+    gv[l] = vertical_g(l, it, ik);
   }
 
-  matrix_ = builder.build();
-
-  // Record the CSR diagonal positions of the boundary rows and their
-  // interior-only ("base") values; apply_boundary_values() then writes
-  // base + g_boundary into them, now and on every set_boundary call.
+  // The 7-point stencil, written row by row with columns ascending
+  // (-plane, -nx, -1, diag, +1, +nx, +plane). Interior conductances only:
+  // the boundary terms are applied afterwards as in-place diagonal updates
+  // so a cooling swap never reassembles (set_boundary). Each diagonal sums
+  // its terms from 0.0 in the order pairwise stamping adds them (lateral
+  // pairs by ascending node, then vertical pairs by ascending layer), so
+  // the matrix is bit-identical to a SparseBuilder assembly.
+  const std::size_t sink = n_layers - 1;
+  std::vector<std::size_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+  std::vector<double> values;
+  row_ptr.reserve(node_count_ + 1);
+  col_idx.reserve(7 * node_count_);
+  values.reserve(7 * node_count_);
+  row_ptr.push_back(0);
+  auto put = [&](std::size_t col, double v) {
+    col_idx.push_back(static_cast<std::uint32_t>(col));
+    values.push_back(v);
+  };
+  capacities_.assign(node_count_, 0.0);
   top_diag_pos_.clear();
   bottom_diag_pos_.clear();
   top_diag_base_.clear();
   bottom_diag_base_.clear();
   top_diag_pos_.reserve(ncells);
   bottom_diag_pos_.reserve(ncells);
-  const std::size_t sink = n_layers - 1;
-  for (std::size_t iy = 0; iy < ny; ++iy) {
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      const std::size_t top_node = node(sink, ix, iy);
-      const std::size_t bottom_node = node(0, ix, iy);
-      top_diag_pos_.push_back(matrix_.entry_index(top_node, top_node));
-      bottom_diag_pos_.push_back(
-          matrix_.entry_index(bottom_node, bottom_node));
-      top_diag_base_.push_back(matrix_.values()[top_diag_pos_.back()]);
-      bottom_diag_base_.push_back(matrix_.values()[bottom_diag_pos_.back()]);
+  top_diag_base_.reserve(ncells);
+  bottom_diag_base_.reserve(ncells);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const double cap = props[l].heat_capacity * props[l].thickness * cell_area;
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      for (std::size_t ix = 0; ix < nx; ++ix) {
+        const std::size_t here = node(l, ix, iy);
+        capacities_[here] = cap;
+        double diag = 0.0;
+        if (iy > 0) diag += gy[l];
+        if (ix > 0) diag += gx[l];
+        if (ix + 1 < nx) diag += gx[l];
+        if (iy + 1 < ny) diag += gy[l];
+        if (l > 0) diag += gv[l - 1];
+        if (l < sink) diag += gv[l];
+
+        if (l > 0) put(here - ncells, -gv[l - 1]);
+        if (iy > 0) put(here - nx, -gy[l]);
+        if (ix > 0) put(here - 1, -gx[l]);
+        // Record the boundary rows' diagonal positions and interior-only
+        // ("base") values; apply_boundary_values() then writes
+        // base + g_boundary into them, now and on every set_boundary call.
+        if (l == 0) {
+          bottom_diag_pos_.push_back(values.size());
+          bottom_diag_base_.push_back(diag);
+        } else if (l == sink) {
+          top_diag_pos_.push_back(values.size());
+          top_diag_base_.push_back(diag);
+        }
+        put(here, diag);
+        if (ix + 1 < nx) put(here + 1, -gx[l]);
+        if (iy + 1 < ny) put(here + nx, -gy[l]);
+        if (l < sink) put(here + ncells, -gv[l]);
+        row_ptr.push_back(values.size());
+      }
     }
   }
+  matrix_ = SparseMatrix::from_csr(node_count_, std::move(row_ptr),
+                                   std::move(col_idx), std::move(values));
 
   apply_boundary_values();
   multigrid_.reset();

@@ -16,13 +16,15 @@
 /// (they are nearly isothermal in reality) and as the full fin area in the
 /// convective boundary term.
 ///
-/// Solver path: the assembled conductance matrix's *structure* depends only
-/// on (stack, grid); the cooling option enters exclusively through the
-/// boundary conductances on the top/bottom layer diagonals. `set_boundary`
-/// therefore refreshes those values in place — no reassembly — and the
-/// cached multigrid hierarchy is value-refreshed along with it. This is
-/// what makes coolant sweeps (Figs. 7/8/17) cheap: one model per stack,
-/// five boundary swaps.
+/// Solver path: the conductance matrix is written straight from its
+/// 7-point stencil into CSR, bit-identical to pairwise SparseBuilder
+/// stamping. Its *structure* depends only on (stack, grid); the cooling
+/// option enters exclusively through the boundary conductances on the
+/// top/bottom layer diagonals, whose positions assembly records.
+/// `set_boundary` therefore rewrites those values in place — no
+/// reassembly — and the cached multigrid hierarchy re-sums only the coarse
+/// rows above them. This is what makes coolant sweeps (Figs. 7/8/17)
+/// cheap: one model per stack, five boundary swaps.
 
 #include <cstddef>
 #include <memory>

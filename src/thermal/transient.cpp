@@ -10,19 +10,17 @@ namespace aqua {
 namespace {
 
 /// Builds C/dt + G from the steady conductance matrix by adding the
-/// capacity term on the diagonal.
+/// capacity term at each diagonal position (G's sparsity is kept).
 SparseMatrix build_stepping_matrix(const SparseMatrix& g,
                                    const std::vector<double>& capacities,
                                    double dt) {
   require(dt > 0.0, "transient dt must be positive");
-  SparseBuilder builder(g.rows(), g.cols());
-  for (std::size_t r = 0; r < g.rows(); ++r) {
-    for (std::size_t k = g.row_ptr()[r]; k < g.row_ptr()[r + 1]; ++k) {
-      builder.add(r, g.col_idx()[k], g.values()[k]);
-    }
-    builder.add(r, r, capacities[r] / dt);
+  SparseMatrix a = g;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const std::size_t k = a.entry_index(r, r);
+    a.set_value(k, a.values()[k] + capacities[r] / dt);
   }
-  return builder.build();
+  return a;
 }
 
 }  // namespace

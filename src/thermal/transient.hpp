@@ -67,6 +67,11 @@ class TransientSolver {
   /// Current peak temperature over the die layers (deg C).
   [[nodiscard]] double max_die_temperature_c() const;
 
+  /// The implicit-Euler system matrix C/dt + G (for tests / diagnostics).
+  [[nodiscard]] const SparseMatrix& stepping_matrix() const {
+    return stepping_matrix_;
+  }
+
  private:
   StackThermalModel& model_;
   TransientOptions options_;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -140,8 +142,8 @@ TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
   MultigridPreconditioner mg(a, g);
 
   // Bump every boundary-layer diagonal in place (what set_boundary does)
-  // and refresh; the hierarchy must now precondition the *new* matrix
-  // exactly as one built from scratch does.
+  // and one interior diagonal, and refresh; the hierarchy must now
+  // precondition the *new* matrix exactly as one built from scratch does.
   for (std::size_t iy = 0; iy < g.ny; ++iy) {
     for (std::size_t ix = 0; ix < g.nx; ++ix) {
       const std::size_t top = (g.layers - 1) * g.nx * g.ny + iy * g.nx + ix;
@@ -149,6 +151,9 @@ TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
       a.set_value(k, a.values()[k] + 25.0);
     }
   }
+  const std::size_t interior = g.nx * g.ny + 5 * g.nx + 9;
+  const std::size_t k = a.entry_index(interior, interior);
+  a.set_value(k, a.values()[k] + 3.0);
   mg.refresh_values(a);
 
   std::vector<double> x_star;
@@ -156,6 +161,20 @@ TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
   const SolveResult refreshed = solve_cg(a, b, {}, {}, &mg);
   const MultigridPreconditioner fresh(a, g);
   const SolveResult rebuilt = solve_cg(a, b, {}, {}, &fresh);
+
+  // Every level's operator is the fresh one, bit for bit.
+  ASSERT_EQ(mg.level_count(), fresh.level_count());
+  for (std::size_t l = 0; l < fresh.level_count(); ++l) {
+    const SparseMatrix& got = mg.level_operator(l);
+    const SparseMatrix& want = fresh.level_operator(l);
+    ASSERT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
+    ASSERT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()));
+    for (std::size_t e = 0; e < want.nonzeros(); ++e) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.values()[e]),
+                std::bit_cast<std::uint64_t>(want.values()[e]))
+          << "level " << l << " entry " << e;
+    }
+  }
 
   ASSERT_TRUE(refreshed.converged);
   ASSERT_TRUE(rebuilt.converged);
@@ -167,6 +186,22 @@ TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
               std::bit_cast<std::uint64_t>(rebuilt.x[i]))
         << "node " << i;
   }
+}
+
+TEST(Multigrid, RefreshRejectsMovedColumn) {
+  // Same size and nonzero count, but row 0's +x neighbour (column 1) moved
+  // to column 2: the cached entry maps no longer fit, so refresh throws.
+  const GridShape g{8, 8, 2};
+  const SparseMatrix a = stack_like_matrix(g);
+  MultigridPreconditioner mg(a, g);
+  std::vector<std::uint32_t> cols(a.col_idx().begin(), a.col_idx().end());
+  ASSERT_EQ(cols[1], 1u);
+  cols[1] = 2;
+  const SparseMatrix moved = SparseMatrix::from_csr(
+      a.cols(), {a.row_ptr().begin(), a.row_ptr().end()}, std::move(cols),
+      {a.values().begin(), a.values().end()});
+  ASSERT_EQ(moved.nonzeros(), a.nonzeros());
+  EXPECT_THROW(mg.refresh_values(moved), Error);
 }
 
 TEST(Multigrid, CountsVcycles) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -103,6 +104,35 @@ TEST(Sparse, OutOfRangeEntryThrows) {
   SparseBuilder b(2, 2);
   EXPECT_THROW(b.add(2, 0, 1.0), Error);
   EXPECT_THROW(b.add(0, 2, 1.0), Error);
+}
+
+TEST(Sparse, FromCsrAdoptsValidArrays) {
+  const SparseMatrix built = small_laplacian(4);
+  const SparseMatrix adopted = SparseMatrix::from_csr(
+      4, {0, 2, 5, 8, 10}, {0, 1, 0, 1, 2, 1, 2, 3, 2, 3},
+      {2.0, -1.0, -1.0, 2.0, -1.0, -1.0, 2.0, -1.0, -1.0, 1.0});
+  ASSERT_EQ(adopted.rows(), 4u);
+  EXPECT_TRUE(std::ranges::equal(adopted.row_ptr(), built.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(adopted.col_idx(), built.col_idx()));
+  EXPECT_TRUE(std::ranges::equal(adopted.values(), built.values()));
+}
+
+TEST(Sparse, FromCsrRejectsMalformedArrays) {
+  // Empty row_ptr, nonzero start, sizes that disagree with row_ptr.
+  EXPECT_THROW(SparseMatrix::from_csr(2, {}, {}, {}), Error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, {1, 1}, {0}, {1.0}), Error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, {0, 2}, {0}, {1.0}), Error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, {0, 1}, {0}, {1.0, 2.0}), Error);
+  // Decreasing row_ptr.
+  EXPECT_THROW(SparseMatrix::from_csr(2, {0, 2, 1, 2}, {0, 1}, {1.0, 2.0}),
+               Error);
+  // Column out of range, unsorted and duplicate columns within a row.
+  EXPECT_THROW(SparseMatrix::from_csr(2, {0, 1}, {2}, {1.0}), Error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, {0, 2}, {1, 0}, {1.0, 2.0}), Error);
+  EXPECT_THROW(SparseMatrix::from_csr(2, {0, 2}, {1, 1}, {1.0, 2.0}), Error);
+  // Columns restart per row: row 1 may begin below row 0's last column.
+  EXPECT_NO_THROW(
+      SparseMatrix::from_csr(2, {0, 1, 2}, {1, 0}, {1.0, 2.0}));
 }
 
 TEST(Sparse, DimensionMismatchThrows) {
