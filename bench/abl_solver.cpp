@@ -1,7 +1,8 @@
 /// Ablation: linear-solver choice for the steady-state thermal grid.
 /// Multigrid-preconditioned CG is the shipped default; Jacobi-CG is the
 /// simple baseline and Gauss-Seidel the classic alternative. Same answers,
-/// very different iteration counts.
+/// very different iteration counts. Both CGs run on the model's stencil
+/// operator; Gauss-Seidel sweeps its CSR copy.
 
 #include <chrono>
 
@@ -12,9 +13,9 @@
 namespace {
 
 struct Problem {
-  aqua::SparseMatrix matrix;
+  aqua::StencilMatrix matrix;
+  aqua::SparseMatrix csr;  // for Gauss-Seidel's in-place sweep
   std::vector<double> rhs;
-  aqua::GridShape shape;
 };
 
 Problem make_problem(std::size_t chips) {
@@ -28,8 +29,8 @@ Problem make_problem(std::size_t chips) {
   for (std::size_t l = 0; l < chips; ++l) {
     powers.push_back(chip.block_powers(stack.layer(l), aqua::gigahertz(1.5)));
   }
-  return {model.conductance(), model.power_vector(powers),
-          model.grid_shape()};
+  return {model.conductance(), model.conductance().to_csr(),
+          model.power_vector(powers)};
 }
 
 void microbench_cg(benchmark::State& state) {
@@ -42,7 +43,7 @@ BENCHMARK(microbench_cg)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void microbench_mg_cg(benchmark::State& state) {
   const Problem p = make_problem(static_cast<std::size_t>(state.range(0)));
-  const aqua::MultigridPreconditioner mg(p.matrix, p.shape);
+  const aqua::MultigridPreconditioner mg(p.matrix);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         aqua::solve_cg(p.matrix, p.rhs, {}, {}, &mg));
@@ -55,7 +56,7 @@ void microbench_gauss_seidel(benchmark::State& state) {
   aqua::SolverOptions opts;
   opts.max_iterations = 200000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aqua::solve_gauss_seidel(p.matrix, p.rhs, opts));
+    benchmark::DoNotOptimize(aqua::solve_gauss_seidel(p.csr, p.rhs, opts));
   }
 }
 BENCHMARK(microbench_gauss_seidel)->Arg(2)->Unit(benchmark::kMillisecond);
@@ -70,14 +71,14 @@ int main(int argc, char** argv) {
                  "max_T_diff_C"});
   for (std::size_t chips : {2u, 4u, 8u}) {
     const Problem p = make_problem(chips);
-    const aqua::MultigridPreconditioner mg_precond(p.matrix, p.shape);
+    const aqua::MultigridPreconditioner mg_precond(p.matrix);
     const aqua::SolveResult mg =
         aqua::solve_cg(p.matrix, p.rhs, {}, {}, &mg_precond);
     const aqua::SolveResult cg = aqua::solve_cg(p.matrix, p.rhs);
     aqua::SolverOptions gs_opts;
     gs_opts.max_iterations = 200000;
     const aqua::SolveResult gs =
-        aqua::solve_gauss_seidel(p.matrix, p.rhs, gs_opts);
+        aqua::solve_gauss_seidel(p.csr, p.rhs, gs_opts);
     double diff = 0.0;
     for (std::size_t i = 0; i < cg.x.size(); ++i) {
       diff = std::max(diff, std::abs(cg.x[i] - gs.x[i]));

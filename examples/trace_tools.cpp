@@ -15,9 +15,11 @@
 ///
 /// Replaying a captured trace reproduces the synthetic run cycle-for-cycle
 /// — the regression-pinning workflow for simulator changes. `summarize`
-/// prints a per-span wall-time table, `merge` concatenates several trace
-/// files into one Chrome-loadable file, and `check` validates a file parses
-/// as trace-event JSON (exit 1 malformed, exit 2 missing — the CI gate).
+/// prints a per-span wall-time table, inclusive and self (minus the time
+/// covered by directly nested spans of the same thread), `merge`
+/// concatenates several trace files into one Chrome-loadable file, and
+/// `check` validates a file parses as trace-event JSON (exit 1 malformed,
+/// exit 2 missing — the CI gate).
 /// `cache` summarizes AQUA_SWEEP_CACHE files (a directory argument means
 /// its sweep_cache.jsonl): valid entries, duplicates, corrupt lines and
 /// stale-salt records, broken down per sweep family.
@@ -142,6 +144,7 @@ int run_summarize(int argc, char** argv) {
           .add("category", s.category)
           .add("count", static_cast<std::uint64_t>(s.count))
           .add("total_us", s.total_us)
+          .add("self_us", s.self_us)
           .add("mean_us",
                s.count ? s.total_us / static_cast<double>(s.count) : 0.0)
           .add("min_us", s.min_us)
@@ -152,14 +155,15 @@ int run_summarize(int argc, char** argv) {
     std::cout << "]}\n";
     return 0;
   }
-  aqua::Table table({"span", "category", "count", "total ms", "mean us",
-                     "min us", "max us"});
+  aqua::Table table({"span", "category", "count", "total ms", "self ms",
+                     "mean us", "min us", "max us"});
   for (const aqua::obs::SpanSummary& s : spans) {
     table.row()
         .add(s.name)
         .add(s.category)
         .add_int(static_cast<long long>(s.count))
         .add(s.total_us / 1e3)
+        .add(s.self_us / 1e3)
         .add(s.count ? s.total_us / static_cast<double>(s.count) : 0.0)
         .add(s.min_us)
         .add(s.max_us);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
 #include <utility>
 
 #include "common/error.hpp"
@@ -13,186 +13,202 @@ namespace aqua {
 
 namespace {
 
-/// 2x2x1 coarsening of `shape`. Fills the parent of every fine node and its
-/// inverse: coarse node c owns children[child_ptr[c] .. child_ptr[c + 1]),
-/// in ascending fine index (the 2x2 block, clipped at odd edges). Returns
-/// the coarse-grid shape.
-GridShape coarsen(const GridShape& shape, std::vector<std::uint32_t>& parent,
-                  std::vector<std::size_t>& child_ptr,
-                  std::vector<std::uint32_t>& children) {
-  const GridShape coarse{(shape.nx + 1) / 2, (shape.ny + 1) / 2, shape.layers};
-  parent.assign(shape.nodes(), 0);
-  child_ptr.assign(1, 0);
-  child_ptr.reserve(coarse.nodes() + 1);
-  children.clear();
-  children.reserve(shape.nodes());
-  for (std::size_t l = 0; l < shape.layers; ++l) {
-    for (std::size_t cy = 0; cy < coarse.ny; ++cy) {
-      for (std::size_t cx = 0; cx < coarse.nx; ++cx) {
-        const auto coarse_node =
-            static_cast<std::uint32_t>(child_ptr.size() - 1);
-        const std::size_t iy_end = std::min(2 * cy + 2, shape.ny);
-        const std::size_t ix_end = std::min(2 * cx + 2, shape.nx);
-        for (std::size_t iy = 2 * cy; iy < iy_end; ++iy) {
-          for (std::size_t ix = 2 * cx; ix < ix_end; ++ix) {
-            const std::size_t fine_node =
-                l * shape.nx * shape.ny + iy * shape.nx + ix;
-            parent[fine_node] = coarse_node;
-            children.push_back(static_cast<std::uint32_t>(fine_node));
-          }
-        }
-        child_ptr.push_back(children.size());
-      }
-    }
-  }
-  return coarse;
+/// Damping of the Jacobi smoother.
+constexpr double kJacobiWeight = 0.7;
+/// Coarsening stops once both plane extents are at most this.
+constexpr std::size_t kCoarsestExtent = 4;
+/// Hierarchy depth cap, coarsest level included.
+constexpr std::size_t kMaxLevels = 10;
+
+using Band = StencilMatrix::Band;
+
+/// The 2x2x1 coarsening of `shape`.
+GridShape coarsen(const GridShape& shape) {
+  return {(shape.nx + 1) / 2, (shape.ny + 1) / 2, shape.layers};
 }
 
-/// Galerkin triple product R A R^T with piecewise-constant restriction:
-/// A_c[I, J] = sum of A[i, j] over children i of I, j of J. Written row by
-/// row: coarse row I visits its children in ascending fine index and each
-/// child's entries in CSR order, so every coarse entry sums its terms from
-/// 0.0 in the order SparseBuilder's stable sort would. Any fine sparsity
-/// works; `entry_map` receives the coarse position of every fine nonzero.
-SparseMatrix galerkin_coarse(const SparseMatrix& fine,
-                             const std::vector<std::uint32_t>& parent,
-                             const std::vector<std::size_t>& child_ptr,
-                             const std::vector<std::uint32_t>& children,
-                             std::vector<std::size_t>& entry_map) {
-  const std::size_t n = child_ptr.size() - 1;
-  const auto fine_rows = fine.row_ptr();
-  const auto fine_cols = fine.col_idx();
-  const auto fine_values = fine.values();
-  std::vector<std::size_t> row_ptr{0};
-  std::vector<std::uint32_t> col_idx;
-  std::vector<double> values;
-  row_ptr.reserve(n + 1);
-  col_idx.reserve(fine.nonzeros());
-  values.reserve(fine.nonzeros());
-  entry_map.resize(fine.nonzeros());
-
-  // Per-row accumulator: slot_of[J] is coarse column J's slot in the row
-  // being written (kNoSlot when J has none yet); slots are created in
-  // first-touch order and emitted in column order.
-  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> slot_of(n, kNoSlot);
-  std::vector<std::uint32_t> slot_col;
-  std::vector<double> slot_sum;
-  std::vector<std::size_t> by_col;
-  std::vector<std::size_t> slot_pos;
-  for (std::size_t c = 0; c < n; ++c) {
-    slot_col.clear();
-    slot_sum.clear();
-    for (std::size_t i = child_ptr[c]; i < child_ptr[c + 1]; ++i) {
-      const std::size_t r = children[i];
-      for (std::size_t k = fine_rows[r]; k < fine_rows[r + 1]; ++k) {
-        const std::uint32_t col = parent[fine_cols[k]];
-        if (slot_of[col] == kNoSlot) {
-          slot_of[col] = slot_col.size();
-          slot_col.push_back(col);
-          slot_sum.push_back(0.0);
-        }
-        slot_sum[slot_of[col]] += fine_values[k];
-        entry_map[k] = slot_of[col];
-      }
+/// Writes coarse node `node`'s row of the Galerkin product R A R^T with
+/// piecewise-constant restriction: A_c[I, J] is the sum of A[i, j] over
+/// children i of I and j of J. The children of I are its 2x2 block
+/// (clipped at odd edges) in ascending fine index; each child's neighbours
+/// are visited in CSR column order, and each coarse band sums its terms
+/// from 0.0 in that visiting order. A neighbour that is a sibling lands on
+/// the coarse diagonal, any other on the coarse band of the same direction.
+void galerkin_row(const StencilMatrix& fine, StencilMatrix& coarse,
+                  std::size_t node) {
+  const GridShape& f = fine.shape();
+  const GridShape& c = coarse.shape();
+  const std::size_t cx = node % c.nx;
+  const std::size_t cy = (node / c.nx) % c.ny;
+  const std::size_t layer = node / c.plane();
+  const auto down = fine.band(Band::kMinusPlane);
+  const auto south = fine.band(Band::kMinusRow);
+  const auto west = fine.band(Band::kMinusOne);
+  const auto diag = fine.band(Band::kDiag);
+  const auto east = fine.band(Band::kPlusOne);
+  const auto north = fine.band(Band::kPlusRow);
+  const auto up = fine.band(Band::kPlusPlane);
+  double sum[StencilMatrix::kBands] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  const std::size_t iy_end = std::min(2 * cy + 2, f.ny);
+  const std::size_t ix_end = std::min(2 * cx + 2, f.nx);
+  for (std::size_t iy = 2 * cy; iy < iy_end; ++iy) {
+    for (std::size_t ix = 2 * cx; ix < ix_end; ++ix) {
+      const std::size_t i = layer * f.plane() + iy * f.nx + ix;
+      const bool low_y = iy == 2 * cy;  // else the block's upper row
+      const bool low_x = ix == 2 * cx;  // else the block's right column
+      if (layer > 0) sum[Band::kMinusPlane] += down[i];
+      if (iy > 0) sum[low_y ? Band::kMinusRow : Band::kDiag] += south[i];
+      if (ix > 0) sum[low_x ? Band::kMinusOne : Band::kDiag] += west[i];
+      sum[Band::kDiag] += diag[i];
+      if (ix + 1 < f.nx) sum[low_x ? Band::kDiag : Band::kPlusOne] += east[i];
+      if (iy + 1 < f.ny) sum[low_y ? Band::kDiag : Band::kPlusRow] += north[i];
+      if (layer + 1 < f.layers) sum[Band::kPlusPlane] += up[i];
     }
-    by_col.resize(slot_col.size());
-    std::iota(by_col.begin(), by_col.end(), std::size_t{0});
-    std::sort(by_col.begin(), by_col.end(), [&](std::size_t a, std::size_t b) {
-      return slot_col[a] < slot_col[b];
-    });
-    slot_pos.resize(slot_col.size());
-    for (const std::size_t s : by_col) {
-      slot_pos[s] = col_idx.size();
-      col_idx.push_back(slot_col[s]);
-      values.push_back(slot_sum[s]);
-      slot_of[slot_col[s]] = kNoSlot;
-    }
-    for (std::size_t i = child_ptr[c]; i < child_ptr[c + 1]; ++i) {
-      const std::size_t r = children[i];
-      for (std::size_t k = fine_rows[r]; k < fine_rows[r + 1]; ++k) {
-        entry_map[k] = slot_pos[entry_map[k]];
-      }
-    }
-    row_ptr.push_back(col_idx.size());
   }
-  return SparseMatrix::from_csr(n, std::move(row_ptr), std::move(col_idx),
-                                std::move(values));
+  for (std::size_t b = 0; b < StencilMatrix::kBands; ++b) {
+    coarse.band(b)[node] = sum[b];
+  }
 }
 
-/// 1/a_rr for the smoother; every level's diagonal must be positive.
-double inverse_diagonal(const SparseMatrix& a, std::size_t r) {
-  double d = 0.0;
-  for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-    if (a.col_idx()[k] == r) d = a.values()[k];
-  }
+/// Jacobi weight / a_rr for the smoother; every level's diagonal must be
+/// positive.
+double scaled_inverse_diagonal(const StencilMatrix& a, std::size_t r) {
+  const double d = a.band(Band::kDiag)[r];
   // Hot path (per row): build the error string only on failure.
   if (!(d > 0.0)) ensure(false, "multigrid: non-positive diagonal on a level");
-  return 1.0 / d;
+  return kJacobiWeight * (1.0 / d);
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-}  // namespace
-
-MultigridPreconditioner::MultigridPreconditioner(const SparseMatrix& fine,
-                                                 GridShape shape,
-                                                 MultigridOptions options)
-    : shape_(shape), options_(options) {
-  AQUA_TRACE_SCOPE_C("multigrid.build", "solver");
-  require(shape_.nodes() == fine.rows(),
-          "multigrid: shape does not match matrix dimension");
-  require(shape_.nx >= 1 && shape_.ny >= 1 && shape_.layers >= 1,
-          "multigrid: degenerate grid shape");
-  require(options_.smooth_sweeps >= 1, "multigrid: need >= 1 smoothing sweep");
-
-  Level finest;
-  finest.a = fine;  // copy: levels own their operators
-  finest.shape = shape_;
-  levels_.push_back(std::move(finest));
-
-  while (levels_.size() < options_.max_levels) {
-    Level& top = levels_.back();
-    if (top.shape.nx <= options_.coarsest_extent &&
-        top.shape.ny <= options_.coarsest_extent) {
-      break;
-    }
-    Level next;
-    next.shape = coarsen(top.shape, top.parent, top.child_ptr, top.children);
-    next.a = galerkin_coarse(top.a, top.parent, top.child_ptr, top.children,
-                             top.entry_map);
-    levels_.push_back(std::move(next));
-  }
-
-  for (Level& level : levels_) {
-    const std::size_t n = level.shape.nodes();
-    level.inv_diag.resize(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      level.inv_diag[r] = inverse_diagonal(level.a, r);
-    }
-    level.x.resize(n);
-    level.rhs.resize(n);
-    level.res.resize(n);
-  }
-  factor_coarsest();
+/// Largest stencil offset on `shape`: the band LU's lower and upper
+/// bandwidth.
+std::size_t stencil_bandwidth(const GridShape& shape) {
+  if (shape.layers > 1) return shape.plane();
+  if (shape.ny > 1) return shape.nx;
+  return shape.nx > 1 ? 1 : 0;
 }
 
-void MultigridPreconditioner::refresh_values(const SparseMatrix& fine) {
+}  // namespace
+
+void BandLu::factor(const StencilMatrix& a) {
+  n_ = a.rows();
+  bandwidth_ = stencil_bandwidth(a.shape());
+  width_ = 3 * bandwidth_ + 1;
+  lu_.assign(n_ * width_, 0.0);
+  pivots_.resize(n_);
+  for (std::size_t r = 0; r < n_; ++r) {
+    for (std::size_t b = 0; b < StencilMatrix::kBands; ++b) {
+      if (!a.has_neighbour(r, b)) continue;
+      const auto c = static_cast<std::size_t>(
+          static_cast<std::ptrdiff_t>(r) + a.offset(b));
+      at(r, c) = a.band(b)[r];
+    }
+  }
+  // Partial pivoting as a dense LU does it: the same pivot choice (rows
+  // below the band hold exact zeros in column c) and the same updates
+  // (columns right of the band hold exact zeros in both rows). Rows are
+  // swapped from column c on; the multipliers left of it stay in place.
+  for (std::size_t c = 0; c < n_; ++c) {
+    const std::size_t last_row = std::min(n_ - 1, c + bandwidth_);
+    const std::size_t last_col = std::min(n_ - 1, c + 2 * bandwidth_);
+    std::size_t pivot = c;
+    double best = std::abs(at(c, c));
+    for (std::size_t r = c + 1; r <= last_row; ++r) {
+      const double mag = std::abs(at(r, c));
+      if (mag > best) {
+        best = mag;
+        pivot = r;
+      }
+    }
+    if (!(best > 0.0)) ensure(false, "multigrid: singular coarsest operator");
+    pivots_[c] = pivot;
+    if (pivot != c) {
+      for (std::size_t j = c; j <= last_col; ++j) {
+        std::swap(at(c, j), at(pivot, j));
+      }
+    }
+    const double inv_pivot = 1.0 / at(c, c);
+    for (std::size_t r = c + 1; r <= last_row; ++r) {
+      const double factor = at(r, c) * inv_pivot;
+      at(r, c) = factor;
+      if (factor == 0.0) continue;
+      for (std::size_t j = c + 1; j <= last_col; ++j) {
+        at(r, j) -= factor * at(c, j);
+      }
+    }
+  }
+}
+
+void BandLu::solve(std::span<double> b) const {
+  if (b.size() != n_) require(false, "band LU: dimension mismatch");
+  // Forward elimination with the interchanges interleaved: each equation
+  // subtracts its multipliers' terms in ascending column order, as the
+  // dense row-oriented forward substitution does.
+  for (std::size_t c = 0; c < n_; ++c) {
+    if (pivots_[c] != c) std::swap(b[c], b[pivots_[c]]);
+    const double bc = b[c];
+    const std::size_t last_row = std::min(n_ - 1, c + bandwidth_);
+    for (std::size_t r = c + 1; r <= last_row; ++r) b[r] -= at(r, c) * bc;
+  }
+  for (std::size_t r = n_; r-- > 0;) {
+    double acc = b[r];
+    const std::size_t last_col = std::min(n_ - 1, r + 2 * bandwidth_);
+    for (std::size_t j = r + 1; j <= last_col; ++j) acc -= at(r, j) * b[j];
+    b[r] = acc / at(r, r);
+  }
+}
+
+MultigridPreconditioner::MultigridPreconditioner(const StencilMatrix& fine) {
+  AQUA_TRACE_SCOPE_C("multigrid.build", "solver");
+  require(fine.rows() > 0, "multigrid: empty operator");
+  levels_.push_back(Level{fine, {}, {}, {}, {}});  // levels own their operators
+  while (levels_.size() < kMaxLevels) {
+    const StencilMatrix& top = levels_.back().a;
+    if (top.shape().nx <= kCoarsestExtent &&
+        top.shape().ny <= kCoarsestExtent) {
+      break;
+    }
+    StencilMatrix coarse(coarsen(top.shape()));
+    for (std::size_t node = 0; node < coarse.rows(); ++node) {
+      galerkin_row(top, coarse, node);
+    }
+    levels_.push_back(Level{std::move(coarse), {}, {}, {}, {}});
+  }
+
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    Level& level = levels_[l];
+    const std::size_t n = level.a.rows();
+    level.scaled_inv_diag.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      level.scaled_inv_diag[r] = scaled_inverse_diagonal(level.a, r);
+    }
+    if (l + 1 < levels_.size()) level.t.resize(n);
+    if (l > 0) {
+      level.rhs.resize(n);
+      level.x.resize(n);
+    }
+  }
+  row_.resize(fine.shape().nx);
+  coarsest_lu_.factor(levels_.back().a);
+}
+
+void MultigridPreconditioner::refresh_values(const StencilMatrix& fine) {
   AQUA_TRACE_SCOPE_C("multigrid.refresh_values", "solver");
   Level& finest = levels_.front();
-  require(fine.rows() == shape_.nodes() &&
-              std::ranges::equal(fine.row_ptr(), finest.a.row_ptr()) &&
-              std::ranges::equal(fine.col_idx(), finest.a.col_idx()),
-          "multigrid refresh: structure mismatch");
-  // Copy the fine rows whose values changed (bitwise), then re-accumulate
-  // level by level only the coarse rows with a changed child. A coarse row
-  // is re-summed from 0.0 in the construction order, so the refreshed
+  require(fine.shape() == finest.a.shape(),
+          "multigrid refresh: shape mismatch");
+  // Copy the fine rows whose values changed (bitwise), then re-sum level by
+  // level only the coarse rows with a changed child. A coarse row is
+  // re-summed by the construction's galerkin_row, so the refreshed
   // hierarchy is bit-identical to one built from `fine`.
   std::vector<std::uint8_t> dirty(fine.rows(), 0);
-  for (std::size_t r = 0; r < fine.rows(); ++r) {
-    for (std::size_t k = fine.row_ptr()[r]; k < fine.row_ptr()[r + 1]; ++k) {
-      if (bits(fine.values()[k]) != bits(finest.a.values()[k])) {
-        finest.a.set_value(k, fine.values()[k]);
+  for (std::size_t b = 0; b < StencilMatrix::kBands; ++b) {
+    const auto src = fine.band(b);
+    const auto dst = finest.a.band(b);
+    for (std::size_t r = 0; r < src.size(); ++r) {
+      if (bits(src[r]) != bits(dst[r])) {
+        dst[r] = src[r];
         dirty[r] = 1;
       }
     }
@@ -200,153 +216,101 @@ void MultigridPreconditioner::refresh_values(const SparseMatrix& fine) {
   for (std::size_t l = 0;; ++l) {
     Level& level = levels_[l];
     for (std::size_t r = 0; r < dirty.size(); ++r) {
-      if (dirty[r] != 0) level.inv_diag[r] = inverse_diagonal(level.a, r);
+      if (dirty[r] != 0) {
+        level.scaled_inv_diag[r] = scaled_inverse_diagonal(level.a, r);
+      }
     }
     if (l + 1 == levels_.size()) break;
     Level& coarse = levels_[l + 1];
-    const auto rows = level.a.row_ptr();
-    const auto coarse_rows = coarse.a.row_ptr();
-    std::vector<std::uint8_t> coarse_dirty(coarse.shape.nodes(), 0);
-    for (std::size_t c = 0; c < coarse_dirty.size(); ++c) {
-      const auto first = level.children.begin() +
-                         static_cast<std::ptrdiff_t>(level.child_ptr[c]);
-      const auto last = level.children.begin() +
-                        static_cast<std::ptrdiff_t>(level.child_ptr[c + 1]);
-      if (std::none_of(first, last,
-                       [&](std::uint32_t r) { return dirty[r] != 0; })) {
-        continue;
-      }
-      coarse_dirty[c] = 1;
-      for (std::size_t m = coarse_rows[c]; m < coarse_rows[c + 1]; ++m) {
-        coarse.a.set_value(m, 0.0);
-      }
-      for (auto it = first; it != last; ++it) {
-        for (std::size_t k = rows[*it]; k < rows[*it + 1]; ++k) {
-          const std::size_t m = level.entry_map[k];
-          coarse.a.set_value(m, coarse.a.values()[m] + level.a.values()[k]);
+    const GridShape& f = level.a.shape();
+    const GridShape& c = coarse.a.shape();
+    std::vector<std::uint8_t> coarse_dirty(c.nodes(), 0);
+    for (std::size_t layer = 0; layer < f.layers; ++layer) {
+      for (std::size_t iy = 0; iy < f.ny; ++iy) {
+        for (std::size_t ix = 0; ix < f.nx; ++ix) {
+          if (dirty[layer * f.plane() + iy * f.nx + ix] != 0) {
+            coarse_dirty[layer * c.plane() + (iy / 2) * c.nx + ix / 2] = 1;
+          }
         }
       }
     }
+    for (std::size_t node = 0; node < c.nodes(); ++node) {
+      if (coarse_dirty[node] != 0) galerkin_row(level.a, coarse.a, node);
+    }
     dirty = std::move(coarse_dirty);
   }
-  factor_coarsest();
-}
-
-void MultigridPreconditioner::factor_coarsest() {
-  const SparseMatrix& a = levels_.back().a;
-  const std::size_t n = a.rows();
-  lu_.assign(n * n, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-      lu_[r * n + a.col_idx()[k]] = a.values()[k];
-    }
-  }
-  // In-place LU with partial pivoting.
-  pivots_.resize(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    std::size_t pivot = c;
-    double best = std::abs(lu_[c * n + c]);
-    for (std::size_t r = c + 1; r < n; ++r) {
-      const double mag = std::abs(lu_[r * n + c]);
-      if (mag > best) {
-        best = mag;
-        pivot = r;
-      }
-    }
-    ensure(best > 0.0, "multigrid: singular coarsest operator");
-    pivots_[c] = pivot;
-    if (pivot != c) {
-      for (std::size_t j = 0; j < n; ++j) {
-        std::swap(lu_[c * n + j], lu_[pivot * n + j]);
-      }
-    }
-    const double inv_pivot = 1.0 / lu_[c * n + c];
-    for (std::size_t r = c + 1; r < n; ++r) {
-      const double factor = lu_[r * n + c] * inv_pivot;
-      lu_[r * n + c] = factor;
-      if (factor == 0.0) continue;
-      for (std::size_t j = c + 1; j < n; ++j) {
-        lu_[r * n + j] -= factor * lu_[c * n + j];
-      }
-    }
-  }
-}
-
-void MultigridPreconditioner::smooth(const Level& level,
-                                     const std::vector<double>& rhs,
-                                     std::vector<double>& x,
-                                     bool x_is_zero) const {
-  const double w = options_.jacobi_weight;
-  const std::size_t n = level.shape.nodes();
-  std::size_t sweeps = options_.smooth_sweeps;
-  if (x_is_zero) {
-    // First sweep from a zero guess collapses to a diagonal scale.
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = w * level.inv_diag[i] * rhs[i];
-    }
-    --sweeps;
-  }
-  for (std::size_t s = 0; s < sweeps; ++s) {
-    level.a.multiply(x, level.res);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] += w * level.inv_diag[i] * (rhs[i] - level.res[i]);
-    }
-  }
+  coarsest_lu_.factor(levels_.back().a);
 }
 
 void MultigridPreconditioner::cycle(std::size_t depth,
-                                    const std::vector<double>& rhs,
-                                    std::vector<double>& x) const {
+                                    std::span<const double> rhs,
+                                    std::span<double> out) const {
   const Level& level = levels_[depth];
-  const std::size_t n = level.shape.nodes();
-
   if (depth + 1 == levels_.size()) {
-    // Coarsest: direct solve through the cached LU.
-    x = rhs;
-    for (std::size_t c = 0; c < n; ++c) {
-      if (pivots_[c] != c) std::swap(x[c], x[pivots_[c]]);
-    }
-    for (std::size_t r = 1; r < n; ++r) {
-      double acc = x[r];
-      for (std::size_t c = 0; c < r; ++c) acc -= lu_[r * n + c] * x[c];
-      x[r] = acc;
-    }
-    for (std::size_t r = n; r-- > 0;) {
-      double acc = x[r];
-      for (std::size_t c = r + 1; c < n; ++c) acc -= lu_[r * n + c] * x[c];
-      x[r] = acc / lu_[r * n + r];
-    }
+    std::copy(rhs.begin(), rhs.end(), out.begin());
+    coarsest_lu_.solve(out);
     return;
   }
-
-  smooth(level, rhs, x, /*x_is_zero=*/true);
-
-  // Residual, restricted by summing children into parents.
-  level.a.multiply(x, level.res);
+  const GridShape& f = level.a.shape();
   const Level& coarse = levels_[depth + 1];
+  const GridShape& c = coarse.a.shape();
+  const std::size_t n = f.nodes();
+  double* t = level.t.data();
+  double* row = row_.data();
+  const double* winv = level.scaled_inv_diag.data();
+
+  // Pre-smooth: one damped Jacobi sweep from a zero guess is a diagonal
+  // scale.
+  for (std::size_t i = 0; i < n; ++i) t[i] = winv[i] * rhs[i];
+
+  // Residual, restricted by summing children into parents in ascending
+  // fine index — one pass, row by row.
   std::fill(coarse.rhs.begin(), coarse.rhs.end(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    coarse.rhs[level.parent[i]] += rhs[i] - level.res[i];
+  for (std::size_t layer = 0; layer < f.layers; ++layer) {
+    for (std::size_t iy = 0; iy < f.ny; ++iy) {
+      const std::size_t base = layer * f.plane() + iy * f.nx;
+      level.a.multiply_row(layer, iy, t, row);
+      double* parent = coarse.rhs.data() + layer * c.plane() + (iy / 2) * c.nx;
+      for (std::size_t ix = 0; ix < f.nx; ++ix) {
+        parent[ix / 2] += rhs[base + ix] - row[ix];
+      }
+    }
   }
 
   cycle(depth + 1, coarse.rhs, coarse.x);
 
-  // Prolong (inject the parent correction into each child) and correct.
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] += coarse.x[level.parent[i]];
+  // Prolong: inject the parent correction into each child.
+  for (std::size_t layer = 0; layer < f.layers; ++layer) {
+    for (std::size_t iy = 0; iy < f.ny; ++iy) {
+      double* child = t + layer * f.plane() + iy * f.nx;
+      const double* parent =
+          coarse.x.data() + layer * c.plane() + (iy / 2) * c.nx;
+      for (std::size_t ix = 0; ix < f.nx; ++ix) child[ix] += parent[ix / 2];
+    }
   }
 
-  smooth(level, rhs, x, /*x_is_zero=*/false);
+  // Post-smooth: one damped Jacobi sweep reading only the prolonged t and
+  // writing `out`.
+  for (std::size_t layer = 0; layer < f.layers; ++layer) {
+    for (std::size_t iy = 0; iy < f.ny; ++iy) {
+      const std::size_t base = layer * f.plane() + iy * f.nx;
+      level.a.multiply_row(layer, iy, t, row);
+      for (std::size_t ix = 0; ix < f.nx; ++ix) {
+        const std::size_t i = base + ix;
+        out[i] = t[i] + winv[i] * (rhs[i] - row[ix]);
+      }
+    }
+  }
 }
 
 void MultigridPreconditioner::apply(std::span<const double> r,
                                     std::span<double> z) const {
-  require(r.size() == shape_.nodes() && z.size() == shape_.nodes(),
-          "multigrid apply: dimension mismatch");
-  const Level& finest = levels_.front();
-  std::copy(r.begin(), r.end(), finest.rhs.begin());
-  cycle(0, finest.rhs, finest.x);
-  std::copy(finest.x.begin(), finest.x.end(), z.begin());
+  const std::size_t n = levels_.front().a.rows();
+  // Hot path (per V-cycle): build the error string only on failure.
+  if (r.size() != n || z.size() != n) {
+    require(false, "multigrid apply: dimension mismatch");
+  }
+  cycle(0, r, z);
   ++vcycles_;
 }
 

@@ -10,46 +10,63 @@
 /// plane coarsening follows the strong couplings). Each coarse operator is
 /// the Galerkin triple product R A R^T with piecewise-constant restriction
 /// R (children sum into their parent cell), which keeps every level
-/// symmetric positive-definite. Smoothing is damped (weighted) Jacobi with
-/// equal pre-/post-counts so the V-cycle is a symmetric operator — a
-/// requirement for use inside CG. The coarsest level is solved directly by
-/// a cached dense LU factorization.
+/// symmetric positive-definite and a 7-point stencil. Smoothing is damped
+/// (weighted) Jacobi with one pre- and one post-sweep, so the V-cycle is a
+/// symmetric operator — a requirement for use inside CG. The coarsest
+/// level is solved directly by a band LU factorization.
 ///
-/// Each coarse operator is written row by row: a coarse row visits its
-/// children in ascending fine index, so every entry sums in the order
-/// SparseBuilder's stable sort would, and the same pass records where each
-/// fine nonzero lands. The hierarchy's *structure* depends only on the grid
-/// shape and matrix sparsity; `refresh_values` takes the fine rows whose
-/// values changed in place (the thermal model's boundary swap), re-sums
-/// only the coarse rows above them and re-factors the coarse LU, without
-/// rebuilding any index arrays.
+/// Every level is a StencilMatrix. A coarse band entry sums its terms from
+/// 0.0 with the children in ascending fine index and each child's bands in
+/// CSR column order — the order SparseBuilder's stable sort gives the COO
+/// Galerkin product — so the hierarchy is bit-identical to it.
+/// `refresh_values` takes the fine rows whose values changed in place (the
+/// thermal model's boundary swap), re-sums only the coarse rows above them
+/// and re-factors the coarsest LU.
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/solvers.hpp"
-#include "common/sparse.hpp"
+#include "common/stencil.hpp"
 
 namespace aqua {
 
-/// Shape of a structured box grid: nodes are indexed
-/// layer * nx * ny + iy * nx + ix.
-struct GridShape {
-  std::size_t nx = 0;
-  std::size_t ny = 0;
-  std::size_t layers = 0;
+/// LU factorization with partial pivoting of a 7-point stencil operator,
+/// held in band storage (LAPACK dgbtrf layout ideas: the row interchanges
+/// stay inside the band, the multipliers are not swapped afterwards, and
+/// the solve interleaves the interchanges with forward elimination).
+/// Lower and upper bandwidths are the largest stencil offset (one plane on
+/// a layered grid); pivoting widens U to twice that. Its factors and
+/// solutions equal, bit for bit, those of a dense n x n LU with the same
+/// partial pivoting: every entry outside the band is an exact +0.0 there,
+/// and each operation inside the band is the same.
+class BandLu {
+ public:
+  BandLu() = default;
+  explicit BandLu(const StencilMatrix& a) { factor(a); }
 
-  [[nodiscard]] std::size_t nodes() const { return nx * ny * layers; }
-};
+  /// Factors `a`, reusing the storage. Throws on a singular operator.
+  void factor(const StencilMatrix& a);
 
-/// Tuning knobs for the V-cycle.
-struct MultigridOptions {
-  std::size_t smooth_sweeps = 1;   ///< pre == post sweeps (symmetry)
-  double jacobi_weight = 0.7;      ///< damping for the Jacobi smoother
-  std::size_t coarsest_extent = 4; ///< stop coarsening at nx,ny <= this
-  std::size_t max_levels = 10;     ///< hierarchy depth cap
+  /// Solves A x = b in place (`b` becomes x).
+  void solve(std::span<double> b) const;
+
+ private:
+  /// Entry (r, c) of the working band: row r holds columns
+  /// [r - bandwidth, r + 2 * bandwidth].
+  [[nodiscard]] double& at(std::size_t r, std::size_t c) {
+    return lu_[r * width_ + c + bandwidth_ - r];
+  }
+  [[nodiscard]] double at(std::size_t r, std::size_t c) const {
+    return lu_[r * width_ + c + bandwidth_ - r];
+  }
+
+  std::size_t n_ = 0;
+  std::size_t bandwidth_ = 0;
+  std::size_t width_ = 0;
+  std::vector<double> lu_;
+  std::vector<std::size_t> pivots_;
 };
 
 /// V-cycle preconditioner over a cached grid hierarchy.
@@ -59,26 +76,23 @@ struct MultigridOptions {
 /// never shared across threads).
 class MultigridPreconditioner final : public Preconditioner {
  public:
-  /// Builds the hierarchy for `fine`, whose rows must be laid out on
-  /// `shape` (shape.nodes() == fine.rows()).
-  MultigridPreconditioner(const SparseMatrix& fine, GridShape shape,
-                          MultigridOptions options = {});
+  /// Builds the hierarchy for `fine` on its own grid shape.
+  explicit MultigridPreconditioner(const StencilMatrix& fine);
 
   /// z = V-cycle(r): one V-cycle on A z = r from a zero initial guess.
   void apply(std::span<const double> r, std::span<double> z) const override;
 
   /// Takes the current values of `fine` and recomputes the coarse rows
-  /// they reach and the coarsest LU. `fine` must have the same row_ptr and
-  /// col_idx as the matrix the hierarchy was built from (throws
-  /// otherwise). Bit-identical to a hierarchy built from `fine`: both sum
-  /// fine entries in fine CSR order.
-  void refresh_values(const SparseMatrix& fine);
+  /// they reach and the coarsest LU. `fine` must have the shape the
+  /// hierarchy was built on (throws otherwise). Bit-identical to a
+  /// hierarchy built from `fine`.
+  void refresh_values(const StencilMatrix& fine);
 
   /// Number of levels including the coarsest (>= 1).
   [[nodiscard]] std::size_t level_count() const { return levels_.size(); }
 
   /// Operator of level `l` (0 is the fine matrix; for tests / diagnostics).
-  [[nodiscard]] const SparseMatrix& level_operator(std::size_t l) const {
+  [[nodiscard]] const StencilMatrix& level_operator(std::size_t l) const {
     require(l < levels_.size(), "multigrid: level out of range");
     return levels_[l].a;
   }
@@ -86,34 +100,26 @@ class MultigridPreconditioner final : public Preconditioner {
   /// Total V-cycles applied since construction (for SolverStats).
   [[nodiscard]] std::size_t vcycles() const { return vcycles_; }
 
-  [[nodiscard]] const GridShape& fine_shape() const { return shape_; }
+  [[nodiscard]] const GridShape& fine_shape() const {
+    return levels_.front().a.shape();
+  }
 
  private:
   struct Level {
-    SparseMatrix a;
-    GridShape shape;
-    std::vector<double> inv_diag;        ///< 1/a_ii for the smoother
-    // Coarsening to the next level (empty on the coarsest):
-    std::vector<std::uint32_t> parent;   ///< node -> coarse node
-    std::vector<std::size_t> child_ptr;  ///< coarse node c's children are
-    std::vector<std::uint32_t> children; ///<   children[child_ptr[c]..[c+1])
-    std::vector<std::size_t> entry_map;  ///< own nnz k -> coarse entry index
-    // V-cycle scratch (apply() is const but stateful; see class comment).
-    mutable std::vector<double> x, rhs, res;
+    StencilMatrix a;
+    std::vector<double> scaled_inv_diag;  ///< jacobi weight / a_ii
+    // V-cycle scratch (apply() is const but stateful; see class comment):
+    // the smoothed iterate on every level but the coarsest, and the
+    // right-hand side and solution on every level but the finest.
+    mutable std::vector<double> t, rhs, x;
   };
 
-  void smooth(const Level& level, const std::vector<double>& rhs,
-              std::vector<double>& x, bool x_is_zero) const;
-  void cycle(std::size_t depth, const std::vector<double>& rhs,
-             std::vector<double>& x) const;
-  void factor_coarsest();
+  void cycle(std::size_t depth, std::span<const double> rhs,
+             std::span<double> out) const;
 
-  GridShape shape_;
-  MultigridOptions options_;
   std::vector<Level> levels_;
-  // Dense LU of the coarsest operator (row-major, pivoted in place).
-  std::vector<double> lu_;
-  std::vector<std::size_t> pivots_;
+  mutable std::vector<double> row_;  ///< one grid row of A * t
+  BandLu coarsest_lu_;
   mutable std::size_t vcycles_ = 0;
 };
 

@@ -68,7 +68,7 @@ double norm2(const std::vector<double>& v) {
   return std::sqrt(acc);
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const SparseMatrix& a)
+JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& a)
     : inv_diag_(a.diagonal()) {
   for (double& d : inv_diag_) {
     ensure(d > 0.0, "jacobi: non-positive diagonal (matrix not SPD?)");
@@ -78,8 +78,10 @@ JacobiPreconditioner::JacobiPreconditioner(const SparseMatrix& a)
 
 void JacobiPreconditioner::apply(std::span<const double> r,
                                  std::span<double> z) const {
-  require(r.size() == inv_diag_.size() && z.size() == inv_diag_.size(),
-          "jacobi: dimension mismatch");
+  // Hot path (per CG iteration): build the error string only on failure.
+  if (r.size() != inv_diag_.size() || z.size() != inv_diag_.size()) {
+    require(false, "jacobi: dimension mismatch");
+  }
   for (std::size_t i = 0; i < r.size(); ++i) z[i] = inv_diag_[i] * r[i];
 }
 
@@ -92,7 +94,7 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 /// r = b - A x into a caller-provided scratch buffer (no allocation).
-void residual_into(const SparseMatrix& a, const std::vector<double>& b,
+void residual_into(const LinearOperator& a, const std::vector<double>& b,
                    const std::vector<double>& x, std::vector<double>& r) {
   r.resize(b.size());
   a.multiply(x, r);
@@ -101,7 +103,7 @@ void residual_into(const SparseMatrix& a, const std::vector<double>& b,
 
 }  // namespace
 
-SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
+SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
                      const SolverOptions& options, std::vector<double> x0,
                      const Preconditioner* preconditioner, SolverStats* stats) {
   AQUA_TRACE_SCOPE_C("solver.cg", "solver");
@@ -238,7 +240,7 @@ void report_solver_fallback(const SolveResult& failed, const char* action) {
 
 }  // namespace
 
-SolveResult solve_cg_resilient(const SparseMatrix& a,
+SolveResult solve_cg_resilient(const LinearOperator& a,
                                const std::vector<double>& b,
                                const SolverOptions& options,
                                std::vector<double> x0,

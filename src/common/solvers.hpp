@@ -4,7 +4,9 @@
 ///
 /// The steady-state heat equation on the finite-volume grid yields a
 /// symmetric positive-definite conductance matrix, so preconditioned
-/// conjugate gradients is the workhorse. Preconditioning is pluggable
+/// conjugate gradients is the workhorse. CG runs on any `LinearOperator`
+/// (the thermal path's StencilMatrix, or a CSR SparseMatrix); it uses only
+/// the operator's product and diagonal. Preconditioning is pluggable
 /// through the `Preconditioner` interface: Jacobi (diagonal scaling) is the
 /// robust default for small systems, and the geometric multigrid V-cycle
 /// (common/multigrid.hpp) is the production choice for the 3-D stack grids.
@@ -35,7 +37,7 @@ class Preconditioner {
 /// Diagonal (Jacobi) scaling: z_i = r_i / a_ii.
 class JacobiPreconditioner final : public Preconditioner {
  public:
-  explicit JacobiPreconditioner(const SparseMatrix& a);
+  explicit JacobiPreconditioner(const LinearOperator& a);
 
   void apply(std::span<const double> r, std::span<double> z) const override;
 
@@ -119,7 +121,7 @@ struct SolverOptions {
 /// `x0` (optional) provides a warm start; pass an empty vector for zeros.
 /// `preconditioner` defaults to Jacobi when null; `stats` (optional)
 /// accumulates solve/iteration/wall-time counters.
-SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
+SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
                      const SolverOptions& options = {},
                      std::vector<double> x0 = {},
                      const Preconditioner* preconditioner = nullptr,
@@ -135,7 +137,7 @@ SolveResult solve_cg(const SparseMatrix& a, const std::vector<double>& b,
 /// breakdown counts in the global solver.* counters (SolverStats), and a
 /// "fault_absorbed"/"degraded_result" run-report record is emitted per
 /// fallback. `label` names attempt 1 in the chain (e.g. "multigrid").
-SolveResult solve_cg_resilient(const SparseMatrix& a,
+SolveResult solve_cg_resilient(const LinearOperator& a,
                                const std::vector<double>& b,
                                const SolverOptions& options = {},
                                std::vector<double> x0 = {},
@@ -144,7 +146,8 @@ SolveResult solve_cg_resilient(const SparseMatrix& a,
                                const char* label = nullptr);
 
 /// Gauss-Seidel fixed-point iteration; converges for the diagonally dominant
-/// thermal systems but much slower than CG. Reference / ablation use.
+/// thermal systems but much slower than CG. Reference / ablation use; its
+/// in-place sweep needs the CSR rows.
 SolveResult solve_gauss_seidel(const SparseMatrix& a,
                                const std::vector<double>& b,
                                const SolverOptions& options = {},

@@ -7,8 +7,9 @@ namespace aqua {
 
 void SparseMatrix::multiply(std::span<const double> x,
                             std::span<double> y) const {
-  require(x.size() == cols_, "SpMV: x dimension mismatch");
-  require(y.size() == rows(), "SpMV: y dimension mismatch");
+  // Hot path (per SpMV): build the error strings only on failure.
+  if (x.size() != cols_) require(false, "SpMV: x dimension mismatch");
+  if (y.size() != rows()) require(false, "SpMV: y dimension mismatch");
   const std::size_t n = rows();
   for (std::size_t r = 0; r < n; ++r) {
     double acc = 0.0;
@@ -47,17 +48,6 @@ void SparseMatrix::gauss_seidel_sweep(std::span<const double> b,
     ensure(diag != 0.0, "gauss_seidel: zero diagonal");
     x[r] = acc / diag;
   }
-}
-
-std::size_t SparseMatrix::entry_index(std::size_t row, std::size_t col) const {
-  require(row < rows() && col < cols_, "entry_index out of range");
-  // Columns are sorted within a row (from_csr invariant).
-  const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row]);
-  const auto end = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row + 1]);
-  const auto it =
-      std::lower_bound(begin, end, static_cast<std::uint32_t>(col));
-  require(it != end && *it == col, "entry_index: entry structurally absent");
-  return static_cast<std::size_t>(it - col_idx_.begin());
 }
 
 SparseMatrix SparseMatrix::from_csr(std::size_t cols,

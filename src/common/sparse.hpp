@@ -1,16 +1,14 @@
 #pragma once
 
-/// Compressed-sparse-row matrix and a COO-style assembler.
+/// The linear-operator interface the CG solver runs on, a general
+/// compressed-sparse-row matrix and a COO-style assembler.
 ///
-/// Structured producers (the thermal stencil, the multigrid Galerkin
-/// levels) write the CSR arrays directly and hand them to
-/// `SparseMatrix::from_csr`, which validates them. SparseBuilder is the
-/// general assembler: it accumulates duplicate coordinates in insertion
-/// order and converts to CSR once. It is also the tests' oracle for the
-/// structured writers, which must reproduce its output bit for bit.
-/// Column indices are stored as 32 bits: the largest grids are a few
-/// hundred thousand nodes, and halving the index footprint measurably
-/// speeds up the memory-bound SpMV at the heart of the CG solver.
+/// The thermal path uses the banded `StencilMatrix` (common/stencil.hpp).
+/// CSR serves everything that is not a 7-point stencil: Gauss-Seidel
+/// sweeps, and the tests' oracles. SparseBuilder accumulates duplicate
+/// coordinates in insertion order and converts to CSR once; the stencil
+/// writers must reproduce its output bit for bit. Column indices are
+/// stored as 32 bits.
 
 #include <cstddef>
 #include <cstdint>
@@ -21,10 +19,25 @@
 
 namespace aqua {
 
-/// Immutable-structure CSR sparse matrix. Values may be updated in place
-/// through `set_value` (used by the thermal model to refresh boundary
-/// conductances without reassembling the matrix).
-class SparseMatrix {
+/// A square-or-rectangular linear operator: what conjugate gradients and
+/// Jacobi preconditioning need of a matrix.
+class LinearOperator {
+ public:
+  virtual ~LinearOperator() = default;
+
+  [[nodiscard]] virtual std::size_t rows() const = 0;
+  [[nodiscard]] virtual std::size_t cols() const = 0;
+
+  /// y = A * x. `y` must already have rows() elements.
+  virtual void multiply(std::span<const double> x,
+                        std::span<double> y) const = 0;
+
+  /// Diagonal entries (0 where a row has none).
+  [[nodiscard]] virtual std::vector<double> diagonal() const = 0;
+};
+
+/// Immutable CSR sparse matrix.
+class SparseMatrix final : public LinearOperator {
  public:
   SparseMatrix() = default;
 
@@ -37,35 +50,22 @@ class SparseMatrix {
                                              std::vector<std::uint32_t> col_idx,
                                              std::vector<double> values);
 
-  [[nodiscard]] std::size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
+  [[nodiscard]] std::size_t rows() const override {
+    return row_ptr_.empty() ? 0 : row_ptr_.size() - 1;
+  }
+  [[nodiscard]] std::size_t cols() const override { return cols_; }
   [[nodiscard]] std::size_t nonzeros() const { return values_.size(); }
 
   /// y = A * x. `y` must already have rows() elements.
-  void multiply(std::span<const double> x, std::span<double> y) const;
+  void multiply(std::span<const double> x,
+                std::span<double> y) const override;
 
-  /// Diagonal entries (0 where a row has no diagonal). Used for Jacobi
-  /// preconditioning and Gauss-Seidel sweeps.
-  [[nodiscard]] std::vector<double> diagonal() const;
+  /// Diagonal entries (0 where a row has no diagonal).
+  [[nodiscard]] std::vector<double> diagonal() const override;
 
   /// One Gauss-Seidel forward sweep in place on x for A x = b.
   void gauss_seidel_sweep(std::span<const double> b,
                           std::span<double> x) const;
-
-  /// Position of entry (row, col) inside the values() array; throws if the
-  /// entry is structurally absent. A binary search per call: structured
-  /// producers record positions while writing instead.
-  [[nodiscard]] std::size_t entry_index(std::size_t row,
-                                        std::size_t col) const;
-
-  /// Overwrites the value at position `k` of values(). The sparsity
-  /// structure is immutable; only the numeric value changes.
-  void set_value(std::size_t k, double v) {
-    // Hot path (per nonzero in a multigrid refresh): build the error string
-    // only on failure.
-    if (k >= values_.size()) require(false, "set_value: index out of range");
-    values_[k] = v;
-  }
 
   /// Access to the raw CSR arrays (read-only, for tests and diagnostics).
   [[nodiscard]] std::span<const std::size_t> row_ptr() const { return row_ptr_; }

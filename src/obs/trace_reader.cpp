@@ -338,10 +338,83 @@ std::vector<JsonValue> load_jsonl_file(const std::string& path) {
   return records;
 }
 
+namespace {
+
+/// Slack of the nesting test: half the 1 ns resolution traces are written
+/// with, so a child whose end rounds past its parent's still nests.
+constexpr double kNestSlackUs = 5e-4;
+
+double end_us(const ParsedTraceEvent& e) { return e.ts_us + e.dur_us; }
+
+}  // namespace
+
+std::vector<double> span_self_times(
+    const std::vector<ParsedTraceEvent>& events) {
+  std::vector<double> self(events.size(), 0.0);
+  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<std::size_t>>
+      by_thread;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].phase != "X") continue;
+    self[i] = events[i].dur_us;
+    by_thread[{events[i].pid, events[i].tid}].push_back(i);
+  }
+  // Each span's direct children's intervals, clipped to it.
+  std::vector<std::vector<std::pair<double, double>>> children(events.size());
+  for (auto& [thread, spans] : by_thread) {
+    // Parents before their children: by start, then the longer first.
+    std::stable_sort(spans.begin(), spans.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       const ParsedTraceEvent& x = events[a];
+                       const ParsedTraceEvent& y = events[b];
+                       return x.ts_us != y.ts_us ? x.ts_us < y.ts_us
+                                                 : x.dur_us > y.dur_us;
+                     });
+    std::vector<std::size_t> open;  // spans that may still contain others
+    for (const std::size_t i : spans) {
+      const ParsedTraceEvent& e = events[i];
+      while (!open.empty() && end_us(events[open.back()]) <= e.ts_us) {
+        open.pop_back();
+      }
+      // The innermost open span containing e; an open span that only
+      // overlaps e (it started earlier and ends inside e) is not its parent.
+      for (auto it = open.rbegin(); it != open.rend(); ++it) {
+        const ParsedTraceEvent& p = events[*it];
+        if (p.ts_us - kNestSlackUs <= e.ts_us &&
+            end_us(e) <= end_us(p) + kNestSlackUs) {
+          children[*it].emplace_back(std::max(e.ts_us, p.ts_us),
+                                     std::min(end_us(e), end_us(p)));
+          break;
+        }
+      }
+      open.push_back(i);
+    }
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    std::vector<std::pair<double, double>>& kids = children[i];
+    if (kids.empty()) continue;
+    std::sort(kids.begin(), kids.end());
+    double covered = 0.0;
+    double lo = kids.front().first;
+    double hi = kids.front().second;
+    for (const auto& [start, stop] : kids) {
+      if (start > hi) {
+        covered += hi - lo;
+        lo = start;
+      }
+      hi = std::max(hi, stop);
+    }
+    covered += hi - lo;
+    self[i] = std::max(0.0, self[i] - covered);
+  }
+  return self;
+}
+
 std::vector<SpanSummary> summarize_spans(
     const std::vector<ParsedTraceEvent>& events) {
+  const std::vector<double> self = span_self_times(events);
   std::map<std::string, SpanSummary> by_name;
-  for (const ParsedTraceEvent& e : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ParsedTraceEvent& e = events[i];
     if (e.phase != "X") continue;
     auto [it, inserted] = by_name.try_emplace(e.name);
     SpanSummary& s = it->second;
@@ -353,6 +426,7 @@ std::vector<SpanSummary> summarize_spans(
     }
     ++s.count;
     s.total_us += e.dur_us;
+    s.self_us += self[i];
     s.min_us = std::min(s.min_us, e.dur_us);
     s.max_us = std::max(s.max_us, e.dur_us);
   }

@@ -72,9 +72,19 @@ struct SpanSummary {
   std::string category;
   std::uint64_t count = 0;
   double total_us = 0.0;
+  /// total_us minus the time covered by direct child spans.
+  double self_us = 0.0;
   double min_us = 0.0;
   double max_us = 0.0;
 };
+
+/// Self time of every event, by index: an "X" span's duration minus the
+/// union of its direct children's intervals (0 for other phases). Spans
+/// nest per (pid, tid) by interval containment, [ts, ts + dur]; a child is
+/// a span's innermost container, and an open span that merely overlaps a
+/// later one is not its parent.
+std::vector<double> span_self_times(
+    const std::vector<ParsedTraceEvent>& events);
 
 /// Groups events by name, ordered by descending total time.
 std::vector<SpanSummary> summarize_spans(

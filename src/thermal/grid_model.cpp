@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <utility>
 
 #include "common/error.hpp"
@@ -20,8 +19,11 @@ ThermalSolution::ThermalSolution(std::size_t nx, std::size_t ny,
 
 double ThermalSolution::at(std::size_t layer, std::size_t ix,
                            std::size_t iy) const {
-  require(layer < total_layer_count() && ix < nx_ && iy < ny_,
-          "thermal solution index out of range");
+  // Hot path (per cell in boundary_flux / block_temperatures_c): build the
+  // error string only on failure.
+  if (layer >= total_layer_count() || ix >= nx_ || iy >= ny_) {
+    require(false, "thermal solution index out of range");
+  }
   return temps_c_[layer * nx_ * ny_ + iy * nx_ + ix];
 }
 
@@ -166,34 +168,24 @@ void StackThermalModel::assemble() {
     gv[l] = vertical_g(l, it, ik);
   }
 
-  // The 7-point stencil, written row by row with columns ascending
-  // (-plane, -nx, -1, diag, +1, +nx, +plane). Interior conductances only:
-  // the boundary terms are applied afterwards as in-place diagonal updates
-  // so a cooling swap never reassembles (set_boundary). Each diagonal sums
-  // its terms from 0.0 in the order pairwise stamping adds them (lateral
-  // pairs by ascending node, then vertical pairs by ascending layer), so
-  // the matrix is bit-identical to a SparseBuilder assembly.
+  // The 7-point stencil's bands (-plane, -nx, -1, diag, +1, +nx, +plane),
+  // interior conductances only: the boundary terms are applied afterwards
+  // as in-place diagonal updates so a cooling swap never reassembles
+  // (set_boundary). Each diagonal sums its terms from 0.0 in the order
+  // pairwise stamping adds them (lateral pairs by ascending node, then
+  // vertical pairs by ascending layer), so the matrix is bit-identical to a
+  // SparseBuilder assembly. Off-grid neighbours keep their +0.0.
   const std::size_t sink = n_layers - 1;
-  std::vector<std::size_t> row_ptr;
-  std::vector<std::uint32_t> col_idx;
-  std::vector<double> values;
-  row_ptr.reserve(node_count_ + 1);
-  col_idx.reserve(7 * node_count_);
-  values.reserve(7 * node_count_);
-  row_ptr.push_back(0);
-  auto put = [&](std::size_t col, double v) {
-    col_idx.push_back(static_cast<std::uint32_t>(col));
-    values.push_back(v);
-  };
+  matrix_ = StencilMatrix(grid_shape());
+  using Band = StencilMatrix::Band;
+  const auto down = matrix_.band(Band::kMinusPlane);
+  const auto south = matrix_.band(Band::kMinusRow);
+  const auto west = matrix_.band(Band::kMinusOne);
+  const auto center = matrix_.band(Band::kDiag);
+  const auto east = matrix_.band(Band::kPlusOne);
+  const auto north = matrix_.band(Band::kPlusRow);
+  const auto up = matrix_.band(Band::kPlusPlane);
   capacities_.assign(node_count_, 0.0);
-  top_diag_pos_.clear();
-  bottom_diag_pos_.clear();
-  top_diag_base_.clear();
-  bottom_diag_base_.clear();
-  top_diag_pos_.reserve(ncells);
-  bottom_diag_pos_.reserve(ncells);
-  top_diag_base_.reserve(ncells);
-  bottom_diag_base_.reserve(ncells);
   for (std::size_t l = 0; l < n_layers; ++l) {
     const double cap = props[l].heat_capacity * props[l].thickness * cell_area;
     for (std::size_t iy = 0; iy < ny; ++iy) {
@@ -208,29 +200,23 @@ void StackThermalModel::assemble() {
         if (l > 0) diag += gv[l - 1];
         if (l < sink) diag += gv[l];
 
-        if (l > 0) put(here - ncells, -gv[l - 1]);
-        if (iy > 0) put(here - nx, -gy[l]);
-        if (ix > 0) put(here - 1, -gx[l]);
-        // Record the boundary rows' diagonal positions and interior-only
-        // ("base") values; apply_boundary_values() then writes
-        // base + g_boundary into them, now and on every set_boundary call.
-        if (l == 0) {
-          bottom_diag_pos_.push_back(values.size());
-          bottom_diag_base_.push_back(diag);
-        } else if (l == sink) {
-          top_diag_pos_.push_back(values.size());
-          top_diag_base_.push_back(diag);
-        }
-        put(here, diag);
-        if (ix + 1 < nx) put(here + 1, -gx[l]);
-        if (iy + 1 < ny) put(here + nx, -gy[l]);
-        if (l < sink) put(here + ncells, -gv[l]);
-        row_ptr.push_back(values.size());
+        if (l > 0) down[here] = -gv[l - 1];
+        if (iy > 0) south[here] = -gy[l];
+        if (ix > 0) west[here] = -gx[l];
+        center[here] = diag;
+        if (ix + 1 < nx) east[here] = -gx[l];
+        if (iy + 1 < ny) north[here] = -gy[l];
+        if (l < sink) up[here] = -gv[l];
       }
     }
   }
-  matrix_ = SparseMatrix::from_csr(node_count_, std::move(row_ptr),
-                                   std::move(col_idx), std::move(values));
+  // The boundary rows' interior-only ("base") diagonals;
+  // apply_boundary_values() writes base + g_boundary into them, now and on
+  // every set_boundary call.
+  const auto top_row = center.subspan(sink * ncells);
+  const auto bottom_row = center.first(ncells);
+  top_diag_base_.assign(top_row.begin(), top_row.end());
+  bottom_diag_base_.assign(bottom_row.begin(), bottom_row.end());
 
   apply_boundary_values();
   multigrid_.reset();
@@ -273,10 +259,11 @@ void StackThermalModel::apply_boundary_values() {
   r += 1.0 / (boundary_.bottom_htc.value() * a_cell_board);
   bottom_g_per_cell_ = 1.0 / r;
 
+  const auto diag = matrix_.band(StencilMatrix::kDiag);
+  const std::size_t top = node_count_ - ncells;
   for (std::size_t c = 0; c < ncells; ++c) {
-    matrix_.set_value(top_diag_pos_[c], top_diag_base_[c] + top_g_per_cell_);
-    matrix_.set_value(bottom_diag_pos_[c],
-                      bottom_diag_base_[c] + bottom_g_per_cell_);
+    diag[top + c] = top_diag_base_[c] + top_g_per_cell_;
+    diag[c] = bottom_diag_base_[c] + bottom_g_per_cell_;
   }
 }
 
@@ -294,8 +281,7 @@ const Preconditioner* StackThermalModel::preconditioner() {
     return nullptr;  // solve_cg falls back to Jacobi
   }
   if (!multigrid_) {
-    multigrid_ =
-        std::make_unique<MultigridPreconditioner>(matrix_, grid_shape());
+    multigrid_ = std::make_unique<MultigridPreconditioner>(matrix_);
     vcycles_seen_ = 0;
   }
   return multigrid_.get();

@@ -16,15 +16,14 @@
 /// (they are nearly isothermal in reality) and as the full fin area in the
 /// convective boundary term.
 ///
-/// Solver path: the conductance matrix is written straight from its
-/// 7-point stencil into CSR, bit-identical to pairwise SparseBuilder
-/// stamping. Its *structure* depends only on (stack, grid); the cooling
-/// option enters exclusively through the boundary conductances on the
-/// top/bottom layer diagonals, whose positions assembly records.
-/// `set_boundary` therefore rewrites those values in place — no
-/// reassembly — and the cached multigrid hierarchy re-sums only the coarse
-/// rows above them. This is what makes coolant sweeps (Figs. 7/8/17)
-/// cheap: one model per stack, five boundary swaps.
+/// Solver path: the conductance matrix is written straight into the seven
+/// bands of a StencilMatrix, bit-identical to pairwise SparseBuilder
+/// stamping. The cooling option enters exclusively through the boundary
+/// conductances on the top/bottom layer diagonals, so `set_boundary`
+/// rewrites those diagonal-band values in place — no reassembly — and the
+/// cached multigrid hierarchy re-sums only the coarse rows above them.
+/// This is what makes coolant sweeps (Figs. 7/8/17) cheap: one model per
+/// stack, five boundary swaps.
 
 #include <cstddef>
 #include <memory>
@@ -32,7 +31,7 @@
 
 #include "common/multigrid.hpp"
 #include "common/solvers.hpp"
-#include "common/sparse.hpp"
+#include "common/stencil.hpp"
 #include "floorplan/stack.hpp"
 #include "thermal/package.hpp"
 
@@ -114,9 +113,9 @@ class StackThermalModel {
       const std::vector<double>& block_powers);
 
   /// Swaps the boundary conditions (cooling option) in place: only the
-  /// boundary-row conductance values change, so the CSR structure and the
-  /// multigrid hierarchy's index arrays survive. A no-op when `boundary`
-  /// equals the current one.
+  /// boundary rows' diagonal conductances change, and the multigrid
+  /// hierarchy re-sums only the coarse rows above them. A no-op when
+  /// `boundary` equals the current one.
   void set_boundary(const ThermalBoundary& boundary);
 
   [[nodiscard]] const Stack3d& stack() const { return stack_; }
@@ -125,7 +124,7 @@ class StackThermalModel {
   [[nodiscard]] const GridOptions& options() const { return options_; }
 
   /// The assembled conductance matrix (for tests / diagnostics).
-  [[nodiscard]] const SparseMatrix& conductance() const { return matrix_; }
+  [[nodiscard]] const StencilMatrix& conductance() const { return matrix_; }
 
   /// Grid topology of the assembled system (die layers + spreader +
   /// heatsink on the nx x ny plane) — what the multigrid coarsening needs.
@@ -179,15 +178,13 @@ class StackThermalModel {
   GridOptions options_;
 
   std::size_t node_count_ = 0;
-  SparseMatrix matrix_;
+  StencilMatrix matrix_;
   std::vector<double> capacities_;
   SolveResult last_solve_;
   SolverStats stats_;
 
-  // Boundary-row bookkeeping for the in-place value refresh: CSR positions
-  // of the top/bottom boundary diagonals and their interior-only values.
-  std::vector<std::size_t> top_diag_pos_;
-  std::vector<std::size_t> bottom_diag_pos_;
+  // Interior-only diagonals of the top (heatsink) and bottom (die 0)
+  // boundary layers, for the in-place boundary refresh.
   std::vector<double> top_diag_base_;
   std::vector<double> bottom_diag_base_;
 

@@ -10,15 +10,15 @@ namespace aqua {
 namespace {
 
 /// Builds C/dt + G from the steady conductance matrix by adding the
-/// capacity term at each diagonal position (G's sparsity is kept).
-SparseMatrix build_stepping_matrix(const SparseMatrix& g,
-                                   const std::vector<double>& capacities,
-                                   double dt) {
+/// capacity term to each diagonal-band entry.
+StencilMatrix build_stepping_matrix(const StencilMatrix& g,
+                                    const std::vector<double>& capacities,
+                                    double dt) {
   require(dt > 0.0, "transient dt must be positive");
-  SparseMatrix a = g;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const std::size_t k = a.entry_index(r, r);
-    a.set_value(k, a.values()[k] + capacities[r] / dt);
+  StencilMatrix a = g;
+  const auto diag = a.band(StencilMatrix::kDiag);
+  for (std::size_t r = 0; r < diag.size(); ++r) {
+    diag[r] = diag[r] + capacities[r] / dt;
   }
   return a;
 }

@@ -68,14 +68,14 @@ class TransientSolver {
   [[nodiscard]] double max_die_temperature_c() const;
 
   /// The implicit-Euler system matrix C/dt + G (for tests / diagnostics).
-  [[nodiscard]] const SparseMatrix& stepping_matrix() const {
+  [[nodiscard]] const StencilMatrix& stepping_matrix() const {
     return stepping_matrix_;
   }
 
  private:
   StackThermalModel& model_;
   TransientOptions options_;
-  SparseMatrix stepping_matrix_;  // C/dt + G
+  StencilMatrix stepping_matrix_;  // C/dt + G
   std::vector<double> theta_;     // field relative to ambient
   double now_s_ = 0.0;
 };

@@ -6,12 +6,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/solvers.hpp"
 #include "common/sparse.hpp"
+#include "common/stencil.hpp"
 
 namespace aqua {
 namespace {
@@ -20,8 +23,8 @@ namespace {
 /// stack: strong lateral coupling inside each layer, weak vertical coupling
 /// across layers (the glue interfaces), and a ground term on the top and
 /// bottom layer diagonals (the convective boundaries). SPD by construction.
-SparseMatrix stack_like_matrix(const GridShape& g, double lateral = 1.0,
-                               double vertical = 0.01, double ground = 0.1) {
+SparseMatrix stack_like_csr(const GridShape& g, double lateral = 1.0,
+                            double vertical = 0.01, double ground = 0.1) {
   SparseBuilder b(g.nodes(), g.nodes());
   auto idx = [&](std::size_t l, std::size_t ix, std::size_t iy) {
     return l * g.nx * g.ny + iy * g.nx + ix;
@@ -46,7 +49,11 @@ SparseMatrix stack_like_matrix(const GridShape& g, double lateral = 1.0,
   return b.build();
 }
 
-std::vector<double> manufactured_rhs(const SparseMatrix& a,
+StencilMatrix stack_like_matrix(const GridShape& g) {
+  return StencilMatrix::from_csr(stack_like_csr(g), g);
+}
+
+std::vector<double> manufactured_rhs(const LinearOperator& a,
                                      std::vector<double>* x_star) {
   // Smooth manufactured solution x*(i) so b = A x* has a known answer.
   x_star->resize(a.rows());
@@ -61,28 +68,36 @@ std::vector<double> manufactured_rhs(const SparseMatrix& a,
 
 TEST(Multigrid, BuildsMultipleLevels) {
   const GridShape g{32, 32, 6};
-  const SparseMatrix a = stack_like_matrix(g);
-  const MultigridPreconditioner mg(a, g);
+  const StencilMatrix a = stack_like_matrix(g);
+  const MultigridPreconditioner mg(a);
   EXPECT_GE(mg.level_count(), 3u);
   EXPECT_EQ(mg.fine_shape().nx, 32u);
 }
 
 TEST(Multigrid, RejectsShapeMismatch) {
+  // The operator carries its grid: a CSR matrix does not fit another
+  // shape, and a hierarchy refuses a refresh from another shape.
   const GridShape g{8, 8, 2};
-  const SparseMatrix a = stack_like_matrix(g);
-  EXPECT_THROW(MultigridPreconditioner(a, GridShape{8, 8, 3}), Error);
+  EXPECT_THROW((void)StencilMatrix::from_csr(stack_like_csr(g),
+                                             GridShape{8, 8, 3}),
+               Error);
+  MultigridPreconditioner mg(stack_like_matrix(g));
+  EXPECT_THROW(mg.refresh_values(stack_like_matrix(GridShape{8, 8, 3})),
+               Error);
+  EXPECT_THROW(mg.refresh_values(stack_like_matrix(GridShape{4, 16, 2})),
+               Error);
 }
 
 TEST(Multigrid, MgCgMatchesJacobiCgOnManufacturedSolution) {
   const GridShape g{32, 32, 6};
-  const SparseMatrix a = stack_like_matrix(g);
+  const StencilMatrix a = stack_like_matrix(g);
   std::vector<double> x_star;
   const std::vector<double> b = manufactured_rhs(a, &x_star);
 
   SolverOptions opts;
   opts.tolerance = 1e-11;
   const SolveResult jacobi = solve_cg(a, b, opts);
-  const MultigridPreconditioner mg(a, g);
+  const MultigridPreconditioner mg(a);
   const SolveResult mgcg = solve_cg(a, b, opts, {}, &mg);
 
   ASSERT_TRUE(jacobi.converged);
@@ -95,12 +110,12 @@ TEST(Multigrid, MgCgMatchesJacobiCgOnManufacturedSolution) {
 
 TEST(Multigrid, CutsIterationsVsJacobi) {
   const GridShape g{32, 32, 6};
-  const SparseMatrix a = stack_like_matrix(g);
+  const StencilMatrix a = stack_like_matrix(g);
   std::vector<double> x_star;
   const std::vector<double> b = manufactured_rhs(a, &x_star);
 
   const SolveResult jacobi = solve_cg(a, b);
-  const MultigridPreconditioner mg(a, g);
+  const MultigridPreconditioner mg(a);
   const SolveResult mgcg = solve_cg(a, b, {}, {}, &mg);
 
   ASSERT_TRUE(jacobi.converged);
@@ -113,8 +128,7 @@ TEST(Multigrid, CutsIterationsVsJacobi) {
 TEST(Multigrid, ApplyIsSymmetric) {
   // CG requires a symmetric preconditioner: <M r, s> == <r, M s>.
   const GridShape g{16, 16, 4};
-  const SparseMatrix a = stack_like_matrix(g);
-  const MultigridPreconditioner mg(a, g);
+  const MultigridPreconditioner mg(stack_like_matrix(g));
 
   Xoshiro256 rng(7);
   std::vector<double> r(g.nodes());
@@ -138,48 +152,48 @@ TEST(Multigrid, ApplyIsSymmetric) {
 
 TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
   const GridShape g{16, 16, 4};
-  SparseMatrix a = stack_like_matrix(g);
-  MultigridPreconditioner mg(a, g);
+  StencilMatrix a = stack_like_matrix(g);
+  MultigridPreconditioner mg(a);
 
-  // Bump every boundary-layer diagonal in place (what set_boundary does)
-  // and one interior diagonal, and refresh; the hierarchy must now
-  // precondition the *new* matrix exactly as one built from scratch does.
-  for (std::size_t iy = 0; iy < g.ny; ++iy) {
-    for (std::size_t ix = 0; ix < g.nx; ++ix) {
-      const std::size_t top = (g.layers - 1) * g.nx * g.ny + iy * g.nx + ix;
-      const std::size_t k = a.entry_index(top, top);
-      a.set_value(k, a.values()[k] + 25.0);
-    }
+  // Bump every boundary-layer diagonal in place (what set_boundary does),
+  // one interior diagonal and one off-diagonal pair, and refresh; the
+  // hierarchy must now precondition the *new* matrix exactly as one built
+  // from scratch does.
+  const auto diag = a.band(StencilMatrix::kDiag);
+  for (std::size_t c = 0; c < g.plane(); ++c) {
+    diag[(g.layers - 1) * g.plane() + c] += 25.0;
   }
-  const std::size_t interior = g.nx * g.ny + 5 * g.nx + 9;
-  const std::size_t k = a.entry_index(interior, interior);
-  a.set_value(k, a.values()[k] + 3.0);
+  const std::size_t interior = g.plane() + 5 * g.nx + 9;
+  diag[interior] += 3.0;
+  a.band(StencilMatrix::kPlusOne)[interior] -= 0.5;
+  a.band(StencilMatrix::kMinusOne)[interior + 1] -= 0.5;
   mg.refresh_values(a);
 
   std::vector<double> x_star;
   const std::vector<double> b = manufactured_rhs(a, &x_star);
   const SolveResult refreshed = solve_cg(a, b, {}, {}, &mg);
-  const MultigridPreconditioner fresh(a, g);
+  const MultigridPreconditioner fresh(a);
   const SolveResult rebuilt = solve_cg(a, b, {}, {}, &fresh);
 
   // Every level's operator is the fresh one, bit for bit.
   ASSERT_EQ(mg.level_count(), fresh.level_count());
   for (std::size_t l = 0; l < fresh.level_count(); ++l) {
-    const SparseMatrix& got = mg.level_operator(l);
-    const SparseMatrix& want = fresh.level_operator(l);
-    ASSERT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
-    ASSERT_TRUE(std::ranges::equal(got.col_idx(), want.col_idx()));
-    for (std::size_t e = 0; e < want.nonzeros(); ++e) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.values()[e]),
-                std::bit_cast<std::uint64_t>(want.values()[e]))
-          << "level " << l << " entry " << e;
+    const StencilMatrix& got = mg.level_operator(l);
+    const StencilMatrix& want = fresh.level_operator(l);
+    ASSERT_EQ(got.shape(), want.shape());
+    for (std::size_t band = 0; band < StencilMatrix::kBands; ++band) {
+      for (std::size_t r = 0; r < want.rows(); ++r) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.band(band)[r]),
+                  std::bit_cast<std::uint64_t>(want.band(band)[r]))
+            << "level " << l << " band " << band << " row " << r;
+      }
     }
   }
 
   ASSERT_TRUE(refreshed.converged);
   ASSERT_TRUE(rebuilt.converged);
   EXPECT_EQ(refreshed.iterations, rebuilt.iterations);
-  // Bitwise: the refresh accumulates in the builder's order, so the
+  // Bitwise: the refresh re-sums in the construction's order, so the
   // refreshed hierarchy is the rebuilt one, not merely close to it.
   for (std::size_t i = 0; i < a.rows(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(refreshed.x[i]),
@@ -190,10 +204,10 @@ TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
 
 TEST(Multigrid, RefreshRejectsMovedColumn) {
   // Same size and nonzero count, but row 0's +x neighbour (column 1) moved
-  // to column 2: the cached entry maps no longer fit, so refresh throws.
+  // to column 2: the matrix is no longer the stencil on its grid, so it
+  // cannot become a hierarchy's operator.
   const GridShape g{8, 8, 2};
-  const SparseMatrix a = stack_like_matrix(g);
-  MultigridPreconditioner mg(a, g);
+  const SparseMatrix a = stack_like_csr(g);
   std::vector<std::uint32_t> cols(a.col_idx().begin(), a.col_idx().end());
   ASSERT_EQ(cols[1], 1u);
   cols[1] = 2;
@@ -201,13 +215,129 @@ TEST(Multigrid, RefreshRejectsMovedColumn) {
       a.cols(), {a.row_ptr().begin(), a.row_ptr().end()}, std::move(cols),
       {a.values().begin(), a.values().end()});
   ASSERT_EQ(moved.nonzeros(), a.nonzeros());
-  EXPECT_THROW(mg.refresh_values(moved), Error);
+  EXPECT_THROW((void)StencilMatrix::from_csr(moved, g), Error);
+}
+
+/// The dense n x n LU with partial pivoting the coarsest level used before
+/// the band LU, kept as its oracle: row-major, whole rows swapped, solved
+/// by permuting the right-hand side first and substituting row by row.
+struct DenseLu {
+  std::size_t n = 0;
+  std::vector<double> lu;
+  std::vector<std::size_t> pivots;
+  bool swapped = false;
+
+  explicit DenseLu(const StencilMatrix& a) : n(a.rows()), lu(n * n, 0.0) {
+    const SparseMatrix csr = a.to_csr();
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1]; ++k) {
+        lu[r * n + csr.col_idx()[k]] = csr.values()[k];
+      }
+    }
+    pivots.resize(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      std::size_t pivot = c;
+      double best = std::abs(lu[c * n + c]);
+      for (std::size_t r = c + 1; r < n; ++r) {
+        const double mag = std::abs(lu[r * n + c]);
+        if (mag > best) {
+          best = mag;
+          pivot = r;
+        }
+      }
+      pivots[c] = pivot;
+      if (pivot != c) {
+        swapped = true;
+        for (std::size_t j = 0; j < n; ++j) {
+          std::swap(lu[c * n + j], lu[pivot * n + j]);
+        }
+      }
+      const double inv_pivot = 1.0 / lu[c * n + c];
+      for (std::size_t r = c + 1; r < n; ++r) {
+        const double factor = lu[r * n + c] * inv_pivot;
+        lu[r * n + c] = factor;
+        if (factor == 0.0) continue;
+        for (std::size_t j = c + 1; j < n; ++j) {
+          lu[r * n + j] -= factor * lu[c * n + j];
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<double> solve(std::vector<double> x) const {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (pivots[c] != c) std::swap(x[c], x[pivots[c]]);
+    }
+    for (std::size_t r = 1; r < n; ++r) {
+      double acc = x[r];
+      for (std::size_t c = 0; c < r; ++c) acc -= lu[r * n + c] * x[c];
+      x[r] = acc;
+    }
+    for (std::size_t r = n; r-- > 0;) {
+      double acc = x[r];
+      for (std::size_t c = r + 1; c < n; ++c) acc -= lu[r * n + c] * x[c];
+      x[r] = acc / lu[r * n + r];
+    }
+    return x;
+  }
+};
+
+/// A stencil on `g` with random coefficients: diagonally dominant (no row
+/// swap), or with weak diagonals that force partial pivoting to swap.
+StencilMatrix random_stencil(const GridShape& g, std::uint64_t seed,
+                             bool weak_diagonal) {
+  StencilMatrix a(g);
+  Xoshiro256 rng(seed);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t band = 0; band < StencilMatrix::kBands; ++band) {
+      if (band == StencilMatrix::kDiag || !a.has_neighbour(r, band)) continue;
+      a.band(band)[r] = rng.uniform(-1.0, 1.0);
+    }
+    a.band(StencilMatrix::kDiag)[r] =
+        weak_diagonal ? rng.uniform(0.01, 0.2) : rng.uniform(7.0, 9.0);
+  }
+  return a;
+}
+
+TEST(Multigrid, BandLuMatchesDensePivotedLu) {
+  // Layered (bandwidth one plane), single-layer and single-row shapes, the
+  // largest coarsest level a 15-chip stack reaches (4x4x17), with and
+  // without row swaps.
+  const GridShape shapes[] = {{3, 2, 4}, {4, 4, 17}, {4, 3, 1}, {5, 1, 1},
+                              {1, 1, 6}, {2, 2, 2}};
+  for (const GridShape& g : shapes) {
+    for (const bool weak : {false, true}) {
+      SCOPED_TRACE(std::to_string(g.nx) + "x" + std::to_string(g.ny) + "x" +
+                   std::to_string(g.layers) + (weak ? " weak" : " dominant"));
+      const StencilMatrix a = random_stencil(g, 11 + g.nodes(), weak);
+      const DenseLu dense(a);
+      EXPECT_EQ(dense.swapped, weak && g.nodes() > 1);
+      const BandLu band(a);
+      Xoshiro256 rng(5);
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<double> b(a.rows());
+        for (double& v : b) v = rng.uniform(-10.0, 10.0);
+        const std::vector<double> want = dense.solve(b);
+        band.solve(b);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(b[i]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << "node " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Multigrid, BandLuRejectsSingularOperator) {
+  const GridShape g{2, 2, 2};
+  EXPECT_THROW((void)BandLu(StencilMatrix(g)), Error);
 }
 
 TEST(Multigrid, CountsVcycles) {
   const GridShape g{8, 8, 2};
-  const SparseMatrix a = stack_like_matrix(g);
-  const MultigridPreconditioner mg(a, g);
+  const StencilMatrix a = stack_like_matrix(g);
+  const MultigridPreconditioner mg(a);
   std::vector<double> b(g.nodes(), 1.0);
   const SolveResult r = solve_cg(a, b, {}, {}, &mg);
   ASSERT_TRUE(r.converged);
@@ -217,7 +347,7 @@ TEST(Multigrid, CountsVcycles) {
 
 TEST(Multigrid, SolverStatsAccumulate) {
   const GridShape g{8, 8, 2};
-  const SparseMatrix a = stack_like_matrix(g);
+  const StencilMatrix a = stack_like_matrix(g);
   std::vector<double> b(g.nodes(), 1.0);
   SolverStats stats;
   const SolveResult r1 = solve_cg(a, b, {}, {}, nullptr, &stats);

@@ -142,6 +142,71 @@ TEST(CriticalPathTest, FloorIsLongestTaskWithoutStrictChains) {
 
 // ---------------------------------------------------------------- gate --
 
+ParsedTraceEvent span(const char* name, std::int64_t tid, double ts_us,
+                      double dur_us) {
+  ParsedTraceEvent e;
+  e.name = name;
+  e.category = "test";
+  e.phase = "X";
+  e.ts_us = ts_us;
+  e.dur_us = dur_us;
+  e.tid = tid;
+  return e;
+}
+
+const SpanSummary& summary_of(const std::vector<SpanSummary>& spans,
+                              const std::string& name) {
+  for (const SpanSummary& s : spans) {
+    if (s.name == name) return s;
+  }
+  throw std::runtime_error("no span " + name);
+}
+
+TEST(SpanSelfTimeTest, NestedSpansSubtractOnlyDirectChildren) {
+  // outer [0,100) > mid [10,50) > leaf [20,30), plus a second mid
+  // [60,70), given out of order; a span on another thread overlapping
+  // everything is nobody's child.
+  const std::vector<ParsedTraceEvent> events = {
+      span("leaf", 1, 20.0, 10.0), span("outer", 1, 0.0, 100.0),
+      span("mid", 1, 60.0, 10.0),  span("mid", 1, 10.0, 40.0),
+      span("other", 2, 5.0, 90.0)};
+  const std::vector<double> self = span_self_times(events);
+  EXPECT_DOUBLE_EQ(self[0], 10.0);
+  EXPECT_DOUBLE_EQ(self[1], 50.0);  // 100 - 40 - 10
+  EXPECT_DOUBLE_EQ(self[2], 10.0);
+  EXPECT_DOUBLE_EQ(self[3], 30.0);  // 40 - 10
+  EXPECT_DOUBLE_EQ(self[4], 90.0);
+
+  const std::vector<SpanSummary> spans = summarize_spans(events);
+  EXPECT_DOUBLE_EQ(summary_of(spans, "mid").total_us, 50.0);
+  EXPECT_DOUBLE_EQ(summary_of(spans, "mid").self_us, 40.0);
+  EXPECT_DOUBLE_EQ(summary_of(spans, "outer").self_us, 50.0);
+}
+
+TEST(SpanSelfTimeTest, OverlappingChildrenCountTheirUnionOnce) {
+  // a [10,40) and b [30,60) overlap: b is not inside a, so both are
+  // outer's children and outer loses their union [10,60), not 30 + 30.
+  // c starts with outer and ends a rounding step past it: still a child.
+  const std::vector<ParsedTraceEvent> events = {
+      span("outer", 7, 0.0, 100.0), span("a", 7, 10.0, 30.0),
+      span("b", 7, 30.0, 30.0), span("c", 7, 90.0, 10.0 + 1e-4)};
+  const std::vector<double> self = span_self_times(events);
+  EXPECT_DOUBLE_EQ(self[0], 40.0);  // 100 - 50 - 10
+  EXPECT_DOUBLE_EQ(self[1], 30.0);
+  EXPECT_DOUBLE_EQ(self[2], 30.0);
+  EXPECT_NEAR(self[3], 10.0, 1e-3);
+}
+
+TEST(SpanSelfTimeTest, EqualStartsNestTheShorterInsideTheLonger) {
+  const std::vector<ParsedTraceEvent> events = {
+      span("inner", 3, 5.0, 5.0), span("outer", 3, 5.0, 20.0),
+      span("zero", 3, 5.0, 0.0)};
+  const std::vector<double> self = span_self_times(events);
+  EXPECT_DOUBLE_EQ(self[1], 15.0);
+  EXPECT_DOUBLE_EQ(self[0], 5.0);
+  EXPECT_DOUBLE_EQ(self[2], 0.0);
+}
+
 TEST(BenchCompareTest, ClassifiesMetricKinds) {
   EXPECT_EQ(classify_metric("sweep_wall_seconds"), MetricKind::kTiming);
   // Solver time summed across threads is still a timing, never work.

@@ -1,8 +1,8 @@
-// The thermal operator is written straight from its 7-point stencil, and
-// the multigrid levels row by row. These tests hold both to the general
+// The thermal operator is written straight into its seven stencil bands,
+// and so is every multigrid level. These tests hold both to the general
 // assembler they replaced: SparseBuilder's pairwise stamping and COO
-// Galerkin product, kept here as the oracle. Every level must match it bit
-// for bit, after construction and after every cooling swap.
+// Galerkin product, kept here as the oracle. Every level's bands must match
+// it bit for bit, after construction and after every cooling swap.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include "common/multigrid.hpp"
 #include "common/sparse.hpp"
+#include "common/stencil.hpp"
 #include "core/cooling.hpp"
 #include "power/chip_model.hpp"
 #include "thermal/grid_model.hpp"
@@ -22,27 +23,20 @@
 namespace aqua {
 namespace {
 
-/// Bitwise CSR equality: same shape, same row_ptr and col_idx, and values
-/// equal as bit patterns (so -0.0 != 0.0 and any rounding difference shows).
-::testing::AssertionResult same_csr(const SparseMatrix& got,
-                                    const SparseMatrix& want) {
-  if (got.rows() != want.rows() || got.cols() != want.cols()) {
-    return ::testing::AssertionFailure()
-           << "shape " << got.rows() << "x" << got.cols() << " vs "
-           << want.rows() << "x" << want.cols();
-  }
-  if (!std::ranges::equal(got.row_ptr(), want.row_ptr())) {
-    return ::testing::AssertionFailure() << "row_ptr differs";
-  }
-  if (!std::ranges::equal(got.col_idx(), want.col_idx())) {
-    return ::testing::AssertionFailure() << "col_idx differs";
-  }
-  for (std::size_t k = 0; k < want.nonzeros(); ++k) {
-    if (std::bit_cast<std::uint64_t>(got.values()[k]) !=
-        std::bit_cast<std::uint64_t>(want.values()[k])) {
-      return ::testing::AssertionFailure()
-             << "value " << k << ": " << got.values()[k] << " vs "
-             << want.values()[k];
+/// Bitwise band equality: same shape, and every band value equal as a bit
+/// pattern (so -0.0 != 0.0 and any rounding difference shows). `want` is
+/// the oracle's CSR, which must itself be exactly the 7-point stencil.
+::testing::AssertionResult same_bands(const StencilMatrix& got,
+                                      const SparseMatrix& want_csr) {
+  const StencilMatrix want = StencilMatrix::from_csr(want_csr, got.shape());
+  for (std::size_t b = 0; b < StencilMatrix::kBands; ++b) {
+    for (std::size_t r = 0; r < want.rows(); ++r) {
+      if (std::bit_cast<std::uint64_t>(got.band(b)[r]) !=
+          std::bit_cast<std::uint64_t>(want.band(b)[r])) {
+        return ::testing::AssertionFailure()
+               << "band " << b << " row " << r << ": " << got.band(b)[r]
+               << " vs " << want.band(b)[r];
+      }
     }
   }
   return ::testing::AssertionSuccess();
@@ -116,9 +110,8 @@ SparseMatrix stamped_conductance(const Stack3d& stack,
       }
     }
   }
-  SparseMatrix m = builder.build();
-
-  // Boundary conductances per cell, added onto the interior diagonals.
+  // Boundary conductances per cell, added onto the interior diagonals
+  // after every stamp.
   const double ncells = static_cast<double>(nx * ny);
   double top_total;
   if (boundary.coldplate_resistance > 0.0) {
@@ -143,27 +136,22 @@ SparseMatrix stamped_conductance(const Stack3d& stack,
     for (std::size_t ix = 0; ix < nx; ++ix) {
       const std::size_t top = node(n_layers - 1, ix, iy);
       const std::size_t bottom = node(0, ix, iy);
-      const std::size_t kt = m.entry_index(top, top);
-      const std::size_t kb = m.entry_index(bottom, bottom);
-      m.set_value(kt, m.values()[kt] + top_g);
-      m.set_value(kb, m.values()[kb] + bottom_g);
+      builder.add(top, top, top_g);
+      builder.add(bottom, bottom, bottom_g);
     }
   }
-  return m;
+  return builder.build();
 }
 
-/// The COO Galerkin hierarchy under MultigridPreconditioner's default
-/// options: 2x2x1 coarsening until both extents are <= 4, at most 10 levels.
+/// The COO Galerkin hierarchy of `levels` levels: 2x2x1 coarsening, each
+/// coarse entry the sum of its children's entries.
 std::vector<SparseMatrix> coo_hierarchy(const SparseMatrix& fine,
-                                        GridShape shape) {
-  const MultigridOptions options;
-  std::vector<SparseMatrix> levels{fine};
-  while (levels.size() < options.max_levels &&
-         (shape.nx > options.coarsest_extent ||
-          shape.ny > options.coarsest_extent)) {
+                                        GridShape shape, std::size_t levels) {
+  std::vector<SparseMatrix> out{fine};
+  while (out.size() < levels) {
     const GridShape coarse{(shape.nx + 1) / 2, (shape.ny + 1) / 2,
                            shape.layers};
-    const SparseMatrix& a = levels.back();
+    const SparseMatrix& a = out.back();
     std::vector<std::size_t> parent(shape.nodes());
     for (std::size_t l = 0; l < shape.layers; ++l) {
       for (std::size_t iy = 0; iy < shape.ny; ++iy) {
@@ -179,20 +167,20 @@ std::vector<SparseMatrix> coo_hierarchy(const SparseMatrix& fine,
         builder.add(parent[r], parent[a.col_idx()[k]], a.values()[k]);
       }
     }
-    levels.push_back(builder.build());
+    out.push_back(builder.build());
     shape = coarse;
   }
-  return levels;
+  return out;
 }
 
-::testing::AssertionResult hierarchy_matches(
-    const MultigridPreconditioner& mg, const std::vector<SparseMatrix>& want) {
-  if (mg.level_count() != want.size()) {
-    return ::testing::AssertionFailure()
-           << mg.level_count() << " levels vs " << want.size();
-  }
+/// Every level of `mg` against the COO hierarchy of the oracle `fine`, with
+/// as many levels as `mg` built.
+::testing::AssertionResult hierarchy_matches(const MultigridPreconditioner& mg,
+                                             const SparseMatrix& fine) {
+  const std::vector<SparseMatrix> want =
+      coo_hierarchy(fine, mg.fine_shape(), mg.level_count());
   for (std::size_t l = 0; l < want.size(); ++l) {
-    ::testing::AssertionResult same = same_csr(mg.level_operator(l), want[l]);
+    ::testing::AssertionResult same = same_bands(mg.level_operator(l), want[l]);
     if (!same) return same << " (level " << l << ")";
   }
   return ::testing::AssertionSuccess();
@@ -203,9 +191,9 @@ struct Grid {
   std::size_t ny;
 };
 
-// Square, the 2x2 minimum, and odd / non-square grids whose coarsening
-// clips at the edges.
-const Grid kGrids[] = {{32, 32}, {2, 2}, {5, 7}, {17, 9}};
+// Square, the 2x2 minimum, odd / non-square grids whose coarsening clips
+// at the edges, and one that coarsens to single-row levels (9x2 -> 5x1).
+const Grid kGrids[] = {{32, 32}, {2, 2}, {5, 7}, {17, 9}, {9, 2}};
 
 std::vector<ChipModel> factory_chips() {
   return {make_low_power_cmp(), make_high_frequency_cmp(),
@@ -235,11 +223,9 @@ TEST(StencilOracle, AssemblyAndEveryLevelMatchTheBuilder) {
           const StackThermalModel model(stack, pkg, water, grid_options(grid));
           const SparseMatrix oracle =
               stamped_conductance(stack, pkg, water, grid.nx, grid.ny);
-          ASSERT_TRUE(same_csr(model.conductance(), oracle));
-          const MultigridPreconditioner mg(model.conductance(),
-                                           model.grid_shape());
-          ASSERT_TRUE(
-              hierarchy_matches(mg, coo_hierarchy(oracle, model.grid_shape())));
+          ASSERT_TRUE(same_bands(model.conductance(), oracle));
+          const MultigridPreconditioner mg(model.conductance());
+          ASSERT_TRUE(hierarchy_matches(mg, oracle));
         }
       }
     }
@@ -259,7 +245,7 @@ TEST(StencilOracle, RefreshAfterEveryCoolingSwapMatchesAFreshBuild) {
       // boundary.
       StackThermalModel model(stack, pkg, coolings.back().boundary(pkg),
                               grid_options(grid));
-      MultigridPreconditioner mg(model.conductance(), model.grid_shape());
+      MultigridPreconditioner mg(model.conductance());
       for (const CoolingOption& cooling : coolings) {
         SCOPED_TRACE(cooling.name());
         const ThermalBoundary boundary = cooling.boundary(pkg);
@@ -267,13 +253,10 @@ TEST(StencilOracle, RefreshAfterEveryCoolingSwapMatchesAFreshBuild) {
         mg.refresh_values(model.conductance());
         const SparseMatrix oracle =
             stamped_conductance(stack, pkg, boundary, grid.nx, grid.ny);
-        ASSERT_TRUE(same_csr(model.conductance(), oracle));
-        const std::vector<SparseMatrix> want =
-            coo_hierarchy(oracle, model.grid_shape());
-        ASSERT_TRUE(hierarchy_matches(mg, want));
-        const MultigridPreconditioner fresh(model.conductance(),
-                                            model.grid_shape());
-        ASSERT_TRUE(hierarchy_matches(fresh, want));
+        ASSERT_TRUE(same_bands(model.conductance(), oracle));
+        ASSERT_TRUE(hierarchy_matches(mg, oracle));
+        const MultigridPreconditioner fresh(model.conductance());
+        ASSERT_TRUE(hierarchy_matches(fresh, oracle));
       }
     }
   }
@@ -291,7 +274,7 @@ TEST(StencilOracle, SteppingMatrixMatchesTheBuilder) {
     TransientOptions options;
     options.dt_seconds = 0.003;
     const TransientSolver solver(model, options);
-    const SparseMatrix& g = model.conductance();
+    const SparseMatrix g = model.conductance().to_csr();
     SparseBuilder builder(g.rows(), g.cols());
     for (std::size_t r = 0; r < g.rows(); ++r) {
       for (std::size_t k = g.row_ptr()[r]; k < g.row_ptr()[r + 1]; ++k) {
@@ -299,7 +282,7 @@ TEST(StencilOracle, SteppingMatrixMatchesTheBuilder) {
       }
       builder.add(r, r, model.capacities()[r] / options.dt_seconds);
     }
-    EXPECT_TRUE(same_csr(solver.stepping_matrix(), builder.build()));
+    EXPECT_TRUE(same_bands(solver.stepping_matrix(), builder.build()));
   }
 }
 
