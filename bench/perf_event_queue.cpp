@@ -1,9 +1,9 @@
 /// Scheduling throughput of the discrete-event core. The DES dispatches
-/// one callback per simulated pipeline step, so schedule+dispatch cost
-/// bounds full-system simulation speed. EventQueue stores its callbacks
-/// in a SmallFunction whose inline buffer absorbs the simulator's typical
-/// captures — this bench tracks the events/second that buys us and writes
-/// the headline number to BENCH_event_queue.json.
+/// one event per simulated pipeline step, so schedule+dispatch cost bounds
+/// full-system simulation speed. Every EventQueue entry is a plain function
+/// pointer with two context pointers and an inline Message — this bench
+/// tracks the events/second that buys us and writes the headline number to
+/// BENCH_event_queue.json.
 
 #include <chrono>
 #include <cstdint>
@@ -15,24 +15,32 @@ namespace {
 
 /// Self-rescheduling chains: `chains` events are live at any moment, each
 /// reschedules itself `hops` times — the DES steady-state access pattern
-/// (heap push + pop + small-closure dispatch per event).
-std::uint64_t run_chains(std::size_t chains, std::uint64_t hops) {
+/// (calendar push + pop + function-pointer dispatch per event). A chain's
+/// remaining hop count rides in the event payload.
+struct ChainRun {
   aqua::EventQueue q;
   std::uint64_t dispatched = 0;
-  struct Chain {
-    aqua::EventQueue* q;
-    std::uint64_t* dispatched;
-    std::uint64_t remaining;
-    void operator()() {
-      ++*dispatched;
-      if (--remaining > 0) q->schedule_in(1 + remaining % 3, Chain(*this));
+
+  static void hop(void* ctx, void*, const aqua::Message& msg) {
+    auto* run = static_cast<ChainRun*>(ctx);
+    ++run->dispatched;
+    aqua::Message next = msg;
+    if (--next.line > 0) {
+      run->q.schedule_in(1 + next.line % 3, &ChainRun::hop, run, nullptr,
+                         next);
     }
-  };
-  for (std::size_t c = 0; c < chains; ++c) {
-    q.schedule(c % 7, Chain{&q, &dispatched, hops});
   }
-  q.run();
-  return dispatched;
+};
+
+std::uint64_t run_chains(std::size_t chains, std::uint64_t hops) {
+  ChainRun run;
+  aqua::Message m;
+  m.line = hops;
+  for (std::size_t c = 0; c < chains; ++c) {
+    run.q.schedule(c % 7, &ChainRun::hop, &run, nullptr, m);
+  }
+  run.q.run();
+  return run.dispatched;
 }
 
 void microbench_schedule_dispatch(benchmark::State& state) {
@@ -52,8 +60,11 @@ void microbench_bulk_drain(benchmark::State& state) {
   for (auto _ : state) {
     aqua::EventQueue q;
     std::uint64_t hits = 0;
+    const auto hit = [](void* ctx, void*, const aqua::Message&) {
+      ++*static_cast<std::uint64_t*>(ctx);
+    };
     for (std::size_t i = 0; i < events; ++i) {
-      q.schedule(i % 97, [&hits] { ++hits; });
+      q.schedule(i % 97, hit, &hits, nullptr, aqua::Message{});
     }
     q.run();
     total += hits;

@@ -2,8 +2,10 @@
 /// CMP simulator that produces Figs. 10-13.
 ///
 /// The headline table runs fixed NPB cells (workload x chip count) and
-/// reports wall seconds, simulated cycles/second and events per
-/// instruction for each. The numbers land in BENCH_perf_noc.json
+/// reports construction and run wall seconds, simulated cycles/second,
+/// events per instruction and the simulator's state footprint (caches,
+/// directories, routers, packet slab, after the run) for each. The numbers
+/// land in BENCH_perf_noc.json
 /// (schema_version + git provenance via JsonReport) so the DES perf
 /// trajectory is tracked per PR alongside the solver's.
 
@@ -25,8 +27,10 @@ using Clock = std::chrono::steady_clock;
 
 struct CellRun {
   aqua::ExecStats stats;
+  double construct_seconds = 0.0;
   double seconds = 0.0;
-  std::uint64_t events = 0;  ///< DES events scheduled by this run
+  std::uint64_t events = 0;       ///< DES events scheduled by this run
+  std::size_t state_bytes = 0;    ///< CmpSystem::state_bytes after run()
 };
 
 CellRun run_cell(const std::string& workload, std::size_t chips) {
@@ -35,15 +39,19 @@ CellRun run_cell(const std::string& workload, std::size_t chips) {
   aqua::WorkloadProfile p = aqua::npb_profile(workload);
   p.instructions_per_thread = 12'000;
 
+  CellRun run;
+  const auto c0 = Clock::now();
   aqua::CmpSystem system(cfg, p, aqua::gigahertz(1.6), /*seed=*/1);
+  run.construct_seconds =
+      std::chrono::duration<double>(Clock::now() - c0).count();
   aqua::obs::Counter& events_counter =
       aqua::obs::Registry::instance().counter("perf.events");
   const std::uint64_t events0 = events_counter.value();
   const auto t0 = Clock::now();
-  CellRun run;
   run.stats = system.run();
   run.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   run.events = events_counter.value() - events0;
+  run.state_bytes = system.state_bytes();
   return run;
 }
 
@@ -100,8 +108,8 @@ int main(int argc, char** argv) {
   const std::vector<std::string> workloads = {"ft", "cg"};
   const std::vector<std::size_t> chip_counts = {2, 6};
 
-  aqua::Table t({"bench", "chips", "calendar_s", "cycles", "Mcyc_per_s",
-                 "ev_per_instr"});
+  aqua::Table t({"bench", "chips", "construct_s", "calendar_s", "cycles",
+                 "Mcyc_per_s", "ev_per_instr", "state_MB"});
   aqua::bench::JsonReport report("perf_noc");
 
   for (const std::string& w : workloads) {
@@ -119,12 +127,15 @@ int main(int argc, char** argv) {
       t.row()
           .add(w)
           .add_int(static_cast<long long>(chips))
+          .add(cal.construct_seconds, 4)
           .add(cal.seconds, 3)
           .add_int(static_cast<long long>(cal.stats.cycles))
           .add(mcps, 2)
-          .add(ev_per_instr, 3);
+          .add(ev_per_instr, 3)
+          .add(static_cast<double>(cal.state_bytes) / 1e6, 2);
 
       const std::string key = w + "_" + std::to_string(chips) + "chip";
+      report.add(key + "_construct_seconds", cal.construct_seconds, 4);
       report.add(key + "_calendar_seconds", cal.seconds, 4);
       report.add(key + "_cycles", static_cast<std::int64_t>(cal.stats.cycles));
       report.add(key + "_cycles_per_second",
@@ -137,6 +148,8 @@ int main(int argc, char** argv) {
                  static_cast<std::int64_t>(cal.stats.noc.ticks));
       report.add(key + "_noc_cycles_skipped",
                  static_cast<std::int64_t>(cal.stats.noc.cycles_skipped));
+      report.add(key + "_state_bytes",
+                 static_cast<std::int64_t>(cal.state_bytes));
     }
   }
 

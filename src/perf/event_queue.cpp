@@ -10,6 +10,7 @@ namespace aqua {
 EventQueue::EventQueue() {
   static_assert((kNearHorizon & (kNearHorizon - 1)) == 0,
                 "ring size must be a power of two");
+  static_assert(sizeof(Entry) <= 80, "an event entry fits 80 bytes");
   ring_.resize(static_cast<std::size_t>(kNearHorizon));
 }
 
@@ -35,24 +36,15 @@ void EventQueue::push(Entry&& e) {
   }
 }
 
-void EventQueue::schedule(Cycle when, Callback fn) {
+void EventQueue::schedule(Cycle when, EventFn fn, void* ctx, void* target,
+                          const Message& msg) {
   Entry e;
   e.when = when;
   e.seq = seq_++;
-  e.fn = std::move(fn);
-  push(std::move(e));
-}
-
-void EventQueue::schedule_typed(Cycle when, TypedFn fn, void* ctx,
-                                void* target, const Message& msg) {
-  Entry e;
-  e.when = when;
-  e.seq = seq_++;
-  e.typed = fn;
+  e.fn = fn;
   e.ctx = ctx;
   e.target = target;
   e.msg = msg;
-  ++typed_;
   push(std::move(e));
 }
 

@@ -21,16 +21,15 @@
 /// is precisely FIFO order (tests/perf/test_event_queue_params checks the
 /// queue against a plain `(when, seq)` priority-queue oracle).
 ///
-/// Hot events (core advance, message delivery) avoid the SmallFunction
-/// dispatch entirely: `schedule_typed` stores a bare function pointer plus
-/// two context pointers and a Message payload inline in the entry.
+/// Every event is typed: a bare function pointer plus two context pointers
+/// and a Message payload stored inline in the entry (72 bytes) — no
+/// closure, no allocation, no type-erased callable.
 
 #include <array>
 #include <cstdint>
 #include <queue>
 #include <vector>
 
-#include "common/small_function.hpp"
 #include "perf/params.hpp"
 #include "perf/protocol.hpp"
 
@@ -39,36 +38,25 @@ namespace aqua {
 /// Deterministic discrete-event queue.
 class EventQueue {
  public:
-  /// Event callback. SmallFunction keeps typical simulator closures (a
-  /// `this` pointer plus a couple of operands) inline in the entry instead
-  /// of behind a std::function heap allocation — scheduling is the DES hot
-  /// path (see bench/perf_event_queue).
-  using Callback = SmallFunction<void()>;
-
-  /// Typed fast-path event: a plain function pointer invoked as
-  /// `fn(ctx, target, msg)`. The two pointers identify the simulator and
-  /// the core/bank the event acts on; the Message rides inline.
-  using TypedFn = void (*)(void* ctx, void* target, const Message& msg);
+  /// Event handler, invoked as `fn(ctx, target, msg)`. The two pointers
+  /// identify the simulator and the core/bank the event acts on; the
+  /// Message rides inline.
+  using EventFn = void (*)(void* ctx, void* target, const Message& msg);
 
   /// Width of the calendar ring in cycles. Must be a power of two.
   static constexpr Cycle kNearHorizon = 1024;
 
   EventQueue();
 
-  /// Schedules `fn` to run at absolute cycle `when` (>= now()).
-  void schedule(Cycle when, Callback fn);
+  /// Schedules `fn(ctx, target, msg)` to run at absolute cycle `when`
+  /// (>= now()).
+  void schedule(Cycle when, EventFn fn, void* ctx, void* target,
+                const Message& msg);
 
-  /// Schedules `fn` `delay` cycles from now.
-  void schedule_in(Cycle delay, Callback fn) {
-    schedule(now_ + delay, std::move(fn));
-  }
-
-  /// Typed fast-path variants of schedule / schedule_in.
-  void schedule_typed(Cycle when, TypedFn fn, void* ctx, void* target,
-                      const Message& msg);
-  void schedule_typed_in(Cycle delay, TypedFn fn, void* ctx, void* target,
-                         const Message& msg) {
-    schedule_typed(now_ + delay, fn, ctx, target, msg);
+  /// Schedules the event `delay` cycles from now.
+  void schedule_in(Cycle delay, EventFn fn, void* ctx, void* target,
+                   const Message& msg) {
+    schedule(now_ + delay, fn, ctx, target, msg);
   }
 
   [[nodiscard]] Cycle now() const { return now_; }
@@ -77,9 +65,6 @@ class EventQueue {
 
   /// Total events scheduled over the queue's lifetime.
   [[nodiscard]] std::uint64_t scheduled() const { return seq_; }
-
-  /// Of those, events that took the typed fast path.
-  [[nodiscard]] std::uint64_t typed_scheduled() const { return typed_; }
 
   /// High-water mark of pending(). Plain members, not atomics: the DES is
   /// single-threaded per instance and schedule() is the hot path.
@@ -102,19 +87,12 @@ class EventQueue {
   struct Entry {
     Cycle when = 0;
     std::uint64_t seq = 0;
-    TypedFn typed = nullptr;
+    EventFn fn = nullptr;
     void* ctx = nullptr;
     void* target = nullptr;
     Message msg{};
-    Callback fn;
 
-    void fire() {
-      if (typed != nullptr) {
-        typed(ctx, target, msg);
-      } else {
-        fn();
-      }
-    }
+    void fire() const { fn(ctx, target, msg); }
     bool operator>(const Entry& o) const {
       return when != o.when ? when > o.when : seq > o.seq;
     }
@@ -139,7 +117,6 @@ class EventQueue {
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
   Cycle now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t typed_ = 0;
   std::size_t pending_ = 0;
   std::size_t max_pending_ = 0;
 };

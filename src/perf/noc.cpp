@@ -8,12 +8,17 @@
 namespace aqua {
 
 Mesh3d::Mesh3d(const CmpConfig& config, DeliverFn deliver)
-    : config_(config), deliver_(std::move(deliver)) {
+    : config_(config),
+      deliver_(std::move(deliver)),
+      run_cap_(static_cast<std::uint8_t>(config.vc_buffer_flits)) {
   require(config_.num_vcs == 3, "Mesh3d is wired for 3 message classes");
   require(static_cast<bool>(deliver_), "Mesh3d needs a delivery callback");
-  require(config_.vc_buffer_flits <= kMaxBufferFlits,
-          "vc_buffer_flits exceeds the inline run-buffer capacity");
+  require(config_.vc_buffer_flits >= 1 &&
+              config_.vc_buffer_flits <= kMaxBufferFlits,
+          "vc_buffer_flits must be within 1..16");
+  static_assert(sizeof(FlitRun) == 32, "a buffered run is half a cacheline");
   routers_.resize(config_.total_tiles());
+  runs_.resize(config_.total_tiles() * kIvcCount * run_cap_);
   ni_.resize(config_.total_tiles());
   router_active_flag_.assign(config_.total_tiles(), 0);
   ni_backlog_flag_.assign(config_.total_tiles(), 0);
@@ -44,6 +49,12 @@ Mesh3d::Mesh3d(const CmpConfig& config, DeliverFn deliver)
         default: ok = false; break;
       }
       if (ok) neighbors_[id][p] = tile_id(config_, c);
+    }
+  }
+  route_.resize(static_cast<std::size_t>(tiles) * tiles);
+  for (NodeId dst = 0; dst < tiles; ++dst) {
+    for (NodeId at = 0; at < tiles; ++at) {
+      route_[dst * tiles + at] = static_cast<std::uint8_t>(dor_port(at, dst));
     }
   }
 }
@@ -84,10 +95,7 @@ Mesh3d::Port Mesh3d::dor_port(NodeId at, NodeId dst) const {
 }
 
 Mesh3d::Port Mesh3d::route(NodeId at, NodeId dst) const {
-  if (faulted_) {
-    return static_cast<Port>(reroute_[dst * routers_.size() + at]);
-  }
-  return dor_port(at, dst);
+  return static_cast<Port>(route_[dst * routers_.size() + at]);
 }
 
 void Mesh3d::fail_link(NodeId a, NodeId b) {
@@ -125,7 +133,7 @@ void Mesh3d::fail_router(NodeId tile) {
 void Mesh3d::rebuild_reroute() {
   const std::size_t tiles = routers_.size();
   if (router_dead_.empty()) router_dead_.assign(tiles, 0);
-  reroute_.assign(tiles * tiles, static_cast<std::uint8_t>(kLocal));
+  route_.assign(tiles * tiles, static_cast<std::uint8_t>(kLocal));
   std::vector<std::uint32_t> dist(tiles);
   std::vector<NodeId> queue;
   queue.reserve(tiles);
@@ -170,7 +178,7 @@ void Mesh3d::rebuild_reroute() {
         }
       }
       ensure(pick != kPortCount, "reroute: no shortest-path port");
-      reroute_[dst * tiles + at] = static_cast<std::uint8_t>(pick);
+      route_[dst * tiles + at] = static_cast<std::uint8_t>(pick);
     }
   }
   faulted_ = true;
@@ -184,45 +192,49 @@ bool Mesh3d::neighbor(NodeId at, Port port, NodeId& out) const {
   return true;
 }
 
-void Mesh3d::append_flit(InputVc& in, const Packet& pkt, std::uint8_t index,
+bool Mesh3d::append_flit(InputVc& in, FlitRun* runs, std::uint32_t slot,
+                         NodeId dst, std::uint8_t flits, std::uint8_t index,
                          Cycle arrival, Cycle ready) {
   if (in.nruns > 0) {
-    FlitRun& last =
-        in.runs[(in.head + in.nruns - 1) & (kMaxBufferFlits - 1)];
+    FlitRun& last = runs[in.nruns - 1];
     // Merge only back-to-back arrivals of consecutive flits of one packet;
     // the run front's ready then steps by exactly one per pop, matching
     // each flit's own ready (see the FlitRun note in the header).
-    if (last.pkt.id == pkt.id &&
+    if (last.slot == slot &&
         static_cast<std::uint8_t>(last.start + last.count) == index &&
         arrival <= last.last_arrival + 1) {
       ++last.count;
       last.last_arrival = arrival;
       ++in.flits;
-      return;
+      return false;
     }
   }
-  if (in.nruns >= kMaxBufferFlits) {
+  if (in.nruns >= run_cap_) {
     ensure(false, "VC run buffer overflow");
   }
-  FlitRun& r = in.runs[(in.head + in.nruns) & (kMaxBufferFlits - 1)];
-  r.pkt = pkt;
+  FlitRun& r = runs[in.nruns];
+  r.slot = slot;
+  r.dst = dst;
+  r.flits = flits;
   r.start = index;
   r.count = 1;
   r.ready = ready;
   r.last_arrival = arrival;
-  ++in.nruns;
   ++in.flits;
+  return in.nruns++ == 0;
 }
 
-void Mesh3d::pop_front_flit(InputVc& in) {
-  FlitRun& f = in.runs[in.head];
+void Mesh3d::pop_front_flit(InputVc& in, FlitRun* runs) {
+  FlitRun& f = runs[0];
   ++f.start;
   --f.count;
   ++f.ready;
   --in.flits;
   if (f.count == 0) {
-    in.head = (in.head + 1) & (kMaxBufferFlits - 1);
+    // Retire the front run; the few behind it shift down, so the front
+    // always sits at the start of the VC's block.
     --in.nruns;
+    std::copy(runs + 1, runs + 1 + in.nruns, runs);
   }
 }
 
@@ -235,7 +247,6 @@ Cycle Mesh3d::inject(Cycle now, Packet packet) {
     require(false, "packet endpoint is a dead router");
   }
   packet.injected = now;
-  packet.id = ++next_packet_id_;
   ++stats_.packets_injected;
 
   if (packet.src == packet.dst) {
@@ -248,9 +259,19 @@ Cycle Mesh3d::inject(Cycle now, Packet packet) {
     return kIdle;
   }
 
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(packet);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = packet;
+  }
   if (flits_in_network_ == 0) activity_since_ = now;
   flits_in_network_ += packet.flits;
-  ni_[packet.src][packet.vc].push_back(NiPacket{packet, 0});
+  ni_[packet.src][packet.vc].push_back(
+      NiPacket{slot, packet.dst, packet.flits, 0});
   if (!drain_ni(now, packet.src)) return kIdle;
   // Freshly buffered flits clear the RC+VSA stages first; the earliest
   // tick that can move anything is their switch-traversal cycle.
@@ -259,6 +280,8 @@ Cycle Mesh3d::inject(Cycle now, Packet packet) {
 
 bool Mesh3d::drain_ni(Cycle now, NodeId node) {
   Router& r = routers_[node];
+  // The router pipeline's RC+VSA stages precede switch traversal.
+  const Cycle ready = now + (config_.router_pipeline - 1);
   bool backlog = false;
   bool buffered = false;
   for (std::uint8_t vc = 0; vc < 3; ++vc) {
@@ -266,20 +289,19 @@ bool Mesh3d::drain_ni(Cycle now, NodeId node) {
     InputVc& in = r.in[kLocal][vc];
     while (!queue.empty() && in.flits < config_.vc_buffer_flits) {
       NiPacket& head = queue.front();
-      // The router pipeline's RC+VSA stages precede switch traversal.
-      append_flit(in, head.pkt, head.next_flit, now,
-                  now + (config_.router_pipeline - 1));
+      if (append_flit(in, vc_runs(node, vc), head.slot, head.dst, head.flits,
+                      head.next_flit, now, ready) &&
+          ready < r.wake) {
+        r.wake = ready;
+      }
       r.vc_mask |= 1u << vc;  // slot index of in[kLocal][vc] is just vc
       ++r.occupancy;
       buffered = true;
-      if (++head.next_flit == head.pkt.flits) queue.pop_front();
+      if (++head.next_flit == head.flits) queue.pop_front();
     }
     if (!queue.empty()) backlog = true;
   }
-  if (buffered) {
-    const Cycle ready = now + (config_.router_pipeline - 1);
-    if (ready < pass_next_) pass_next_ = ready;
-  }
+  if (buffered && ready < pass_next_) pass_next_ = ready;
   if (r.occupancy > 0) activate_router(node);
   if (backlog) mark_ni_backlog(node);
   return buffered;
@@ -299,13 +321,24 @@ Cycle Mesh3d::tick(Cycle now) {
   ++stats_.ticks;
   pass_next_ = kIdle;
 
-  // Visit only routers known to hold flits. Routers that receive flits
-  // during this pass get activated for the next tick (their flits are not
-  // ready before then anyway).
+  // Visit only routers known to hold flits, in activation order: a credit
+  // returned by one router's pass is visible to every router after it.
+  // Routers that receive flits during this pass get activated for the next
+  // tick (their flits are not ready before then anyway). A router whose
+  // wake lies ahead would find every front still in its pipeline, so its
+  // pass reduces to what happens here: the round-robin offset advances
+  // and the wake feeds the next-work accumulator.
   router_work_.clear();
   router_work_.swap(active_routers_);
   for (NodeId id : router_work_) {
-    if (routers_[id].occupancy > 0) tick_router(now, id);
+    Router& r = routers_[id];
+    if (r.occupancy == 0) continue;
+    if (r.wake > now) {
+      if (++r.rr >= kIvcCount) r.rr = 0;
+      if (r.wake < pass_next_) pass_next_ = r.wake;
+      continue;
+    }
+    tick_router(now, id);
   }
   for (NodeId id : router_work_) {
     if (routers_[id].occupancy > 0) {
@@ -345,7 +378,6 @@ void Mesh3d::skip_cycle(Cycle now) {
   }
   last_tick_ = now;
   ++stats_.cycles_skipped;
-  constexpr std::uint8_t kIvcCount = kPortCount * 3;
   for (NodeId id : active_routers_) {
     Router& r = routers_[id];
     if (r.occupancy == 0) continue;
@@ -357,22 +389,26 @@ void Mesh3d::skip_cycle(Cycle now) {
 void Mesh3d::tick_router(Cycle now, NodeId id) {
   Router& r = routers_[id];
   const auto& nbr = neighbors_[id];
-  bool input_used[kPortCount] = {};
-  bool output_used[kPortCount] = {};
-  Cycle next_work = pass_next_;
+  // Ports that already moved a flit this cycle, one bit per port.
+  std::uint32_t input_used = 0;
+  std::uint32_t output_used = 0;
+  // Earliest cycle one of this router's own fronts could move (its next
+  // wake); flits forwarded downstream feed pass_next_ and the receiving
+  // router's wake directly. A flit landing here mid-pass (a delivery
+  // callback that injects) lowers r.wake, so the pass starts it at kIdle.
+  Cycle own = kIdle;
+  r.wake = kIdle;
 
   // One switch pass: every occupied input VC (in rotating priority order)
   // tries to move its front buffered flit; constraints are one flit per
   // input port and one per output port per cycle, wormhole output
-  // ownership, and downstream credit. Fronts that stay put feed the
-  // next-work accumulator: a future `ready` directly, a this-cycle
-  // contention loss as now + 1.
+  // ownership, and downstream credit. Fronts that stay put feed `own`:
+  // a future `ready` directly, a this-cycle contention loss as now + 1.
   //
   // Rotating the occupancy mask right by rr makes ascending bit position
   // equal ascending priority k (idx == (rr + k) % kIvcCount), so iterating
   // set bits visits exactly the slots the full 0..20 scan would, in the
   // same order, without probing empty VCs.
-  constexpr std::uint8_t kIvcCount = kPortCount * 3;
   constexpr std::uint32_t kAllVcs = (1u << kIvcCount) - 1;
   std::uint32_t rot = r.rr == 0
                           ? r.vc_mask
@@ -387,40 +423,43 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
     const auto port = static_cast<Port>(idx / 3);
     const std::uint8_t vc = idx % 3;
     InputVc& in = r.in[port][vc];
-    if (input_used[port]) {
-      if (now + 1 < next_work) next_work = now + 1;
+    if (input_used & (1u << port)) {
+      if (now + 1 < own) own = now + 1;
       continue;
     }
 
-    FlitRun& front = in.runs[in.head];
+    FlitRun* const runs = vc_runs(id, idx);
+    const FlitRun& front = runs[0];
     if (front.ready > now) {
-      if (front.ready < next_work) next_work = front.ready;
+      if (front.ready < own) own = front.ready;
       continue;
     }
     const std::uint8_t flit_index = front.start;
+    const std::uint32_t slot = front.slot;
+    const NodeId dst = front.dst;
+    const std::uint8_t flits = front.flits;
     const bool is_head = flit_index == 0;
-    const bool is_tail =
-        static_cast<std::uint8_t>(flit_index + 1) == front.pkt.flits;
+    const bool is_tail = static_cast<std::uint8_t>(flit_index + 1) == flits;
 
     Port out;
     if (in.holds_output) {
       out = static_cast<Port>(in.out_port);
     } else if (is_head) {
-      out = route(id, front.pkt.dst);
+      out = route(id, dst);
     } else {
       // Body flit whose head has not been switched yet.
-      if (now + 1 < next_work) next_work = now + 1;
+      if (now + 1 < own) own = now + 1;
       continue;
     }
-    if (output_used[out]) {
-      if (now + 1 < next_work) next_work = now + 1;
+    if (output_used & (1u << out)) {
+      if (now + 1 < own) own = now + 1;
       continue;
     }
 
     const std::uint8_t enc = static_cast<std::uint8_t>(idx + 1);
     if (is_head && !in.holds_output) {
       if (r.out_owner[out][vc] != 0) {  // output VC busy (wormhole)
-        if (now + 1 < next_work) next_work = now + 1;
+        if (now + 1 < own) own = now + 1;
         continue;
       }
     }
@@ -436,20 +475,19 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
               config_.vc_buffer_flits) {
         // No downstream buffer space (the flit-count check is a safety net;
         // credits should already prevent it).
-        if (now + 1 < next_work) next_work = now + 1;
+        if (now + 1 < own) own = now + 1;
         continue;
       }
     }
 
-    // Traverse. Copy the packet out first: popping may retire the run.
-    const Packet pkt = front.pkt;
-    pop_front_flit(in);
+    // Traverse.
+    pop_front_flit(in, runs);
     if (in.nruns == 0) r.vc_mask &= ~(1u << idx);
     --r.occupancy;
-    input_used[port] = true;
-    output_used[out] = true;
+    input_used |= 1u << port;
+    output_used |= 1u << out;
     // Whatever is now at the front of this VC could move next cycle.
-    if (in.flits > 0 && now + 1 < next_work) next_work = now + 1;
+    if (in.flits > 0 && now + 1 < own) own = now + 1;
 
     if (is_head) {
       in.holds_output = true;
@@ -476,6 +514,10 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
       --flits_in_network_;
       ++stats_.flits_delivered;
       if (is_tail) {
+        // Copy the packet out and recycle its slot before delivering:
+        // delivery may inject, which may reuse the slot or grow the slab.
+        const Packet pkt = slab_[slot];
+        free_slots_.push_back(slot);
         ++stats_.packets_delivered;
         stats_.total_packet_latency += (now + 1) - pkt.injected;
         stats_.observe_latency((now + 1) - pkt.injected);
@@ -488,16 +530,28 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
       const Cycle ready =
           now + config_.link_latency + (config_.router_pipeline - 1);
       const Port back = opposite(out);
-      append_flit(nr.in[back][vc], pkt, flit_index, now, ready);
-      nr.vc_mask |= 1u << (back * 3 + vc);
-      if (ready < next_work) next_work = ready;
+      const auto back_ivc = static_cast<std::uint8_t>(back * 3 + vc);
+      if (append_flit(nr.in[back][vc], vc_runs(next, back_ivc), slot, dst,
+                      flits, flit_index, now, ready) &&
+          ready < nr.wake) {
+        nr.wake = ready;
+      }
+      nr.vc_mask |= 1u << back_ivc;
+      if (ready < pass_next_) pass_next_ = ready;
       ++nr.occupancy;
       activate_router(next);
     }
   }
   ++r.rr;
   if (r.rr >= kIvcCount) r.rr = 0;
-  pass_next_ = next_work;
+  if (own < r.wake) r.wake = own;
+  if (own < pass_next_) pass_next_ = own;
+}
+
+std::size_t Mesh3d::state_bytes() const {
+  return routers_.size() * sizeof(Router) + runs_.size() * sizeof(FlitRun) +
+         slab_.capacity() * sizeof(Packet) +
+         free_slots_.capacity() * sizeof(std::uint32_t);
 }
 
 bool Mesh3d::credit_invariants_ok() const {

@@ -17,10 +17,20 @@
 /// (`stats().cycles_skipped` counts those cycles).
 ///
 /// VC buffers store flits as *runs*: consecutive flits of one packet that
-/// arrived back-to-back collapse into a single {packet, start, count}
+/// arrived back-to-back collapse into a single 32-byte {slot, start, count}
 /// record, so the common 5-flit data packet moves through each hop with one
-/// buffer record instead of five and only the head flit ever copies the
-/// packet. Per-flit timing is preserved exactly — see the FlitRun note.
+/// buffer record instead of five. Per-flit timing is preserved exactly —
+/// see the FlitRun note.
+///
+/// Packets themselves never move: an injected packet is parked in a
+/// per-mesh slab slot until its tail flit ejects, and runs carry only the
+/// slot plus the two header fields routing needs (destination, length).
+/// The packet is copied once, out of the slab, for delivery.
+///
+/// Each router also keeps a wake cycle — the earliest cycle any of its
+/// buffered fronts could move — and a tick passes over routers whose wake
+/// lies in the future without scanning their buffers (DESIGN.md "DES fast
+/// path" explains why that is exact).
 
 #include <array>
 #include <cstdint>
@@ -40,7 +50,6 @@ struct Packet {
   std::uint8_t vc = 0;      ///< message class == virtual channel
   std::uint8_t flits = 1;   ///< 1 control / 5 data (Table 1)
   Cycle injected = 0;       ///< stats: injection cycle
-  std::uint64_t id = 0;     ///< unique per injection (run merging)
   Message msg{};            ///< opaque to the network
 };
 
@@ -163,6 +172,9 @@ class Mesh3d {
   }
   [[nodiscard]] bool faulted() const { return faulted_; }
 
+  /// Bytes held by the routers' buffers and the packet slab.
+  [[nodiscard]] std::size_t state_bytes() const;
+
  private:
   /// A run of consecutive flits of one packet inside a VC buffer.
   ///
@@ -172,21 +184,28 @@ class Mesh3d {
   /// cycles (or together from the NI), so the j-th flit's true ready time
   /// is <= ready + j, and it cannot reach the run front before cycle
   /// ready + j anyway because at most one flit leaves per cycle.
+  ///
+  /// Runs merge on equal `slot`. A slot is recycled only after its
+  /// packet's tail has ejected, when no buffer can still hold one of its
+  /// flits, so equal slots in one buffer always mean one packet.
   struct FlitRun {
-    Packet pkt;
-    std::uint8_t start = 0;    ///< index of the front flit within pkt
+    std::uint32_t slot = 0;    ///< the packet's slab slot
+    NodeId dst = 0;            ///< routing key (the packet's destination)
+    std::uint8_t flits = 0;    ///< the packet's length
+    std::uint8_t start = 0;    ///< index of the front flit within the packet
     std::uint8_t count = 0;    ///< live flits in the run
     Cycle ready = 0;           ///< earliest switch-traversal cycle (front)
     Cycle last_arrival = 0;    ///< arrival cycle of the newest flit
   };
 
-  /// Upper bound on buffered flits per VC (=> runs per VC); the real limit
-  /// is config_.vc_buffer_flits, validated <= this at construction.
+  /// Upper bound on config_.vc_buffer_flits (validated at construction).
   static constexpr std::size_t kMaxBufferFlits = 16;
+  static constexpr std::uint8_t kIvcCount = kPortCount * 3;
 
+  /// An input VC's buffer bookkeeping. Its runs live in runs_, front first,
+  /// in a block of vc_buffer_flits records (a run holds at least one flit,
+  /// so the block never overflows while credits hold).
   struct InputVc {
-    std::array<FlitRun, kMaxBufferFlits> runs;  ///< circular, head first
-    std::uint8_t head = 0;
     std::uint8_t nruns = 0;
     std::uint8_t flits = 0;  ///< total buffered flits (credit accounting)
     bool holds_output = false;
@@ -194,24 +213,31 @@ class Mesh3d {
   };
 
   struct Router {
-    // in[port][vc]
-    std::array<std::array<InputVc, 3>, kPortCount> in;
+    // Earliest cycle any buffered front could traverse the switch: the
+    // minimum of the fronts' ready cycles, or the cycle after a pass in
+    // which a front lost arbitration, stalled on credit or moved with
+    // flits behind it. Set by each switch pass, lowered when a flit lands
+    // at the front of an empty VC. kIdle while the router is empty.
+    Cycle wake = kIdle;
+    std::uint32_t occupancy = 0;  // buffered flits (activity filter)
+    // Bit (port * 3 + vc) set iff that input VC holds at least one run;
+    // the switch pass iterates set bits instead of probing all 21 slots.
+    std::uint32_t vc_mask = 0;
+    std::uint8_t rr = 0;      // round-robin arbitration offset
     // Which input (encoded port*3+vc+1; 0 = free) owns each output VC.
     std::array<std::array<std::uint8_t, 3>, kPortCount> out_owner{};
     // Credits: free downstream buffer slots per output VC.
     std::array<std::array<std::uint8_t, 3>, kPortCount> credits{};
-    std::uint8_t rr = 0;      // round-robin arbitration offset
-    std::uint32_t occupancy = 0;  // buffered flits (activity filter)
-    // Bit (port * 3 + vc) set iff that input VC holds at least one run;
-    // the switch pass iterates set bits instead of probing all 21 slots
-    // (each InputVc spans many cachelines, so empty probes are expensive).
-    std::uint32_t vc_mask = 0;
+    // in[port][vc]
+    std::array<std::array<InputVc, 3>, kPortCount> in{};
   };
 
   /// An injected packet waiting in the (unbounded) NI queue; flits
   /// `next_flit..flits-1` have not yet entered the router.
   struct NiPacket {
-    Packet pkt;
+    std::uint32_t slot = 0;
+    NodeId dst = 0;
+    std::uint8_t flits = 0;
     std::uint8_t next_flit = 0;
   };
 
@@ -221,7 +247,7 @@ class Mesh3d {
   static Port opposite(Port p);
 
   [[nodiscard]] Port dor_port(NodeId at, NodeId dst) const;
-  /// Recomputes reroute_ (BFS per destination over surviving links) and
+  /// Recomputes route_ (BFS per destination over surviving links) and
   /// validates live-router connectivity. Called by fail_link/fail_router.
   void rebuild_reroute();
 
@@ -229,26 +255,39 @@ class Mesh3d {
   void tick_router(Cycle now, NodeId id);
   void activate_router(NodeId id);
   void mark_ni_backlog(NodeId id);
-  void append_flit(InputVc& in, const Packet& pkt, std::uint8_t index,
+  /// The run block of input VC `ivc` (= port * 3 + vc) of router `id`.
+  FlitRun* vc_runs(NodeId id, std::uint8_t ivc) {
+    return &runs_[(static_cast<std::size_t>(id) * kIvcCount + ivc) *
+                  run_cap_];
+  }
+  /// Buffers flit `index` of the packet in `slot`; returns true if it
+  /// became the VC's front (the VC was empty).
+  bool append_flit(InputVc& in, FlitRun* runs, std::uint32_t slot,
+                   NodeId dst, std::uint8_t flits, std::uint8_t index,
                    Cycle arrival, Cycle ready);
-  void pop_front_flit(InputVc& in);
+  void pop_front_flit(InputVc& in, FlitRun* runs);
 
   CmpConfig config_;
   DeliverFn deliver_;
   std::vector<Router> routers_;
+  std::vector<FlitRun> runs_;  ///< [router][ivc][run_cap_] run blocks
+  std::uint8_t run_cap_;       ///< = config_.vc_buffer_flits
   // Topology tables built once at construction; the per-flit hot path does
   // no coordinate arithmetic.
   std::vector<TileCoord> coords_;                       ///< by NodeId
   std::vector<std::array<NodeId, kPortCount>> neighbors_;  ///< kNoNeighbor = edge
+  /// Output port by [dst * tiles + at]: dimension order at construction,
+  /// the fault reroute after fail_link/fail_router.
+  std::vector<std::uint8_t> route_;
   // Per-node, per-class injection queues (unbounded NI).
   std::vector<std::array<std::deque<NiPacket>, 3>> ni_;
-  // Fault state: empty/false until the first fail_* call, so the fault-free
-  // hot path pays one predictable branch in route().
+  // Fault state: empty/false until the first fail_* call.
   bool faulted_ = false;
   std::vector<std::uint8_t> router_dead_;              ///< by NodeId
-  std::vector<std::uint8_t> reroute_;  ///< [dst * tiles + at] -> Port
+  // Packets in flight, parked from injection until their tail ejects.
+  std::vector<Packet> slab_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t flits_in_network_ = 0;
-  std::uint64_t next_packet_id_ = 0;
   Cycle last_tick_ = 0;
   Cycle activity_since_ = kIdle;  ///< first cycle of the current busy spell
   Cycle pass_next_ = kIdle;  ///< next-work accumulator of the current tick

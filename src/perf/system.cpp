@@ -53,7 +53,6 @@ void CmpSystem::init_topology() {
       bank.chip = chip;
       bank.l2 = std::make_unique<SetAssocCache<L2Line>>(
           config_.l2_bank_bytes, config_.line_bytes, config_.l2_assoc);
-      bank_of_tile_[bank.tile] = idx;
     }
   }
 
@@ -64,6 +63,10 @@ void CmpSystem::init_topology() {
   core_of_tile_.assign(config_.total_tiles(), -1);
   for (const Core& core : cores_) {
     core_of_tile_[core.tile] = static_cast<std::int32_t>(core.index);
+  }
+  bank_of_tile_.assign(config_.total_tiles(), -1);
+  for (std::size_t b = 0; b < banks_.size(); ++b) {
+    bank_of_tile_[banks_[b].tile] = static_cast<std::int32_t>(b);
   }
   home_tiles_.resize(config_.total_l2_banks());
   for (std::size_t g = 0; g < home_tiles_.size(); ++g) {
@@ -124,9 +127,31 @@ CmpSystem::Core& CmpSystem::core_at(NodeId tile) {
   return cores_[core_index_of(tile)];
 }
 
+CmpSystem::WbEntry* CmpSystem::Core::find_writeback(LineAddr line) {
+  for (WbEntry& wb : writeback_buffer) {
+    if (wb.line == line) return &wb;
+  }
+  return nullptr;
+}
+
+CmpSystem::WbEntry& CmpSystem::Core::writeback_entry(LineAddr line) {
+  if (WbEntry* wb = find_writeback(line); wb != nullptr) return *wb;
+  writeback_buffer.push_back(WbEntry{line});
+  return writeback_buffer.back();
+}
+
+std::size_t CmpSystem::state_bytes() const {
+  std::size_t bytes = noc_->state_bytes();
+  for (const Core& core : cores_) bytes += core.l1->state_bytes();
+  for (const Bank& bank : banks_) {
+    bytes += bank.l2->state_bytes() + bank.directory.state_bytes();
+  }
+  return bytes;
+}
+
 // ---------------------------------------------------------------------------
-// Typed event thunks. The event queue calls these through a bare function
-// pointer with the scheduling-time context — no closure, no allocation.
+// Event thunks. The event queue calls these through a bare function pointer
+// with the scheduling-time context — no closure, no allocation.
 // ---------------------------------------------------------------------------
 
 void CmpSystem::advance_event(void* ctx, void* target, const Message&) {
@@ -153,18 +178,11 @@ void CmpSystem::dram_fill_event(void* ctx, void* target, const Message& msg) {
   auto* self = static_cast<CmpSystem*>(ctx);
   auto& bank = *static_cast<Bank*>(target);
   bool inserted = false;
-  auto evicted = bank.l2->insert(
-      msg.line, L2Line{false}, inserted,
-      [&bank](LineAddr l, const L2Line&) {
-        const auto it = bank.directory.find(l);
-        return it == bank.directory.end() ||
-               (!it->second.busy &&
-                it->second.state == DirState::kUncached);
-      });
+  auto evicted = bank.l2->insert(msg.line, L2Line{false}, inserted,
+                                 L2Evictable{bank});
   if (!inserted) ++self->stats_.l2_overflow_inserts;
   if (evicted) {
-    const auto it = bank.directory.find(evicted->line);
-    if (it != bank.directory.end()) it->second.l2_valid = false;
+    if (DirEntry* e = bank.directory.find(evicted->line)) e->l2_valid = false;
   }
   bank.directory[msg.line].l2_valid = true;
   self->finish_fill(bank, msg, DataSource::kDram);
@@ -203,8 +221,8 @@ void CmpSystem::pump_event(void* ctx, void*, const Message&) {
     self->noc_->skip_cycle(now);
   }
   if (self->noc_->active()) {
-    self->events_.schedule_typed_in(1, &CmpSystem::pump_event, self, self,
-                                    Message{});
+    self->events_.schedule_in(1, &CmpSystem::pump_event, self, self,
+                              Message{});
   } else {
     self->noc_pumping_ = false;
     self->noc_gate_ = 0;
@@ -236,21 +254,19 @@ void CmpSystem::send(MsgType type, LineAddr line, NodeId from, NodeId to,
   if (!noc_pumping_ && noc_->active()) {
     noc_pumping_ = true;
     noc_gate_ = 0;  // the first tick of a busy spell always runs
-    events_.schedule_typed_in(1, &CmpSystem::pump_event, this, this,
-                              Message{});
+    events_.schedule_in(1, &CmpSystem::pump_event, this, this, Message{});
   }
 }
 
 void CmpSystem::deliver(const Packet& packet) {
-  const auto bank_it = bank_of_tile_.find(packet.dst);
-  if (bank_it != bank_of_tile_.end()) {
+  const std::int32_t bank = bank_of_tile_[packet.dst];
+  if (bank >= 0) {
     // Home handling begins after the bank's tag/directory access.
-    Bank& bank = banks_[bank_it->second];
-    events_.schedule_typed_in(config_.l2_latency, &CmpSystem::home_event,
-                              this, &bank, packet.msg);
+    events_.schedule_in(config_.l2_latency, &CmpSystem::home_event, this,
+                        &banks_[static_cast<std::size_t>(bank)], packet.msg);
   } else {
-    events_.schedule_typed_in(config_.l1_latency, &CmpSystem::core_event, this,
-                              &core_at(packet.dst), packet.msg);
+    events_.schedule_in(config_.l1_latency, &CmpSystem::core_event, this,
+                        &core_at(packet.dst), packet.msg);
   }
 }
 
@@ -282,8 +298,8 @@ void CmpSystem::advance_core(Core& core) {
       Message m;
       m.line = op.line;
       m.dirty = op.is_store;  // decoded by access_event
-      events_.schedule_typed_in(op.compute_cycles + config_.l1_latency,
-                                &CmpSystem::access_event, this, &core, m);
+      events_.schedule_in(op.compute_cycles + config_.l1_latency,
+                          &CmpSystem::access_event, this, &core, m);
       return;
     }
   }
@@ -363,8 +379,7 @@ void CmpSystem::maybe_complete_miss(Core& core) {
   core.miss_active = false;
   send(MsgType::kUnblock, line, core.tile, home_tile_of(line),
        core.tile);
-  events_.schedule_typed_in(1, &CmpSystem::advance_event, this, &core,
-                            Message{});
+  events_.schedule_in(1, &CmpSystem::advance_event, this, &core, Message{});
 }
 
 void CmpSystem::install_line(Core& core, LineAddr line, L1State state) {
@@ -391,7 +406,7 @@ void CmpSystem::install_line(Core& core, LineAddr line, L1State state) {
       const bool dirty = evicted->state.state != L1State::kE;
       // Keep the line in the writeback buffer until the home acknowledges;
       // forwarded requests meanwhile are served from here.
-      WbEntry& wb = core.writeback_buffer[victim];
+      WbEntry& wb = core.writeback_entry(victim);
       wb.dirty = dirty;
       ++wb.pending_acks;
       ++stats_.writebacks;
@@ -428,13 +443,13 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
         send(MsgType::kDowngradeAck, msg.line, core.tile,
              home_tile_of(msg.line), msg.requestor, dirty);
       } else {
-        const auto wb = core.writeback_buffer.find(msg.line);
-        ensure(wb != core.writeback_buffer.end(),
+        const WbEntry* wb = core.find_writeback(msg.line);
+        ensure(wb != nullptr,
                "FwdGetS owner holds the line in neither L1 nor WB buffer");
         send(MsgType::kData, msg.line, core.tile, msg.requestor,
              msg.requestor, false, -1, DataSource::kForward);
         send(MsgType::kDowngradeAck, msg.line, core.tile,
-             home_tile_of(msg.line), msg.requestor, wb->second.dirty);
+             home_tile_of(msg.line), msg.requestor, wb->dirty);
       }
       return;
     }
@@ -442,7 +457,7 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
     case MsgType::kFwdGetM: {
       L1Line* l = core.l1->find(msg.line);
       if (l == nullptr) {
-        ensure(core.writeback_buffer.contains(msg.line),
+        ensure(core.find_writeback(msg.line) != nullptr,
                "FwdGetM owner holds the line in neither L1 nor WB buffer");
       } else {
         core.l1->erase(msg.line);
@@ -497,10 +512,10 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
     }
 
     case MsgType::kWBAck: {
-      const auto it = core.writeback_buffer.find(msg.line);
-      if (it != core.writeback_buffer.end() &&
-          --it->second.pending_acks <= 0) {
-        core.writeback_buffer.erase(it);
+      WbEntry* wb = core.find_writeback(msg.line);
+      if (wb != nullptr && --wb->pending_acks <= 0) {
+        *wb = core.writeback_buffer.back();
+        core.writeback_buffer.pop_back();
       }
       return;
     }
@@ -533,8 +548,7 @@ void CmpSystem::maybe_release_barrier() {
     if (!c.at_barrier) continue;
     c.at_barrier = false;
     stats_.barrier_wait_cycles += events_.now() - c.barrier_arrive;
-    events_.schedule_typed_in(1, &CmpSystem::advance_event, this, &c,
-                              Message{});
+    events_.schedule_in(1, &CmpSystem::advance_event, this, &c, Message{});
   }
 }
 
@@ -600,8 +614,8 @@ void CmpSystem::inject_faults(const PerfFaultPlan& plan) {
   for (const CoreFault& f : plan.core_faults) {
     if (f.at_cycle == 0) continue;
     require(dead[f.core] == 0, "core is already dead at start");
-    events_.schedule_typed(f.at_cycle, &CmpSystem::kill_event, this,
-                           &cores_[f.core], Message{});
+    events_.schedule(f.at_cycle, &CmpSystem::kill_event, this,
+                     &cores_[f.core], Message{});
   }
 
   obs::RunReport& report = obs::RunReport::instance();
@@ -694,7 +708,7 @@ void CmpSystem::flush_l1(Core& core) {
       case L1State::kM:
       case L1State::kO: {
         const bool dirty = f.state != L1State::kE;
-        WbEntry& wb = core.writeback_buffer[f.line];
+        WbEntry& wb = core.writeback_entry(f.line);
         wb.dirty = dirty;
         ++wb.pending_acks;
         ++stats_.writebacks;
@@ -800,18 +814,13 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
       if (is_owner) {
         // Accept the writeback into the L2 data array.
         bool inserted = false;
-        auto evicted = bank.l2->insert(
-            line, L2Line{msg.dirty}, inserted,
-            [&bank](LineAddr l, const L2Line&) {
-              const auto it = bank.directory.find(l);
-              return it == bank.directory.end() ||
-                     (!it->second.busy &&
-                      it->second.state == DirState::kUncached);
-            });
+        auto evicted = bank.l2->insert(line, L2Line{msg.dirty}, inserted,
+                                       L2Evictable{bank});
         if (!inserted) ++stats_.l2_overflow_inserts;
         if (evicted) {
-          const auto it = bank.directory.find(evicted->line);
-          if (it != bank.directory.end()) it->second.l2_valid = false;
+          if (DirEntry* v = bank.directory.find(evicted->line)) {
+            v->l2_valid = false;
+          }
         }
         e.l2_valid = true;
         if (e.state == DirState::kOwned && e.sharers != 0) {
@@ -960,7 +969,7 @@ void CmpSystem::pump_pending(Bank& bank, LineAddr line) {
   // leave the line un-busy, and anything still queued behind them would
   // otherwise be orphaned — a deadlock. pending_event re-queues at the
   // front if the line went busy again in the meantime.
-  events_.schedule_typed_in(1, &CmpSystem::pending_event, this, &bank, next);
+  events_.schedule_in(1, &CmpSystem::pending_event, this, &bank, next);
 }
 
 void CmpSystem::respond_with_data(Bank& bank, LineAddr line, NodeId requestor,
@@ -1001,8 +1010,8 @@ void CmpSystem::fetch_line(Bank& bank, const Message& request) {
   MemoryController& mc = memory_[bank.chip];
   const Cycle start = std::max(events_.now(), mc.next_free);
   mc.next_free = start + dram_service_cycles_;
-  events_.schedule_typed(start + dram_latency_cycles_,
-                         &CmpSystem::dram_fill_event, this, &bank, request);
+  events_.schedule(start + dram_latency_cycles_, &CmpSystem::dram_fill_event,
+                   this, &bank, request);
 }
 
 // ---------------------------------------------------------------------------
@@ -1024,15 +1033,20 @@ void CmpSystem::report_deadlock() {
                        std::to_string(c.acks_expected)
                  : "");
   }
+  // Busy lines in (bank, line) order, independent of the table layout.
+  std::vector<LineAddr> busy;
   for (const Bank& b : banks_) {
-    for (const auto& [line, e] : b.directory) {
-      if (e.busy || e.pending_count != 0) {
-        dump += "\n bank tile " + std::to_string(b.tile) + " line " +
-                std::to_string(line) + " state " +
-                std::string(to_string(e.state)) +
-                (e.busy ? " BUSY" : "") + " pending " +
-                std::to_string(e.pending_count);
-      }
+    busy.clear();
+    b.directory.for_each([&busy](LineAddr line, const DirEntry& e) {
+      if (e.busy || e.pending_count != 0) busy.push_back(line);
+    });
+    std::sort(busy.begin(), busy.end());
+    for (const LineAddr line : busy) {
+      const DirEntry& e = *b.directory.find(line);
+      dump += "\n bank tile " + std::to_string(b.tile) + " line " +
+              std::to_string(line) + " state " +
+              std::string(to_string(e.state)) + (e.busy ? " BUSY" : "") +
+              " pending " + std::to_string(e.pending_count);
     }
   }
   ensure(false, dump);
@@ -1050,8 +1064,7 @@ ExecStats CmpSystem::run() {
 
   for (Core& core : cores_) {
     if (core.finished) continue;  // dead at start (inject_faults)
-    events_.schedule_typed(0, &CmpSystem::advance_event, this, &core,
-                           Message{});
+    events_.schedule(0, &CmpSystem::advance_event, this, &core, Message{});
   }
 
   while (finished_cores_ < cores_.size()) {
@@ -1087,8 +1100,6 @@ ExecStats CmpSystem::run() {
         obs::Registry::instance().counter("perf.instructions");
     static obs::Counter& events =
         obs::Registry::instance().counter("perf.events");
-    static obs::Counter& events_typed =
-        obs::Registry::instance().counter("perf.events_typed");
     static obs::Counter& events_skipped =
         obs::Registry::instance().counter("perf.events_skipped");
     static obs::Counter& noc_packets =
@@ -1100,7 +1111,6 @@ ExecStats CmpSystem::run() {
     runs.add(1);
     instructions.add(stats_.instructions);
     events.add(events_.scheduled());
-    events_typed.add(events_.typed_scheduled());
     // Active-network cycles whose mesh tick skip_cycle stood in for.
     events_skipped.add(stats_.noc.cycles_skipped);
     noc_packets.add(stats_.noc.packets_delivered);
@@ -1136,7 +1146,6 @@ ExecStats CmpSystem::run() {
           .add("noc_ticks", stats_.noc.ticks)
           .add("noc_cycles_skipped", stats_.noc.cycles_skipped)
           .add("events_scheduled", events_.scheduled())
-          .add("events_typed", events_.typed_scheduled())
           .add("events_max_pending",
                static_cast<std::uint64_t>(events_.max_pending()))
           .add("noc_latency_hist",

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "perf/cache.hpp"
 #include "perf/event_queue.hpp"
 #include "perf/faults.hpp"
+#include "perf/line_table.hpp"
 #include "perf/noc.hpp"
 #include "perf/params.hpp"
 #include "perf/protocol.hpp"
@@ -86,12 +86,13 @@ struct ExecStats {
 /// frequency, which is exactly how a higher clock rate shifts the
 /// compute/memory balance in the paper's gem5 runs.
 ///
-/// Hot-path structure (see DESIGN.md "DES fast path"): the recurring event
-/// shapes — core advance, message delivery, directory pending re-dispatch,
-/// DRAM fills, NoC pumps — are typed EventQueue events (plain function
-/// pointer + Message payload, no closure), directory pending queues are
-/// pooled intrusive lists, and the NoC is self-scheduling: it reports its
-/// next work cycle and full ticks only run on cycles that can move flits.
+/// Hot-path structure (see DESIGN.md "DES fast path"): every event — core
+/// advance, message delivery, directory pending re-dispatch, DRAM fills,
+/// NoC pumps — is a typed EventQueue entry (plain function pointer +
+/// Message payload, no closure), directories are flat open-addressed
+/// tables with pooled intrusive pending lists, caches are split tag/rank/
+/// state arrays, and the NoC is self-scheduling: it reports its next work
+/// cycle and full ticks only run on cycles that can move flits.
 /// The pump event still fires every active-network cycle so the event
 /// stream (and therefore every result) stays bit-identical to the original
 /// per-cycle design.
@@ -122,6 +123,11 @@ class CmpSystem {
 
   [[nodiscard]] const CmpConfig& config() const { return config_; }
 
+  /// Bytes of simulator state: every L1 and L2 tag store, every directory
+  /// table and the mesh (routers and packet slab). Directory tables grow
+  /// as lines are first touched, so this rises over run().
+  [[nodiscard]] std::size_t state_bytes() const;
+
  private:
   friend struct CmpSystemTestPeer;  ///< white-box hooks (tests/perf)
 
@@ -131,6 +137,7 @@ class CmpSystem {
   };
 
   struct WbEntry {
+    LineAddr line = 0;
     bool dirty = false;
     // A line can be evicted again before the first WBAck returns; the entry
     // must survive until every outstanding PutM is acknowledged.
@@ -161,8 +168,13 @@ class CmpSystem {
     Cycle barrier_arrive = 0;
 
     // Evicted dirty/exclusive lines awaiting WBAck; FwdGet* for these lines
-    // are served from here.
-    std::unordered_map<LineAddr, WbEntry> writeback_buffer;
+    // are served from here. A handful of entries at most: a flat vector,
+    // searched linearly, unordered.
+    std::vector<WbEntry> writeback_buffer;
+
+    [[nodiscard]] WbEntry* find_writeback(LineAddr line);
+    /// The line's entry, appended (zeroed) if absent.
+    WbEntry& writeback_entry(LineAddr line);
   };
 
   // ---- L2 / directory side ----
@@ -179,8 +191,6 @@ class CmpSystem {
 
   struct DirEntry {
     DirState state = DirState::kUncached;
-    std::uint32_t owner = 0;       ///< core index
-    std::uint64_t sharers = 0;     ///< bitmask over core indices (<= 64)
     bool busy = false;
     bool l2_valid = false;         ///< L2 data array holds a valid copy
     // FwdGetS transactions complete on TWO messages that race on the
@@ -189,17 +199,31 @@ class CmpSystem {
     bool awaiting_downgrade = false;
     bool downgrade_received = false;
     bool unblock_received = false;
+    std::uint32_t owner = 0;       ///< core index
+    std::uint32_t pending_count = 0;
+    std::uint64_t sharers = 0;     ///< bitmask over core indices (<= 64)
     // Blocked requests, FIFO (intrusive list of pooled nodes).
     PendingNode* pending_head = nullptr;
     PendingNode* pending_tail = nullptr;
-    std::uint32_t pending_count = 0;
   };
 
   struct Bank {
     NodeId tile = 0;
     std::size_t chip = 0;
     std::unique_ptr<SetAssocCache<L2Line>> l2;
-    std::unordered_map<LineAddr, DirEntry> directory;
+    // Never erased. Handlers insert only the line they are handling, so a
+    // DirEntry& they hold stays valid (see line_table.hpp).
+    LineTable<DirEntry> directory;
+  };
+
+  /// L2 victim filter: a line may leave a bank's data array only while its
+  /// directory entry is idle and uncached (or it has none).
+  struct L2Evictable {
+    const Bank& bank;
+    bool operator()(LineAddr line, const L2Line&) const {
+      const DirEntry* e = bank.directory.find(line);
+      return e == nullptr || (!e->busy && e->state == DirState::kUncached);
+    }
   };
 
   struct MemoryController {
@@ -211,7 +235,7 @@ class CmpSystem {
     std::uint64_t generation = 0;
   };
 
-  // ---- typed event thunks (EventQueue fast path) ----
+  // ---- event thunks ----
   static void advance_event(void* ctx, void* target, const Message& msg);
   static void access_event(void* ctx, void* target, const Message& msg);
   static void core_event(void* ctx, void* target, const Message& msg);
@@ -284,13 +308,13 @@ class CmpSystem {
   bool noc_pumping_ = false;  ///< a live pump event exists
   Cycle noc_gate_ = 0;        ///< earliest cycle a tick can move flits
 
-  // Topology tables (built once): tile -> core index (-1 = not a core
-  // tile) and line-interleaving -> home bank tile.
+  // Topology tables (built once): tile -> core index and tile -> bank index
+  // (-1 = no core / bank on that tile), line-interleaving -> home bank tile.
   std::vector<std::int32_t> core_of_tile_;
+  std::vector<std::int32_t> bank_of_tile_;
   std::vector<NodeId> home_tiles_;
 
   std::vector<Core> cores_;
-  std::unordered_map<NodeId, std::size_t> bank_of_tile_;
   std::vector<Bank> banks_;
   std::vector<MemoryController> memory_;
   Barrier barrier_;

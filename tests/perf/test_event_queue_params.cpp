@@ -15,12 +15,31 @@ namespace {
 
 // ---------------------------------------------------------- event queue ----
 
+Message tagged(int tag) {
+  Message m;
+  m.line = static_cast<LineAddr>(tag);
+  return m;
+}
+
+/// Appends the event's tag (msg.line) to the std::vector<int> at ctx.
+void record(void* ctx, void*, const Message& msg) {
+  static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(msg.line));
+}
+
+/// Increments the int at ctx.
+void count(void* ctx, void*, const Message&) { ++*static_cast<int*>(ctx); }
+
+void schedule_record(EventQueue& q, Cycle when, std::vector<int>& order,
+                     int tag) {
+  q.schedule(when, &record, &order, nullptr, tagged(tag));
+}
+
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.schedule(30, [&] { order.push_back(3); });
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(20, [&] { order.push_back(2); });
+  schedule_record(q, 30, order, 3);
+  schedule_record(q, 10, order, 1);
+  schedule_record(q, 20, order, 2);
   EXPECT_TRUE(q.run());
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), 30u);
@@ -29,31 +48,32 @@ TEST(EventQueue, RunsInTimeOrder) {
 TEST(EventQueue, SameCycleFifo) {
   EventQueue q;
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&order, i] { order.push_back(i); });
-  }
+  for (int i = 0; i < 10; ++i) schedule_record(q, 5, order, i);
   q.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int hits = 0;
-  std::function<void()> chain = [&] {
-    ++hits;
-    if (hits < 5) q.schedule_in(2, chain);
-  };
-  q.schedule(0, chain);
-  q.run();
-  EXPECT_EQ(hits, 5);
-  EXPECT_EQ(q.now(), 8u);
+  struct Chain {
+    EventQueue q;
+    int hits = 0;
+    static void step(void* ctx, void*, const Message&) {
+      auto* c = static_cast<Chain*>(ctx);
+      ++c->hits;
+      if (c->hits < 5) c->q.schedule_in(2, &Chain::step, c, nullptr, {});
+    }
+  } chain;
+  chain.q.schedule(0, &Chain::step, &chain, nullptr, {});
+  chain.q.run();
+  EXPECT_EQ(chain.hits, 5);
+  EXPECT_EQ(chain.q.now(), 8u);
 }
 
 TEST(EventQueue, RunLimitStopsEarly) {
   EventQueue q;
   int hits = 0;
-  q.schedule(1, [&] { ++hits; });
-  q.schedule(100, [&] { ++hits; });
+  q.schedule(1, &count, &hits, nullptr, {});
+  q.schedule(100, &count, &hits, nullptr, {});
   EXPECT_FALSE(q.run(50));
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(q.pending(), 1u);
@@ -61,17 +81,18 @@ TEST(EventQueue, RunLimitStopsEarly) {
 
 TEST(EventQueue, SchedulingInPastThrows) {
   EventQueue q;
-  q.schedule(10, [] {});
+  int hits = 0;
+  q.schedule(10, &count, &hits, nullptr, {});
   q.step();
-  EXPECT_THROW(q.schedule(5, [] {}), Error);
+  EXPECT_THROW(q.schedule(5, &count, &hits, nullptr, {}), Error);
 }
 
 TEST(EventQueue, StepCycleRunsAllAtSameTime) {
   EventQueue q;
   int hits = 0;
-  q.schedule(4, [&] { ++hits; });
-  q.schedule(4, [&] { ++hits; });
-  q.schedule(9, [&] { ++hits; });
+  q.schedule(4, &count, &hits, nullptr, {});
+  q.schedule(4, &count, &hits, nullptr, {});
+  q.schedule(9, &count, &hits, nullptr, {});
   q.step_cycle();
   EXPECT_EQ(hits, 2);
   EXPECT_EQ(q.next_time(), 9u);
@@ -83,10 +104,10 @@ TEST(EventQueue, StepCycleRunsAllAtSameTime) {
 TEST(EventQueue, FarFutureOverflowOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.schedule(5 * EventQueue::kNearHorizon, [&] { order.push_back(3); });
-  q.schedule(EventQueue::kNearHorizon + 7, [&] { order.push_back(2); });
-  q.schedule(3, [&] { order.push_back(1); });
-  q.schedule(9 * EventQueue::kNearHorizon + 1, [&] { order.push_back(4); });
+  schedule_record(q, 5 * EventQueue::kNearHorizon, order, 3);
+  schedule_record(q, EventQueue::kNearHorizon + 7, order, 2);
+  schedule_record(q, 3, order, 1);
+  schedule_record(q, 9 * EventQueue::kNearHorizon + 1, order, 4);
   EXPECT_TRUE(q.run());
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(q.now(), 9 * EventQueue::kNearHorizon + 1);
@@ -97,38 +118,39 @@ TEST(EventQueue, FarFutureOverflowOrder) {
 // the heap entries were necessarily scheduled first, so they must fire
 // first to preserve global FIFO order.
 TEST(EventQueue, HeapRingTieIsFifo) {
-  EventQueue q;
-  const Cycle target = EventQueue::kNearHorizon + 6;
-  std::vector<int> order;
-  q.schedule(target, [&] { order.push_back(1); });  // -> overflow heap
-  q.schedule(10, [&q, &order, target] {
-    // now == 10: target is inside the horizon, lands in the ring.
-    q.schedule(target, [&order] { order.push_back(2); });
-  });
-  EXPECT_TRUE(q.run());
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  struct Tie {
+    EventQueue q;
+    std::vector<int> order;
+    // now == 10: the target is inside the horizon, so this lands in the ring.
+    static void late(void* ctx, void*, const Message&) {
+      auto* t = static_cast<Tie*>(ctx);
+      schedule_record(t->q, EventQueue::kNearHorizon + 6, t->order, 2);
+    }
+  } tie;
+  // -> overflow heap
+  schedule_record(tie.q, EventQueue::kNearHorizon + 6, tie.order, 1);
+  tie.q.schedule(10, &Tie::late, &tie, nullptr, {});
+  EXPECT_TRUE(tie.q.run());
+  EXPECT_EQ(tie.order, (std::vector<int>{1, 2}));
 }
 
-// Typed fast-path events share the same sequence counter as closures: a
-// mixed same-cycle schedule fires in exact schedule order.
-TEST(EventQueue, TypedAndClosureEventsShareFifoOrder) {
+// Events with different handlers and targets share one sequence counter:
+// a same-cycle schedule fires in exact schedule order, and each event gets
+// back its own context, target and payload.
+TEST(EventQueue, MixedHandlersShareFifoOrder) {
   EventQueue q;
   std::vector<int> order;
-  auto typed = [](void* ctx, void* target, const Message& msg) {
-    static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(msg.line));
-    (void)target;
+  int targets[2] = {10, 20};
+  auto with_target = [](void* ctx, void* target, const Message& msg) {
+    static_cast<std::vector<int>*>(ctx)->push_back(
+        *static_cast<int*>(target) + static_cast<int>(msg.line));
   };
-  q.schedule(7, [&] { order.push_back(0); });
-  Message m1;
-  m1.line = 1;
-  q.schedule_typed(7, typed, &order, nullptr, m1);
-  q.schedule(7, [&] { order.push_back(2); });
-  Message m3;
-  m3.line = 3;
-  q.schedule_typed(7, typed, &order, nullptr, m3);
+  schedule_record(q, 7, order, 0);
+  q.schedule(7, with_target, &order, &targets[0], tagged(1));
+  schedule_record(q, 7, order, 2);
+  q.schedule(7, with_target, &order, &targets[1], tagged(3));
   EXPECT_TRUE(q.run());
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(q.typed_scheduled(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 11, 2, 23}));
   EXPECT_EQ(q.scheduled(), 4u);
 }
 
@@ -248,9 +270,9 @@ FiringLog run_oracle(const EventProgram& prog) {
   return fired;
 }
 
-/// The same program on the calendar queue: even tags ride the typed fast
-/// path, odd tags are closures. Records which tier each schedule entered
-/// so the test can prove the interesting cases actually occurred.
+/// The same program on the calendar queue, the tag riding in the event's
+/// payload. Records which tier each schedule entered so the test can prove
+/// the interesting cases actually occurred.
 struct CalendarRun {
   explicit CalendarRun(const EventProgram& p) : prog(p) {}
 
@@ -264,16 +286,10 @@ struct CalendarRun {
   void schedule(Cycle when) {
     const int tag = next_tag++;
     overflow.push_back(when - q.now() >= kHorizon);
-    if (tag % 2 == 0) {
-      Message m;
-      m.line = static_cast<LineAddr>(tag);
-      q.schedule_typed(when, &CalendarRun::typed_fire, this, nullptr, m);
-    } else {
-      q.schedule(when, [this, tag] { fire(tag); });
-    }
+    q.schedule(when, &CalendarRun::on_fire, this, nullptr, tagged(tag));
   }
 
-  static void typed_fire(void* ctx, void*, const Message& msg) {
+  static void on_fire(void* ctx, void*, const Message& msg) {
     static_cast<CalendarRun*>(ctx)->fire(static_cast<int>(msg.line));
   }
 
@@ -293,10 +309,9 @@ struct CalendarRun {
   }
 };
 
-// A randomized program — handler-scheduled follow-ups, mixed typed and
-// closure events, schedules past kNearHorizon, and same-cycle ties across
-// the ring/overflow boundary — fires in exactly the order of a plain
-// (when, seq) priority queue.
+// A randomized program — handler-scheduled follow-ups, schedules past
+// kNearHorizon, and same-cycle ties across the ring/overflow boundary —
+// fires in exactly the order of a plain (when, seq) priority queue.
 TEST(EventQueue, CalendarMatchesHeapOnRandomSchedule) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const EventProgram prog{seed};
@@ -308,8 +323,7 @@ TEST(EventQueue, CalendarMatchesHeapOnRandomSchedule) {
     EXPECT_EQ(got.size(), static_cast<std::size_t>(cal.next_tag));
 
     // The program must have exercised what the oracle is there to check.
-    EXPECT_GT(cal.q.typed_scheduled(), 0u);
-    EXPECT_LT(cal.q.typed_scheduled(), cal.q.scheduled());
+    EXPECT_EQ(cal.q.scheduled(), static_cast<std::uint64_t>(cal.next_tag));
     EXPECT_GT(cal.handler_overflow, 0u) << "seed " << seed;
     std::size_t tied_cycles = 0;
     for (std::size_t i = 0; i < got.size();) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -110,6 +112,72 @@ TEST(Noc, SameVcSameSrcDstStaysOrdered) {
   h.drain();
   ASSERT_EQ(h.delivered.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(h.delivered[i].msg.acks, i);
+}
+
+// Packets park in slab slots that are recycled once a tail ejects. On
+// chip 0, a 1-hop packet A ejects while a 5-flit packet B is still crossing
+// the chip; C (B's route, same VC, right behind it) and D are injected
+// next, so C takes the slot A just freed while B's runs are buffered ahead
+// of it. Running the same chip-0 traffic again beside a busy chip 1 (its
+// packets hold and free slots throughout, and DOR never routes them
+// through chip 0) shuffles every slot assignment; chip 0 must see the same
+// delivery cycles, order and payloads either way.
+TEST(Noc, SlotReuseKeepsRunsApart) {
+  using Log = std::vector<std::pair<Cycle, std::int32_t>>;  // (cycle, acks)
+  const auto run = [](bool busy_chip1) {
+    Harness h(2);
+    const auto tile = [&h](std::uint32_t x, std::uint32_t y, std::uint32_t z) {
+      return tile_id(h.config, {x, y, z});
+    };
+    const auto send = [&h](Cycle now, NodeId src, NodeId dst,
+                           std::uint8_t flits, std::int32_t acks) {
+      Packet p = make_packet(src, dst, 2, flits);
+      p.msg.acks = acks;
+      h.mesh->inject(now, p);
+    };
+    Cycle now = 0;
+    send(now, tile(0, 0, 0), tile(3, 3, 0), 5, 1);  // B
+    send(now, tile(1, 1, 0), tile(2, 1, 0), 1, 2);  // A
+    Log log;
+    std::size_t seen = 0;
+    bool c_sent = false;
+    for (now = 1; h.mesh->active() || !c_sent; ++now) {
+      if (busy_chip1 && now < 60 && now % 3 == 0) {
+        const auto k = static_cast<std::uint32_t>(now / 3);
+        send(now, tile(k % 4, (k / 4) % 4, 1), tile(3 - k % 4, 3, 1), 5,
+             100 + static_cast<std::int32_t>(k));
+      }
+      h.mesh->tick(now);
+      for (; seen < h.delivered.size(); ++seen) {
+        const Packet& p = h.delivered[seen];
+        if (p.msg.acks < 100) log.emplace_back(now, p.msg.acks);
+        // Payloads come back intact from whichever slot they rode in.
+        EXPECT_EQ(p.msg.line, (static_cast<LineAddr>(p.src) << 32) | p.dst);
+        if (p.msg.acks == 2 && !c_sent) {
+          EXPECT_TRUE(h.mesh->active());  // B is still in flight
+          send(now, tile(0, 0, 0), tile(3, 3, 0), 5, 3);  // C
+          send(now, tile(0, 2, 0), tile(3, 2, 0), 1, 4);  // D
+          c_sent = true;
+        }
+      }
+      if (now > 10000) break;
+    }
+    EXPECT_TRUE(h.mesh->credit_invariants_ok());
+    return log;
+  };
+  const Log alone = run(false);
+  const Log beside = run(true);
+  ASSERT_EQ(alone.size(), 4u);
+  EXPECT_EQ(alone[0].second, 2);  // A first
+  // B before C on their shared VC path.
+  const auto pos = [&alone](std::int32_t acks) {
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      if (alone[i].second == acks) return i;
+    }
+    return alone.size();
+  };
+  EXPECT_LT(pos(1), pos(3));
+  EXPECT_EQ(alone, beside);
 }
 
 TEST(Noc, AllToAllStressAllDelivered) {
