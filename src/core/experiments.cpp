@@ -268,44 +268,65 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
     data.rows[b].relative.resize(data.coolings.size());
   }
 
-  // One unpinned task per feasible (benchmark, cooling) table slot: DES
-  // cells carry no reusable solver state, so they overlap freely with any
-  // other work. The key omits cooling, so two options capping at the same
-  // frequency collide on purpose — the runner's single-flight memo makes
-  // whichever slot arrives first the leader and serves concurrent
-  // duplicates as memo hits, computing each unique key exactly once.
+  // One unpinned task per unique DES key: DES cells carry no reusable
+  // solver state, so they overlap freely with any other work. The key
+  // omits cooling, and the cap is the only key field that varies within a
+  // program, so a program's slots that cap at the same frequency share a
+  // key. They form one task that runs them in ascending cooling order:
+  // the first computes (or cache-hits), the rest are memo hits on the
+  // published entry. As tasks of their own, the duplicates would park
+  // engine workers on the single-flight memo for the leader's whole
+  // compute. Every slot still goes through runner.run under its own name,
+  // so dedupe counts, poison, cache, shard ownership and the failed-leader
+  // retry stay per slot.
+  std::vector<std::vector<std::size_t>> cap_groups;
+  for (std::size_t k = 0; k < data.coolings.size(); ++k) {
+    if (!data.caps[k].feasible) continue;
+    const auto same_cap = [&](const std::vector<std::size_t>& group) {
+      return data.caps[group.front()].frequency.value() ==
+             data.caps[k].frequency.value();
+    };
+    const auto group =
+        std::find_if(cap_groups.begin(), cap_groups.end(), same_cap);
+    if (group == cap_groups.end()) {
+      cap_groups.push_back({k});
+    } else {
+      group->push_back(k);
+    }
+  }
   std::vector<sweep::TaskEngine::Task> des_tasks;
-  des_tasks.reserve(suite.size() * data.coolings.size());
+  des_tasks.reserve(suite.size() * cap_groups.size());
   for (std::size_t b = 0; b < suite.size(); ++b) {
-    for (std::size_t k = 0; k < data.coolings.size(); ++k) {
-      if (!data.caps[k].feasible) continue;
+    for (std::size_t g = 0; g < cap_groups.size(); ++g) {
       sweep::TaskEngine::Task task;
-      task.body = [&, b, k](sweep::WorkerContext&) {
-        AQUA_TRACE_SCOPE_ARG("experiment.npb_cell", "experiment",
-                             b * data.coolings.size() + k);
-        const sweep::CellConfig config = sweep::npb_des_cell(
-            chips, base_config.cores_per_chip, suite[b].name,
-            data.caps[k].frequency.value(), suite[b].instructions_per_thread,
-            seed, /*faulted=*/false);
-        const std::string cellkey = "chip=" + data.chip_name +
-                                    ";chips=" + std::to_string(chips) +
-                                    ";bench=" + suite[b].name +
-                                    ";cooling=" + to_string(data.coolings[k]);
-        const sweep::CellSource src = runner.run(
-            config, cellkey, {},
-            [&] {
-              return npb_des_values(base_config, suite[b],
-                                    data.caps[k].frequency, seed);
-            },
-            [&](const std::map<std::string, double>& values) {
-              const auto seconds = values.find("seconds");
-              if (seconds != values.end()) {
-                data.rows[b].seconds[k] = seconds->second;
-              }
-            });
-        if (src == sweep::CellSource::kFailed) {
-          std::lock_guard lock(failed_mu);
-          data.failed_cells.push_back(cellkey);
+      task.body = [&, b, g](sweep::WorkerContext&) {
+        for (const std::size_t k : cap_groups[g]) {
+          AQUA_TRACE_SCOPE_ARG("experiment.npb_cell", "experiment",
+                               b * data.coolings.size() + k);
+          const sweep::CellConfig config = sweep::npb_des_cell(
+              chips, base_config.cores_per_chip, suite[b].name,
+              data.caps[k].frequency.value(),
+              suite[b].instructions_per_thread, seed, /*faulted=*/false);
+          const std::string cellkey = "chip=" + data.chip_name +
+                                      ";chips=" + std::to_string(chips) +
+                                      ";bench=" + suite[b].name +
+                                      ";cooling=" + to_string(data.coolings[k]);
+          const sweep::CellSource src = runner.run(
+              config, cellkey, {},
+              [&] {
+                return npb_des_values(base_config, suite[b],
+                                      data.caps[k].frequency, seed);
+              },
+              [&](const std::map<std::string, double>& values) {
+                const auto seconds = values.find("seconds");
+                if (seconds != values.end()) {
+                  data.rows[b].seconds[k] = seconds->second;
+                }
+              });
+          if (src == sweep::CellSource::kFailed) {
+            std::lock_guard lock(failed_mu);
+            data.failed_cells.push_back(cellkey);
+          }
         }
       };
       des_tasks.push_back(std::move(task));

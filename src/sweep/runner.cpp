@@ -147,6 +147,9 @@ CellSource SweepRunner::run(
       break;  // leader: this cell computes (or cache-serves) the key
     }
     const std::shared_ptr<MemoEntry> waiting = it->second;
+    if (!waiting->ready && !waiting->abandoned) {
+      memo_parked_.fetch_add(1, std::memory_order_relaxed);
+    }
     while (!waiting->ready && !waiting->abandoned) {
       if (!token.active()) {
         waiting->cv.wait(lock);
@@ -313,6 +316,7 @@ SweepRunner::Stats SweepRunner::stats() const {
   s.shard_skipped = shard_skipped_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
+  s.memo_parked = memo_parked_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -330,6 +334,7 @@ void SweepRunner::emit_report() const {
         .add("shard_skipped", static_cast<std::uint64_t>(s.shard_skipped))
         .add("failed", static_cast<std::uint64_t>(s.failed))
         .add("cancelled", static_cast<std::uint64_t>(s.cancelled))
+        .add("memo_parked", static_cast<std::uint64_t>(s.memo_parked))
         .add("shards", static_cast<std::uint64_t>(shard_.shards))
         .add("shard_id", static_cast<std::uint64_t>(shard_.id))
         .add("cache_enabled", SweepCache::instance().enabled())

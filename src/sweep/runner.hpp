@@ -17,6 +17,12 @@
 ///                       once per sweep. A leader that fails or is
 ///                       shard-skipped abandons the entry and waiters
 ///                       retry from the top of the precedence chain.
+///                       A parked waiter holds its engine worker for the
+///                       leader's whole compute, so a sweep that sees
+///                       duplicate keys before dispatch runs them in one
+///                       task (npb_experiment groups each program's
+///                       equal-cap slots); the memo stays the dedupe of
+///                       record. `Stats::memo_parked` counts the parks.
 ///   3. content cache   (AQUA_SWEEP_CACHE warm hits skip the compute; the
 ///                       one persistent cell store, for kill/resume and
 ///                       shard assembly alike)
@@ -114,6 +120,9 @@ class SweepRunner {
     std::size_t shard_skipped = 0;
     std::size_t failed = 0;
     std::size_t cancelled = 0;
+    /// Times a cell parked on an in-flight memo entry (a wait, not a
+    /// source: a parked cell ends up in one of the counts above).
+    std::size_t memo_parked = 0;
     [[nodiscard]] std::size_t cells() const {
       return computed + memo_hits + cache_hits + shard_skipped + failed +
              cancelled;
@@ -167,6 +176,7 @@ class SweepRunner {
   std::atomic<std::size_t> shard_skipped_{0};
   std::atomic<std::size_t> failed_{0};
   std::atomic<std::size_t> cancelled_{0};
+  std::atomic<std::size_t> memo_parked_{0};
 };
 
 /// Dispatches `count` independent, placement-free cells as unpinned tasks

@@ -1,8 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/cosim.hpp"
 #include "core/experiments.hpp"
 #include "power/chip_model.hpp"
+#include "sweep/cache.hpp"
+#include "sweep/cell_key.hpp"
+#include "sweep/runner.hpp"
+#include "sweep/task_engine.hpp"
 
 namespace aqua {
 namespace {
@@ -161,6 +173,107 @@ TEST(Experiments, NpbExperimentSmall) {
   ASSERT_TRUE(mean.has_value());
   EXPECT_LT(*mean, 1.0);
   EXPECT_GT(*mean, 0.5);
+}
+
+// The Fig. 10 configuration (6 low-power chips) at a tiny instruction
+// scale on `workers` engine workers, cold (no content cache).
+NpbData fig10_tiny(std::size_t workers) {
+  sweep::SweepCache::instance().configure("");
+  sweep::TaskEngine::shared().configure(workers);
+  NpbData data = npb_experiment(make_low_power_cmp(), 6,
+                                CoolingKind::kWaterPipe, 80.0,
+                                /*instruction_scale=*/0.005, coarse_grid());
+  sweep::TaskEngine::shared().configure(0);
+  return data;
+}
+
+std::string render_table(const NpbData& data) {
+  const auto exact = [](const std::optional<double>& d) {
+    return d.has_value() ? sweep::format_double_exact(*d) : std::string("-");
+  };
+  std::ostringstream os;
+  for (const FrequencyCap& cap : data.caps) {
+    os << "cap " << sweep::format_double_exact(cap.frequency.value()) << "\n";
+  }
+  for (const NpbRow& row : data.rows) {
+    for (std::size_t k = 0; k < data.coolings.size(); ++k) {
+      os << row.benchmark << " " << to_string(data.coolings[k])
+         << " seconds=" << exact(row.seconds[k])
+         << " rel=" << exact(row.relative[k]) << "\n";
+    }
+  }
+  return os.str();
+}
+
+TEST(Experiments, NpbDispatchesOneTaskPerUniqueDesKey) {
+  ::unsetenv(sweep::SweepRunner::kPoisonEnv);
+  const NpbData data = fig10_tiny(4);
+  const sweep::TaskEngine::Stats engine = sweep::TaskEngine::shared()
+                                              .last_run_stats();
+  const std::size_t programs = data.rows.size() - 1;  // minus "avg"
+  std::size_t feasible = 0;
+  std::set<double> cap_hz;
+  for (const FrequencyCap& cap : data.caps) {
+    if (!cap.feasible) continue;
+    ++feasible;
+    cap_hz.insert(cap.frequency.value());
+  }
+  const std::size_t slots = programs * feasible;
+  const std::size_t groups = programs * cap_hz.size();
+  ASSERT_LT(groups, slots) << "the config must have equal-cap slots";
+  EXPECT_EQ(engine.executed, groups);
+  EXPECT_EQ(data.deduped_cells, slots - groups);
+  EXPECT_TRUE(data.failed_cells.empty());
+  // No duplicate waits for its leader: memo hits are lookups on published
+  // entries (a parked waiter makes this about 30%).
+  EXPECT_LT(data.cost.memo_us, 0.01 * data.cost.compute_us);
+
+  EXPECT_EQ(render_table(data), render_table(fig10_tiny(1)))
+      << "the 4-worker table diverged from the 1-worker one";
+}
+
+TEST(Experiments, NpbPoisonedDuplicateLeavesItsSiblingIntact) {
+  ::unsetenv(sweep::SweepRunner::kPoisonEnv);
+  const NpbData clean = fig10_tiny(4);
+  const std::size_t oil = 1;
+  const std::size_t fluorinert = 2;
+  ASSERT_EQ(clean.coolings[oil], CoolingKind::kMineralOil);
+  ASSERT_EQ(clean.coolings[fluorinert], CoolingKind::kFluorinert);
+  ASSERT_EQ(clean.caps[oil].frequency.value(),
+            clean.caps[fluorinert].frequency.value())
+      << "the two slots must share one DES key";
+  const std::size_t program = 1;  // cg
+  const std::string prefix = "chip=" + clean.chip_name + ";chips=6;bench=" +
+                             clean.rows[program].benchmark + ";cooling=";
+
+  for (const auto& [poisoned, sibling] :
+       {std::pair{oil, fluorinert}, std::pair{fluorinert, oil}}) {
+    const std::string cell = prefix + to_string(clean.coolings[poisoned]);
+    for (const std::size_t workers : {1u, 4u}) {
+      ::setenv(sweep::SweepRunner::kPoisonEnv, ("npb:" + cell).c_str(), 1);
+      const NpbData data = fig10_tiny(workers);
+      ::unsetenv(sweep::SweepRunner::kPoisonEnv);
+      SCOPED_TRACE(cell + " at " + std::to_string(workers) + " workers");
+
+      EXPECT_EQ(data.failed_cells, std::vector<std::string>{cell});
+      EXPECT_FALSE(data.rows[program].seconds[poisoned].has_value());
+      ASSERT_TRUE(data.rows[program].seconds[sibling].has_value());
+      EXPECT_EQ(*data.rows[program].seconds[sibling],
+                *clean.rows[program].seconds[sibling]);
+      for (std::size_t b = 0; b < clean.rows.size(); ++b) {
+        for (std::size_t k = 0; k < clean.coolings.size(); ++k) {
+          // The poisoned slot is a hole, and so is its column's average.
+          const bool hole = k == poisoned &&
+                            (b == program || clean.rows[b].benchmark == "avg");
+          if (hole) continue;
+          EXPECT_EQ(data.rows[b].seconds[k], clean.rows[b].seconds[k])
+              << clean.rows[b].benchmark << " " << k;
+          EXPECT_EQ(data.rows[b].relative[k], clean.rows[b].relative[k])
+              << clean.rows[b].benchmark << " " << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

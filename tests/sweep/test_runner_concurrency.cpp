@@ -1,9 +1,10 @@
 /// SweepRunner concurrency stress tests: the precedence invariants that
 /// must hold when cells run on the task engine — the single-flight memo
 /// computes each canonical key exactly once under 8 workers with injected
-/// per-cell delays, a failed leader is retried (and never memoized or
-/// cached), poison outranks a warm cache in both directions, and failing
-/// cells stay isolated from their siblings.
+/// per-cell delays, only a wait on an in-flight entry counts as parked, a
+/// failed leader is retried (and never memoized or cached), poison
+/// outranks a warm cache in both directions, and failing cells stay
+/// isolated from their siblings.
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,50 @@ TEST(RunnerConcurrency, SingleFlightMemoComputesEachKeyExactlyOnce) {
   EXPECT_EQ(stats.computed, kKeys);
   EXPECT_EQ(stats.memo_hits, kKeys * (kDuplicates - 1));
   EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(RunnerConcurrency, MemoParkedCountsOnlyWaitsOnInFlightEntries) {
+  ::unsetenv(SweepRunner::kPoisonEnv);
+  SweepCache::instance().configure("");
+  const auto sweep_pair = [](SweepRunner& runner, std::size_t workers,
+                             bool hold_for_park) {
+    TaskEngine engine(workers);
+    std::vector<TaskEngine::Task> tasks(2);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      tasks[i].body = [&runner, hold_for_park, i](WorkerContext&) {
+        runner.run(
+            stress_cell(0), "cell" + std::to_string(i), {},
+            [&] {
+              // The leader holds the key in flight until the other cell
+              // has parked on it (bounded, so a regression fails rather
+              // than hangs).
+              const auto give_up = std::chrono::steady_clock::now() +
+                                   std::chrono::seconds(30);
+              while (hold_for_park && runner.stats().memo_parked == 0 &&
+                     std::chrono::steady_clock::now() < give_up) {
+                sleep_ms(1);
+              }
+              return std::map<std::string, double>{{"value", 1.0}};
+            },
+            [](const std::map<std::string, double>&) {});
+      };
+    }
+    engine.run(std::move(tasks));
+  };
+
+  SweepRunner concurrent("parked");
+  sweep_pair(concurrent, 4, /*hold_for_park=*/true);
+  EXPECT_EQ(concurrent.stats().memo_parked, 1u);
+  EXPECT_EQ(concurrent.stats().memo_hits, 1u);
+  EXPECT_EQ(concurrent.stats().computed, 1u);
+
+  // Serially the duplicate finds the entry already published: a memo hit
+  // that never waited.
+  SweepRunner serial("parked");
+  sweep_pair(serial, 1, /*hold_for_park=*/false);
+  EXPECT_EQ(serial.stats().memo_parked, 0u);
+  EXPECT_EQ(serial.stats().memo_hits, 1u);
+  EXPECT_EQ(serial.stats().computed, 1u);
 }
 
 TEST(RunnerConcurrency, FailedLeaderIsRetriedAndNeverMemoized) {
