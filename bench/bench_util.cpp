@@ -130,11 +130,12 @@ JsonReport& JsonReport::add(const std::string& key,
 }
 
 JsonReport& JsonReport::add_stats(const std::string& prefix,
-                                  const SolverStats& stats) {
-  add(prefix + "_solves", stats.solves);
-  add(prefix + "_iterations", stats.iterations);
-  add(prefix + "_vcycles", stats.vcycles);
-  add(prefix + "_solver_seconds", stats.wall_seconds, 6);
+                                  const obs::WorkTally& work) {
+  add(prefix + "_solves", work.solves);
+  add(prefix + "_iterations", work.cg_iterations);
+  add(prefix + "_vcycles", work.vcycles);
+  add(prefix + "_solver_seconds", static_cast<double>(work.solver_ns) * 1e-9,
+      6);
   return *this;
 }
 
@@ -159,17 +160,18 @@ JsonReport& JsonReport::add_cost_breakdown(const sweep::CostBreakdown& cost) {
   const auto field = [&os](const char* key, double value) {
     os << ",\n    \"" << key << "\": " << value;
   };
-  field("total_us", cost.total_us);
-  field("key_us", cost.key_us);
-  field("memo_us", cost.memo_us);
-  field("cache_us", cost.cache_us);
-  field("compute_us", cost.compute_us);
-  field("solve_us", cost.solve_us);
-  field("serialize_us", cost.serialize_us);
-  field("apply_us", cost.apply_us);
-  os << ",\n    \"cg_iterations\": " << cost.cg_iterations;
-  os << ",\n    \"vcycles\": " << cost.vcycles;
-  os << ",\n    \"des_events\": " << cost.des_events;
+  const sweep::CellCost& sum = cost.sum;
+  field("total_us", sum.total_us);
+  field("key_us", sum.key_us);
+  field("memo_us", sum.memo_us);
+  field("cache_us", sum.cache_us);
+  field("compute_us", sum.compute_us);
+  field("solve_us", sum.solve_us());
+  field("serialize_us", sum.serialize_us);
+  field("apply_us", sum.apply_us);
+  os << ",\n    \"cg_iterations\": " << sum.work.cg_iterations;
+  os << ",\n    \"vcycles\": " << sum.work.vcycles;
+  os << ",\n    \"des_events\": " << sum.work.des_events;
   os << "\n  }";
   return add_raw("cost_breakdown", os.str());
 }

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/solvers.hpp"
+#include "obs/metrics.hpp"
 #include "common/table.hpp"
 #include "core/experiments.hpp"
 
@@ -86,10 +86,10 @@ class JsonReport {
   JsonReport& add(const std::string& key, bool value);
   JsonReport& add(const std::string& key, const std::string& value);
 
-  /// Expands one SolverStats into `<prefix>_solves`, `_iterations`,
-  /// `_vcycles` and `_solver_seconds` (CG time summed across threads)
-  /// entries.
-  JsonReport& add_stats(const std::string& prefix, const SolverStats& stats);
+  /// Expands the solver part of a work tally into `<prefix>_solves`,
+  /// `_iterations`, `_vcycles` and `_solver_seconds` (CG time summed
+  /// across threads) entries.
+  JsonReport& add_stats(const std::string& prefix, const obs::WorkTally& work);
 
   /// Expands a sweep's cell-provenance counters into `sweep_cells`,
   /// `sweep_cache_hits`, `sweep_deduped`, `sweep_shard_skipped` and
@@ -103,7 +103,8 @@ class JsonReport {
   /// Writes the sweep cost ledger as the nested "cost_breakdown" object
   /// (schema_version 4): cells, the per-phase *_us wall times, and the
   /// cg_iterations / vcycles / des_events work counters. `trace_tools
-  /// perf-gate` flattens it to dotted `cost_breakdown.*` metrics.
+  /// perf-gate` flattens it to dotted `cost_breakdown.*` metrics and gates
+  /// the work counters as deterministic work.
   JsonReport& add_cost_breakdown(const sweep::CostBreakdown& cost);
 
   /// Writes `BENCH_<name>.json` and prints the path; returns it.

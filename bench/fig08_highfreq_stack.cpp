@@ -50,11 +50,10 @@ int main(int argc, char** argv) {
     report.add(std::string("max_chips_") + to_string(s.cooling), chips);
   }
   std::cout << "\n\n";
-  report.add_stats("sweep", data.solver);
+  report.add_stats("sweep", data.cost.sum.work);
   report.add("sweep_wall_seconds", sweep_seconds, 3);
-  report.add_sweep_provenance(data.max_chips * data.series.size(),
-                              data.cached_cells, 0, data.shard_skipped,
-                              data.failed_cells.size());
+  report.add_sweep_provenance(data.cost.cells, data.cached_cells, 0,
+                              data.shard_skipped, data.failed_cells.size());
   report.add_cost_breakdown(data.cost);
   report.write();
   return aqua::bench::run_microbenchmarks(argc, argv);

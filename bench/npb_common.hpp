@@ -26,11 +26,11 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
   install_interrupt_guard();
   banner(figure, description);
 
-  // Snapshot the process-wide DES counters around the sweep so the JSON
-  // reports this figure's simulations only.
+  // The DES counters the work ledger does not carry come from the
+  // process-wide registry, diffed around the sweep (this bench runs one
+  // sweep at a time, so the diff is this figure's simulations only).
   obs::Registry& reg = obs::Registry::instance();
   const std::uint64_t instr0 = reg.counter("perf.instructions").value();
-  const std::uint64_t events0 = reg.counter("perf.events").value();
   const std::uint64_t skipped0 = reg.counter("perf.events_skipped").value();
   const std::uint64_t ticks0 = reg.counter("perf.noc_ticks").value();
   const auto t0 = std::chrono::steady_clock::now();
@@ -43,7 +43,7 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   const std::uint64_t instr = reg.counter("perf.instructions").value() - instr0;
-  const std::uint64_t events = reg.counter("perf.events").value() - events0;
+  const std::uint64_t events = data.cost.sum.work.des_events;
   const std::uint64_t skipped =
       reg.counter("perf.events_skipped").value() - skipped0;
   const std::uint64_t ticks = reg.counter("perf.noc_ticks").value() - ticks0;
@@ -73,14 +73,9 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
     report.add("mean_rel_" + name, rel.value_or(0.0), 4);
   }
   report.add("sweep_wall_seconds", sweep_seconds, 3);
-  std::size_t feasible = 0;
-  for (const FrequencyCap& cap : data.caps) feasible += cap.feasible ? 1 : 0;
-  // Cells = the cap cells plus one DES slot per feasible (benchmark,
-  // cooling) pair (rows carries the synthetic "avg" row, hence -1).
-  report.add_sweep_provenance(
-      data.coolings.size() + feasible * (data.rows.size() - 1),
-      data.cached_cells, data.deduped_cells, data.shard_skipped,
-      data.failed_cells.size());
+  report.add_sweep_provenance(data.cost.cells, data.cached_cells,
+                              data.deduped_cells, data.shard_skipped,
+                              data.failed_cells.size());
   report.add("des_instructions", static_cast<std::int64_t>(instr));
   report.add("des_events", static_cast<std::int64_t>(events));
   report.add("des_events_per_instruction",

@@ -51,27 +51,30 @@ void report_config(const std::string& tag, const aqua::ChipModel& chip,
       run_sweep(chip, max_chips, aqua::PreconditionerKind::kMultigrid);
 
   const bool agree = answers_match(jacobi.data, mg.data);
+  const aqua::obs::WorkTally& jacobi_work = jacobi.data.cost.sum.work;
+  const aqua::obs::WorkTally& mg_work = mg.data.cost.sum.work;
   const double iter_ratio =
-      mg.data.solver.iterations > 0
-          ? static_cast<double>(jacobi.data.solver.iterations) /
-                static_cast<double>(mg.data.solver.iterations)
+      mg_work.cg_iterations > 0
+          ? static_cast<double>(jacobi_work.cg_iterations) /
+                static_cast<double>(mg_work.cg_iterations)
           : 0.0;
 
   for (const auto* run : {&jacobi, &mg}) {
     const bool is_mg = run == &mg;
+    const aqua::obs::WorkTally& work = run->data.cost.sum.work;
     table.row()
         .add(tag)
         .add(is_mg ? "multigrid" : "jacobi")
-        .add_int(static_cast<long long>(run->data.solver.solves))
-        .add_int(static_cast<long long>(run->data.solver.iterations))
-        .add_int(static_cast<long long>(run->data.solver.vcycles))
-        .add(run->data.solver.wall_seconds, 3)
+        .add_int(static_cast<long long>(work.solves))
+        .add_int(static_cast<long long>(work.cg_iterations))
+        .add_int(static_cast<long long>(work.vcycles))
+        .add(static_cast<double>(work.solver_ns) * 1e-9, 3)
         .add(run->seconds, 3);
   }
 
-  report.add_stats(tag + "_jacobi", jacobi.data.solver);
+  report.add_stats(tag + "_jacobi", jacobi_work);
   report.add(tag + "_jacobi_sweep_seconds", jacobi.seconds, 3);
-  report.add_stats(tag + "_multigrid", mg.data.solver);
+  report.add_stats(tag + "_multigrid", mg_work);
   report.add(tag + "_multigrid_sweep_seconds", mg.seconds, 3);
   report.add(tag + "_iteration_ratio", iter_ratio, 2);
   report.add(tag + "_answers_match", agree);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace aqua {
@@ -311,7 +312,7 @@ void MultigridPreconditioner::apply(std::span<const double> r,
     require(false, "multigrid apply: dimension mismatch");
   }
   cycle(0, r, z);
-  ++vcycles_;
+  ++obs::thread_work().vcycles;
 }
 
 }  // namespace aqua

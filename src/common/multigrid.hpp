@@ -80,6 +80,7 @@ class MultigridPreconditioner final : public Preconditioner {
   explicit MultigridPreconditioner(const StencilMatrix& fine);
 
   /// z = V-cycle(r): one V-cycle on A z = r from a zero initial guess.
+  /// Counts the V-cycle in the calling thread's obs::WorkTally.
   void apply(std::span<const double> r, std::span<double> z) const override;
 
   /// Takes the current values of `fine` and recomputes the coarse rows
@@ -96,9 +97,6 @@ class MultigridPreconditioner final : public Preconditioner {
     require(l < levels_.size(), "multigrid: level out of range");
     return levels_[l].a;
   }
-
-  /// Total V-cycles applied since construction (for SolverStats).
-  [[nodiscard]] std::size_t vcycles() const { return vcycles_; }
 
   [[nodiscard]] const GridShape& fine_shape() const {
     return levels_.front().a.shape();
@@ -120,7 +118,6 @@ class MultigridPreconditioner final : public Preconditioner {
   std::vector<Level> levels_;
   mutable std::vector<double> row_;  ///< one grid row of A * t
   BandLu coarsest_lu_;
-  mutable std::size_t vcycles_ = 0;
 };
 
 }  // namespace aqua

@@ -35,33 +35,6 @@ GlobalSolverCounters& global_solver_counters() {
 
 }  // namespace
 
-SolverStats solver_totals() {
-  const GlobalSolverCounters& c = global_solver_counters();
-  SolverStats totals;
-  totals.solves = c.solves.value();
-  totals.iterations = c.iterations.value();
-  totals.vcycles = c.vcycles.value();
-  totals.wall_seconds = static_cast<double>(c.wall_ns.value()) * 1e-9;
-  totals.fallbacks = c.fallbacks.value();
-  totals.breakdowns = c.breakdowns.value();
-  return totals;
-}
-
-SolverStats solver_totals_since(const SolverStats& before) {
-  SolverStats now = solver_totals();
-  now.solves -= before.solves;
-  now.iterations -= before.iterations;
-  now.vcycles -= before.vcycles;
-  now.wall_seconds -= before.wall_seconds;
-  now.fallbacks -= before.fallbacks;
-  now.breakdowns -= before.breakdowns;
-  return now;
-}
-
-void record_global_vcycles(std::size_t vcycles) {
-  global_solver_counters().vcycles.add(vcycles);
-}
-
 double norm2(const std::vector<double>& v) {
   double acc = 0.0;
   for (double x : v) acc += x * x;
@@ -105,31 +78,36 @@ void residual_into(const LinearOperator& a, const std::vector<double>& b,
 
 SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
                      const SolverOptions& options, std::vector<double> x0,
-                     const Preconditioner* preconditioner, SolverStats* stats) {
+                     const Preconditioner* preconditioner) {
   AQUA_TRACE_SCOPE_C("solver.cg", "solver");
   require(a.rows() == a.cols(), "solve_cg: matrix must be square");
   require(b.size() == a.rows(), "solve_cg: rhs dimension mismatch");
   const std::size_t n = b.size();
   const auto start = std::chrono::steady_clock::now();
+  // The preconditioner runs on this thread, so the V-cycles it applies
+  // during the solve show up in this thread's tally.
+  obs::WorkTally& work = obs::thread_work();
+  const std::uint64_t vcycles_before = work.vcycles;
 
   SolveResult out;
   out.x = x0.empty() ? std::vector<double>(n, 0.0) : std::move(x0);
   require(out.x.size() == n, "solve_cg: warm start dimension mismatch");
 
   const auto finish = [&](SolveResult&& result) {
-    const auto wall = std::chrono::steady_clock::now() - start;
-    if (stats) {
-      stats->solves += 1;
-      stats->iterations += result.iterations;
-      stats->wall_seconds += std::chrono::duration<double>(wall).count();
-      if (result.breakdown) stats->breakdowns += 1;
-    }
+    const std::uint64_t wall_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    work.solves += 1;
+    work.cg_iterations += result.iterations;
+    work.solver_ns += wall_ns;
+    if (result.breakdown) work.breakdowns += 1;
     GlobalSolverCounters& global = global_solver_counters();
     global.solves.add(1);
     global.iterations.add(result.iterations);
+    global.vcycles.add(work.vcycles - vcycles_before);
     if (result.breakdown) global.breakdowns.add(1);
-    global.wall_ns.add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count()));
+    global.wall_ns.add(wall_ns);
     obs::Registry& registry = obs::Registry::instance();
     if (registry.enabled()) {
       static obs::Histogram& iteration_histogram = registry.histogram(
@@ -245,26 +223,27 @@ SolveResult solve_cg_resilient(const LinearOperator& a,
                                const SolverOptions& options,
                                std::vector<double> x0,
                                const Preconditioner* preconditioner,
-                               SolverStats* stats, const char* label) {
+                               const char* label) {
   const bool custom_setup = preconditioner != nullptr || !x0.empty();
   SolverOptions opts = options;
   opts.throw_on_breakdown = false;
 
-  SolveResult first =
-      solve_cg(a, b, opts, std::move(x0), preconditioner, stats);
+  SolveResult first = solve_cg(a, b, opts, std::move(x0), preconditioner);
   first.attempt_chain = label ? label : (preconditioner ? "custom" : "jacobi");
   if (first.converged) return first;
 
-  GlobalSolverCounters& global = global_solver_counters();
+  const auto count_fallback = [] {
+    global_solver_counters().fallbacks.add(1);
+    obs::thread_work().fallbacks += 1;
+  };
 
   // Attempt 2: plain Jacobi-CG from zeros — drops the caller's
   // preconditioner and warm start, either of which may be the poison.
   // Pointless when attempt 1 already ran that exact configuration.
   if (custom_setup) {
-    global.fallbacks.add(1);
-    if (stats) stats->fallbacks += 1;
+    count_fallback();
     report_solver_fallback(first, "jacobi_restart");
-    SolveResult second = solve_cg(a, b, opts, {}, nullptr, stats);
+    SolveResult second = solve_cg(a, b, opts, {}, nullptr);
     second.attempts = first.attempts + 1;
     second.attempt_chain = first.attempt_chain + ">jacobi";
     if (second.converged) return second;
@@ -275,13 +254,12 @@ SolveResult solve_cg_resilient(const LinearOperator& a,
   // A success here is usable but flagged degraded (the ISSUE's
   // "tightened-tolerance retry" read literally cannot rescue a solve that
   // failed at the looser tolerance; DESIGN.md §8 records this reading).
-  global.fallbacks.add(1);
-  if (stats) stats->fallbacks += 1;
+  count_fallback();
   report_solver_fallback(first, "relaxed_retry");
   SolverOptions relaxed = opts;
   relaxed.tolerance = opts.tolerance * 100.0;
   relaxed.max_iterations = opts.max_iterations * 4;
-  SolveResult last = solve_cg(a, b, relaxed, {}, nullptr, stats);
+  SolveResult last = solve_cg(a, b, relaxed, {}, nullptr);
   last.attempts = first.attempts + 1;
   last.attempt_chain = first.attempt_chain + ">jacobi-relaxed";
   last.degraded = last.converged;

@@ -45,44 +45,6 @@ class JacobiPreconditioner final : public Preconditioner {
   std::vector<double> inv_diag_;
 };
 
-/// Cumulative counters for solver observability. `solve_cg` publishes
-/// every solve to the process-wide metrics registry (src/obs/metrics.hpp)
-/// under `solver.*`; this struct is the snapshot/aggregate view of those
-/// counters that models, finders and benches hand around and emit to
-/// BENCH_<name>.json.
-struct SolverStats {
-  std::size_t solves = 0;       ///< number of solve_cg invocations
-  std::size_t iterations = 0;   ///< CG iterations across all solves
-  std::size_t vcycles = 0;      ///< multigrid V-cycles across all solves
-  double wall_seconds = 0.0;    ///< wall time spent inside solve_cg
-  /// Extra attempts consumed by solve_cg_resilient fallback chains (0 when
-  /// every solve succeeded on its first attempt).
-  std::size_t fallbacks = 0;
-  /// Attempts that ended in CG breakdown or detected divergence.
-  std::size_t breakdowns = 0;
-
-  void merge(const SolverStats& other) {
-    solves += other.solves;
-    iterations += other.iterations;
-    vcycles += other.vcycles;
-    wall_seconds += other.wall_seconds;
-    fallbacks += other.fallbacks;
-    breakdowns += other.breakdowns;
-  }
-};
-
-/// Process-wide totals of the `solver.*` registry counters (every solve_cg
-/// in every thread since process start).
-SolverStats solver_totals();
-
-/// Totals accumulated since `before` (field-wise difference) — the way
-/// sweep-level telemetry is collected: snapshot, run the sweep, diff.
-SolverStats solver_totals_since(const SolverStats& before);
-
-/// Adds `vcycles` V-cycles to the global `solver.vcycles` counter (called
-/// by the thermal model, which owns the preconditioner).
-void record_global_vcycles(std::size_t vcycles);
-
 /// Outcome of an iterative solve.
 struct SolveResult {
   std::vector<double> x;        ///< solution vector
@@ -119,13 +81,14 @@ struct SolverOptions {
 
 /// Preconditioned conjugate gradients for SPD systems.
 /// `x0` (optional) provides a warm start; pass an empty vector for zeros.
-/// `preconditioner` defaults to Jacobi when null; `stats` (optional)
-/// accumulates solve/iteration/wall-time counters.
+/// `preconditioner` defaults to Jacobi when null. Every solve adds its
+/// count, iterations, wall time and the V-cycles its preconditioner
+/// applied to the process-wide `solver.*` registry counters and its
+/// solve, iteration and wall time to the calling thread's obs::WorkTally.
 SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
                      const SolverOptions& options = {},
                      std::vector<double> x0 = {},
-                     const Preconditioner* preconditioner = nullptr,
-                     SolverStats* stats = nullptr);
+                     const Preconditioner* preconditioner = nullptr);
 
 /// Degradation wrapper around solve_cg (DESIGN.md §8): attempt 1 runs
 /// exactly as asked (bit-identical to a plain solve_cg when it succeeds);
@@ -134,15 +97,15 @@ SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
 /// may be the poison), and finally to a relaxed-tolerance Jacobi-CG retry
 /// with a 4x iteration budget whose success is flagged as degraded. The
 /// attempt chain is recorded in SolveResult::attempt_chain, fallback and
-/// breakdown counts in the global solver.* counters (SolverStats), and a
-/// "fault_absorbed"/"degraded_result" run-report record is emitted per
-/// fallback. `label` names attempt 1 in the chain (e.g. "multigrid").
+/// breakdown counts in the `solver.*` counters and the thread's
+/// obs::WorkTally, and a "fault_absorbed"/"degraded_result" run-report
+/// record is emitted per fallback. `label` names attempt 1 in the chain
+/// (e.g. "multigrid").
 SolveResult solve_cg_resilient(const LinearOperator& a,
                                const std::vector<double>& b,
                                const SolverOptions& options = {},
                                std::vector<double> x0 = {},
                                const Preconditioner* preconditioner = nullptr,
-                               SolverStats* stats = nullptr,
                                const char* label = nullptr);
 
 /// Gauss-Seidel fixed-point iteration; converges for the diagonally dominant

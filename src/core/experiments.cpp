@@ -17,10 +17,10 @@ namespace aqua {
 namespace {
 
 /// Emits an "experiment" run-report record with the sweep's wall time and
-/// the solver work it caused (snapshot-diff of the global solver counters).
+/// the solver work its cells caused (the runner's cost ledger).
 void report_experiment(const char* name,
                        std::chrono::steady_clock::time_point start,
-                       const SolverStats& solver) {
+                       const sweep::CostBreakdown& cost) {
   obs::RunReport& report = obs::RunReport::instance();
   if (!report.enabled()) return;
   const double seconds =
@@ -29,9 +29,9 @@ void report_experiment(const char* name,
   report.emit("experiment", [&](obs::JsonWriter& w) {
     w.add("name", name)
         .add("seconds", seconds)
-        .add("solves", static_cast<std::uint64_t>(solver.solves))
-        .add("cg_iterations", static_cast<std::uint64_t>(solver.iterations))
-        .add("vcycles", static_cast<std::uint64_t>(solver.vcycles));
+        .add("solves", cost.sum.work.solves)
+        .add("cg_iterations", cost.sum.work.cg_iterations)
+        .add("vcycles", cost.sum.work.vcycles);
   });
 }
 
@@ -88,7 +88,6 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   AQUA_TRACE_SCOPE_ARG("experiment.frequency_vs_chips", "experiment",
                        max_chips);
   const auto start = std::chrono::steady_clock::now();
-  const SolverStats before = solver_totals();
   const std::vector<CoolingOption> options = all_cooling_options();
 
   FreqVsChipsData data;
@@ -157,11 +156,7 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   data.shard_skipped = st.shard_skipped;
   data.cost = runner.cost();
   std::sort(data.failed_cells.begin(), data.failed_cells.end());
-  // Sweep-wide solver totals come from the process-wide registry counters
-  // that solve_cg publishes, so no per-finder mutex/merge plumbing is
-  // needed (and work from every thread is captured exactly once).
-  data.solver = solver_totals_since(before);
-  report_experiment("frequency_vs_chips", start, data.solver);
+  report_experiment("frequency_vs_chips", start, data.cost);
   runner.emit_report();
   return data;
 }
@@ -190,7 +185,6 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   require(instruction_scale > 0.0, "instruction scale must be positive");
   AQUA_TRACE_SCOPE_ARG("experiment.npb", "experiment", chips);
   const auto start = std::chrono::steady_clock::now();
-  const SolverStats before = solver_totals();
 
   NpbData data;
   data.chip_name = chip.name();
@@ -376,7 +370,7 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
     if (complete && n > 0) avg.relative[k] = acc / static_cast<double>(n);
   }
   data.rows.push_back(std::move(avg));
-  report_experiment("npb", start, solver_totals_since(before));
+  report_experiment("npb", start, data.cost);
   runner.emit_report();
   return data;
 }
@@ -386,7 +380,6 @@ std::vector<HtcSweepPoint> htc_sweep(const ChipModel& chip, std::size_t chips,
                                      GridOptions grid) {
   AQUA_TRACE_SCOPE_ARG("experiment.htc_sweep", "experiment", chips);
   const auto start = std::chrono::steady_clock::now();
-  const SolverStats before = solver_totals();
   sweep::SweepRunner runner("htc_sweep");
   std::vector<HtcSweepPoint> points(htcs.size());
   sweep::dispatch_cells(htcs.size(), [&](std::size_t i) {
@@ -406,7 +399,7 @@ std::vector<HtcSweepPoint> htc_sweep(const ChipModel& chip, std::size_t chips,
     if (src == sweep::CellSource::kFailed) points[i].failed = true;
     if (src == sweep::CellSource::kShardSkipped) points[i].skipped = true;
   });
-  report_experiment("htc_sweep", start, solver_totals_since(before));
+  report_experiment("htc_sweep", start, runner.cost());
   runner.emit_report();
   return points;
 }
@@ -417,7 +410,6 @@ std::vector<RotationPoint> rotation_sweep(const ChipModel& chip,
                                           GridOptions grid) {
   AQUA_TRACE_SCOPE_ARG("experiment.rotation_sweep", "experiment", chips);
   const auto start = std::chrono::steady_clock::now();
-  const SolverStats before = solver_totals();
   const VfsLadder& ladder = chip.ladder();
   sweep::SweepRunner runner("rotation_sweep");
   std::vector<RotationPoint> points(ladder.size());
@@ -446,7 +438,7 @@ std::vector<RotationPoint> rotation_sweep(const ChipModel& chip,
     if (src == sweep::CellSource::kFailed) points[i].failed = true;
     if (src == sweep::CellSource::kShardSkipped) points[i].skipped = true;
   });
-  report_experiment("rotation_sweep", start, solver_totals_since(before));
+  report_experiment("rotation_sweep", start, runner.cost());
   runner.emit_report();
   return points;
 }

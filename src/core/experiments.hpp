@@ -36,9 +36,6 @@ struct FreqVsChipsData {
   std::size_t max_chips = 0;
   double threshold_c = 80.0;
   std::vector<FreqVsChipsSeries> series;  ///< in all_cooling_options() order
-  /// Aggregated linear-solver counters over the whole sweep (every finder,
-  /// one solve per cap) — what the benches print and emit as JSON.
-  SolverStats solver;
   /// Cells that threw and were isolated (display cell names, e.g.
   /// "chip=low_power_cmp;chips=3;cooling=water"); their table entries stay
   /// empty. An aborted cell never aborts the sweep.
@@ -48,7 +45,9 @@ struct FreqVsChipsData {
   /// Cells owned by another shard (AQUA_SWEEP_SHARDS) and left as holes.
   std::size_t shard_skipped = 0;
   /// Per-phase cost ledger aggregated over every sweep cell (DESIGN.md
-  /// §11); the benches publish it as BENCH_*.json `cost_breakdown`.
+  /// §11): the sweep's cell count and its solver work (one solve per
+  /// computed cap). The benches publish it as BENCH_*.json
+  /// `cost_breakdown` and `sweep_*`.
   sweep::CostBreakdown cost;
 
   /// Curve for one cooling kind (throws if absent).

@@ -37,12 +37,6 @@ StackThermalModel& MaxFrequencyFinder::model_for(std::size_t chips,
   return it->second;
 }
 
-SolverStats MaxFrequencyFinder::solver_stats() const {
-  SolverStats total;
-  for (const auto& [key, model] : models_) total.merge(model.stats());
-  return total;
-}
-
 namespace {
 
 /// Per-layer block powers for a homogeneous stack (each layer gets the chip

@@ -68,10 +68,6 @@ class MaxFrequencyFinder {
   [[nodiscard]] double threshold_c() const { return threshold_c_; }
   [[nodiscard]] const PackageConfig& package() const { return package_; }
 
-  /// Aggregated solver counters across every cached model this finder has
-  /// driven (for benches and BENCH_*.json telemetry).
-  [[nodiscard]] SolverStats solver_stats() const;
-
  private:
   /// Cached model for (chips, flip), with its boundary refreshed to the
   /// given cooling option.

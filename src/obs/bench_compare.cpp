@@ -87,12 +87,6 @@ MetricKind classify_metric(std::string_view full_key) {
                              "_ms", "seconds"}) {
     if (has_suffix(key, suffix)) return MetricKind::kTiming;
   }
-  // The ledger's non-timing fields are snapshot-diffs of process-wide
-  // counters: approximate whenever cells run concurrently (see
-  // sweep/cost.hpp), so they cannot gate as deterministic work. The exact
-  // sweep-level twins (sweep_iterations, sweep_vcycles, sweep_cells) gate
-  // instead.
-  if (key.substr(0, 15) == "cost_breakdown.") return MetricKind::kIgnored;
   if (has_suffix(key, "_per_sec") || has_suffix(key, "_per_second")) {
     return MetricKind::kRate;
   }

@@ -123,38 +123,6 @@ Histogram& Registry::histogram(std::string_view name,
   return *e.histogram;
 }
 
-std::uint64_t Registry::Snapshot::counter_delta(
-    const Snapshot& before, const std::string& name) const {
-  const auto now_it = counters.find(name);
-  const std::uint64_t now_v = now_it == counters.end() ? 0 : now_it->second;
-  const auto then_it = before.counters.find(name);
-  const std::uint64_t then_v =
-      then_it == before.counters.end() ? 0 : then_it->second;
-  return now_v >= then_v ? now_v - then_v : 0;
-}
-
-Registry::Snapshot Registry::snapshot() const {
-  Snapshot snap;
-  std::lock_guard lock(mutex_);
-  for (const auto& [name, entry] : entries_) {
-    switch (entry.kind) {
-      case Kind::kCounter:
-        if (entry.counter) snap.counters[name] = entry.counter->value();
-        break;
-      case Kind::kGauge:
-        if (entry.gauge) snap.gauges[name] = entry.gauge->value();
-        break;
-      case Kind::kHistogram:
-        if (entry.histogram) {
-          snap.counters[name + ".count"] = entry.histogram->count();
-          snap.gauges[name + ".sum"] = entry.histogram->sum();
-        }
-        break;
-    }
-  }
-  return snap;
-}
-
 std::string Registry::to_json() const {
   JsonWriter root;
   std::lock_guard lock(mutex_);
@@ -195,6 +163,34 @@ std::string Registry::to_json() const {
     }
   }
   return root.str();
+}
+
+WorkTally& WorkTally::operator+=(const WorkTally& other) {
+  solves += other.solves;
+  cg_iterations += other.cg_iterations;
+  vcycles += other.vcycles;
+  solver_ns += other.solver_ns;
+  fallbacks += other.fallbacks;
+  breakdowns += other.breakdowns;
+  des_events += other.des_events;
+  return *this;
+}
+
+WorkTally WorkTally::operator-(const WorkTally& before) const {
+  WorkTally d;
+  d.solves = solves - before.solves;
+  d.cg_iterations = cg_iterations - before.cg_iterations;
+  d.vcycles = vcycles - before.vcycles;
+  d.solver_ns = solver_ns - before.solver_ns;
+  d.fallbacks = fallbacks - before.fallbacks;
+  d.breakdowns = breakdowns - before.breakdowns;
+  d.des_events = des_events - before.des_events;
+  return d;
+}
+
+WorkTally& thread_work() noexcept {
+  thread_local WorkTally tally;
+  return tally;
 }
 
 }  // namespace aqua::obs

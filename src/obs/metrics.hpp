@@ -14,9 +14,10 @@
 /// adds per *solve* or *task* (not per iteration), which is noise next to
 /// the work they count; finer-grained recording (per-solve histograms,
 /// run-report lines) is gated on `Registry::enabled()`, controlled by the
-/// env var `AQUA_METRICS` (unset/"0" = off). Snapshots subtract cleanly, so
-/// sweep-level telemetry is "snapshot, run, snapshot, diff" instead of
-/// hand-threaded accumulator plumbing.
+/// env var `AQUA_METRICS` (unset/"0" = off).
+///
+/// The registry counters are process-wide. Attributing work to one sweep
+/// cell uses the calling thread's `WorkTally` instead (see below).
 
 #include <atomic>
 #include <cstdint>
@@ -127,17 +128,6 @@ class Registry {
   Histogram& histogram(std::string_view name,
                        std::vector<double> upper_bounds);
 
-  /// Point-in-time copy of every instrument's value.
-  struct Snapshot {
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, double> gauges;
-
-    /// counters[name] - before.counters[name] (missing = 0).
-    [[nodiscard]] std::uint64_t counter_delta(const Snapshot& before,
-                                              const std::string& name) const;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
   /// Renders every instrument (histograms with buckets/sum/count) as one
   /// JSON object — the run report's "metrics" record body.
   [[nodiscard]] std::string to_json() const;
@@ -159,5 +149,32 @@ class Registry {
   mutable std::mutex mutex_;
   std::map<std::string, Entry, std::less<>> entries_;
 };
+
+/// Solver and DES work done by one thread, in the units of the `solver.*`
+/// and `perf.events` registry counters. The code that does the work
+/// (solve_cg, solve_cg_resilient, MultigridPreconditioner::apply,
+/// CmpSystem::run) adds to the calling thread's tally with plain
+/// non-atomic adds, and the same amounts reach the registry counters. A
+/// sweep cell computes start to finish on one thread, so the tally diffed
+/// around its compute is exactly the work that cell caused, at any worker
+/// count (DESIGN.md §11).
+struct WorkTally {
+  std::uint64_t solves = 0;         ///< solve_cg calls
+  std::uint64_t cg_iterations = 0;  ///< CG iterations across those solves
+  std::uint64_t vcycles = 0;        ///< multigrid V-cycles applied
+  std::uint64_t solver_ns = 0;      ///< wall time inside solve_cg
+  std::uint64_t fallbacks = 0;      ///< solve_cg_resilient fallback attempts
+  std::uint64_t breakdowns = 0;     ///< CG attempts ending in breakdown
+  std::uint64_t des_events = 0;     ///< DES events scheduled by CmpSystem
+
+  WorkTally& operator+=(const WorkTally& other);
+  /// Field-wise difference; `before` must be an earlier reading of the
+  /// same thread's tally.
+  [[nodiscard]] WorkTally operator-(const WorkTally& before) const;
+  bool operator==(const WorkTally&) const = default;
+};
+
+/// The calling thread's tally (zero at thread start, never reset).
+WorkTally& thread_work() noexcept;
 
 }  // namespace aqua::obs

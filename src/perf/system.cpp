@@ -1094,6 +1094,7 @@ ExecStats CmpSystem::run() {
 
   {
     // Process-wide DES counters: cheap bulk adds once per run, always on.
+    // The events also go to this thread's work tally (the per-cell ledger).
     static obs::Counter& runs =
         obs::Registry::instance().counter("perf.runs");
     static obs::Counter& instructions =
@@ -1111,6 +1112,7 @@ ExecStats CmpSystem::run() {
     runs.add(1);
     instructions.add(stats_.instructions);
     events.add(events_.scheduled());
+    obs::thread_work().des_events += events_.scheduled();
     // Active-network cycles whose mesh tick skip_cycle stood in for.
     events_skipped.add(stats_.noc.cycles_skipped);
     noc_packets.add(stats_.noc.packets_delivered);

@@ -102,13 +102,16 @@ GridOptions grid_from_params(const std::map<std::string, std::string>& params) {
 /// the same reuse the fig drivers get from WorkerContext::local, here per
 /// server worker thread. A reused finder returns the same bits as a fresh
 /// one (every cap is a pure function of its key), so the map only saves
-/// matrix/hierarchy assembly. Bounded so a hostile param sweep cannot
-/// accumulate models without limit.
+/// matrix/hierarchy assembly. The threshold is keyed with every digit, as
+/// the cell key keeps it: two thresholds that differ past the sixth
+/// decimal must not share a finder. Bounded so a hostile param sweep
+/// cannot accumulate models without limit.
 MaxFrequencyFinder& worker_finder(const ChipModel& chip, double threshold_c,
                                   const GridOptions& grid) {
   thread_local std::map<std::string, std::unique_ptr<MaxFrequencyFinder>>
       finders;
-  std::string key = chip.name() + "|" + std::to_string(threshold_c) + "|" +
+  std::string key = chip.name() + "|" +
+                    sweep::format_double_exact(threshold_c) + "|" +
                     std::to_string(grid.nx) + "x" + std::to_string(grid.ny);
   auto it = finders.find(key);
   if (it == finders.end()) {

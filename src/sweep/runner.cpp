@@ -23,22 +23,6 @@ double us_since(SteadyClock::time_point start) {
       .count();
 }
 
-/// Cached references to the registry counters the ledger snapshot-diffs
-/// around a compute (registry lookup once, relaxed loads after).
-struct WorkCounters {
-  obs::Counter& solver_wall_ns =
-      obs::Registry::instance().counter("solver.wall_ns");
-  obs::Counter& cg_iterations =
-      obs::Registry::instance().counter("solver.cg_iterations");
-  obs::Counter& vcycles = obs::Registry::instance().counter("solver.vcycles");
-  obs::Counter& des_events = obs::Registry::instance().counter("perf.events");
-};
-
-WorkCounters& work_counters() {
-  static WorkCounters counters;
-  return counters;
-}
-
 }  // namespace
 
 const char* to_string(CellSource source) {
@@ -229,20 +213,20 @@ CellSource SweepRunner::run(
 
   // 5. Compute, isolate-and-continue. Failed cells are never memoized (a
   // later identical cell retries, matching the serial semantics) and never
-  // cached. The work counters around the compute attribute solver wall /
-  // CG iterations / V-cycles / DES events to this cell (exact in serial
-  // runs, approximate when concurrent cells interleave — see cost.hpp).
-  WorkCounters& work = work_counters();
-  const std::uint64_t wall_before = work.solver_wall_ns.value();
-  const std::uint64_t iters_before = work.cg_iterations.value();
-  const std::uint64_t vcycles_before = work.vcycles.value();
-  const std::uint64_t events_before = work.des_events.value();
+  // cached. The compute runs on this thread from start to finish, so this
+  // thread's work tally diffed around it is exactly the cell's solver and
+  // DES work (see cost.hpp), on every exit path.
+  const obs::WorkTally work_before = obs::thread_work();
   const auto compute_start = SteadyClock::now();
+  const auto end_compute = [&] {
+    cost.compute_us += us_since(compute_start);
+    cost.work += obs::thread_work() - work_before;
+  };
   std::map<std::string, double> values;
   try {
     values = compute();
   } catch (const std::exception& e) {
-    cost.compute_us += us_since(compute_start);
+    end_compute();
     abandon();
     const auto t0 = SteadyClock::now();
     report_failed(cell, e.what());
@@ -250,12 +234,7 @@ CellSource SweepRunner::run(
     failed_.fetch_add(1, std::memory_order_relaxed);
     return finish(CellSource::kFailed);
   }
-  cost.compute_us += us_since(compute_start);
-  cost.solve_us +=
-      static_cast<double>(work.solver_wall_ns.value() - wall_before) / 1e3;
-  cost.cg_iterations += work.cg_iterations.value() - iters_before;
-  cost.vcycles += work.vcycles.value() - vcycles_before;
-  cost.des_events += work.des_events.value() - events_before;
+  end_compute();
 
   // A leader cancelled mid-compute discards its values: nothing is cached
   // or published (the abandoned-leader contract — waiters wake with a
@@ -281,7 +260,8 @@ void SweepRunner::record_cost(const std::string& cell, CellSource source,
                               const CellCost& cost) {
   {
     std::lock_guard lock(cost_mutex_);
-    cost_.merge(cost);
+    ++cost_.cells;
+    cost_.sum.merge(cost);
   }
   obs::RunReport& report = obs::RunReport::instance();
   if (!report.enabled()) return;
@@ -294,12 +274,13 @@ void SweepRunner::record_cost(const std::string& cell, CellSource source,
         .add("memo_us", cost.memo_us)
         .add("cache_us", cost.cache_us)
         .add("compute_us", cost.compute_us)
-        .add("solve_us", cost.solve_us)
+        .add("solve_us", cost.solve_us())
         .add("serialize_us", cost.serialize_us)
         .add("apply_us", cost.apply_us)
-        .add("cg_iterations", cost.cg_iterations)
-        .add("vcycles", cost.vcycles)
-        .add("des_events", cost.des_events);
+        .add("solves", cost.work.solves)
+        .add("cg_iterations", cost.work.cg_iterations)
+        .add("vcycles", cost.work.vcycles)
+        .add("des_events", cost.work.des_events);
   });
 }
 

@@ -132,9 +132,9 @@ class SweepRunner {
 
   /// Aggregated per-cell cost ledger (DESIGN.md §11): phase wall times and
   /// solver/DES work summed over every run() call so far. Always on — the
-  /// per-cell overhead is a handful of clock reads and relaxed counter
-  /// loads. Individual `cell_cost` run-report records are only emitted
-  /// when reporting is enabled.
+  /// per-cell overhead is a handful of clock reads and two copies of the
+  /// thread's work tally. Individual `cell_cost` run-report records are
+  /// only emitted when reporting is enabled.
   [[nodiscard]] CostBreakdown cost() const;
 
   /// Emits a "sweep" run-report record with this runner's counters (no-op

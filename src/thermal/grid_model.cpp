@@ -282,7 +282,6 @@ const Preconditioner* StackThermalModel::preconditioner() {
   }
   if (!multigrid_) {
     multigrid_ = std::make_unique<MultigridPreconditioner>(matrix_);
-    vcycles_seen_ = 0;
   }
   return multigrid_.get();
 }
@@ -314,15 +313,9 @@ ThermalSolution StackThermalModel::solve_steady(
   // back multigrid -> jacobi -> relaxed jacobi (DESIGN.md §8).
   const Preconditioner* precond = preconditioner();
   last_solve_ =
-      solve_cg_resilient(matrix_, rhs, options_.solver, {}, precond, &stats_,
+      solve_cg_resilient(matrix_, rhs, options_.solver, {}, precond,
                          precond != nullptr ? "multigrid" : "jacobi");
   ensure(last_solve_.converged, "steady-state thermal solve did not converge");
-  if (multigrid_) {
-    const std::size_t new_vcycles = multigrid_->vcycles() - vcycles_seen_;
-    stats_.vcycles += new_vcycles;
-    record_global_vcycles(new_vcycles);
-    vcycles_seen_ = multigrid_->vcycles();
-  }
 
   std::vector<double> temps = last_solve_.x;
   for (double& t : temps) t += boundary_.ambient_c;

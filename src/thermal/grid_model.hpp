@@ -158,10 +158,6 @@ class StackThermalModel {
   /// Statistics of the most recent solve.
   [[nodiscard]] const SolveResult& last_solve() const { return last_solve_; }
 
-  /// Cumulative solver counters over this model's lifetime (solves,
-  /// iterations, V-cycles, wall time inside solve_cg).
-  [[nodiscard]] const SolverStats& stats() const { return stats_; }
-
  private:
   void assemble();
   void apply_boundary_values();
@@ -181,7 +177,6 @@ class StackThermalModel {
   StencilMatrix matrix_;
   std::vector<double> capacities_;
   SolveResult last_solve_;
-  SolverStats stats_;
 
   // Interior-only diagonals of the top (heatsink) and bottom (die 0)
   // boundary layers, for the in-place boundary refresh.
@@ -191,7 +186,6 @@ class StackThermalModel {
   // Cached multigrid hierarchy (built on first multigrid solve, value-
   // refreshed on boundary swaps).
   std::unique_ptr<MultigridPreconditioner> multigrid_;
-  std::size_t vcycles_seen_ = 0;
 
   // Per-cell conductances of the two ambient boundaries (uniform).
   double top_g_per_cell_ = 0.0;

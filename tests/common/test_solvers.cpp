@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 
 namespace aqua {
 namespace {
@@ -153,15 +154,16 @@ TEST(Solvers, ResilientRecoversFromPoisonedWarmStart) {
   const SparseMatrix a = grid_laplacian(4);
   std::vector<double> b(16, 1.0);
   std::vector<double> x0(16, std::numeric_limits<double>::quiet_NaN());
-  SolverStats stats;
-  const SolveResult r =
-      solve_cg_resilient(a, b, SolverOptions{}, x0, nullptr, &stats);
+  const obs::WorkTally start = obs::thread_work();
+  const SolveResult r = solve_cg_resilient(a, b, SolverOptions{}, x0);
+  const obs::WorkTally work = obs::thread_work() - start;
   ASSERT_TRUE(r.converged);
   EXPECT_FALSE(r.degraded);  // the restart met the *original* tolerance
   EXPECT_EQ(r.attempts, 2);
   EXPECT_EQ(r.attempt_chain, "jacobi>jacobi");
-  EXPECT_EQ(stats.fallbacks, 1u);
-  EXPECT_EQ(stats.breakdowns, 1u);
+  EXPECT_EQ(work.solves, 2u);
+  EXPECT_EQ(work.fallbacks, 1u);
+  EXPECT_EQ(work.breakdowns, 1u);
   const SolveResult ref = solve_cg(a, b);
   for (std::size_t i = 0; i < r.x.size(); ++i) {
     EXPECT_NEAR(r.x[i], ref.x[i], 1e-6);
@@ -180,15 +182,14 @@ TEST(Solvers, ResilientRelaxedRetryIsFlaggedDegraded) {
   options.tolerance = 1e-12;
   options.max_iterations = 4;
   std::vector<double> x0(64, 0.1);  // custom setup enables attempt 2
-  SolverStats stats;
-  const SolveResult r =
-      solve_cg_resilient(a, b, options, x0, nullptr, &stats);
+  const obs::WorkTally start = obs::thread_work();
+  const SolveResult r = solve_cg_resilient(a, b, options, x0);
   if (r.converged) {
     EXPECT_TRUE(r.degraded);
     EXPECT_EQ(r.attempts, 3);
   }
   EXPECT_EQ(r.attempt_chain, "jacobi>jacobi>jacobi-relaxed");
-  EXPECT_EQ(stats.fallbacks, 2u);
+  EXPECT_EQ((obs::thread_work() - start).fallbacks, 2u);
 }
 
 TEST(Solvers, ResilientDivergenceIsCaught) {

@@ -213,8 +213,8 @@ TEST(Stencil, NonFiniteRhsFollowsTheCsrAttemptChain) {
       // The multigrid-preconditioned stencil path breaks down at the same
       // point and falls back the same way.
       const MultigridPreconditioner mg(stencil);
-      const SolveResult via_mg = solve_cg_resilient(stencil, b, options, {},
-                                                    &mg, nullptr, "multigrid");
+      const SolveResult via_mg =
+          solve_cg_resilient(stencil, b, options, {}, &mg, "multigrid");
       EXPECT_EQ(via_mg.attempt_chain, "multigrid>jacobi>jacobi-relaxed");
       EXPECT_EQ(via_mg.breakdown, via_csr.breakdown);
       EXPECT_EQ(via_mg.iterations, via_csr.iterations);

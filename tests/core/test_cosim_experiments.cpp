@@ -226,7 +226,7 @@ TEST(Experiments, NpbDispatchesOneTaskPerUniqueDesKey) {
   EXPECT_TRUE(data.failed_cells.empty());
   // No duplicate waits for its leader: memo hits are lookups on published
   // entries (a parked waiter makes this about 30%).
-  EXPECT_LT(data.cost.memo_us, 0.01 * data.cost.compute_us);
+  EXPECT_LT(data.cost.sum.memo_us, 0.01 * data.cost.sum.compute_us);
 
   EXPECT_EQ(render_table(data), render_table(fig10_tiny(1)))
       << "the 4-worker table diverged from the 1-worker one";

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "common/solvers.hpp"
 #include "obs/trace_reader.hpp"
 
 namespace aqua::obs {
@@ -143,63 +141,36 @@ TEST(RegistryTest, KindMismatchThrows) {
   EXPECT_THROW(reg.histogram("test.registry.kind", {1.0}), std::logic_error);
 }
 
-TEST(RegistryTest, SnapshotDeltaTracksOnlyNewWork) {
-  Registry& reg = Registry::instance();
-  Counter& c = reg.counter("test.registry.delta");
-  c.add(5);
-  const Registry::Snapshot before = reg.snapshot();
-  c.add(7);
-  const Registry::Snapshot after = reg.snapshot();
-  EXPECT_EQ(after.counter_delta(before, "test.registry.delta"), 7u);
-  EXPECT_EQ(after.counter_delta(before, "test.registry.absent"), 0u);
-}
-
-// solver_totals_since diffs the process-wide solver counters — the same
-// snapshot-diff mechanism the sweep cost ledger uses around a compute.
-// Under concurrent writers the diff must be exact once the writers join,
-// and any diff taken mid-flight must be per-metric monotonic and bounded
-// (relaxed counters never run backwards or overshoot).
-TEST(SolverTotalsTest, SnapshotDiffIsExactAcrossThreads) {
-  Registry& reg = Registry::instance();
-  Counter& solves = reg.counter("solver.solves");
-  Counter& iters = reg.counter("solver.cg_iterations");
-  Counter& vcycles = reg.counter("solver.vcycles");
-  const SolverStats before = solver_totals();
-
+// The per-cell ledger diffs the computing thread's tally around a
+// compute, which is exact only if no other thread's work lands in it.
+TEST(WorkTallyTest, EachThreadCountsOnlyItsOwnWork) {
+  const WorkTally main_before = thread_work();
   constexpr std::uint64_t kThreads = 4;
-  constexpr std::uint64_t kAdds = 5000;
-  std::atomic<bool> go{false};
-  std::atomic<bool> done{false};
-  std::vector<std::thread> writers;
+  std::vector<WorkTally> seen(kThreads);
+  std::vector<std::thread> workers;
   for (std::uint64_t t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&] {
-      while (!go.load(std::memory_order_acquire)) {}
-      for (std::uint64_t i = 0; i < kAdds; ++i) {
-        solves.add();
-        iters.add(3);
-        vcycles.add(2);
+    workers.emplace_back([t, &seen] {
+      const WorkTally before = thread_work();
+      for (std::uint64_t i = 0; i < 1000; ++i) {
+        thread_work().cg_iterations += t + 1;
+        thread_work().des_events += 2;
       }
+      seen[t] = thread_work() - before;
     });
   }
-  std::thread reader([&] {
-    std::uint64_t last_iters = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      const SolverStats mid = solver_totals_since(before);
-      EXPECT_GE(mid.iterations, last_iters) << "diff ran backwards";
-      EXPECT_LE(mid.iterations, kThreads * kAdds * 3) << "diff overshot";
-      EXPECT_LE(mid.solves, kThreads * kAdds);
-      last_iters = mid.iterations;
-    }
-  });
-  go.store(true, std::memory_order_release);
-  for (std::thread& w : writers) w.join();
-  done.store(true, std::memory_order_release);
-  reader.join();
+  for (std::thread& w : workers) w.join();
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    WorkTally want;
+    want.cg_iterations = 1000 * (t + 1);
+    want.des_events = 2000;
+    EXPECT_EQ(seen[t], want) << "thread " << t;
+  }
+  EXPECT_EQ(thread_work(), main_before);
 
-  const SolverStats delta = solver_totals_since(before);
-  EXPECT_EQ(delta.solves, kThreads * kAdds);
-  EXPECT_EQ(delta.iterations, kThreads * kAdds * 3);
-  EXPECT_EQ(delta.vcycles, kThreads * kAdds * 2);
+  WorkTally sum = seen[0];
+  sum += seen[1];
+  EXPECT_EQ(sum.cg_iterations, 3000u);
+  EXPECT_EQ((sum - seen[1]), seen[0]);
 }
 
 TEST(RegistryTest, ToJsonParsesAndContainsInstruments) {

@@ -220,11 +220,11 @@ TEST(BenchCompareTest, ClassifiesMetricKinds) {
   EXPECT_EQ(classify_metric("sweep_iterations"), MetricKind::kWork);
   EXPECT_EQ(classify_metric("max_chips_water"), MetricKind::kWork);
   EXPECT_EQ(classify_metric("schema_version"), MetricKind::kIgnored);
-  // The ledger's work counters are approximate under parallelism and must
-  // not gate as deterministic work.
+  // The ledger's work counters are exact at any worker count, so they
+  // gate as deterministic work.
   EXPECT_EQ(classify_metric("cost_breakdown.cg_iterations"),
-            MetricKind::kIgnored);
-  EXPECT_EQ(classify_metric("cost_breakdown.cells"), MetricKind::kIgnored);
+            MetricKind::kWork);
+  EXPECT_EQ(classify_metric("cost_breakdown.cells"), MetricKind::kWork);
   // perf_sweep_parallel's per-worker-count keys classify by their stem.
   EXPECT_EQ(classify_metric("wall_seconds_w4"), MetricKind::kTiming);
   EXPECT_EQ(classify_metric("wall_seconds_w16"), MetricKind::kTiming);

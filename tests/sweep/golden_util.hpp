@@ -13,7 +13,6 @@
 #include <sstream>
 #include <string>
 
-#include "common/solvers.hpp"
 #include "core/experiments.hpp"
 #include "obs/metrics.hpp"
 #include "sweep/cell_key.hpp"
@@ -151,13 +150,19 @@ inline void expect_matches_golden(const std::string& name,
 /// Work done by one run: thermal solves + simulated DES instructions. A
 /// fully warm (cache-served) run must report zero of both — stronger than
 /// any wall-clock assertion and immune to machine noise.
+///
+/// Both read process-wide registry counters, not the calling thread's
+/// obs::WorkTally: the probed runs compute their cells on engine workers,
+/// so the test thread's tally would read zero even for a cold run.
 struct WorkProbe {
-  SolverStats solver_before = solver_totals();
+  std::uint64_t solves_before =
+      obs::Registry::instance().counter("solver.solves").value();
   std::uint64_t instr_before =
       obs::Registry::instance().counter("perf.instructions").value();
 
   [[nodiscard]] std::uint64_t solves() const {
-    return solver_totals_since(solver_before).solves;
+    return obs::Registry::instance().counter("solver.solves").value() -
+           solves_before;
   }
   [[nodiscard]] std::uint64_t des_instructions() const {
     return obs::Registry::instance().counter("perf.instructions").value() -
