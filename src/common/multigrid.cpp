@@ -1,9 +1,7 @@
 #include "common/multigrid.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <utility>
 
 #include "common/error.hpp"
@@ -79,8 +77,6 @@ double scaled_inverse_diagonal(const StencilMatrix& a, std::size_t r) {
   if (!(d > 0.0)) ensure(false, "multigrid: non-positive diagonal on a level");
   return kJacobiWeight * (1.0 / d);
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Largest stencil offset on `shape`: the band LU's lower and upper
 /// bandwidth.
@@ -191,55 +187,6 @@ MultigridPreconditioner::MultigridPreconditioner(const StencilMatrix& fine) {
     }
   }
   row_.resize(fine.shape().nx);
-  coarsest_lu_.factor(levels_.back().a);
-}
-
-void MultigridPreconditioner::refresh_values(const StencilMatrix& fine) {
-  AQUA_TRACE_SCOPE_C("multigrid.refresh_values", "solver");
-  Level& finest = levels_.front();
-  require(fine.shape() == finest.a.shape(),
-          "multigrid refresh: shape mismatch");
-  // Copy the fine rows whose values changed (bitwise), then re-sum level by
-  // level only the coarse rows with a changed child. A coarse row is
-  // re-summed by the construction's galerkin_row, so the refreshed
-  // hierarchy is bit-identical to one built from `fine`.
-  std::vector<std::uint8_t> dirty(fine.rows(), 0);
-  for (std::size_t b = 0; b < StencilMatrix::kBands; ++b) {
-    const auto src = fine.band(b);
-    const auto dst = finest.a.band(b);
-    for (std::size_t r = 0; r < src.size(); ++r) {
-      if (bits(src[r]) != bits(dst[r])) {
-        dst[r] = src[r];
-        dirty[r] = 1;
-      }
-    }
-  }
-  for (std::size_t l = 0;; ++l) {
-    Level& level = levels_[l];
-    for (std::size_t r = 0; r < dirty.size(); ++r) {
-      if (dirty[r] != 0) {
-        level.scaled_inv_diag[r] = scaled_inverse_diagonal(level.a, r);
-      }
-    }
-    if (l + 1 == levels_.size()) break;
-    Level& coarse = levels_[l + 1];
-    const GridShape& f = level.a.shape();
-    const GridShape& c = coarse.a.shape();
-    std::vector<std::uint8_t> coarse_dirty(c.nodes(), 0);
-    for (std::size_t layer = 0; layer < f.layers; ++layer) {
-      for (std::size_t iy = 0; iy < f.ny; ++iy) {
-        for (std::size_t ix = 0; ix < f.nx; ++ix) {
-          if (dirty[layer * f.plane() + iy * f.nx + ix] != 0) {
-            coarse_dirty[layer * c.plane() + (iy / 2) * c.nx + ix / 2] = 1;
-          }
-        }
-      }
-    }
-    for (std::size_t node = 0; node < c.nodes(); ++node) {
-      if (coarse_dirty[node] != 0) galerkin_row(level.a, coarse.a, node);
-    }
-    dirty = std::move(coarse_dirty);
-  }
   coarsest_lu_.factor(levels_.back().a);
 }
 

@@ -19,9 +19,6 @@
 /// 0.0 with the children in ascending fine index and each child's bands in
 /// CSR column order — the order SparseBuilder's stable sort gives the COO
 /// Galerkin product — so the hierarchy is bit-identical to it.
-/// `refresh_values` takes the fine rows whose values changed in place (the
-/// thermal model's boundary swap), re-sums only the coarse rows above them
-/// and re-factors the coarsest LU.
 
 #include <cstddef>
 #include <span>
@@ -82,12 +79,6 @@ class MultigridPreconditioner final : public Preconditioner {
   /// z = V-cycle(r): one V-cycle on A z = r from a zero initial guess.
   /// Counts the V-cycle in the calling thread's obs::WorkTally.
   void apply(std::span<const double> r, std::span<double> z) const override;
-
-  /// Takes the current values of `fine` and recomputes the coarse rows
-  /// they reach and the coarsest LU. `fine` must have the shape the
-  /// hierarchy was built on (throws otherwise). Bit-identical to a
-  /// hierarchy built from `fine`.
-  void refresh_values(const StencilMatrix& fine);
 
   /// Number of levels including the coarsest (>= 1).
   [[nodiscard]] std::size_t level_count() const { return levels_.size(); }

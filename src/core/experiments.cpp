@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "sweep/cell_key.hpp"
 #include "sweep/cells.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/task_engine.hpp"
@@ -32,15 +33,6 @@ void report_experiment(const char* name,
         .add("solves", cost.sum.work.solves)
         .add("cg_iterations", cost.sum.work.cg_iterations)
         .add("vcycles", cost.sum.work.vcycles);
-  });
-}
-
-/// The worker's finder for `key`, built on first use.
-MaxFrequencyFinder& local_finder(sweep::WorkerContext& ctx, std::uint64_t key,
-                                 const ChipModel& chip, double threshold_c,
-                                 const GridOptions& grid) {
-  return ctx.local<MaxFrequencyFinder>(key, [&] {
-    return new MaxFrequencyFinder(chip, PackageConfig{}, threshold_c, grid);
   });
 }
 
@@ -103,54 +95,38 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   sweep::SweepRunner runner("freq_vs_chips");
   std::mutex failed_mu;
 
-  // One task per (height, cooling) cell, placed with loose affinity by
-  // stack height: all of a height's cells land on one worker and share its
-  // worker-local finder, so the matrix structure and multigrid hierarchy
-  // are assembled once per height and each cooling change is only a
-  // boundary value-refresh on that cached model — no locks, the state is
-  // worker-owned. An idle worker may still steal tail cells; it rebuilds
-  // the hierarchy locally, which costs work but never moves a value,
-  // because every cap is a pure function of its key. The finder is built
-  // lazily inside the compute, so cells served from the cache or another
-  // shard never assemble a thermal model.
-  std::vector<sweep::TaskEngine::Task> tasks;
-  tasks.reserve(max_chips * options.size());
-  for (std::size_t c = 0; c < max_chips; ++c) {
-    for (std::size_t k = 0; k < options.size(); ++k) {
-      sweep::TaskEngine::Task task;
-      task.affinity = c;
-      task.body = [&, c, k](sweep::WorkerContext& ctx) {
-        const std::size_t chips = c + 1;
-        AQUA_TRACE_SCOPE_ARG("experiment.cell", "experiment", chips);
-        const std::string cell = "chip=" + data.chip_name +
-                                 ";chips=" + std::to_string(chips) +
-                                 ";cooling=" + options[k].name();
-        const sweep::CellConfig config = sweep::freq_cap_cell(
-            data.chip_name, chips, options[k].name(), threshold_c, grid);
-        const sweep::CellSource src = runner.run(
-            config, cell, {},
-            [&] {
-              return freq_cap_values(
-                  local_finder(ctx, chips, chip, threshold_c, grid), chips,
-                  options[k]);
-            },
-            [&](const std::map<std::string, double>& values) {
-              const auto feasible = values.find("feasible");
-              const auto ghz = values.find("ghz");
-              if (feasible != values.end() && feasible->second > 0.5 &&
-                  ghz != values.end()) {
-                data.series[k].ghz[chips - 1] = ghz->second;
-              }
-            });
-        if (src == sweep::CellSource::kFailed) {
-          std::lock_guard lock(failed_mu);
-          data.failed_cells.push_back(cell);
-        }
-      };
-      tasks.push_back(std::move(task));
+  // One unpinned cell per (height, cooling), each a pure function of its
+  // key that builds, solves and frees its own thermal model. The claim
+  // queue is FIFO, so submitting the tallest stacks first starts the
+  // longest cells first and leaves the short ones for the tail.
+  const std::size_t n_options = options.size();
+  sweep::dispatch_cells(max_chips * n_options, [&](std::size_t i) {
+    const std::size_t chips = max_chips - i / n_options;
+    const std::size_t k = i % n_options;
+    AQUA_TRACE_SCOPE_ARG("experiment.cell", "experiment", chips);
+    const std::string cell = "chip=" + data.chip_name +
+                             ";chips=" + std::to_string(chips) +
+                             ";cooling=" + options[k].name();
+    const sweep::CellConfig config = sweep::freq_cap_cell(
+        data.chip_name, chips, options[k].name(), threshold_c, grid);
+    const sweep::CellSource src = runner.run(
+        config, cell, {},
+        [&] {
+          return freq_cap_values(chip, chips, options[k], threshold_c, grid);
+        },
+        [&](const std::map<std::string, double>& values) {
+          const auto feasible = values.find("feasible");
+          const auto ghz = values.find("ghz");
+          if (feasible != values.end() && feasible->second > 0.5 &&
+              ghz != values.end()) {
+            data.series[k].ghz[chips - 1] = ghz->second;
+          }
+        });
+    if (src == sweep::CellSource::kFailed) {
+      std::lock_guard lock(failed_mu);
+      data.failed_cells.push_back(cell);
     }
-  }
-  sweep::TaskEngine::shared().run(std::move(tasks));
+  });
   const sweep::SweepRunner::Stats st = runner.stats();
   data.cached_cells = st.cache_hits;
   data.shard_skipped = st.shard_skipped;
@@ -203,43 +179,31 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   // as everything else, which is exactly what makes them resumable from
   // the content cache and — because freq_cap_cell is the same key family
   // the Fig. 7/8 sweeps use — warm-servable from a cache those sweeps
-  // filled. The four caps are loose affinity-0 tasks sharing one
-  // worker-local finder, so the stack is assembled once; a stolen cap
-  // rebuilds it and gets the same bits. The finder is built lazily: a
-  // fully warm run never assembles a thermal model. A cap failure aborts
-  // the experiment (there is no table without the caps).
+  // filled. Each cap is an unpinned cell that builds its own thermal model
+  // inside the compute, so a fully warm run never assembles one. A cap
+  // failure aborts the experiment (there is no table without the caps).
   {
     sweep::CellPolicy cap_policy;
     cap_policy.shardable = false;
     data.caps.resize(data.coolings.size());
     std::vector<std::string> cap_failures(data.coolings.size());
-    std::vector<sweep::TaskEngine::Task> cap_tasks;
-    cap_tasks.reserve(data.coolings.size());
-    for (std::size_t k = 0; k < data.coolings.size(); ++k) {
-      sweep::TaskEngine::Task task;
-      task.affinity = 0;
-      task.body = [&, k](sweep::WorkerContext& ctx) {
-        const CoolingOption option{data.coolings[k]};
-        const std::string cell = "cap;chip=" + data.chip_name +
-                                 ";chips=" + std::to_string(chips) +
-                                 ";cooling=" + option.name();
-        const sweep::CellConfig config = sweep::freq_cap_cell(
-            data.chip_name, chips, option.name(), threshold_c, grid);
-        const sweep::CellSource src = runner.run(
-            config, cell, cap_policy,
-            [&] {
-              return freq_cap_values(
-                  local_finder(ctx, 0, chip, threshold_c, grid), chips,
-                  option);
-            },
-            [&](const std::map<std::string, double>& values) {
-              data.caps[k] = cap_from_values(values);
-            });
-        if (src == sweep::CellSource::kFailed) cap_failures[k] = cell;
-      };
-      cap_tasks.push_back(std::move(task));
-    }
-    sweep::TaskEngine::shared().run(std::move(cap_tasks));
+    sweep::dispatch_cells(data.coolings.size(), [&](std::size_t k) {
+      const CoolingOption option{data.coolings[k]};
+      const std::string cell = "cap;chip=" + data.chip_name +
+                               ";chips=" + std::to_string(chips) +
+                               ";cooling=" + option.name();
+      const sweep::CellConfig config = sweep::freq_cap_cell(
+          data.chip_name, chips, option.name(), threshold_c, grid);
+      const sweep::CellSource src = runner.run(
+          config, cell, cap_policy,
+          [&] {
+            return freq_cap_values(chip, chips, option, threshold_c, grid);
+          },
+          [&](const std::map<std::string, double>& values) {
+            data.caps[k] = cap_from_values(values);
+          });
+      if (src == sweep::CellSource::kFailed) cap_failures[k] = cell;
+    });
     for (const std::string& cell : cap_failures) {
       if (!cell.empty()) throw Error("frequency cap failed for " + cell);
     }
@@ -386,7 +350,7 @@ std::vector<HtcSweepPoint> htc_sweep(const ChipModel& chip, std::size_t chips,
     points[i].htc = htcs[i];
     const std::string cell = "chip=" + chip.name() +
                              ";chips=" + std::to_string(chips) +
-                             ";htc=" + std::to_string(htcs[i]);
+                             ";htc=" + sweep::format_double_exact(htcs[i]);
     const sweep::CellConfig config =
         sweep::htc_cell(chip.name(), chips, htcs[i], grid);
     const sweep::CellSource src = runner.run(
@@ -443,9 +407,12 @@ std::vector<RotationPoint> rotation_sweep(const ChipModel& chip,
   return points;
 }
 
-CellValues freq_cap_values(MaxFrequencyFinder& finder, std::size_t chips,
-                           const CoolingOption& cooling) {
-  const FrequencyCap cap = finder.find(chips, cooling);
+CellValues freq_cap_values(const ChipModel& chip, std::size_t chips,
+                           const CoolingOption& cooling, double threshold_c,
+                           GridOptions grid) {
+  const FrequencyCap cap =
+      MaxFrequencyFinder(chip, PackageConfig{}, threshold_c, grid)
+          .find(chips, cooling);
   CellValues values{{"feasible", cap.feasible ? 1.0 : 0.0}};
   if (cap.feasible) {
     values["step"] = static_cast<double>(cap.step_index);

@@ -57,10 +57,9 @@ struct FreqVsChipsData {
 };
 
 /// Runs the frequency-cap sweep for `chip` over 1..max_chips and all five
-/// cooling options. Parallelizes over stack heights on the process-wide
-/// shared pool; within a height, the five cooling options share one cached
-/// thermal model (a cooling change is a boundary value-refresh, not a
-/// rebuild).
+/// cooling options, one cell per (height, cooling) on the process-wide
+/// task engine, tallest stacks first. Each cell builds its own thermal
+/// model.
 FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
                                    std::size_t max_chips,
                                    double threshold_c = 80.0,
@@ -164,8 +163,9 @@ using CellValues = std::map<std::string, double>;
 /// the cap from a cell the Fig. 7/8 sweeps may have cached. "hz" is the
 /// raw frequency the DES runs key on; "ghz" is stored alongside it so
 /// tables never re-derive (and possibly drift) it.
-CellValues freq_cap_values(MaxFrequencyFinder& finder, std::size_t chips,
-                           const CoolingOption& cooling);
+CellValues freq_cap_values(const ChipModel& chip, std::size_t chips,
+                           const CoolingOption& cooling, double threshold_c,
+                           GridOptions grid);
 
 /// npb_des: simulated seconds of one DES run of `profile` at `f`.
 CellValues npb_des_values(const CmpConfig& config,

@@ -18,23 +18,10 @@ MaxFrequencyFinder::MaxFrequencyFinder(ChipModel chip, PackageConfig package,
           "threshold must exceed the ambient temperature");
 }
 
-StackThermalModel& MaxFrequencyFinder::model_for(std::size_t chips,
-                                                 const CoolingOption& cooling,
-                                                 FlipPolicy flip) {
-  const auto key = std::make_pair(chips, flip);
-  auto it = models_.find(key);
-  if (it == models_.end()) {
-    const Stack3d stack(chip_.floorplan(), chips, flip);
-    it = models_
-             .emplace(key, StackThermalModel(stack, package_,
-                                             cooling.boundary(package_),
-                                             grid_))
-             .first;
-  } else {
-    // Same structure, new boundary values (no-op for the same cooling).
-    it->second.set_boundary(cooling.boundary(package_));
-  }
-  return it->second;
+StackThermalModel MaxFrequencyFinder::build_model(
+    std::size_t chips, const CoolingOption& cooling, FlipPolicy flip) const {
+  return StackThermalModel(Stack3d(chip_.floorplan(), chips, flip), package_,
+                           cooling.boundary(package_), grid_);
 }
 
 namespace {
@@ -56,10 +43,10 @@ std::vector<std::vector<double>> stack_powers(const ChipModel& chip,
 
 FrequencyCap MaxFrequencyFinder::find(std::size_t chips,
                                       const CoolingOption& cooling,
-                                      FlipPolicy flip) {
+                                      FlipPolicy flip) const {
   AQUA_TRACE_SCOPE_ARG("freq_cap.find", "thermal", chips);
   const auto find_start = std::chrono::steady_clock::now();
-  StackThermalModel& model = model_for(chips, cooling, flip);
+  StackThermalModel model = build_model(chips, cooling, flip);
   const VfsLadder& ladder = chip_.ladder();
   const std::size_t top = ladder.size() - 1;
 
@@ -139,14 +126,15 @@ FrequencyCap MaxFrequencyFinder::find(std::size_t chips,
 
 double MaxFrequencyFinder::temperature_at(std::size_t chips,
                                           const CoolingOption& cooling,
-                                          Hertz f, FlipPolicy flip) {
+                                          Hertz f, FlipPolicy flip) const {
   return solve_at(chips, cooling, f, flip).max_die_temperature_c();
 }
 
 ThermalSolution MaxFrequencyFinder::solve_at(std::size_t chips,
                                              const CoolingOption& cooling,
-                                             Hertz f, FlipPolicy flip) {
-  StackThermalModel& model = model_for(chips, cooling, flip);
+                                             Hertz f,
+                                             FlipPolicy flip) const {
+  StackThermalModel model = build_model(chips, cooling, flip);
   return model.solve_steady(stack_powers(chip_, model.stack(), f));
 }
 

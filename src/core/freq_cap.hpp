@@ -5,10 +5,6 @@
 /// steady-state peak die temperature stays under the threshold — the
 /// computation behind the paper's Figs. 1, 7, 8, 15 and 17.
 
-#include <map>
-#include <optional>
-#include <utility>
-
 #include "core/cooling.hpp"
 #include "power/chip_model.hpp"
 #include "thermal/grid_model.hpp"
@@ -27,11 +23,10 @@ struct FrequencyCap {
 
 /// Searches maximum feasible frequencies over (chips, cooling) configs.
 ///
-/// Thermal models are cached per (chips, flip) across calls: the matrix
-/// structure and multigrid hierarchy depend only on the stack geometry,
-/// and a cooling change is a boundary value-refresh on the cached model
-/// (StackThermalModel::set_boundary). The cache never changes a result:
-/// every call returns the bits a freshly built finder would.
+/// The finder holds only the chip, package, threshold and grid: every call
+/// builds its own StackThermalModel, solves it and frees it, so a call's
+/// answer depends on its arguments alone and the finder keeps no memory
+/// between calls.
 ///
 /// find() does one steady solve from zero at the top VFS step and gets
 /// every lower step by superposition: the steady system G·(T−T_amb)=P is
@@ -51,34 +46,32 @@ class MaxFrequencyFinder {
   /// Highest feasible VFS step for a stack of `chips` dies.
   [[nodiscard]] FrequencyCap find(std::size_t chips,
                                   const CoolingOption& cooling,
-                                  FlipPolicy flip = FlipPolicy::kNone);
+                                  FlipPolicy flip = FlipPolicy::kNone) const;
 
   /// Peak die temperature when the whole stack runs at `f`.
-  [[nodiscard]] double temperature_at(std::size_t chips,
-                                      const CoolingOption& cooling, Hertz f,
-                                      FlipPolicy flip = FlipPolicy::kNone);
+  [[nodiscard]] double temperature_at(
+      std::size_t chips, const CoolingOption& cooling, Hertz f,
+      FlipPolicy flip = FlipPolicy::kNone) const;
 
   /// Full thermal field when the whole stack runs at `f` (for maps).
-  [[nodiscard]] ThermalSolution solve_at(std::size_t chips,
-                                         const CoolingOption& cooling,
-                                         Hertz f,
-                                         FlipPolicy flip = FlipPolicy::kNone);
+  [[nodiscard]] ThermalSolution solve_at(
+      std::size_t chips, const CoolingOption& cooling, Hertz f,
+      FlipPolicy flip = FlipPolicy::kNone) const;
 
   [[nodiscard]] const ChipModel& chip() const { return chip_; }
   [[nodiscard]] double threshold_c() const { return threshold_c_; }
   [[nodiscard]] const PackageConfig& package() const { return package_; }
 
  private:
-  /// Cached model for (chips, flip), with its boundary refreshed to the
-  /// given cooling option.
-  StackThermalModel& model_for(std::size_t chips,
-                               const CoolingOption& cooling, FlipPolicy flip);
+  /// A fresh model of the `chips`-high stack under `cooling`.
+  [[nodiscard]] StackThermalModel build_model(std::size_t chips,
+                                              const CoolingOption& cooling,
+                                              FlipPolicy flip) const;
 
   ChipModel chip_;
   PackageConfig package_;
   double threshold_c_;
   GridOptions grid_;
-  std::map<std::pair<std::size_t, FlipPolicy>, StackThermalModel> models_;
 };
 
 }  // namespace aqua

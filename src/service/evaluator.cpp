@@ -1,13 +1,11 @@
 #include "service/evaluator.hpp"
 
 #include <cstdlib>
-#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
 #include "core/cooling.hpp"
 #include "core/experiments.hpp"
-#include "core/freq_cap.hpp"
 #include "perf/params.hpp"
 #include "perf/workload.hpp"
 #include "power/chip_model.hpp"
@@ -98,33 +96,6 @@ GridOptions grid_from_params(const std::map<std::string, std::string>& params) {
   return grid;
 }
 
-/// Worker-local frequency-cap finders, keyed by (chip, threshold, grid):
-/// the same reuse the fig drivers get from WorkerContext::local, here per
-/// server worker thread. A reused finder returns the same bits as a fresh
-/// one (every cap is a pure function of its key), so the map only saves
-/// matrix/hierarchy assembly. The threshold is keyed with every digit, as
-/// the cell key keeps it: two thresholds that differ past the sixth
-/// decimal must not share a finder. Bounded so a hostile param sweep
-/// cannot accumulate models without limit.
-MaxFrequencyFinder& worker_finder(const ChipModel& chip, double threshold_c,
-                                  const GridOptions& grid) {
-  thread_local std::map<std::string, std::unique_ptr<MaxFrequencyFinder>>
-      finders;
-  std::string key = chip.name() + "|" +
-                    sweep::format_double_exact(threshold_c) + "|" +
-                    std::to_string(grid.nx) + "x" + std::to_string(grid.ny);
-  auto it = finders.find(key);
-  if (it == finders.end()) {
-    if (finders.size() >= 8) finders.clear();
-    it = finders
-             .emplace(std::move(key),
-                      std::make_unique<MaxFrequencyFinder>(
-                          chip, PackageConfig{}, threshold_c, grid))
-             .first;
-  }
-  return *it->second;
-}
-
 CellJob freq_cap_job(const std::map<std::string, std::string>& params) {
   const ChipModel& chip = chip_by_name(required(params, "chip"));
   const std::size_t chips = size_param(params, "chips", 1, 32);
@@ -140,8 +111,7 @@ CellJob freq_cap_job(const std::map<std::string, std::string>& params) {
   job.cell = "chip=" + chip.name() + ";chips=" + std::to_string(chips) +
              ";cooling=" + cooling.name();
   job.compute = [&chip, chips, cooling, threshold_c, grid] {
-    return freq_cap_values(worker_finder(chip, threshold_c, grid), chips,
-                           cooling);
+    return freq_cap_values(chip, chips, cooling, threshold_c, grid);
   };
   return job;
 }
@@ -182,7 +152,7 @@ CellJob htc_job(const std::map<std::string, std::string>& params) {
   CellJob job;
   job.config = sweep::htc_cell(chip.name(), chips, htc, grid);
   job.cell = "chip=" + chip.name() + ";chips=" + std::to_string(chips) +
-             ";htc=" + std::to_string(htc);
+             ";htc=" + sweep::format_double_exact(htc);
   job.compute = [&chip, chips, htc, grid] {
     return htc_values(chip, chips, htc, grid);
   };

@@ -19,8 +19,8 @@
 /// xeon_e5_2667v4, xeon_phi_7290); `cooling` one of the paper's five
 /// options by its table name. The computes are the figure drivers' own
 /// (core/experiments.hpp); this file adds validation and display names.
-/// freq_cap reuses a worker-local MaxFrequencyFinder per (chip, threshold,
-/// grid), which never changes a cap, only saves its assembly.
+/// Every compute builds, solves and frees its own thermal model, so a
+/// server worker keeps no solver state between requests.
 
 #include <cstddef>
 #include <functional>

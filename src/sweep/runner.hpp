@@ -180,9 +180,11 @@ class SweepRunner {
 };
 
 /// Dispatches `count` independent, placement-free cells as unpinned tasks
-/// on the shared TaskEngine: workers claim the next unclaimed cell index,
-/// so slow cells never leave fast workers idle. Drivers whose cells want
-/// solver-state affinity build TaskEngine batches directly instead.
+/// on the shared TaskEngine: workers claim the next unclaimed cell index
+/// in ascending order, so slow cells never leave fast workers idle and a
+/// driver that numbers its longest cells first starts them first. Every
+/// thermal sweep goes through here; only NPB's DES groups, which run
+/// several cells per task, build a TaskEngine batch directly.
 void dispatch_cells(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 

@@ -40,7 +40,7 @@ thread_local TaskEngine* tls_engine = nullptr;
 struct TaskEngine::Batch {
   /// Owner pops the strict lane front-to-back (submission order, never
   /// stolen) and the loose lane front-to-back; thieves take from the loose
-  /// back — the cells least likely to share the owner's cached models.
+  /// back — the tasks the owner would reach last.
   struct WorkerQueue {
     std::mutex m;
     std::vector<std::uint32_t> strict;
@@ -342,8 +342,7 @@ void TaskEngine::drain(Batch& batch, WorkerContext& ctx) {
   };
 
   // Victim = the worker advertising the largest stealable (loose) backlog;
-  // the steal takes from the back — the cells least likely to share the
-  // cached models the victim is currently using.
+  // the steal takes from the back — the tasks the victim would reach last.
   const auto steal = [&](std::uint32_t* out) {
     for (;;) {
       std::size_t victim = batch.queues.size();

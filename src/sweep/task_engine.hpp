@@ -12,18 +12,18 @@
 /// Affinity annotations place tasks:
 ///
 ///   * `affinity = kUnpinned` (default): the task lands in the shared
-///     claim queue and runs on whichever worker grabs it first (DES-only
-///     NPB cells, per-cell-fresh thermal solves).
+///     claim queue and runs on whichever worker grabs it first, in
+///     submission order. Every sweep driver in src/ uses only this lane:
+///     each cell is a pure function of its key and builds its own state.
 ///   * `affinity = h, strict = false` ("loose"): the task is queued on its
-///     home worker `h % workers` so cells sharing a cached thermal model /
-///     multigrid hierarchy land together and reuse worker-local solver
-///     state without locks — but an idle worker may still steal it from
-///     the back of the queue (it then rebuilds the state it needs, which
-///     costs work, never correctness).
+///     home worker `h % workers`, and an idle worker may steal it from the
+///     back of the queue.
 ///   * `strict = true`: the task runs on its home worker in submission
-///     order, never stolen. Nothing in src/ needs it (every sweep cell is
-///     a pure function of its key); it stays only because
-///     perfbench/harness/npb.cpp still sets it.
+///     order, never stolen.
+///
+/// The loose and strict lanes, stealing and `WorkerContext::local<T>` have
+/// no user in src/; they stay only because perfbench/harness/freqcap.cpp
+/// and npb.cpp still use them.
 ///
 /// Determinism contract: workers only ever write results through their
 /// task's own pre-sized slot (a table cell owned by exactly one task), so
@@ -37,8 +37,7 @@
 ///     repoint programmatically with TaskEngine::shared().configure(n).
 ///
 /// Worker-local state (`WorkerContext::local<T>`) lives for one run():
-/// batches are independent, so a sweep's cached models are freed before
-/// the next experiment starts.
+/// batches are independent, so nothing a batch builds outlives it.
 
 #include <atomic>
 #include <condition_variable>
@@ -67,9 +66,8 @@ class WorkerContext {
   [[nodiscard]] std::size_t workers() const { return workers_; }
 
   /// Worker-local state slot: built by `make` on this worker's first use
-  /// of `key`, reused by every later task that runs here. The canonical
-  /// use is a per-worker MaxFrequencyFinder whose cached multigrid
-  /// hierarchy is shared by all same-affinity cells without locks.
+  /// of `key`, reused by every later task of the same run() that runs
+  /// here.
   template <class T, class Make>
   T& local(std::uint64_t key, Make&& make) {
     Slot& slot = slots_[key];

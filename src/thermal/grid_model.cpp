@@ -168,13 +168,44 @@ void StackThermalModel::assemble() {
     gv[l] = vertical_g(l, it, ik);
   }
 
-  // The 7-point stencil's bands (-plane, -nx, -1, diag, +1, +nx, +plane),
-  // interior conductances only: the boundary terms are applied afterwards
-  // as in-place diagonal updates so a cooling swap never reassembles
-  // (set_boundary). Each diagonal sums its terms from 0.0 in the order
-  // pairwise stamping adds them (lateral pairs by ascending node, then
-  // vertical pairs by ascending layer), so the matrix is bit-identical to a
-  // SparseBuilder assembly. Off-grid neighbours keep their +0.0.
+  // Top boundary: heatsink cells -> ambient. Either convection over the
+  // full fin area or the water-pipe cold plate's fixed resistance, shared
+  // equally across cells (the sink is near-isothermal).
+  double total_g;
+  if (boundary_.coldplate_resistance > 0.0) {
+    total_g = 1.0 / boundary_.coldplate_resistance;
+  } else {
+    const double fin_area =
+        package_.heatsink_fin_area *
+        (boundary_.top_coolant_is_gas ? package_.gas_fin_efficiency : 1.0);
+    total_g = boundary_.top_htc.value() * fin_area;
+  }
+  top_g_per_cell_ = total_g / static_cast<double>(ncells);
+
+  // Bottom boundary: bottom die -> board [-> film] -> convection over the
+  // wetted board area. The board's copper planes spread the heat beyond
+  // the die footprint, so the slab, film and convection terms act over the
+  // wetted board area (shared per cell), while the die half-thickness
+  // keeps the cell footprint.
+  const double a_cell_board =
+      package_.board_wetted_area / static_cast<double>(ncells);
+  double r = package_.die_thickness /
+             (2.0 * package_.die_material.conductivity.value() * cell_area);
+  r += package_.board_thickness /
+       (package_.board_material.conductivity.value() * a_cell_board);
+  if (boundary_.film_on_bottom) {
+    r += package_.film_thickness /
+         (package_.film_material.conductivity.value() * a_cell_board);
+  }
+  r += 1.0 / (boundary_.bottom_htc.value() * a_cell_board);
+  bottom_g_per_cell_ = 1.0 / r;
+
+  // The 7-point stencil's bands (-plane, -nx, -1, diag, +1, +nx, +plane).
+  // Each diagonal sums its terms from 0.0 in the order pairwise stamping
+  // adds them (lateral pairs by ascending node, then vertical pairs by
+  // ascending layer, then the ambient boundary), so the matrix is
+  // bit-identical to a SparseBuilder assembly. Off-grid neighbours keep
+  // their +0.0.
   const std::size_t sink = n_layers - 1;
   matrix_ = StencilMatrix(grid_shape());
   using Band = StencilMatrix::Band;
@@ -199,6 +230,8 @@ void StackThermalModel::assemble() {
         if (iy + 1 < ny) diag += gy[l];
         if (l > 0) diag += gv[l - 1];
         if (l < sink) diag += gv[l];
+        if (l == 0) diag += bottom_g_per_cell_;
+        if (l == sink) diag += top_g_per_cell_;
 
         if (l > 0) down[here] = -gv[l - 1];
         if (iy > 0) south[here] = -gy[l];
@@ -210,70 +243,6 @@ void StackThermalModel::assemble() {
       }
     }
   }
-  // The boundary rows' interior-only ("base") diagonals;
-  // apply_boundary_values() writes base + g_boundary into them, now and on
-  // every set_boundary call.
-  const auto top_row = center.subspan(sink * ncells);
-  const auto bottom_row = center.first(ncells);
-  top_diag_base_.assign(top_row.begin(), top_row.end());
-  bottom_diag_base_.assign(bottom_row.begin(), bottom_row.end());
-
-  apply_boundary_values();
-  multigrid_.reset();
-}
-
-void StackThermalModel::apply_boundary_values() {
-  const std::size_t ncells = options_.nx * options_.ny;
-
-  // Top boundary: heatsink cells -> ambient. Either convection over the
-  // full fin area or the water-pipe cold plate's fixed resistance, shared
-  // equally across cells (the sink is near-isothermal).
-  double total_g;
-  if (boundary_.coldplate_resistance > 0.0) {
-    total_g = 1.0 / boundary_.coldplate_resistance;
-  } else {
-    const double fin_area =
-        package_.heatsink_fin_area *
-        (boundary_.top_coolant_is_gas ? package_.gas_fin_efficiency : 1.0);
-    total_g = boundary_.top_htc.value() * fin_area;
-  }
-  top_g_per_cell_ = total_g / static_cast<double>(ncells);
-
-  // Bottom boundary: bottom die -> board [-> film] -> convection over the
-  // wetted board area. The board's copper planes spread the heat beyond
-  // the die footprint, so the slab, film and convection terms act over the
-  // wetted board area (shared per cell), while the die half-thickness
-  // keeps the cell footprint.
-  const double cell_area = (stack_.width() / static_cast<double>(options_.nx)) *
-                           (stack_.height() / static_cast<double>(options_.ny));
-  const double a_cell_board =
-      package_.board_wetted_area / static_cast<double>(ncells);
-  double r = package_.die_thickness /
-             (2.0 * package_.die_material.conductivity.value() * cell_area);
-  r += package_.board_thickness /
-       (package_.board_material.conductivity.value() * a_cell_board);
-  if (boundary_.film_on_bottom) {
-    r += package_.film_thickness /
-         (package_.film_material.conductivity.value() * a_cell_board);
-  }
-  r += 1.0 / (boundary_.bottom_htc.value() * a_cell_board);
-  bottom_g_per_cell_ = 1.0 / r;
-
-  const auto diag = matrix_.band(StencilMatrix::kDiag);
-  const std::size_t top = node_count_ - ncells;
-  for (std::size_t c = 0; c < ncells; ++c) {
-    diag[top + c] = top_diag_base_[c] + top_g_per_cell_;
-    diag[c] = bottom_diag_base_[c] + bottom_g_per_cell_;
-  }
-}
-
-void StackThermalModel::set_boundary(const ThermalBoundary& boundary) {
-  if (boundary == boundary_) return;
-  boundary_ = boundary;
-  apply_boundary_values();
-  // The hierarchy's index structure survives a value refresh, and the
-  // refreshed values are bit-identical to a hierarchy built at `boundary`.
-  if (multigrid_) multigrid_->refresh_values(matrix_);
 }
 
 const Preconditioner* StackThermalModel::preconditioner() {

@@ -16,14 +16,11 @@
 /// (they are nearly isothermal in reality) and as the full fin area in the
 /// convective boundary term.
 ///
-/// Solver path: the conductance matrix is written straight into the seven
-/// bands of a StencilMatrix, bit-identical to pairwise SparseBuilder
-/// stamping. The cooling option enters exclusively through the boundary
-/// conductances on the top/bottom layer diagonals, so `set_boundary`
-/// rewrites those diagonal-band values in place — no reassembly — and the
-/// cached multigrid hierarchy re-sums only the coarse rows above them.
-/// This is what makes coolant sweeps (Figs. 7/8/17) cheap: one model per
-/// stack, five boundary swaps.
+/// Solver path: the conductance matrix, boundary included, is written once
+/// straight into the seven bands of a StencilMatrix, bit-identical to
+/// pairwise SparseBuilder stamping. The cooling option enters only through
+/// the boundary conductances on the top/bottom layer diagonals; a model is
+/// built for one boundary and never changes it.
 
 #include <cstddef>
 #include <memory>
@@ -92,12 +89,11 @@ class ThermalSolution {
 
 /// Steady-state thermal model of one stack + package + boundary.
 ///
-/// Typical use: construct once per (stack, grid) pair, then call
-/// `solve_steady` repeatedly with different power maps (e.g. across a VFS
-/// sweep) and `set_boundary` across cooling options; the matrix structure,
-/// multigrid hierarchy and heat capacities are reused throughout, never
-/// changing an answer: solves start from x0 = 0 and a refreshed hierarchy
-/// is bit-identical to a fresh one.
+/// Typical use: construct once per (stack, boundary, grid) configuration,
+/// then call `solve_steady` with one or more power maps (e.g. across a VFS
+/// sweep); the matrix, multigrid hierarchy and heat capacities are reused
+/// across those solves, never changing an answer, because every solve
+/// starts from x0 = 0.
 class StackThermalModel {
  public:
   StackThermalModel(const Stack3d& stack, const PackageConfig& package,
@@ -111,12 +107,6 @@ class StackThermalModel {
   /// Same but taking one power map shared by every die layer.
   [[nodiscard]] ThermalSolution solve_steady_uniform(
       const std::vector<double>& block_powers);
-
-  /// Swaps the boundary conditions (cooling option) in place: only the
-  /// boundary rows' diagonal conductances change, and the multigrid
-  /// hierarchy re-sums only the coarse rows above them. A no-op when
-  /// `boundary` equals the current one.
-  void set_boundary(const ThermalBoundary& boundary);
 
   [[nodiscard]] const Stack3d& stack() const { return stack_; }
   [[nodiscard]] const PackageConfig& package() const { return package_; }
@@ -160,7 +150,6 @@ class StackThermalModel {
 
  private:
   void assemble();
-  void apply_boundary_values();
   [[nodiscard]] const Preconditioner* preconditioner();
 
   [[nodiscard]] std::size_t node(std::size_t layer, std::size_t ix,
@@ -178,13 +167,7 @@ class StackThermalModel {
   std::vector<double> capacities_;
   SolveResult last_solve_;
 
-  // Interior-only diagonals of the top (heatsink) and bottom (die 0)
-  // boundary layers, for the in-place boundary refresh.
-  std::vector<double> top_diag_base_;
-  std::vector<double> bottom_diag_base_;
-
-  // Cached multigrid hierarchy (built on first multigrid solve, value-
-  // refreshed on boundary swaps).
+  // Multigrid hierarchy, built on the first multigrid solve.
   std::unique_ptr<MultigridPreconditioner> multigrid_;
 
   // Per-cell conductances of the two ambient boundaries (uniform).

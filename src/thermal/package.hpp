@@ -87,8 +87,6 @@ struct ThermalBoundary {
   bool film_on_bottom = false;
 
   double ambient_c = 25.0;
-
-  bool operator==(const ThermalBoundary&) const = default;
 };
 
 }  // namespace aqua

@@ -77,15 +77,10 @@ TEST(Multigrid, BuildsMultipleLevels) {
 
 TEST(Multigrid, RejectsShapeMismatch) {
   // The operator carries its grid: a CSR matrix does not fit another
-  // shape, and a hierarchy refuses a refresh from another shape.
+  // shape.
   const GridShape g{8, 8, 2};
   EXPECT_THROW((void)StencilMatrix::from_csr(stack_like_csr(g),
                                              GridShape{8, 8, 3}),
-               Error);
-  MultigridPreconditioner mg(stack_like_matrix(g));
-  EXPECT_THROW(mg.refresh_values(stack_like_matrix(GridShape{8, 8, 3})),
-               Error);
-  EXPECT_THROW(mg.refresh_values(stack_like_matrix(GridShape{4, 16, 2})),
                Error);
 }
 
@@ -149,58 +144,6 @@ TEST(Multigrid, ApplyIsSymmetric) {
     r_ms += r[i] * ms[i];
   }
   EXPECT_NEAR(mr_s, r_ms, 1e-9 * std::abs(mr_s));
-}
-
-TEST(Multigrid, RefreshValuesTracksInPlaceEdits) {
-  const GridShape g{16, 16, 4};
-  StencilMatrix a = stack_like_matrix(g);
-  MultigridPreconditioner mg(a);
-
-  // Bump every boundary-layer diagonal in place (what set_boundary does),
-  // one interior diagonal and one off-diagonal pair, and refresh; the
-  // hierarchy must now precondition the *new* matrix exactly as one built
-  // from scratch does.
-  const auto diag = a.band(StencilMatrix::kDiag);
-  for (std::size_t c = 0; c < g.plane(); ++c) {
-    diag[(g.layers - 1) * g.plane() + c] += 25.0;
-  }
-  const std::size_t interior = g.plane() + 5 * g.nx + 9;
-  diag[interior] += 3.0;
-  a.band(StencilMatrix::kPlusOne)[interior] -= 0.5;
-  a.band(StencilMatrix::kMinusOne)[interior + 1] -= 0.5;
-  mg.refresh_values(a);
-
-  std::vector<double> x_star;
-  const std::vector<double> b = manufactured_rhs(a, &x_star);
-  const SolveResult refreshed = solve_cg(a, b, {}, {}, &mg);
-  const MultigridPreconditioner fresh(a);
-  const SolveResult rebuilt = solve_cg(a, b, {}, {}, &fresh);
-
-  // Every level's operator is the fresh one, bit for bit.
-  ASSERT_EQ(mg.level_count(), fresh.level_count());
-  for (std::size_t l = 0; l < fresh.level_count(); ++l) {
-    const StencilMatrix& got = mg.level_operator(l);
-    const StencilMatrix& want = fresh.level_operator(l);
-    ASSERT_EQ(got.shape(), want.shape());
-    for (std::size_t band = 0; band < StencilMatrix::kBands; ++band) {
-      for (std::size_t r = 0; r < want.rows(); ++r) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.band(band)[r]),
-                  std::bit_cast<std::uint64_t>(want.band(band)[r]))
-            << "level " << l << " band " << band << " row " << r;
-      }
-    }
-  }
-
-  ASSERT_TRUE(refreshed.converged);
-  ASSERT_TRUE(rebuilt.converged);
-  EXPECT_EQ(refreshed.iterations, rebuilt.iterations);
-  // Bitwise: the refresh re-sums in the construction's order, so the
-  // refreshed hierarchy is the rebuilt one, not merely close to it.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(refreshed.x[i]),
-              std::bit_cast<std::uint64_t>(rebuilt.x[i]))
-        << "node " << i;
-  }
 }
 
 TEST(Multigrid, RefreshRejectsMovedColumn) {

@@ -116,6 +116,45 @@ TEST(Experiments, MaxFeasibleChipsHelper) {
             data.max_feasible_chips(CoolingKind::kAir));
 }
 
+// The Fig. 7 sweep on a coarse grid at `workers` engine workers, cold.
+FreqVsChipsData fig07_coarse(std::size_t workers) {
+  sweep::SweepCache::instance().configure("");
+  sweep::TaskEngine::shared().configure(workers);
+  FreqVsChipsData data =
+      frequency_vs_chips(make_low_power_cmp(), 6, 80.0, coarse_grid());
+  sweep::TaskEngine::shared().configure(0);
+  return data;
+}
+
+std::string render_series(const FreqVsChipsData& data) {
+  std::ostringstream os;
+  for (const FreqVsChipsSeries& s : data.series) {
+    os << to_string(s.cooling);
+    for (const std::optional<double>& ghz : s.ghz) {
+      os << " " << (ghz ? sweep::format_double_exact(*ghz) : "-");
+    }
+    os << "\n";
+  }
+  return os.str();
+}
+
+TEST(Experiments, FrequencyVsChipsKeepsNoWorkerState) {
+  ::unsetenv(sweep::SweepRunner::kPoisonEnv);
+  const FreqVsChipsData data = fig07_coarse(4);
+  const sweep::TaskEngine::Stats engine =
+      sweep::TaskEngine::shared().last_run_stats();
+  // Every cell is an unpinned task that builds its own model: nothing is
+  // placed, stolen or looked up in worker-local state.
+  EXPECT_EQ(engine.executed, 6u * data.series.size());
+  EXPECT_EQ(engine.shared_claimed, engine.executed);
+  EXPECT_EQ(engine.stolen, 0u);
+  EXPECT_EQ(engine.local_hits, 0u);
+  EXPECT_EQ(engine.local_misses, 0u);
+  EXPECT_TRUE(data.failed_cells.empty());
+  EXPECT_EQ(render_series(data), render_series(fig07_coarse(1)))
+      << "the 4-worker table diverged from the 1-worker one";
+}
+
 // ---------------------------------------------------------------- sweeps ----
 
 TEST(Experiments, HtcSweepMonotoneDecreasing) {
@@ -128,6 +167,23 @@ TEST(Experiments, HtcSweepMonotoneDecreasing) {
   }
   // Fig. 14's observation: going beyond water's coefficient still helps.
   EXPECT_GT(points[2].temperature_c - points[3].temperature_c, 0.1);
+}
+
+TEST(Experiments, HtcCellNamesKeepEveryDigit) {
+  // Two coefficients that agree to six decimals are two cells: poisoning
+  // one must fail only that one.
+  const std::vector<double> htcs{100.0000001, 100.0000004};
+  const std::string cell = "chip=high_frequency_cmp;chips=2;htc=" +
+                           sweep::format_double_exact(htcs[0]);
+  sweep::SweepCache::instance().configure("");
+  ::setenv(sweep::SweepRunner::kPoisonEnv, ("htc_sweep:" + cell).c_str(), 1);
+  const auto points =
+      htc_sweep(make_high_frequency_cmp(), 2, htcs, coarse_grid());
+  ::unsetenv(sweep::SweepRunner::kPoisonEnv);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_TRUE(points[0].failed);
+  EXPECT_FALSE(points[1].failed);
+  EXPECT_GT(points[1].temperature_c, 25.0);
 }
 
 TEST(Experiments, RotationSweepFlipHelps) {

@@ -107,9 +107,8 @@ void expect_matches_oracle(const FrequencyCap& got, const FrequencyCap& want,
 }
 
 /// Checks find() against the oracle for every stack height in `heights`,
-/// every cooling option and every threshold. One finder per threshold is
-/// reused across heights and coolings, as the figure sweeps reuse theirs,
-/// so its warm-started solves are checked too.
+/// every cooling option and every threshold, with one finder per
+/// threshold.
 void check_against_oracle(const ChipModel& chip,
                           const std::vector<std::size_t>& heights,
                           const std::vector<double>& thresholds) {

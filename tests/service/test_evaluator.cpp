@@ -1,5 +1,5 @@
-/// Request → cell translation: the service's per-thread finder reuse must
-/// never change a cap.
+/// Request → cell translation: every digit of a numeric param reaches the
+/// cell's compute and its name.
 
 #include "service/evaluator.hpp"
 
@@ -37,6 +37,17 @@ TEST(Evaluator, FinderReuseKeepsEveryThresholdDigit) {
   const std::map<std::string, double> below = cap_at(kBelow);
   EXPECT_EQ(below.at("step"), 6.0);
   EXPECT_LT(below.at("max_temperature_c"), std::stod(kBelow));
+}
+
+TEST(Evaluator, HtcCellNamesKeepEveryDigit) {
+  const auto cell = [](const char* htc) {
+    return make_cell_job("htc", {{"chip", "low_power_cmp"},
+                                 {"chips", "2"},
+                                 {"htc", htc}})
+        .cell;
+  };
+  EXPECT_EQ(cell("100.0000001"), "chip=low_power_cmp;chips=2;htc=100.0000001");
+  EXPECT_NE(cell("100.0000001"), cell("100.0000004"));
 }
 
 }  // namespace

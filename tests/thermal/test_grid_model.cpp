@@ -260,50 +260,6 @@ TEST(GridModel, MultigridMatchesJacobiOnFlippedStack) {
   EXPECT_LE(3 * mg_work.cg_iterations, jacobi_work.cg_iterations);
 }
 
-TEST(GridModel, BoundaryRefreshMatchesRebuild) {
-  const ChipModel chip = make_low_power_cmp();
-  const PackageConfig pkg;
-  const Stack3d stack(chip.floorplan(), 3, FlipPolicy::kNone);
-  const auto powers = uniform_powers(chip, stack, gigahertz(1.5));
-
-  ThermalBoundary air;
-  air.ambient_c = pkg.ambient_c;
-
-  // Refresh path: build under water, solve, then swap to air in place.
-  const obs::WorkTally start = obs::thread_work();
-  StackThermalModel model(stack, pkg, water_boundary(pkg), coarse_grid());
-  const double t_water = model.solve_steady(powers).max_die_temperature_c();
-  model.set_boundary(air);
-  EXPECT_EQ(model.boundary(), air);
-  const double t_air = model.solve_steady(powers).max_die_temperature_c();
-  EXPECT_GT(t_air, t_water);  // air cools far worse
-
-  // Reference: a model assembled directly with the air boundary.
-  StackThermalModel rebuilt(stack, pkg, air, coarse_grid());
-  const double t_ref = rebuilt.solve_steady(powers).max_die_temperature_c();
-  EXPECT_NEAR(t_air, t_ref, 1e-6);
-
-  // Swapping back reproduces the original answer, still on the same
-  // matrix structure and multigrid hierarchy.
-  model.set_boundary(water_boundary(pkg));
-  EXPECT_NEAR(model.solve_steady(powers).max_die_temperature_c(), t_water,
-              1e-6);
-  // Four solves on this thread: three on `model`, one on `rebuilt`.
-  EXPECT_EQ((obs::thread_work() - start).solves, 4u);
-}
-
-TEST(GridModel, SetBoundarySameValueIsNoop) {
-  const ChipModel chip = make_low_power_cmp();
-  const PackageConfig pkg;
-  const Stack3d stack(chip.floorplan(), 2, FlipPolicy::kNone);
-  StackThermalModel model(stack, pkg, water_boundary(pkg), coarse_grid());
-  const auto powers = uniform_powers(chip, stack, gigahertz(1.5));
-  const double t1 = model.solve_steady(powers).max_die_temperature_c();
-  model.set_boundary(water_boundary(pkg));  // identical boundary
-  const double t2 = model.solve_steady(powers).max_die_temperature_c();
-  EXPECT_EQ(bits(t1), bits(t2));
-}
-
 TEST(GridModel, ValidatesInput) {
   const ChipModel chip = make_low_power_cmp();
   const PackageConfig pkg;
