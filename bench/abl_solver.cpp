@@ -1,8 +1,8 @@
 /// Ablation: linear-solver choice for the steady-state thermal grid.
 /// Multigrid-preconditioned CG is the shipped default; Jacobi-CG is the
 /// simple baseline and Gauss-Seidel the classic alternative. Same answers,
-/// very different iteration counts. Both CGs run on the model's stencil
-/// operator; Gauss-Seidel sweeps its CSR copy.
+/// very different iteration counts. All three run on the model's stencil
+/// operator.
 
 #include <chrono>
 
@@ -14,7 +14,6 @@ namespace {
 
 struct Problem {
   aqua::StencilMatrix matrix;
-  aqua::SparseMatrix csr;  // for Gauss-Seidel's in-place sweep
   std::vector<double> rhs;
 };
 
@@ -29,8 +28,7 @@ Problem make_problem(std::size_t chips) {
   for (std::size_t l = 0; l < chips; ++l) {
     powers.push_back(chip.block_powers(stack.layer(l), aqua::gigahertz(1.5)));
   }
-  return {model.conductance(), model.conductance().to_csr(),
-          model.power_vector(powers)};
+  return {model.conductance(), model.power_vector(powers)};
 }
 
 void microbench_cg(benchmark::State& state) {
@@ -56,7 +54,7 @@ void microbench_gauss_seidel(benchmark::State& state) {
   aqua::SolverOptions opts;
   opts.max_iterations = 200000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(aqua::solve_gauss_seidel(p.csr, p.rhs, opts));
+    benchmark::DoNotOptimize(aqua::solve_gauss_seidel(p.matrix, p.rhs, opts));
   }
 }
 BENCHMARK(microbench_gauss_seidel)->Arg(2)->Unit(benchmark::kMillisecond);
@@ -78,7 +76,7 @@ int main(int argc, char** argv) {
     aqua::SolverOptions gs_opts;
     gs_opts.max_iterations = 200000;
     const aqua::SolveResult gs =
-        aqua::solve_gauss_seidel(p.csr, p.rhs, gs_opts);
+        aqua::solve_gauss_seidel(p.matrix, p.rhs, gs_opts);
     double diff = 0.0;
     for (std::size_t i = 0; i < cg.x.size(); ++i) {
       diff = std::max(diff, std::abs(cg.x[i] - gs.x[i]));

@@ -86,12 +86,12 @@ void report_config(const std::string& tag, const aqua::ChipModel& chip,
 // ------------------------------------------------------- micro-timings ----
 
 struct SteadyProblem {
-  aqua::StackThermalModel model;
   // Two power maps (different VFS steps) so consecutive solves do real
   // work at the warm-start distance of a VFS step change, instead of
   // re-solving an already-converged system.
   std::vector<std::vector<double>> powers_lo;
   std::vector<std::vector<double>> powers_hi;
+  aqua::StackThermalModel model;  // built in place: not movable
 };
 
 SteadyProblem make_steady(std::size_t chips, aqua::PreconditionerKind kind) {
@@ -100,17 +100,18 @@ SteadyProblem make_steady(std::size_t chips, aqua::PreconditionerKind kind) {
   const aqua::Stack3d stack(chip.floorplan(), chips, aqua::FlipPolicy::kNone);
   aqua::GridOptions grid;
   grid.preconditioner = kind;
-  aqua::StackThermalModel model(
-      stack, pkg,
-      aqua::CoolingOption(aqua::CoolingKind::kWaterImmersion).boundary(pkg),
-      grid);
   std::vector<std::vector<double>> lo;
   std::vector<std::vector<double>> hi;
   for (std::size_t l = 0; l < chips; ++l) {
     lo.push_back(chip.block_powers(stack.layer(l), aqua::gigahertz(1.0)));
     hi.push_back(chip.block_powers(stack.layer(l), aqua::gigahertz(1.5)));
   }
-  return {std::move(model), std::move(lo), std::move(hi)};
+  return {std::move(lo), std::move(hi),
+          aqua::StackThermalModel(
+              stack, pkg,
+              aqua::CoolingOption(aqua::CoolingKind::kWaterImmersion)
+                  .boundary(pkg),
+              grid)};
 }
 
 void microbench_steady_jacobi(benchmark::State& state) {

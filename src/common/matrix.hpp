@@ -1,7 +1,7 @@
 #pragma once
 
 /// Dense row-major matrix used by the lumped thermal-circuit models and the
-/// dense LU reference solver. The sparse grid solvers live in sparse.hpp.
+/// dense LU reference solver. The grid solvers live in solvers.hpp.
 
 #include <cstddef>
 #include <vector>

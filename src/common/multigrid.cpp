@@ -159,26 +159,27 @@ void BandLu::solve(std::span<double> b) const {
 MultigridPreconditioner::MultigridPreconditioner(const StencilMatrix& fine) {
   AQUA_TRACE_SCOPE_C("multigrid.build", "solver");
   require(fine.rows() > 0, "multigrid: empty operator");
-  levels_.push_back(Level{fine, {}, {}, {}, {}});  // levels own their operators
+  coarse_.reserve(kMaxLevels - 1);  // levels_ points into it
+  levels_.push_back(Level{&fine, {}, {}, {}, {}});
   while (levels_.size() < kMaxLevels) {
-    const StencilMatrix& top = levels_.back().a;
+    const StencilMatrix& top = *levels_.back().a;
     if (top.shape().nx <= kCoarsestExtent &&
         top.shape().ny <= kCoarsestExtent) {
       break;
     }
-    StencilMatrix coarse(coarsen(top.shape()));
+    StencilMatrix& coarse = coarse_.emplace_back(coarsen(top.shape()));
     for (std::size_t node = 0; node < coarse.rows(); ++node) {
       galerkin_row(top, coarse, node);
     }
-    levels_.push_back(Level{std::move(coarse), {}, {}, {}, {}});
+    levels_.push_back(Level{&coarse, {}, {}, {}, {}});
   }
 
   for (std::size_t l = 0; l < levels_.size(); ++l) {
     Level& level = levels_[l];
-    const std::size_t n = level.a.rows();
+    const std::size_t n = level.a->rows();
     level.scaled_inv_diag.resize(n);
     for (std::size_t r = 0; r < n; ++r) {
-      level.scaled_inv_diag[r] = scaled_inverse_diagonal(level.a, r);
+      level.scaled_inv_diag[r] = scaled_inverse_diagonal(*level.a, r);
     }
     if (l + 1 < levels_.size()) level.t.resize(n);
     if (l > 0) {
@@ -187,7 +188,7 @@ MultigridPreconditioner::MultigridPreconditioner(const StencilMatrix& fine) {
     }
   }
   row_.resize(fine.shape().nx);
-  coarsest_lu_.factor(levels_.back().a);
+  coarsest_lu_.factor(*levels_.back().a);
 }
 
 void MultigridPreconditioner::cycle(std::size_t depth,
@@ -199,9 +200,9 @@ void MultigridPreconditioner::cycle(std::size_t depth,
     coarsest_lu_.solve(out);
     return;
   }
-  const GridShape& f = level.a.shape();
+  const GridShape& f = level.a->shape();
   const Level& coarse = levels_[depth + 1];
-  const GridShape& c = coarse.a.shape();
+  const GridShape& c = coarse.a->shape();
   const std::size_t n = f.nodes();
   double* t = level.t.data();
   double* row = row_.data();
@@ -217,7 +218,7 @@ void MultigridPreconditioner::cycle(std::size_t depth,
   for (std::size_t layer = 0; layer < f.layers; ++layer) {
     for (std::size_t iy = 0; iy < f.ny; ++iy) {
       const std::size_t base = layer * f.plane() + iy * f.nx;
-      level.a.multiply_row(layer, iy, t, row);
+      level.a->multiply_row(layer, iy, t, row);
       double* parent = coarse.rhs.data() + layer * c.plane() + (iy / 2) * c.nx;
       for (std::size_t ix = 0; ix < f.nx; ++ix) {
         parent[ix / 2] += rhs[base + ix] - row[ix];
@@ -242,7 +243,7 @@ void MultigridPreconditioner::cycle(std::size_t depth,
   for (std::size_t layer = 0; layer < f.layers; ++layer) {
     for (std::size_t iy = 0; iy < f.ny; ++iy) {
       const std::size_t base = layer * f.plane() + iy * f.nx;
-      level.a.multiply_row(layer, iy, t, row);
+      level.a->multiply_row(layer, iy, t, row);
       for (std::size_t ix = 0; ix < f.nx; ++ix) {
         const std::size_t i = base + ix;
         out[i] = t[i] + winv[i] * (rhs[i] - row[ix]);
@@ -253,7 +254,7 @@ void MultigridPreconditioner::cycle(std::size_t depth,
 
 void MultigridPreconditioner::apply(std::span<const double> r,
                                     std::span<double> z) const {
-  const std::size_t n = levels_.front().a.rows();
+  const std::size_t n = levels_.front().a->rows();
   // Hot path (per V-cycle): build the error string only on failure.
   if (r.size() != n || z.size() != n) {
     require(false, "multigrid apply: dimension mismatch");

@@ -17,13 +17,15 @@
 ///
 /// Every level is a StencilMatrix. A coarse band entry sums its terms from
 /// 0.0 with the children in ascending fine index and each child's bands in
-/// CSR column order — the order SparseBuilder's stable sort gives the COO
-/// Galerkin product — so the hierarchy is bit-identical to it.
+/// CSR column order — the order a stable sort of the COO Galerkin product
+/// gives — so the hierarchy is bit-identical to that product (the tests'
+/// oracle, tests/support/csr_oracle.hpp).
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/solvers.hpp"
 #include "common/stencil.hpp"
 
@@ -73,8 +75,13 @@ class BandLu {
 /// never shared across threads).
 class MultigridPreconditioner final : public Preconditioner {
  public:
-  /// Builds the hierarchy for `fine` on its own grid shape.
+  /// Builds the hierarchy for `fine` on its own grid shape. Level 0 reads
+  /// `fine` in place, so it must outlive the preconditioner; only the
+  /// coarse levels are owned.
   explicit MultigridPreconditioner(const StencilMatrix& fine);
+  explicit MultigridPreconditioner(StencilMatrix&&) = delete;
+  MultigridPreconditioner(const MultigridPreconditioner&) = delete;
+  MultigridPreconditioner& operator=(const MultigridPreconditioner&) = delete;
 
   /// z = V-cycle(r): one V-cycle on A z = r from a zero initial guess.
   /// Counts the V-cycle in the calling thread's obs::WorkTally.
@@ -83,19 +90,20 @@ class MultigridPreconditioner final : public Preconditioner {
   /// Number of levels including the coarsest (>= 1).
   [[nodiscard]] std::size_t level_count() const { return levels_.size(); }
 
-  /// Operator of level `l` (0 is the fine matrix; for tests / diagnostics).
+  /// Operator of level `l` (0 is the caller's fine matrix; for tests /
+  /// diagnostics).
   [[nodiscard]] const StencilMatrix& level_operator(std::size_t l) const {
     require(l < levels_.size(), "multigrid: level out of range");
-    return levels_[l].a;
+    return *levels_[l].a;
   }
 
   [[nodiscard]] const GridShape& fine_shape() const {
-    return levels_.front().a.shape();
+    return levels_.front().a->shape();
   }
 
  private:
   struct Level {
-    StencilMatrix a;
+    const StencilMatrix* a;  ///< the caller's operator, or one of coarse_
     std::vector<double> scaled_inv_diag;  ///< jacobi weight / a_ii
     // V-cycle scratch (apply() is const but stateful; see class comment):
     // the smoothed iterate on every level but the coarsest, and the
@@ -106,6 +114,7 @@ class MultigridPreconditioner final : public Preconditioner {
   void cycle(std::size_t depth, std::span<const double> rhs,
              std::span<double> out) const;
 
+  std::vector<StencilMatrix> coarse_;  ///< operators of levels 1, 2, ...
   std::vector<Level> levels_;
   mutable std::vector<double> row_;  ///< one grid row of A * t
   BandLu coarsest_lu_;

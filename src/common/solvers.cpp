@@ -33,6 +33,11 @@ GlobalSolverCounters& global_solver_counters() {
   return counters;
 }
 
+/// Divergence detector: CG bails out (breakdown) once ||r||^2 exceeds this
+/// factor times the best ||r||^2 seen so far. Converging solves never trip
+/// it, so it costs nothing on the healthy path.
+constexpr double kDivergenceFactor = 1e8;
+
 }  // namespace
 
 double norm2(const std::vector<double>& v) {
@@ -41,7 +46,7 @@ double norm2(const std::vector<double>& v) {
   return std::sqrt(acc);
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const LinearOperator& a)
+JacobiPreconditioner::JacobiPreconditioner(const StencilMatrix& a)
     : inv_diag_(a.diagonal()) {
   for (double& d : inv_diag_) {
     ensure(d > 0.0, "jacobi: non-positive diagonal (matrix not SPD?)");
@@ -67,7 +72,7 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 /// r = b - A x into a caller-provided scratch buffer (no allocation).
-void residual_into(const LinearOperator& a, const std::vector<double>& b,
+void residual_into(const StencilMatrix& a, const std::vector<double>& b,
                    const std::vector<double>& x, std::vector<double>& r) {
   r.resize(b.size());
   a.multiply(x, r);
@@ -76,11 +81,10 @@ void residual_into(const LinearOperator& a, const std::vector<double>& b,
 
 }  // namespace
 
-SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
+SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
                      const SolverOptions& options, std::vector<double> x0,
                      const Preconditioner* preconditioner) {
   AQUA_TRACE_SCOPE_C("solver.cg", "solver");
-  require(a.rows() == a.cols(), "solve_cg: matrix must be square");
   require(b.size() == a.rows(), "solve_cg: rhs dimension mismatch");
   const std::size_t n = b.size();
   const auto start = std::chrono::steady_clock::now();
@@ -184,7 +188,7 @@ SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
     }
     if (rr < best_rr) {
       best_rr = rr;
-    } else if (rr > options.divergence_factor * best_rr) {
+    } else if (rr > kDivergenceFactor * best_rr) {
       return break_down(it + 1, "solve_cg: divergence detected");
     }
     preconditioner->apply(r, z);
@@ -218,17 +222,15 @@ void report_solver_fallback(const SolveResult& failed, const char* action) {
 
 }  // namespace
 
-SolveResult solve_cg_resilient(const LinearOperator& a,
+SolveResult solve_cg_resilient(const StencilMatrix& a,
                                const std::vector<double>& b,
                                const SolverOptions& options,
-                               std::vector<double> x0,
                                const Preconditioner* preconditioner,
                                const char* label) {
-  const bool custom_setup = preconditioner != nullptr || !x0.empty();
   SolverOptions opts = options;
   opts.throw_on_breakdown = false;
 
-  SolveResult first = solve_cg(a, b, opts, std::move(x0), preconditioner);
+  SolveResult first = solve_cg(a, b, opts, {}, preconditioner);
   first.attempt_chain = label ? label : (preconditioner ? "custom" : "jacobi");
   if (first.converged) return first;
 
@@ -237,10 +239,9 @@ SolveResult solve_cg_resilient(const LinearOperator& a,
     obs::thread_work().fallbacks += 1;
   };
 
-  // Attempt 2: plain Jacobi-CG from zeros — drops the caller's
-  // preconditioner and warm start, either of which may be the poison.
-  // Pointless when attempt 1 already ran that exact configuration.
-  if (custom_setup) {
+  // Attempt 2: plain Jacobi-CG — drops the caller's preconditioner, which
+  // may be the poison. Pointless when attempt 1 already ran plain Jacobi.
+  if (preconditioner != nullptr) {
     count_fallback();
     report_solver_fallback(first, "jacobi_restart");
     SolveResult second = solve_cg(a, b, opts, {}, nullptr);
@@ -276,21 +277,51 @@ SolveResult solve_cg_resilient(const LinearOperator& a,
   return last;
 }
 
-SolveResult solve_gauss_seidel(const SparseMatrix& a,
+namespace {
+
+/// One Gauss-Seidel forward sweep in place on x for A x = b: each row
+/// subtracts its on-grid neighbour terms from b in band order, the CSR
+/// column order, then divides by the diagonal.
+void gauss_seidel_sweep(const StencilMatrix& a, const std::vector<double>& b,
+                        std::vector<double>& x) {
+  using Band = StencilMatrix::Band;
+  const GridShape& g = a.shape();
+  const std::size_t plane = g.plane();
+  const auto down = a.band(Band::kMinusPlane);
+  const auto south = a.band(Band::kMinusRow);
+  const auto west = a.band(Band::kMinusOne);
+  const auto diag = a.band(Band::kDiag);
+  const auto east = a.band(Band::kPlusOne);
+  const auto north = a.band(Band::kPlusRow);
+  const auto up = a.band(Band::kPlusPlane);
+  std::size_t r = 0;
+  for (std::size_t layer = 0; layer < g.layers; ++layer) {
+    for (std::size_t iy = 0; iy < g.ny; ++iy) {
+      for (std::size_t ix = 0; ix < g.nx; ++ix, ++r) {
+        double acc = b[r];
+        if (layer > 0) acc -= down[r] * x[r - plane];
+        if (iy > 0) acc -= south[r] * x[r - g.nx];
+        if (ix > 0) acc -= west[r] * x[r - 1];
+        if (ix + 1 < g.nx) acc -= east[r] * x[r + 1];
+        if (iy + 1 < g.ny) acc -= north[r] * x[r + g.nx];
+        if (layer + 1 < g.layers) acc -= up[r] * x[r + plane];
+        if (diag[r] == 0.0) ensure(false, "gauss_seidel: zero diagonal");
+        x[r] = acc / diag[r];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+SolveResult solve_gauss_seidel(const StencilMatrix& a,
                                const std::vector<double>& b,
-                               const SolverOptions& options,
-                               std::vector<double> x0) {
-  require(a.rows() == a.cols(), "solve_gauss_seidel: matrix must be square");
+                               const SolverOptions& options) {
   require(b.size() == a.rows(), "solve_gauss_seidel: rhs mismatch");
-  const std::size_t n = b.size();
-
   SolveResult out;
-  out.x = x0.empty() ? std::vector<double>(n, 0.0) : std::move(x0);
-  require(out.x.size() == n, "solve_gauss_seidel: warm start mismatch");
-
+  out.x.assign(b.size(), 0.0);
   const double bnorm = norm2(b);
   if (bnorm == 0.0) {
-    out.x.assign(n, 0.0);
     out.converged = true;
     return out;
   }
@@ -298,7 +329,7 @@ SolveResult solve_gauss_seidel(const SparseMatrix& a,
 
   std::vector<double> r;  // residual scratch, reused across checks
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    a.gauss_seidel_sweep(b, out.x);
+    gauss_seidel_sweep(a, b, out.x);
     // Checking the residual every sweep would double the cost; every 8th
     // sweep keeps the overhead ~12% while bounding extra sweeps.
     if (it % 8 == 7 || it + 1 == options.max_iterations) {

@@ -4,12 +4,12 @@
 ///
 /// The steady-state heat equation on the finite-volume grid yields a
 /// symmetric positive-definite conductance matrix, so preconditioned
-/// conjugate gradients is the workhorse. CG runs on any `LinearOperator`
-/// (the thermal path's StencilMatrix, or a CSR SparseMatrix); it uses only
-/// the operator's product and diagonal. Preconditioning is pluggable
-/// through the `Preconditioner` interface: Jacobi (diagonal scaling) is the
-/// robust default for small systems, and the geometric multigrid V-cycle
-/// (common/multigrid.hpp) is the production choice for the 3-D stack grids.
+/// conjugate gradients is the workhorse. Every solver runs on the thermal
+/// path's StencilMatrix; CG uses only its product and diagonal.
+/// Preconditioning is pluggable through the `Preconditioner` interface:
+/// Jacobi (diagonal scaling) is the robust default for small systems, and
+/// the geometric multigrid V-cycle (common/multigrid.hpp) is the
+/// production choice for the 3-D stack grids.
 /// Gauss-Seidel is kept as a reference and for the solver-ablation bench.
 
 #include <cstddef>
@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "common/sparse.hpp"
+#include "common/stencil.hpp"
 
 namespace aqua {
 
@@ -37,7 +37,7 @@ class Preconditioner {
 /// Diagonal (Jacobi) scaling: z_i = r_i / a_ii.
 class JacobiPreconditioner final : public Preconditioner {
  public:
-  explicit JacobiPreconditioner(const LinearOperator& a);
+  explicit JacobiPreconditioner(const StencilMatrix& a);
 
   void apply(std::span<const double> r, std::span<double> z) const override;
 
@@ -73,10 +73,6 @@ struct SolverOptions {
   /// false, the solve returns with SolveResult::breakdown set so callers
   /// (solve_cg_resilient) can fall back instead of dying.
   bool throw_on_breakdown = true;
-  /// Divergence detector: bail out (breakdown) when ||r||^2 exceeds this
-  /// factor times the best ||r||^2 seen so far. Converging solves never
-  /// trip it, so enabling costs nothing on the healthy path.
-  double divergence_factor = 1e8;
 };
 
 /// Preconditioned conjugate gradients for SPD systems.
@@ -85,36 +81,35 @@ struct SolverOptions {
 /// count, iterations, wall time and the V-cycles its preconditioner
 /// applied to the process-wide `solver.*` registry counters and its
 /// solve, iteration and wall time to the calling thread's obs::WorkTally.
-SolveResult solve_cg(const LinearOperator& a, const std::vector<double>& b,
+SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
                      const SolverOptions& options = {},
                      std::vector<double> x0 = {},
                      const Preconditioner* preconditioner = nullptr);
 
 /// Degradation wrapper around solve_cg (DESIGN.md §8): attempt 1 runs
-/// exactly as asked (bit-identical to a plain solve_cg when it succeeds);
-/// on breakdown, divergence or non-convergence it falls back to plain
-/// Jacobi-CG from a zero start (the caller's preconditioner or warm start
-/// may be the poison), and finally to a relaxed-tolerance Jacobi-CG retry
+/// exactly as asked from a zero start (bit-identical to a plain solve_cg
+/// when it succeeds); on breakdown, divergence or non-convergence it falls
+/// back to plain Jacobi-CG when the caller gave a preconditioner (it may
+/// be the poison), and finally to a relaxed-tolerance Jacobi-CG retry
 /// with a 4x iteration budget whose success is flagged as degraded. The
 /// attempt chain is recorded in SolveResult::attempt_chain, fallback and
 /// breakdown counts in the `solver.*` counters and the thread's
 /// obs::WorkTally, and a "fault_absorbed"/"degraded_result" run-report
 /// record is emitted per fallback. `label` names attempt 1 in the chain
 /// (e.g. "multigrid").
-SolveResult solve_cg_resilient(const LinearOperator& a,
+SolveResult solve_cg_resilient(const StencilMatrix& a,
                                const std::vector<double>& b,
                                const SolverOptions& options = {},
-                               std::vector<double> x0 = {},
                                const Preconditioner* preconditioner = nullptr,
                                const char* label = nullptr);
 
 /// Gauss-Seidel fixed-point iteration; converges for the diagonally dominant
-/// thermal systems but much slower than CG. Reference / ablation use; its
-/// in-place sweep needs the CSR rows.
-SolveResult solve_gauss_seidel(const SparseMatrix& a,
+/// thermal systems but much slower than CG. Reference / ablation use. Each
+/// sweep updates x in place, row by row, subtracting a row's on-grid
+/// neighbour terms in band order (CSR column order).
+SolveResult solve_gauss_seidel(const StencilMatrix& a,
                                const std::vector<double>& b,
-                               const SolverOptions& options = {},
-                               std::vector<double> x0 = {});
+                               const SolverOptions& options = {});
 
 /// Euclidean norm helper shared by solvers and tests.
 double norm2(const std::vector<double>& v);

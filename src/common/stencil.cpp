@@ -1,7 +1,6 @@
 #include "common/stencil.hpp"
 
 #include <cstdint>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -14,17 +13,26 @@ namespace {
 /// modulo 4 KiB and the seven streams would contend for one L1 set.
 constexpr std::size_t kBandPad = 16;
 
+/// `shape`, once it is known to be indexable: runs in the member-init
+/// list ahead of every allocation.
+GridShape checked(const GridShape& shape) {
+  require(shape.indexable(),
+          "stencil: grid shape degenerate or over 2^32 nodes");
+  return shape;
+}
+
 }  // namespace
 
+bool GridShape::indexable() const {
+  return nx >= 1 && ny >= 1 && layers >= 1 && nx <= UINT32_MAX / ny &&
+         plane() <= UINT32_MAX / layers;
+}
+
 StencilMatrix::StencilMatrix(GridShape shape)
-    : shape_(shape),
+    : shape_(checked(shape)),
       stride_(shape.nodes() + kBandPad),
       bands_(kBands * stride_, 0.0),
-      zero_row_(shape.nx, 0.0) {
-  require(shape_.nx >= 1 && shape_.ny >= 1 && shape_.layers >= 1,
-          "stencil: degenerate grid shape");
-  require(shape_.nodes() <= UINT32_MAX, "stencil: grid limited to 2^32 nodes");
-}
+      zero_row_(shape.nx, 0.0) {}
 
 bool StencilMatrix::has_neighbour(std::size_t node, std::size_t b) const {
   const std::size_t ix = node % shape_.nx;
@@ -48,53 +56,6 @@ std::ptrdiff_t StencilMatrix::offset(std::size_t b) const {
   const std::ptrdiff_t offsets[kBands] = {-plane, -nx, -1, 0, 1, nx, plane};
   if (b >= kBands) require(false, "stencil: band out of range");
   return offsets[b];
-}
-
-StencilMatrix StencilMatrix::from_csr(const SparseMatrix& csr,
-                                      GridShape shape) {
-  StencilMatrix m(shape);
-  require(csr.rows() == shape.nodes() && csr.cols() == shape.nodes(),
-          "stencil from_csr: matrix does not match the grid shape");
-  const auto row_ptr = csr.row_ptr();
-  const auto col_idx = csr.col_idx();
-  const auto values = csr.values();
-  for (std::size_t r = 0; r < shape.nodes(); ++r) {
-    std::size_t k = row_ptr[r];
-    for (std::size_t b = 0; b < kBands; ++b) {
-      if (!m.has_neighbour(r, b)) continue;
-      const auto col = static_cast<std::ptrdiff_t>(r) + m.offset(b);
-      if (k == row_ptr[r + 1] ||
-          static_cast<std::ptrdiff_t>(col_idx[k]) != col) {
-        require(false, "stencil from_csr: row is not the 7-point stencil");
-      }
-      m.band(b)[r] = values[k++];
-    }
-    if (k != row_ptr[r + 1]) {
-      require(false, "stencil from_csr: row has entries off the stencil");
-    }
-  }
-  return m;
-}
-
-SparseMatrix StencilMatrix::to_csr() const {
-  const std::size_t n = shape_.nodes();
-  std::vector<std::size_t> row_ptr{0};
-  std::vector<std::uint32_t> col_idx;
-  std::vector<double> values;
-  row_ptr.reserve(n + 1);
-  col_idx.reserve(kBands * n);
-  values.reserve(kBands * n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t b = 0; b < kBands; ++b) {
-      if (!has_neighbour(r, b)) continue;
-      col_idx.push_back(static_cast<std::uint32_t>(
-          static_cast<std::ptrdiff_t>(r) + offset(b)));
-      values.push_back(band(b)[r]);
-    }
-    row_ptr.push_back(values.size());
-  }
-  return SparseMatrix::from_csr(n, std::move(row_ptr), std::move(col_idx),
-                                std::move(values));
 }
 
 void StencilMatrix::multiply_row(std::size_t layer, std::size_t iy,

@@ -14,14 +14,13 @@
 /// by an out-of-range (or non-finite) x value, so it adds a zero. An
 /// accumulator that starts at +0.0 can never become -0.0 in
 /// round-to-nearest, and adding a zero to anything else leaves it
-/// unchanged, so the result equals CSR's, which skips those terms.
+/// unchanged, so the result equals that of a CSR product that skips those
+/// terms. The tests hold every product to such a CSR oracle
+/// (tests/support/csr_oracle.hpp).
 
-#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
-
-#include "common/sparse.hpp"
 
 namespace aqua {
 
@@ -35,13 +34,17 @@ struct GridShape {
   [[nodiscard]] std::size_t plane() const { return nx * ny; }
   [[nodiscard]] std::size_t nodes() const { return nx * ny * layers; }
 
+  /// True when every extent is >= 1 and nodes() fits the stencil's 32-bit
+  /// node limit, checked without overflowing.
+  [[nodiscard]] bool indexable() const;
+
   friend bool operator==(const GridShape&, const GridShape&) = default;
 };
 
 /// A 7-point stencil operator on a GridShape, one band array per
 /// neighbour direction (see the file comment for the layout and the
 /// bit-identity contract).
-class StencilMatrix final : public LinearOperator {
+class StencilMatrix {
  public:
   /// Band indices, in the CSR column order of a row.
   enum Band : std::size_t {
@@ -57,22 +60,13 @@ class StencilMatrix final : public LinearOperator {
 
   StencilMatrix() = default;
 
-  /// An all-zero operator on `shape` (every extent >= 1).
+  /// An all-zero operator on `shape`. Throws, before allocating, unless
+  /// the shape is indexable().
   explicit StencilMatrix(GridShape shape);
 
-  /// Adopts a CSR matrix that is exactly the 7-point stencil on `shape`:
-  /// every row holds its on-grid neighbours and nothing else, in ascending
-  /// column order. Throws otherwise.
-  [[nodiscard]] static StencilMatrix from_csr(const SparseMatrix& csr,
-                                              GridShape shape);
-
-  /// The same operator in CSR, with every on-grid neighbour an entry
-  /// (zero-valued ones included), as SparseBuilder would emit it.
-  [[nodiscard]] SparseMatrix to_csr() const;
-
   [[nodiscard]] const GridShape& shape() const { return shape_; }
-  [[nodiscard]] std::size_t rows() const override { return shape_.nodes(); }
-  [[nodiscard]] std::size_t cols() const override { return shape_.nodes(); }
+  /// Unknowns (rows and columns: a stencil is square).
+  [[nodiscard]] std::size_t rows() const { return shape_.nodes(); }
 
   /// Band `b` (a Band value), one coefficient per node.
   [[nodiscard]] std::span<double> band(std::size_t b) {
@@ -89,8 +83,7 @@ class StencilMatrix final : public LinearOperator {
   [[nodiscard]] std::ptrdiff_t offset(std::size_t b) const;
 
   /// y = A * x. `y` must already have rows() elements and not alias `x`.
-  void multiply(std::span<const double> x,
-                std::span<double> y) const override;
+  void multiply(std::span<const double> x, std::span<double> y) const;
 
   /// y[0, nx) = (A * x) over grid row (layer, iy), the building block of
   /// the fused multigrid passes. `x` is the whole vector; `y` must not
@@ -98,7 +91,7 @@ class StencilMatrix final : public LinearOperator {
   void multiply_row(std::size_t layer, std::size_t iy, const double* x,
                     double* y) const;
 
-  [[nodiscard]] std::vector<double> diagonal() const override;
+  [[nodiscard]] std::vector<double> diagonal() const;
 
  private:
   GridShape shape_;

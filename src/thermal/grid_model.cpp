@@ -88,6 +88,7 @@ StackThermalModel::StackThermalModel(const Stack3d& stack,
       boundary_(boundary),
       options_(options) {
   require(options_.nx >= 2 && options_.ny >= 2, "grid must be at least 2x2");
+  require(grid_shape().indexable(), "grid too large to index");
   assemble();
 }
 
@@ -204,8 +205,8 @@ void StackThermalModel::assemble() {
   // Each diagonal sums its terms from 0.0 in the order pairwise stamping
   // adds them (lateral pairs by ascending node, then vertical pairs by
   // ascending layer, then the ambient boundary), so the matrix is
-  // bit-identical to a SparseBuilder assembly. Off-grid neighbours keep
-  // their +0.0.
+  // bit-identical to a COO assembly that sums duplicates in insertion
+  // order. Off-grid neighbours keep their +0.0.
   const std::size_t sink = n_layers - 1;
   matrix_ = StencilMatrix(grid_shape());
   using Band = StencilMatrix::Band;
@@ -282,7 +283,7 @@ ThermalSolution StackThermalModel::solve_steady(
   // back multigrid -> jacobi -> relaxed jacobi (DESIGN.md §8).
   const Preconditioner* precond = preconditioner();
   last_solve_ =
-      solve_cg_resilient(matrix_, rhs, options_.solver, {}, precond,
+      solve_cg_resilient(matrix_, rhs, options_.solver, precond,
                          precond != nullptr ? "multigrid" : "jacobi");
   ensure(last_solve_.converged, "steady-state thermal solve did not converge");
 

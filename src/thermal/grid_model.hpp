@@ -18,7 +18,8 @@
 ///
 /// Solver path: the conductance matrix, boundary included, is written once
 /// straight into the seven bands of a StencilMatrix, bit-identical to
-/// pairwise SparseBuilder stamping. The cooling option enters only through
+/// pairwise COO stamping summed in insertion order (the tests' oracle,
+/// tests/support/csr_oracle.hpp). The cooling option enters only through
 /// the boundary conductances on the top/bottom layer diagonals; a model is
 /// built for one boundary and never changes it.
 
@@ -93,11 +94,16 @@ class ThermalSolution {
 /// then call `solve_steady` with one or more power maps (e.g. across a VFS
 /// sweep); the matrix, multigrid hierarchy and heat capacities are reused
 /// across those solves, never changing an answer, because every solve
-/// starts from x0 = 0.
+/// starts from x0 = 0. Neither copyable nor movable: the multigrid
+/// hierarchy reads the model's matrix in place.
 class StackThermalModel {
  public:
+  /// Throws, before allocating the grid, unless nx, ny >= 2 and the
+  /// (layers + 2) x nx x ny node count fits the stencil's 32-bit limit.
   StackThermalModel(const Stack3d& stack, const PackageConfig& package,
                     const ThermalBoundary& boundary, GridOptions options = {});
+  StackThermalModel(const StackThermalModel&) = delete;
+  StackThermalModel& operator=(const StackThermalModel&) = delete;
 
   /// Solves G T = P for the given per-layer, per-block powers [W].
   /// `layer_block_powers[l]` must match the block count of stack layer l.

@@ -13,9 +13,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/solvers.hpp"
-#include "common/sparse.hpp"
 #include "common/stencil.hpp"
 #include "obs/metrics.hpp"
+#include "support/csr_oracle.hpp"
 
 namespace aqua {
 namespace {
@@ -24,9 +24,9 @@ namespace {
 /// stack: strong lateral coupling inside each layer, weak vertical coupling
 /// across layers (the glue interfaces), and a ground term on the top and
 /// bottom layer diagonals (the convective boundaries). SPD by construction.
-SparseMatrix stack_like_csr(const GridShape& g, double lateral = 1.0,
-                            double vertical = 0.01, double ground = 0.1) {
-  SparseBuilder b(g.nodes(), g.nodes());
+oracle::Csr stack_like_csr(const GridShape& g, double lateral = 1.0,
+                           double vertical = 0.01, double ground = 0.1) {
+  oracle::Coo b(g.nodes());
   auto idx = [&](std::size_t l, std::size_t ix, std::size_t iy) {
     return l * g.nx * g.ny + iy * g.nx + ix;
   };
@@ -51,10 +51,10 @@ SparseMatrix stack_like_csr(const GridShape& g, double lateral = 1.0,
 }
 
 StencilMatrix stack_like_matrix(const GridShape& g) {
-  return StencilMatrix::from_csr(stack_like_csr(g), g);
+  return oracle::to_stencil(stack_like_csr(g), g);
 }
 
-std::vector<double> manufactured_rhs(const LinearOperator& a,
+std::vector<double> manufactured_rhs(const StencilMatrix& a,
                                      std::vector<double>* x_star) {
   // Smooth manufactured solution x*(i) so b = A x* has a known answer.
   x_star->resize(a.rows());
@@ -75,13 +75,21 @@ TEST(Multigrid, BuildsMultipleLevels) {
   EXPECT_EQ(mg.fine_shape().nx, 32u);
 }
 
+TEST(Multigrid, FineLevelIsTheCallersOperator) {
+  // Level 0 reads the caller's operator in place; no copy is made.
+  const GridShape g{16, 16, 3};
+  const StencilMatrix a = stack_like_matrix(g);
+  const MultigridPreconditioner mg(a);
+  EXPECT_EQ(&mg.level_operator(0), &a);
+  EXPECT_NE(&mg.level_operator(1), &a);
+}
+
 TEST(Multigrid, RejectsShapeMismatch) {
   // The operator carries its grid: a CSR matrix does not fit another
   // shape.
   const GridShape g{8, 8, 2};
-  EXPECT_THROW((void)StencilMatrix::from_csr(stack_like_csr(g),
-                                             GridShape{8, 8, 3}),
-               Error);
+  EXPECT_THROW(
+      (void)oracle::to_stencil(stack_like_csr(g), GridShape{8, 8, 3}), Error);
 }
 
 TEST(Multigrid, MgCgMatchesJacobiCgOnManufacturedSolution) {
@@ -124,7 +132,8 @@ TEST(Multigrid, CutsIterationsVsJacobi) {
 TEST(Multigrid, ApplyIsSymmetric) {
   // CG requires a symmetric preconditioner: <M r, s> == <r, M s>.
   const GridShape g{16, 16, 4};
-  const MultigridPreconditioner mg(stack_like_matrix(g));
+  const StencilMatrix a = stack_like_matrix(g);
+  const MultigridPreconditioner mg(a);
 
   Xoshiro256 rng(7);
   std::vector<double> r(g.nodes());
@@ -151,15 +160,10 @@ TEST(Multigrid, RefreshRejectsMovedColumn) {
   // to column 2: the matrix is no longer the stencil on its grid, so it
   // cannot become a hierarchy's operator.
   const GridShape g{8, 8, 2};
-  const SparseMatrix a = stack_like_csr(g);
-  std::vector<std::uint32_t> cols(a.col_idx().begin(), a.col_idx().end());
-  ASSERT_EQ(cols[1], 1u);
-  cols[1] = 2;
-  const SparseMatrix moved = SparseMatrix::from_csr(
-      a.cols(), {a.row_ptr().begin(), a.row_ptr().end()}, std::move(cols),
-      {a.values().begin(), a.values().end()});
-  ASSERT_EQ(moved.nonzeros(), a.nonzeros());
-  EXPECT_THROW((void)StencilMatrix::from_csr(moved, g), Error);
+  oracle::Csr moved = stack_like_csr(g);
+  ASSERT_EQ(moved.col_idx[1], 1u);
+  moved.col_idx[1] = 2;
+  EXPECT_THROW((void)oracle::to_stencil(moved, g), Error);
 }
 
 /// The dense n x n LU with partial pivoting the coarsest level used before
@@ -172,10 +176,10 @@ struct DenseLu {
   bool swapped = false;
 
   explicit DenseLu(const StencilMatrix& a) : n(a.rows()), lu(n * n, 0.0) {
-    const SparseMatrix csr = a.to_csr();
+    const oracle::Csr csr = oracle::to_csr(a);
     for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t k = csr.row_ptr()[r]; k < csr.row_ptr()[r + 1]; ++k) {
-        lu[r * n + csr.col_idx()[k]] = csr.values()[k];
+      for (std::size_t k = csr.row_ptr[r]; k < csr.row_ptr[r + 1]; ++k) {
+        lu[r * n + csr.col_idx[k]] = csr.values[k];
       }
     }
     pivots.resize(n);

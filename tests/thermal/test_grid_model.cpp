@@ -274,5 +274,19 @@ TEST(GridModel, ValidatesInput) {
       Error);
 }
 
+TEST(GridModel, RejectsGridsTooLargeToIndex) {
+  // A node count past the stencil's 32-bit limit, or one that wraps
+  // size_t, throws before any grid-sized allocation.
+  const ChipModel chip = make_low_power_cmp();
+  const PackageConfig pkg;
+  const Stack3d stack(chip.floorplan(), 2, FlipPolicy::kNone);
+  for (const std::size_t n : {SIZE_MAX, std::size_t{1} << 17}) {
+    GridOptions grid;
+    grid.nx = grid.ny = n;
+    EXPECT_THROW(
+        (void)StackThermalModel(stack, pkg, water_boundary(pkg), grid), Error);
+  }
+}
+
 }  // namespace
 }  // namespace aqua

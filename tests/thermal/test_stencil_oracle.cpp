@@ -1,7 +1,7 @@
 // The thermal operator is written straight into its seven stencil bands,
 // and so is every multigrid level. These tests hold both to the general
-// assembler they replaced: SparseBuilder's pairwise stamping and COO
-// Galerkin product, kept here as the oracle. Every level's bands must match
+// assembler they replaced: pairwise COO stamping and the COO Galerkin
+// product (tests/support/csr_oracle.hpp). Every level's bands must match
 // it bit for bit, under every cooling option's boundary.
 
 #include <gtest/gtest.h>
@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "common/multigrid.hpp"
-#include "common/sparse.hpp"
 #include "common/stencil.hpp"
 #include "core/cooling.hpp"
 #include "power/chip_model.hpp"
+#include "support/csr_oracle.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/transient.hpp"
 
@@ -27,8 +27,8 @@ namespace {
 /// pattern (so -0.0 != 0.0 and any rounding difference shows). `want` is
 /// the oracle's CSR, which must itself be exactly the 7-point stencil.
 ::testing::AssertionResult same_bands(const StencilMatrix& got,
-                                      const SparseMatrix& want_csr) {
-  const StencilMatrix want = StencilMatrix::from_csr(want_csr, got.shape());
+                                      const oracle::Csr& want_csr) {
+  const StencilMatrix want = oracle::to_stencil(want_csr, got.shape());
   for (std::size_t b = 0; b < StencilMatrix::kBands; ++b) {
     for (std::size_t r = 0; r < want.rows(); ++r) {
       if (std::bit_cast<std::uint64_t>(got.band(b)[r]) !=
@@ -44,7 +44,7 @@ namespace {
 
 /// The pairwise-stamping assembly of StackThermalModel's conductance matrix,
 /// boundary terms included.
-SparseMatrix stamped_conductance(const Stack3d& stack,
+oracle::Csr stamped_conductance(const Stack3d& stack,
                                  const PackageConfig& package,
                                  const ThermalBoundary& boundary,
                                  std::size_t nx, std::size_t ny) {
@@ -76,7 +76,7 @@ SparseMatrix stamped_conductance(const Stack3d& stack,
   props.push_back({package.heatsink_thickness, k_sink,
                    k_sink * sink_ratio * sink_ratio});
 
-  SparseBuilder builder(nodes, nodes);
+  oracle::Coo builder(nodes);
   auto stamp_pair = [&builder](std::size_t a, std::size_t b, double g) {
     builder.add(a, a, g);
     builder.add(b, b, g);
@@ -145,13 +145,13 @@ SparseMatrix stamped_conductance(const Stack3d& stack,
 
 /// The COO Galerkin hierarchy of `levels` levels: 2x2x1 coarsening, each
 /// coarse entry the sum of its children's entries.
-std::vector<SparseMatrix> coo_hierarchy(const SparseMatrix& fine,
-                                        GridShape shape, std::size_t levels) {
-  std::vector<SparseMatrix> out{fine};
+std::vector<oracle::Csr> coo_hierarchy(const oracle::Csr& fine,
+                                       GridShape shape, std::size_t levels) {
+  std::vector<oracle::Csr> out{fine};
   while (out.size() < levels) {
     const GridShape coarse{(shape.nx + 1) / 2, (shape.ny + 1) / 2,
                            shape.layers};
-    const SparseMatrix& a = out.back();
+    const oracle::Csr& a = out.back();
     std::vector<std::size_t> parent(shape.nodes());
     for (std::size_t l = 0; l < shape.layers; ++l) {
       for (std::size_t iy = 0; iy < shape.ny; ++iy) {
@@ -161,10 +161,10 @@ std::vector<SparseMatrix> coo_hierarchy(const SparseMatrix& fine,
         }
       }
     }
-    SparseBuilder builder(coarse.nodes(), coarse.nodes());
+    oracle::Coo builder(coarse.nodes());
     for (std::size_t r = 0; r < a.rows(); ++r) {
-      for (std::size_t k = a.row_ptr()[r]; k < a.row_ptr()[r + 1]; ++k) {
-        builder.add(parent[r], parent[a.col_idx()[k]], a.values()[k]);
+      for (std::size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+        builder.add(parent[r], parent[a.col_idx[k]], a.values[k]);
       }
     }
     out.push_back(builder.build());
@@ -176,8 +176,8 @@ std::vector<SparseMatrix> coo_hierarchy(const SparseMatrix& fine,
 /// Every level of `mg` against the COO hierarchy of the oracle `fine`, with
 /// as many levels as `mg` built.
 ::testing::AssertionResult hierarchy_matches(const MultigridPreconditioner& mg,
-                                             const SparseMatrix& fine) {
-  const std::vector<SparseMatrix> want =
+                                             const oracle::Csr& fine) {
+  const std::vector<oracle::Csr> want =
       coo_hierarchy(fine, mg.fine_shape(), mg.level_count());
   for (std::size_t l = 0; l < want.size(); ++l) {
     ::testing::AssertionResult same = same_bands(mg.level_operator(l), want[l]);
@@ -221,11 +221,11 @@ TEST(StencilOracle, AssemblyAndEveryLevelMatchTheBuilder) {
                        std::to_string(grid.ny));
           const Stack3d stack(chip.floorplan(), height, flip);
           const StackThermalModel model(stack, pkg, water, grid_options(grid));
-          const SparseMatrix oracle =
+          const oracle::Csr stamped =
               stamped_conductance(stack, pkg, water, grid.nx, grid.ny);
-          ASSERT_TRUE(same_bands(model.conductance(), oracle));
+          ASSERT_TRUE(same_bands(model.conductance(), stamped));
           const MultigridPreconditioner mg(model.conductance());
-          ASSERT_TRUE(hierarchy_matches(mg, oracle));
+          ASSERT_TRUE(hierarchy_matches(mg, stamped));
         }
       }
     }
@@ -248,11 +248,11 @@ TEST(StencilOracle, EveryCoolingBoundaryMatchesTheBuilder) {
         const ThermalBoundary boundary = cooling.boundary(pkg);
         const StackThermalModel model(stack, pkg, boundary,
                                       grid_options(grid));
-        const SparseMatrix oracle =
+        const oracle::Csr stamped =
             stamped_conductance(stack, pkg, boundary, grid.nx, grid.ny);
-        ASSERT_TRUE(same_bands(model.conductance(), oracle));
+        ASSERT_TRUE(same_bands(model.conductance(), stamped));
         const MultigridPreconditioner mg(model.conductance());
-        ASSERT_TRUE(hierarchy_matches(mg, oracle));
+        ASSERT_TRUE(hierarchy_matches(mg, stamped));
       }
     }
   }
@@ -270,11 +270,11 @@ TEST(StencilOracle, SteppingMatrixMatchesTheBuilder) {
     TransientOptions options;
     options.dt_seconds = 0.003;
     const TransientSolver solver(model, options);
-    const SparseMatrix g = model.conductance().to_csr();
-    SparseBuilder builder(g.rows(), g.cols());
+    const oracle::Csr g = oracle::to_csr(model.conductance());
+    oracle::Coo builder(g.rows());
     for (std::size_t r = 0; r < g.rows(); ++r) {
-      for (std::size_t k = g.row_ptr()[r]; k < g.row_ptr()[r + 1]; ++k) {
-        builder.add(r, g.col_idx()[k], g.values()[k]);
+      for (std::size_t k = g.row_ptr[r]; k < g.row_ptr[r + 1]; ++k) {
+        builder.add(r, g.col_idx[k], g.values[k]);
       }
       builder.add(r, r, model.capacities()[r] / options.dt_seconds);
     }
