@@ -142,12 +142,10 @@ JsonReport& JsonReport::add_stats(const std::string& prefix,
 JsonReport& JsonReport::add_sweep_provenance(std::size_t cells,
                                              std::size_t cached,
                                              std::size_t deduped,
-                                             std::size_t shard_skipped,
                                              std::size_t failed) {
   add("sweep_cells", cells);
   add("sweep_cache_hits", cached);
   add("sweep_deduped", deduped);
-  add("sweep_shard_skipped", shard_skipped);
   add("sweep_failed", failed);
   return *this;
 }

@@ -58,12 +58,13 @@ int run_microbenchmarks(int argc, char** argv);
 /// should skip files with a newer version than they understand.
 /// History: 1 = flat key map (implicit, unversioned); 2 = adds
 /// schema_version + git provenance; 3 = adds the sweep_* provenance keys
-/// (cells, journal resumes, cache hits, dedupes, shard holes, failures);
-/// 4 = adds the nested "cost_breakdown" object (per-phase wall times and
-/// solver/DES work from the sweep cost ledger, DESIGN.md §11); 5 = drops
-/// the resume-journal keys (`sweep_resumed` and the ledger's journal
-/// lookup time) with the journal itself.
-inline constexpr int kSchemaVersion = 5;
+/// (cells, journal resumes, cache hits, dedupes, partition holes,
+/// failures); 4 = adds the nested "cost_breakdown" object (per-phase wall
+/// times and solver/DES work from the sweep cost ledger, DESIGN.md §11);
+/// 5 = drops the resume-journal keys (`sweep_resumed` and the ledger's
+/// journal lookup time) with the journal itself; 6 = drops the
+/// partition-hole count with the multi-process sweep partition.
+inline constexpr int kSchemaVersion = 6;
 
 /// Machine-readable counterpart of the printed tables: a flat ordered
 /// key -> value map written as `BENCH_<name>.json` in the working
@@ -92,13 +93,10 @@ class JsonReport {
   JsonReport& add_stats(const std::string& prefix, const obs::WorkTally& work);
 
   /// Expands a sweep's cell-provenance counters into `sweep_cells`,
-  /// `sweep_cache_hits`, `sweep_deduped`, `sweep_shard_skipped` and
-  /// `sweep_failed` — the numbers the CI warm-cache gate reads back from
-  /// BENCH_*.json.
+  /// `sweep_cache_hits`, `sweep_deduped` and `sweep_failed` — the numbers
+  /// the CI warm-cache gate reads back from BENCH_*.json.
   JsonReport& add_sweep_provenance(std::size_t cells, std::size_t cached,
-                                   std::size_t deduped,
-                                   std::size_t shard_skipped,
-                                   std::size_t failed);
+                                   std::size_t deduped, std::size_t failed);
 
   /// Writes the sweep cost ledger as the nested "cost_breakdown" object
   /// (schema_version 4): cells, the per-phase *_us wall times, and the

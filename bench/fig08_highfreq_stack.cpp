@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   report.add_stats("sweep", data.cost.sum.work);
   report.add("sweep_wall_seconds", sweep_seconds, 3);
   report.add_sweep_provenance(data.cost.cells, data.cached_cells, 0,
-                              data.shard_skipped, data.failed_cells.size());
+                              data.failed_cells.size());
   report.add_cost_breakdown(data.cost);
   report.write();
   return aqua::bench::run_microbenchmarks(argc, argv);

@@ -74,8 +74,7 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
   }
   report.add("sweep_wall_seconds", sweep_seconds, 3);
   report.add_sweep_provenance(data.cost.cells, data.cached_cells,
-                              data.deduped_cells, data.shard_skipped,
-                              data.failed_cells.size());
+                              data.deduped_cells, data.failed_cells.size());
   report.add("des_instructions", static_cast<std::int64_t>(instr));
   report.add("des_events", static_cast<std::int64_t>(events));
   report.add("des_events_per_instruction",

@@ -5,9 +5,9 @@
 /// non-zero. Also records the engine's batch dispatch rate for empty
 /// tasks.
 ///
-/// Emits BENCH_sweep_parallel.json (schema v5). AQUA_NPB_SCALE scales the
-/// DES portion as usual; the sweep cache/poison/shard env is cleared so
-/// every run is a cold compute (warm runs would void the scaling numbers).
+/// Emits BENCH_sweep_parallel.json (schema v6). AQUA_NPB_SCALE scales the
+/// DES portion as usual; the sweep cache/poison env is cleared so every
+/// run is a cold compute (warm runs would void the scaling numbers).
 
 #include <chrono>
 #include <cstdlib>
@@ -21,7 +21,6 @@
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 
 namespace {
@@ -136,8 +135,6 @@ int main(int argc, char** argv) {
   // void both the scaling numbers and the gate.
   ::unsetenv(aqua::sweep::SweepCache::kEnv);
   ::unsetenv(aqua::sweep::SweepRunner::kPoisonEnv);
-  ::unsetenv(aqua::sweep::ShardPlan::kShardsEnv);
-  ::unsetenv(aqua::sweep::ShardPlan::kShardIdEnv);
   aqua::sweep::SweepCache::instance().configure("");
 
   aqua::bench::JsonReport report("sweep_parallel");

@@ -44,11 +44,9 @@ for bin in "${!BENCHES[@]}"; do
     echo "[$name] run $i/$RUNS"
     (
       cd "$WORK"
-      # Cold, serial-independent runs: no cache/shard reuse, and
-      # the shortest microbench budget (tables and counters don't depend
-      # on it).
-      env -u AQUA_SWEEP_CACHE -u AQUA_FAULT_CELL \
-          -u AQUA_SWEEP_SHARDS -u AQUA_SWEEP_SHARD_ID -u AQUA_TRACE \
+      # Cold, serial-independent runs: no cache reuse, and the shortest
+      # microbench budget (tables and counters don't depend on it).
+      env -u AQUA_SWEEP_CACHE -u AQUA_FAULT_CELL -u AQUA_TRACE \
           "$BUILD/$bin" --benchmark_min_time=0.01 > /dev/null
     )
     mv "$WORK/BENCH_$name.json" "$OUT/$name/run$i.json"

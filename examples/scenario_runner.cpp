@@ -22,6 +22,7 @@
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "core/cosim.hpp"
+#include "floorplan/stack.hpp"
 #include "power/chip_model.hpp"
 #include "thermal/thermal_map.hpp"
 
@@ -53,8 +54,13 @@ int main(int argc, char** argv) {
     const Config cfg = Config::parse(file);
     const ChipModel chip =
         chip_by_name(cfg.get_string("experiment", "chip", "high_frequency"));
-    const auto chips =
-        static_cast<std::size_t>(cfg.get_int("experiment", "chips", 4));
+    const std::int64_t chips_in = cfg.get_int("experiment", "chips", 4);
+    if (chips_in < 1 ||
+        chips_in > static_cast<std::int64_t>(kMaxStackChips)) {
+      throw Error("[experiment] chips must be in [1, " +
+                  std::to_string(kMaxStackChips) + "]");
+    }
+    const auto chips = static_cast<std::size_t>(chips_in);
     const double threshold = cfg.get_double("experiment", "threshold", 80.0);
     const FlipPolicy flip = cfg.get_bool("experiment", "flip", false)
                                 ? FlipPolicy::kFlipEven
@@ -62,6 +68,23 @@ int main(int argc, char** argv) {
     GridOptions grid;
     grid.nx = grid.ny =
         static_cast<std::size_t>(cfg.get_int("thermal", "grid", 32));
+    const std::string workload =
+        cfg.get_string("experiment", "workload", "none");
+    WorkloadProfile p;
+    if (workload != "none") {
+      p = npb_profile(workload);
+      const double scale = cfg.get_double("experiment", "scale", 0.1);
+      const double scaled =
+          static_cast<double>(p.instructions_per_thread) * scale;
+      // The negated comparison also rejects NaN.
+      if (!(scale > 0.0 && scaled >= 1.0 &&
+            scaled <= static_cast<double>(kMaxInstructionsPerThread))) {
+        throw Error("[experiment] scale must be > 0 and give 1 to " +
+                    std::to_string(kMaxInstructionsPerThread) +
+                    " instructions per thread");
+      }
+      p.instructions_per_thread = static_cast<std::uint64_t>(scaled);
+    }
 
     std::cout << "scenario: " << chips << " x " << chip.name() << ", "
               << threshold << " C threshold, flip="
@@ -99,13 +122,7 @@ int main(int argc, char** argv) {
     }
 
     // Optional full-system run under the best coolant.
-    const std::string workload =
-        cfg.get_string("experiment", "workload", "none");
     if (workload != "none") {
-      WorkloadProfile p = npb_profile(workload);
-      p.instructions_per_thread = static_cast<std::uint64_t>(
-          static_cast<double>(p.instructions_per_thread) *
-          cfg.get_double("experiment", "scale", 0.1));
       CoSimulator cosim(chip, PackageConfig{}, threshold, CmpConfig{}, grid);
       std::cout << "\nworkload '" << workload << "' ("
                 << chips * CmpConfig{}.cores_per_chip << " threads):\n";

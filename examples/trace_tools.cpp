@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "floorplan/stack.hpp"
 #include "obs/bench_compare.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/trace_reader.hpp"
@@ -598,10 +599,59 @@ int run_check(int argc, char** argv) {
   return missing ? 2 : 0;
 }
 
+/// `capture <npb> <threads> <file>`: records a short synthetic trace.
+int run_capture(int argc, char** argv) {
+  using namespace aqua;
+  if (argc != 5) return usage();
+  WorkloadProfile profile = npb_profile(argv[2]);
+  profile.instructions_per_thread = 20000;  // keep files small
+  const std::size_t max_threads = kMaxStackChips * CmpConfig{}.cores_per_chip;
+  const auto threads = static_cast<std::size_t>(std::stoul(argv[3]));
+  if (threads < 1 || threads > max_threads) {
+    throw Error("threads must be in [1, " + std::to_string(max_threads) + "]");
+  }
+  const TraceBundle bundle = TraceBundle::capture(profile, threads, 1);
+  std::ofstream out(argv[4]);
+  if (!out) throw Error(std::string("cannot open ") + argv[4]);
+  bundle.save(out);
+  std::uint64_t ops = 0;
+  for (const RecordedTrace& t : bundle.threads) ops += t.ops().size();
+  std::cout << "captured " << threads << " threads, " << ops
+            << " ops of '" << profile.name << "' to " << argv[4] << "\n";
+  return 0;
+}
+
+/// `replay <file> <ghz>`: runs a saved trace bundle through the DES.
+int run_replay(int argc, char** argv) {
+  using namespace aqua;
+  if (argc != 4) return usage();
+  std::ifstream in(argv[2]);
+  if (!in) throw Error(std::string("cannot open ") + argv[2]);
+  const TraceBundle bundle = TraceBundle::load(in);
+  CmpConfig cfg;
+  // One chip per 4 trace threads (the fixed cores-per-chip of Table 1).
+  cfg.chips = (bundle.threads.size() + cfg.cores_per_chip - 1) /
+              cfg.cores_per_chip;
+  if (bundle.threads.size() % cfg.cores_per_chip != 0) {
+    throw Error("trace thread count must be a multiple of " +
+                std::to_string(cfg.cores_per_chip));
+  }
+  CmpSystem system(cfg, bundle, gigahertz(std::stod(argv[3])));
+  const ExecStats st = system.run();
+  std::cout << "replayed " << bundle.threads.size() << " threads on "
+            << cfg.chips << " chip(s) @ " << argv[3] << " GHz\n"
+            << "  cycles " << st.cycles << " (" << st.seconds * 1e3
+            << " ms), IPC " << st.ipc() << "\n"
+            << "  L1 hit rate " << st.l1_hit_rate() << ", DRAM accesses "
+            << st.dram_accesses << "\n"
+            << "  NoC packets " << st.noc.packets_delivered
+            << ", avg latency " << st.noc.average_latency() << " cycles\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace aqua;
   if (argc < 2) return usage();
   const std::string mode = argv[1];
 
@@ -621,53 +671,16 @@ int main(int argc, char** argv) {
   if (mode == "check") return run_check(argc, argv);
   if (mode == "cache") return run_cache(argc, argv);
 
-  if (mode == "capture") {
-    if (argc != 5) return usage();
-    WorkloadProfile profile = npb_profile(argv[2]);
-    profile.instructions_per_thread = 20000;  // keep files small
-    const auto threads = static_cast<std::size_t>(std::stoul(argv[3]));
-    const TraceBundle bundle = TraceBundle::capture(profile, threads, 1);
-    std::ofstream out(argv[4]);
-    if (!out) {
-      std::cerr << "cannot open " << argv[4] << "\n";
+  if (mode == "capture" || mode == "replay") {
+    // Trace files and arguments come from outside the process: a bad one
+    // ends in an `error:` line and exit 1, never in std::terminate.
+    try {
+      return mode == "capture" ? run_capture(argc, argv)
+                               : run_replay(argc, argv);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
       return 1;
     }
-    bundle.save(out);
-    std::uint64_t ops = 0;
-    for (const RecordedTrace& t : bundle.threads) ops += t.ops().size();
-    std::cout << "captured " << threads << " threads, " << ops
-              << " ops of '" << profile.name << "' to " << argv[4] << "\n";
-    return 0;
-  }
-
-  if (mode == "replay") {
-    if (argc != 4) return usage();
-    std::ifstream in(argv[2]);
-    if (!in) {
-      std::cerr << "cannot open " << argv[2] << "\n";
-      return 1;
-    }
-    const TraceBundle bundle = TraceBundle::load(in);
-    CmpConfig cfg;
-    // One chip per 4 trace threads (the fixed cores-per-chip of Table 1).
-    cfg.chips = (bundle.threads.size() + cfg.cores_per_chip - 1) /
-                cfg.cores_per_chip;
-    if (bundle.threads.size() % cfg.cores_per_chip != 0) {
-      std::cerr << "trace thread count must be a multiple of "
-                << cfg.cores_per_chip << "\n";
-      return 1;
-    }
-    CmpSystem system(cfg, bundle, gigahertz(std::stod(argv[3])));
-    const ExecStats st = system.run();
-    std::cout << "replayed " << bundle.threads.size() << " threads on "
-              << cfg.chips << " chip(s) @ " << argv[3] << " GHz\n"
-              << "  cycles " << st.cycles << " (" << st.seconds * 1e3
-              << " ms), IPC " << st.ipc() << "\n"
-              << "  L1 hit rate " << st.l1_hit_rate() << ", DRAM accesses "
-              << st.dram_accesses << "\n"
-              << "  NoC packets " << st.noc.packets_delivered
-              << ", avg latency " << st.noc.average_latency() << " cycles\n";
-    return 0;
   }
   return usage();
 }

@@ -129,7 +129,6 @@ FreqVsChipsData frequency_vs_chips(const ChipModel& chip,
   });
   const sweep::SweepRunner::Stats st = runner.stats();
   data.cached_cells = st.cache_hits;
-  data.shard_skipped = st.shard_skipped;
   data.cost = runner.cost();
   std::sort(data.failed_cells.begin(), data.failed_cells.end());
   report_experiment("frequency_vs_chips", start, data.cost);
@@ -174,17 +173,15 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   sweep::SweepRunner runner("npb");
   std::mutex failed_mu;
 
-  // Thermal caps: every shard needs all four caps as inputs to its own DES
-  // cells, so cap cells are never sharded. They go through the same runner
-  // as everything else, which is exactly what makes them resumable from
-  // the content cache and — because freq_cap_cell is the same key family
-  // the Fig. 7/8 sweeps use — warm-servable from a cache those sweeps
-  // filled. Each cap is an unpinned cell that builds its own thermal model
-  // inside the compute, so a fully warm run never assembles one. A cap
-  // failure aborts the experiment (there is no table without the caps).
+  // Thermal caps: the inputs of every DES cell. They go through the same
+  // runner as everything else, which is exactly what makes them resumable
+  // from the content cache and — because freq_cap_cell is the same key
+  // family the Fig. 7/8 sweeps use — warm-servable from a cache those
+  // sweeps filled. Each cap is an unpinned cell that builds its own
+  // thermal model inside the compute, so a fully warm run never assembles
+  // one. A cap failure aborts the experiment (there is no table without
+  // the caps).
   {
-    sweep::CellPolicy cap_policy;
-    cap_policy.shardable = false;
     data.caps.resize(data.coolings.size());
     std::vector<std::string> cap_failures(data.coolings.size());
     sweep::dispatch_cells(data.coolings.size(), [&](std::size_t k) {
@@ -195,7 +192,7 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
       const sweep::CellConfig config = sweep::freq_cap_cell(
           data.chip_name, chips, option.name(), threshold_c, grid);
       const sweep::CellSource src = runner.run(
-          config, cell, cap_policy,
+          config, cell, {},
           [&] {
             return freq_cap_values(chip, chips, option, threshold_c, grid);
           },
@@ -235,8 +232,8 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   // published entry. As tasks of their own, the duplicates would park
   // engine workers on the single-flight memo for the leader's whole
   // compute. Every slot still goes through runner.run under its own name,
-  // so dedupe counts, poison, cache, shard ownership and the failed-leader
-  // retry stay per slot.
+  // so dedupe counts, poison, cache and the failed-leader retry stay per
+  // slot.
   std::vector<std::vector<std::size_t>> cap_groups;
   for (std::size_t k = 0; k < data.coolings.size(); ++k) {
     if (!data.caps[k].feasible) continue;
@@ -294,7 +291,6 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
   const sweep::SweepRunner::Stats st = runner.stats();
   data.cached_cells = st.cache_hits;
   data.deduped_cells = st.memo_hits;
-  data.shard_skipped = st.shard_skipped;
   data.cost = runner.cost();
   std::sort(data.failed_cells.begin(), data.failed_cells.end());
 
@@ -361,7 +357,6 @@ std::vector<HtcSweepPoint> htc_sweep(const ChipModel& chip, std::size_t chips,
           if (temp != values.end()) points[i].temperature_c = temp->second;
         });
     if (src == sweep::CellSource::kFailed) points[i].failed = true;
-    if (src == sweep::CellSource::kShardSkipped) points[i].skipped = true;
   });
   report_experiment("htc_sweep", start, runner.cost());
   runner.emit_report();
@@ -400,7 +395,6 @@ std::vector<RotationPoint> rotation_sweep(const ChipModel& chip,
           }
         });
     if (src == sweep::CellSource::kFailed) points[i].failed = true;
-    if (src == sweep::CellSource::kShardSkipped) points[i].skipped = true;
   });
   report_experiment("rotation_sweep", start, runner.cost());
   runner.emit_report();

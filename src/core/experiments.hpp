@@ -42,8 +42,6 @@ struct FreqVsChipsData {
   std::vector<std::string> failed_cells;
   /// Cells served warm from the AQUA_SWEEP_CACHE content cache.
   std::size_t cached_cells = 0;
-  /// Cells owned by another shard (AQUA_SWEEP_SHARDS) and left as holes.
-  std::size_t shard_skipped = 0;
   /// Per-phase cost ledger aggregated over every sweep cell (DESIGN.md
   /// §11): the sweep's cell count and its solver work (one solve per
   /// computed cap). The benches publish it as BENCH_*.json
@@ -96,8 +94,6 @@ struct NpbData {
   /// DES cells deduped in-process onto another cooling option's identical
   /// run (cooling options capping at the same frequency share one DES run).
   std::size_t deduped_cells = 0;
-  /// DES cells owned by another shard and left as holes.
-  std::size_t shard_skipped = 0;
   /// Per-phase cost ledger over the cap + DES cells (DESIGN.md §11).
   sweep::CostBreakdown cost;
 
@@ -123,7 +119,7 @@ struct HtcSweepPoint {
   double htc;           ///< W/(m^2 K) applied to both wetted paths
   double temperature_c; ///< peak die temperature at max frequency
   bool failed = false;  ///< the cell threw and was isolated
-  bool skipped = false; ///< owned by another shard (AQUA_SWEEP_SHARDS)
+  bool skipped = false; ///< always false; ROADMAP item 10 deletes it
 };
 
 /// Sweeps the coolant coefficient for a `chips`-high stack at the chip's
@@ -142,7 +138,6 @@ struct RotationPoint {
   double temperature_no_flip_c;
   double temperature_flip_c;
   bool failed = false;  ///< the cell threw and was isolated
-  bool skipped = false; ///< owned by another shard (AQUA_SWEEP_SHARDS)
 };
 
 /// Temperature vs. frequency with and without 180-degree rotation of even

@@ -1,6 +1,7 @@
 #include "floorplan/stack.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -21,6 +22,9 @@ namespace {
 std::vector<Floorplan> replicate(const Floorplan& die, std::size_t layers,
                                  FlipPolicy policy) {
   require(layers > 0, "stack needs at least one layer");
+  require(layers <= kMaxStackChips,
+          "stack of " + std::to_string(layers) + " layers exceeds the " +
+              std::to_string(kMaxStackChips) + "-chip limit");
   std::vector<Floorplan> out;
   out.reserve(layers);
   for (std::size_t i = 0; i < layers; ++i) {

@@ -20,6 +20,10 @@ enum class FlipPolicy {
 
 const char* to_string(FlipPolicy p);
 
+/// Tallest homogeneous stack a caller may ask for: twice the paper's
+/// largest (Fig. 8 goes to 15 chips), and the service's `chips` limit.
+inline constexpr std::size_t kMaxStackChips = 32;
+
 /// A validated 3-D stack of dies sharing one footprint. Layer 0 is the
 /// bottom of the stack; the heat spreader and heatsink sit on top of the
 /// last layer (matching the paper's Fig. 9 observation that the upper tier
@@ -27,7 +31,7 @@ const char* to_string(FlipPolicy p);
 class Stack3d {
  public:
   /// Builds a homogeneous stack of `layers` copies of `die`, oriented per
-  /// the flip policy. Throws for zero layers.
+  /// the flip policy. Throws unless 1 <= layers <= kMaxStackChips.
   Stack3d(const Floorplan& die, std::size_t layers, FlipPolicy policy);
 
   /// Builds a heterogeneous stack from explicit layers (bottom first).

@@ -19,6 +19,10 @@
 
 namespace aqua {
 
+/// Longest per-thread instruction stream a caller may ask for (the
+/// service's `instructions_per_thread` limit).
+inline constexpr std::uint64_t kMaxInstructionsPerThread = 100'000'000;
+
 /// Workload characterization knobs.
 struct WorkloadProfile {
   std::string name;

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "core/cooling.hpp"
 #include "core/experiments.hpp"
+#include "floorplan/stack.hpp"
 #include "perf/params.hpp"
 #include "perf/workload.hpp"
 #include "power/chip_model.hpp"
@@ -98,7 +99,7 @@ GridOptions grid_from_params(const std::map<std::string, std::string>& params) {
 
 CellJob freq_cap_job(const std::map<std::string, std::string>& params) {
   const ChipModel& chip = chip_by_name(required(params, "chip"));
-  const std::size_t chips = size_param(params, "chips", 1, 32);
+  const std::size_t chips = size_param(params, "chips", 1, kMaxStackChips);
   const CoolingOption cooling = cooling_by_name(required(params, "cooling"));
   const double threshold_c =
       double_param_or(params, "threshold_c", 80.0, 40.0, 120.0);
@@ -117,14 +118,14 @@ CellJob freq_cap_job(const std::map<std::string, std::string>& params) {
 }
 
 CellJob npb_des_job(const std::map<std::string, std::string>& params) {
-  const std::size_t chips = size_param(params, "chips", 1, 32);
+  const std::size_t chips = size_param(params, "chips", 1, kMaxStackChips);
   const std::string benchmark = required(params, "benchmark");
   WorkloadProfile profile = npb_profile(benchmark);  // throws on unknown
   const double hz = double_param(params, "hz", 1e8, 1e10);
   const std::size_t cores = size_param_or(params, "cores_per_chip", 4, 1, 64);
   profile.instructions_per_thread = static_cast<std::uint64_t>(size_param_or(
       params, "instructions_per_thread", profile.instructions_per_thread, 1,
-      100000000));
+      kMaxInstructionsPerThread));
   const std::uint64_t seed =
       size_param_or(params, "seed", 1, 0, 1000000000);
 
@@ -145,7 +146,7 @@ CellJob npb_des_job(const std::map<std::string, std::string>& params) {
 
 CellJob htc_job(const std::map<std::string, std::string>& params) {
   const ChipModel& chip = chip_by_name(required(params, "chip"));
-  const std::size_t chips = size_param(params, "chips", 1, 32);
+  const std::size_t chips = size_param(params, "chips", 1, kMaxStackChips);
   const double htc = double_param(params, "htc", 1.0, 1e6);
   const GridOptions grid = grid_from_params(params);
 
@@ -161,7 +162,7 @@ CellJob htc_job(const std::map<std::string, std::string>& params) {
 
 CellJob rotation_job(const std::map<std::string, std::string>& params) {
   const ChipModel& chip = chip_by_name(required(params, "chip"));
-  const std::size_t chips = size_param(params, "chips", 1, 32);
+  const std::size_t chips = size_param(params, "chips", 1, kMaxStackChips);
   const CoolingOption cooling = cooling_by_name(required(params, "cooling"));
   const std::size_t step =
       size_param(params, "step", 0, chip.ladder().size() - 1);

@@ -3,10 +3,10 @@
 /// Request → sweep-cell translation for the service (DESIGN.md §13). A
 /// submitted (family, params) pair becomes a CellJob: the canonical
 /// CellConfig (built through sweep/cells.hpp so service cells share cache
-/// identity with the Fig. 7-13 drivers), the human-readable
-/// cell name, the cell policy and the compute closure. Validation is
-/// strict and happens here — anything malformed throws aqua::Error, which
-/// the server answers as a bad_request without touching a solver.
+/// identity with the Fig. 7-13 drivers), the human-readable cell name and
+/// the compute closure. Validation is strict and happens here — anything
+/// malformed throws aqua::Error, which the server answers as a bad_request
+/// without touching a solver.
 ///
 /// Families:
 ///   freq_cap  chip, chips, cooling [, threshold_c=80, nx=32, ny=32]
@@ -36,7 +36,7 @@ namespace aqua::service {
 struct CellJob {
   sweep::CellConfig config;
   std::string cell;  ///< display name, same spelling as the fig drivers
-  sweep::CellPolicy policy;
+  sweep::CellPolicy policy;  ///< unread by the runner; ROADMAP item 10 drops it
   std::function<std::map<std::string, double>()> compute;
 };
 

@@ -563,7 +563,6 @@ void SweepServer::run_job(Job& job, std::size_t /*slot*/) {
       done();
       return;
     case sweep::CellSource::kFailed:
-    case sweep::CellSource::kShardSkipped:
       failed_cells_.fetch_add(1, std::memory_order_relaxed);
       job.conn->failed.fetch_add(1, std::memory_order_relaxed);
       if (job.figure) {

@@ -17,8 +17,9 @@
 /// hash does not match the recomputed hash of their cell text (truncation
 /// or corruption) are skipped and counted — never trusted. A skipped cell
 /// simply recomputes and re-stores, so a damaged cache degrades to a cold
-/// one instead of poisoning results. Concurrent shard processes may append
-/// to the same file; a torn line is caught by the same lenient loader.
+/// one instead of poisoning results. A process killed mid-store leaves a
+/// torn last line, and concatenated cache files repeat cells; the same
+/// lenient loader skips the one and dedups the other.
 ///
 /// Hit/miss/store/skip counts flow into the obs metrics registry
 /// (`sweep.cache_*`) and into per-sweep "sweep" run-report records.

@@ -5,7 +5,7 @@
 /// SweepRunner fills one CellCost per cell, emits it as a `cell_cost`
 /// run-report record, and sums it into a per-runner CostBreakdown that the
 /// figure benches publish under the BENCH_*.json `cost_breakdown` key
-/// (schema_version 5).
+/// (schema_version 4 onwards).
 ///
 /// Every field is exact per cell at any worker count. The wall times are
 /// the cell's own clock reads. The work is the diff of the computing

@@ -30,7 +30,6 @@ const char* to_string(CellSource source) {
     case CellSource::kComputed: return "computed";
     case CellSource::kMemo: return "memo";
     case CellSource::kCache: return "cache";
-    case CellSource::kShardSkipped: return "shard_skipped";
     case CellSource::kFailed: return "failed";
     case CellSource::kCancelled: return "cancelled";
   }
@@ -38,7 +37,7 @@ const char* to_string(CellSource source) {
 }
 
 SweepRunner::SweepRunner(std::string sweep)
-    : sweep_(std::move(sweep)), shard_(ShardPlan::from_env()) {
+    : sweep_(std::move(sweep)) {
   const char* env = std::getenv(kPoisonEnv);
   if (env == nullptr) return;
   // "sweep:cell,sweep:cell" — keep only this sweep's cells.
@@ -70,7 +69,7 @@ void SweepRunner::report_failed(const std::string& cell,
 
 CellSource SweepRunner::run(
     const CellConfig& config, const std::string& cell,
-    const CellPolicy& policy,
+    const CellPolicy& /*policy*/,
     const std::function<std::map<std::string, double>()>& compute,
     const std::function<void(const std::map<std::string, double>&)>& apply,
     const CancelToken& token) {
@@ -151,8 +150,7 @@ CellSource SweepRunner::run(
       waiting->cv.wait_until(lock, slice);
     }
     if (waiting->abandoned) {
-      continue;  // leader failed, was cancelled, or was shard-skipped:
-                 // retry as leader
+      continue;  // leader failed or was cancelled: retry as leader
     }
     const std::map<std::string, double> values = waiting->values;
     lock.unlock();
@@ -166,7 +164,7 @@ CellSource SweepRunner::run(
   cost.memo_us += us_since(memo_start);
 
   // The leader abandons the entry on every non-publishing exit so waiters
-  // re-enter the chain with their own cell's policy and name.
+  // re-enter the chain with their own cell's name and token.
   const auto abandon = [&] {
     std::lock_guard lock(memo_mutex_);
     entry->abandoned = true;
@@ -196,13 +194,6 @@ CellSource SweepRunner::run(
     }
   }
 
-  // 4. Shard partition: cells owned by other shards are left as holes.
-  if (policy.shardable && shard_.active() && !shard_.owns(config.hash())) {
-    abandon();
-    shard_skipped_.fetch_add(1, std::memory_order_relaxed);
-    return finish(CellSource::kShardSkipped);
-  }
-
   // Last pre-compute cancellation gate: the solve is the expensive part,
   // so a cell whose deadline fired while it queued or parked never starts
   // one. The leader abandons so waiters retry with their own tokens.
@@ -211,7 +202,7 @@ CellSource SweepRunner::run(
     return record_cancelled();
   }
 
-  // 5. Compute, isolate-and-continue. Failed cells are never memoized (a
+  // 4. Compute, isolate-and-continue. Failed cells are never memoized (a
   // later identical cell retries, matching the serial semantics) and never
   // cached. The compute runs on this thread from start to finish, so this
   // thread's work tally diffed around it is exactly the cell's solver and
@@ -294,7 +285,6 @@ SweepRunner::Stats SweepRunner::stats() const {
   s.computed = computed_.load(std::memory_order_relaxed);
   s.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.shard_skipped = shard_skipped_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.memo_parked = memo_parked_.load(std::memory_order_relaxed);
@@ -312,12 +302,9 @@ void SweepRunner::emit_report() const {
         .add("computed", static_cast<std::uint64_t>(s.computed))
         .add("memo_hits", static_cast<std::uint64_t>(s.memo_hits))
         .add("cache_hits", static_cast<std::uint64_t>(s.cache_hits))
-        .add("shard_skipped", static_cast<std::uint64_t>(s.shard_skipped))
         .add("failed", static_cast<std::uint64_t>(s.failed))
         .add("cancelled", static_cast<std::uint64_t>(s.cancelled))
         .add("memo_parked", static_cast<std::uint64_t>(s.memo_parked))
-        .add("shards", static_cast<std::uint64_t>(shard_.shards))
-        .add("shard_id", static_cast<std::uint64_t>(shard_.id))
         .add("cache_enabled", SweepCache::instance().enabled())
         .add("cache_stores", c.stores)
         .add("cache_skips", c.skips);

@@ -15,8 +15,8 @@
 ///                       that key's entry (not on a global lock) and are
 ///                       served as memo hits, so each key computes exactly
 ///                       once per sweep. A leader that fails or is
-///                       shard-skipped abandons the entry and waiters
-///                       retry from the top of the precedence chain.
+///                       cancelled abandons the entry and waiters retry
+///                       from the top of the precedence chain.
 ///                       A parked waiter holds its engine worker for the
 ///                       leader's whole compute, so a sweep that sees
 ///                       duplicate keys before dispatch runs them in one
@@ -24,17 +24,13 @@
 ///                       equal-cap slots); the memo stays the dedupe of
 ///                       record. `Stats::memo_parked` counts the parks.
 ///   3. content cache   (AQUA_SWEEP_CACHE warm hits skip the compute; the
-///                       one persistent cell store, for kill/resume and
-///                       shard assembly alike)
-///   4. shard skip      (AQUA_SWEEP_SHARDS/_SHARD_ID: cells owned by other
-///                       shards are left as holes)
-///   5. compute         (isolate-and-continue: a throwing cell emits a
+///                       one persistent cell store, for kill/resume)
+///   4. compute         (isolate-and-continue: a throwing cell emits a
 ///                       `degraded_result` record, is never cached, and
 ///                       does not abort the sweep)
 ///
 /// Poison outranks memo/cache on purpose: deterministic fault injection
-/// must not be maskable by a warm cache. Cache outranks shard so every
-/// shard applies already-known cells and only computes its own misses.
+/// must not be maskable by a warm cache.
 ///
 /// AQUA_FAULT_CELL=<sweep>:<cell>[,<sweep>:<cell>...] names the poisoned
 /// cells by this runner's sweep name and the caller's display cell name;
@@ -63,7 +59,6 @@
 #include "sweep/cell_key.hpp"
 #include "sweep/cost.hpp"
 #include "sweep/interrupt.hpp"
-#include "sweep/shard.hpp"
 
 namespace aqua::sweep {
 
@@ -72,7 +67,6 @@ enum class CellSource {
   kComputed,
   kMemo,
   kCache,
-  kShardSkipped,
   kFailed,
   /// The cell's CancelToken fired (deadline or explicit cancel) or the
   /// process-wide sweep interrupt flag is up. Retryable: nothing was
@@ -84,11 +78,9 @@ enum class CellSource {
 /// run-report records carry it).
 const char* to_string(CellSource source);
 
-/// Per-cell opt-outs.
+/// Per-cell options. None is left: `run` ignores its policy argument.
 struct CellPolicy {
-  /// false: the cell runs on every shard (e.g. NPB frequency caps, which
-  /// every shard needs as inputs to its own DES cells).
-  bool shardable = true;
+  bool shardable = true;  ///< Unread in src/; ROADMAP item 10 deletes it.
 };
 
 class SweepRunner {
@@ -96,36 +88,32 @@ class SweepRunner {
   static constexpr const char* kPoisonEnv = "AQUA_FAULT_CELL";
 
   /// `sweep` names the runner in run-report records and AQUA_FAULT_CELL
-  /// specs. Shard plan and poison spec are read at construction.
+  /// specs. The poison spec is read at construction.
   explicit SweepRunner(std::string sweep);
 
   /// Runs one cell. `compute` produces the cell's values; `apply` writes
   /// values (from whichever source) into the caller's table. `apply` runs
-  /// for every source except kShardSkipped, kFailed and kCancelled.
-  /// `token` bounds the cell cooperatively (see file comment); the default
-  /// inert token never cancels.
+  /// for every source except kFailed and kCancelled. `token` bounds the
+  /// cell cooperatively (see file comment); the default inert token never
+  /// cancels.
   CellSource run(const CellConfig& config, const std::string& cell,
-                 const CellPolicy& policy,
+                 const CellPolicy& policy,  // unread; ROADMAP item 10 drops it
                  const std::function<std::map<std::string, double>()>& compute,
                  const std::function<void(const std::map<std::string, double>&)>&
                      apply,
                  const CancelToken& token = {});
 
-  [[nodiscard]] const ShardPlan& shard() const { return shard_; }
-
   struct Stats {
     std::size_t computed = 0;
     std::size_t memo_hits = 0;
     std::size_t cache_hits = 0;
-    std::size_t shard_skipped = 0;
     std::size_t failed = 0;
     std::size_t cancelled = 0;
     /// Times a cell parked on an in-flight memo entry (a wait, not a
     /// source: a parked cell ends up in one of the counts above).
     std::size_t memo_parked = 0;
     [[nodiscard]] std::size_t cells() const {
-      return computed + memo_hits + cache_hits + shard_skipped + failed +
-             cancelled;
+      return computed + memo_hits + cache_hits + failed + cancelled;
     }
   };
   [[nodiscard]] Stats stats() const;
@@ -151,12 +139,11 @@ class SweepRunner {
 
   std::string sweep_;
   std::vector<std::string> poisons_;  ///< this sweep's AQUA_FAULT_CELL cells
-  ShardPlan shard_;
 
   /// Single-flight memo entry: one per canonical key. `memo_mutex_` only
   /// guards the map and entry state flips — never a compute. Waiters block
   /// on the entry's cv; `ready` publishes values, erasure from the map
-  /// (leader failed / shard-skipped) wakes waiters to retry as leaders.
+  /// (leader failed / cancelled) wakes waiters to retry as leaders.
   struct MemoEntry {
     std::condition_variable cv;
     bool ready = false;
@@ -173,7 +160,6 @@ class SweepRunner {
   std::atomic<std::size_t> computed_{0};
   std::atomic<std::size_t> memo_hits_{0};
   std::atomic<std::size_t> cache_hits_{0};
-  std::atomic<std::size_t> shard_skipped_{0};
   std::atomic<std::size_t> failed_{0};
   std::atomic<std::size_t> cancelled_{0};
   std::atomic<std::size_t> memo_parked_{0};

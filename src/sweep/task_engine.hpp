@@ -28,8 +28,7 @@
 /// Determinism contract: workers only ever write results through their
 /// task's own pre-sized slot (a table cell owned by exactly one task), so
 /// the assembled table is byte-identical to the serial order regardless of
-/// completion order. Tasks must therefore be pure in their slot values
-/// (the same robustness the shard partition already demands).
+/// completion order. Tasks must therefore be pure in their slot values.
 ///
 /// Env contract:
 ///   AQUA_SWEEP_WORKERS=N  -> worker count of the shared engine (N >= 1;

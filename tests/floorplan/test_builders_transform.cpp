@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -166,7 +167,10 @@ TEST(Stack, RejectsMismatchedFootprints) {
 TEST(Stack, RejectsEmpty) {
   EXPECT_THROW(Stack3d{std::vector<Floorplan>{}}, Error);
   const Floorplan die = make_baseline_cmp_floorplan();
-  EXPECT_THROW(Stack3d(die, 0, FlipPolicy::kNone), Error);
+  for (const std::size_t layers :
+       {std::size_t{0}, kMaxStackChips + 1, SIZE_MAX}) {
+    EXPECT_THROW(Stack3d(die, layers, FlipPolicy::kNone), Error) << layers;
+  }
 }
 
 TEST(Stack, SquareDieAllows90Rotation) {

@@ -1,6 +1,6 @@
 /// Golden-corpus regression tests for the experiment pipeline. Each
-/// scenario pins one figure family at a reduced scale and asserts three
-/// executions render bit-identically against tests/golden/<name>.txt:
+/// scenario pins one figure family at a reduced scale and asserts that
+/// these executions render bit-identically against tests/golden/<name>.txt:
 ///
 ///   1. a plain serial run,
 ///   2. a 1-worker and an 8-worker task-engine run (the serial reference
@@ -8,9 +8,7 @@
 ///      — the engine's determinism contract),
 ///   3. a warm AQUA_SWEEP_CACHE run (which must also do ZERO thermal
 ///      solves and ZERO simulated DES instructions — cache hits skip the
-///      compute entirely, they don't just speed it up),
-///   4. a 4-shard run with one cache per shard, whose cache files are
-///      concatenated and replayed unsharded (again with zero recompute).
+///      compute entirely, they don't just speed it up).
 ///
 /// A cross-figure phase then fills one cache from Figs. 7 and 8 and
 /// replays the NPB figures from it: their caps are the same freq_cap cells,
@@ -22,24 +20,20 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/experiments.hpp"
 #include "power/chip_model.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 #include "golden_util.hpp"
 
 namespace aqua {
 namespace {
 
-using sweep_golden::ScopedEnv;
 using sweep_golden::WorkProbe;
 using sweep_golden::clear_sweep_env;
 using sweep_golden::expect_matches_golden;
@@ -55,7 +49,7 @@ GridOptions grid16() {
   return grid;
 }
 
-/// Drives one scenario through the serial / engine / warm-cache / sharded
+/// Drives one scenario through the serial / engine / warm-cache
 /// executions. `run` executes the experiment with whatever env is
 /// active and returns its rendered text.
 void exercise(const std::string& name,
@@ -97,39 +91,6 @@ void exercise(const std::string& name,
   EXPECT_EQ(warm_probe.des_instructions(), 0u)
       << "a warm run must not re-simulate the DES";
   sweep::SweepCache::instance().configure("");
-
-  // --- 3. four disjoint shard passes, each on its own fresh cache (so the
-  // shards really compute), their cache files concatenated into one, and
-  // an unsharded replay on the concatenation.
-  constexpr int kShards = 4;
-  const std::string merged_dir = cache_dir + "_merged";
-  fs::remove_all(merged_dir);
-  fs::create_directories(merged_dir);
-  {
-    std::ofstream merged(fs::path(merged_dir) / sweep::SweepCache::kFileName);
-    for (int k = 0; k < kShards; ++k) {
-      const std::string shard_dir = cache_dir + "_shard" + std::to_string(k);
-      fs::remove_all(shard_dir);
-      sweep::SweepCache::instance().configure(shard_dir);
-      ScopedEnv shards(sweep::ShardPlan::kShardsEnv, std::to_string(kShards));
-      ScopedEnv shard_id(sweep::ShardPlan::kShardIdEnv, std::to_string(k));
-      run();
-      // A shard that owns no cell writes no file; streaming an empty
-      // buffer would set failbit on `merged` and drop later shards.
-      std::ifstream in(fs::path(shard_dir) / sweep::SweepCache::kFileName);
-      if (in.peek() != std::ifstream::traits_type::eof()) merged << in.rdbuf();
-    }
-  }
-  sweep::SweepCache::instance().configure(merged_dir);
-  WorkProbe replay_probe;
-  const std::string replayed = run();
-  sweep::SweepCache::instance().configure("");
-  EXPECT_EQ(replayed, serial)
-      << "concatenated-shard replay diverged from serial";
-  EXPECT_EQ(replay_probe.solves(), 0u)
-      << "the concatenated caches must cover every thermal cell";
-  EXPECT_EQ(replay_probe.des_instructions(), 0u)
-      << "the concatenated caches must cover every DES cell";
 }
 
 // ------------------------------------------------------- the corpus --

@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "sweep/cell_key.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 
 #ifndef AQUA_GOLDEN_DIR
@@ -26,23 +25,8 @@
 
 namespace aqua::sweep_golden {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    ::setenv(name, value.c_str(), 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-};
-
 inline void clear_sweep_env() {
   ::unsetenv(sweep::SweepRunner::kPoisonEnv);
-  ::unsetenv(sweep::ShardPlan::kShardsEnv);
-  ::unsetenv(sweep::ShardPlan::kShardIdEnv);
   ::unsetenv(sweep::TaskEngine::kWorkersEnv);
 }
 

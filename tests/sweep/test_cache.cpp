@@ -1,7 +1,7 @@
 /// Negative-path tests for the content-addressed sweep cache (DESIGN.md
 /// §9): corrupt and truncated lines are skipped and recomputed, stale-salt
-/// files yield zero hits, and poisoned or failed cells are never
-/// persisted.
+/// files yield zero hits, poisoned or failed cells are never persisted,
+/// and concatenated cache files replay as one.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/experiments.hpp"
 #include "power/chip_model.hpp"
@@ -40,8 +41,6 @@ class SweepCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ::unsetenv(SweepRunner::kPoisonEnv);
-    ::unsetenv(ShardPlan::kShardsEnv);
-    ::unsetenv(ShardPlan::kShardIdEnv);
     dir_ = std::string(::testing::TempDir()) + "/aqua_cache_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
@@ -193,6 +192,83 @@ TEST_F(SweepCacheTest, StaleSaltYieldsZeroHits) {
   const CacheFileSummary summary = inspect_cache_file(file_path());
   EXPECT_EQ(summary.entries, 0u);
   EXPECT_EQ(summary.stale_salt, 2u);
+}
+
+TEST_F(SweepCacheTest, ConcatenatedCacheFilesReplayWithoutRecompute) {
+  namespace fs = std::filesystem;
+  std::vector<CellConfig> cells;
+  for (std::size_t i = 0; i < 24; ++i) {
+    cells.push_back(rotation_cell("high_freq", 4, "water", i,
+                                  1.0e9 + 1e8 * static_cast<double>(i), {}));
+  }
+  // Both runs compute and cache this cell, so the concatenated file
+  // carries it twice.
+  const CellConfig overlap = freq_cap_cell("high_freq", 4, "water", 80.0, {});
+  const auto compute = [](const CellConfig& config) {
+    return std::map<std::string, double>{
+        {"value", static_cast<double>(config.hash() % 1000)}};
+  };
+  // An `apply` that files the cell's value under its canonical key.
+  const auto into = [](std::map<std::string, double>& table,
+                       const CellConfig& cell) {
+    return [&table, key = cell.canonical()](
+               const std::map<std::string, double>& v) {
+      table[key] = v.at("value");
+    };
+  };
+
+  // Two runners, each on its own cache directory and half of the cells.
+  std::map<std::string, double> computed;
+  std::vector<std::string> part_dirs;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const std::string dir = dir_ + "_part" + std::to_string(k);
+    fs::remove_all(dir);
+    part_dirs.push_back(dir);
+    SweepCache::instance().configure(dir);
+    SweepRunner runner("concat_sweep");
+    runner.run(overlap, "overlap", {}, [&] { return compute(overlap); },
+               into(computed, overlap));
+    for (std::size_t i = k; i < cells.size(); i += 2) {
+      runner.run(cells[i], cells[i].canonical(), {},
+                 [&] { return compute(cells[i]); }, into(computed, cells[i]));
+    }
+  }
+  ASSERT_EQ(computed.size(), cells.size() + 1);
+
+  // `cat` the two files into one cache, then tear its tail the way a
+  // killed writer would: the lenient loader skips the torn line and
+  // dedups the repeated overlap record.
+  fs::create_directories(dir_);
+  {
+    std::ofstream out(file_path());
+    for (const std::string& dir : part_dirs) {
+      std::ifstream in(fs::path(dir) / SweepCache::kFileName);
+      out << in.rdbuf();
+    }
+    out << "{\"kind\": \"sweep_c";
+  }
+  reload();
+  EXPECT_EQ(SweepCache::instance().stats().loaded, cells.size() + 1);
+  EXPECT_EQ(SweepCache::instance().stats().bad_lines, 1u);
+
+  // Replay: every cell is a cache hit with the value its runner computed.
+  SweepRunner replay("concat_sweep");
+  std::map<std::string, double> replayed;
+  const auto must_not_compute = []() -> std::map<std::string, double> {
+    throw std::runtime_error("must not recompute");
+  };
+  EXPECT_EQ(replay.run(overlap, "overlap", {}, must_not_compute,
+                       into(replayed, overlap)),
+            CellSource::kCache);
+  for (const CellConfig& cell : cells) {
+    EXPECT_EQ(replay.run(cell, cell.canonical(), {}, must_not_compute,
+                         into(replayed, cell)),
+              CellSource::kCache);
+  }
+  EXPECT_EQ(replayed, computed);
+  EXPECT_EQ(replay.stats().cache_hits, cells.size() + 1);
+
+  for (const std::string& dir : part_dirs) fs::remove_all(dir);
 }
 
 TEST_F(SweepCacheTest, PoisonedCellIsNeverWrittenToTheCache) {

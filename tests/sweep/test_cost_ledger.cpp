@@ -19,7 +19,6 @@
 #include "power/chip_model.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/shard.hpp"
 #include "sweep/task_engine.hpp"
 
 namespace aqua {
@@ -70,8 +69,6 @@ struct LedgerRun {
 LedgerRun run_at(std::size_t workers,
                  const std::function<sweep::CostBreakdown()>& sweep_fn) {
   ::unsetenv(sweep::SweepRunner::kPoisonEnv);
-  ::unsetenv(sweep::ShardPlan::kShardsEnv);
-  ::unsetenv(sweep::ShardPlan::kShardIdEnv);
   sweep::SweepCache::instance().configure("");
   // Named after the test: ctest runs the tests as parallel processes.
   const std::string path =
