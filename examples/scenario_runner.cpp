@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
+    std::cerr << "error: " << e.message() << "\n";
     return 1;
   }
 }

@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
     }
     return run_cell(client, family, params, deadline_ms);
   } catch (const aqua::Error& e) {
-    std::cerr << "sweep_client: " << e.what() << "\n";
+    std::cerr << "sweep_client: " << e.message() << "\n";
     return 3;
   }
 }

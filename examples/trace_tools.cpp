@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "floorplan/stack.hpp"
 #include "obs/bench_compare.hpp"
@@ -419,7 +420,7 @@ int run_perf_gate(int argc, char** argv) {
               << (result.passed() ? "PASS\n" : "FAIL\n");
     return result.passed() ? 0 : 1;
   } catch (const std::exception& e) {
-    std::cerr << "perf-gate: " << e.what() << "\n";
+    std::cerr << "perf-gate: " << aqua::user_message(e) << "\n";
     return 2;
   }
 }
@@ -591,7 +592,7 @@ int run_check(int argc, char** argv) {
         std::cout << path << ": OK (" << events.size() << " events)\n";
       }
     } catch (const std::exception& e) {
-      std::cerr << path << ": FAIL (" << e.what() << ")\n";
+      std::cerr << path << ": FAIL (" << aqua::user_message(e) << ")\n";
       malformed = true;
     }
   }
@@ -678,7 +679,7 @@ int main(int argc, char** argv) {
       return mode == "capture" ? run_capture(argc, argv)
                                : run_replay(argc, argv);
     } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
+      std::cerr << "error: " << aqua::user_message(e) << "\n";
       return 1;
     }
   }

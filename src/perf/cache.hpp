@@ -6,9 +6,16 @@
 /// metadata.
 ///
 /// Storage is split by field (DESIGN.md "DES fast path"): one tag per way,
-/// one LRU rank byte per way, one LineState per way and one validity mask
-/// per set. A lookup reads only the set's mask and tags, and a way of the
-/// simulator's caches costs 10 bytes.
+/// one LRU rank byte per way and one LineState per way, plus a validity
+/// mask and a storage slot per set. A set's ways get storage only when the
+/// set is first filled, in first-fill order, so a cache costs 8 bytes per
+/// set plus 10 bytes per way of the sets it has touched. A lookup reads
+/// only the set's head and tags.
+///
+/// Filling a set for the first time may move every set's ways: a pointer
+/// returned by `find` or `peek` stays valid only until the next `insert`
+/// that fills a set never filled before. The simulator never holds one
+/// across an insert.
 
 #include <bit>
 #include <cstdint>
@@ -41,10 +48,7 @@ class SetAssocCache {
         pow2_(std::has_single_bit(sets_)) {
     require(assoc_ > 0 && sets_ > 0, "cache must have sets and ways");
     require(assoc_ <= kMaxAssoc, "cache associativity exceeds 32 ways");
-    tags_.resize(sets_ * assoc_);
-    ranks_.resize(sets_ * assoc_);
-    states_.resize(sets_ * assoc_);
-    valid_.resize(sets_);
+    heads_.resize(sets_);
   }
 
   [[nodiscard]] std::size_t sets() const { return sets_; }
@@ -52,18 +56,19 @@ class SetAssocCache {
 
   /// Looks the line up; touches LRU on hit. Returns nullptr on miss.
   LineState* find(LineAddr line) {
-    const std::size_t set = set_of(line);
-    const std::size_t way = lookup(set, line);
+    const SetHead& head = heads_[set_of(line)];
+    const std::size_t way = lookup(head, line);
     if (way == kNoWay) return nullptr;
-    touch(set, way);
-    return &states_[set * assoc_ + way];
+    const std::size_t base = base_of(head);
+    touch(base, way);
+    return &states_[base + way];
   }
 
   /// Lookup without LRU update (for snoops / diagnostics).
   const LineState* peek(LineAddr line) const {
-    const std::size_t set = set_of(line);
-    const std::size_t way = lookup(set, line);
-    return way == kNoWay ? nullptr : &states_[set * assoc_ + way];
+    const SetHead& head = heads_[set_of(line)];
+    const std::size_t way = lookup(head, line);
+    return way == kNoWay ? nullptr : &states_[base_of(head) + way];
   }
 
   /// A victim evicted to make room during insert().
@@ -83,23 +88,25 @@ class SetAssocCache {
   std::optional<Evicted> insert(LineAddr line, LineState state,
                                 bool& inserted, CanEvict&& can_evict) {
     inserted = true;
-    const std::size_t set = set_of(line);
-    const std::size_t base = set * assoc_;
-    if (const std::size_t way = lookup(set, line); way != kNoWay) {
+    SetHead& head = heads_[set_of(line)];
+    if (const std::size_t way = lookup(head, line); way != kNoWay) {
+      const std::size_t base = base_of(head);
       states_[base + way] = state;
-      touch(set, way);
+      touch(base, way);
       return std::nullopt;
     }
     const std::uint32_t full = full_mask();
-    if (valid_[set] != full) {
+    if (head.valid != full) {
+      if (head.slot == kNoSlot) allocate(head);
       const auto way = static_cast<std::size_t>(
-          std::countr_zero(~valid_[set] & full));
-      fill(set, way, line, state);
+          std::countr_zero(~head.valid & full));
+      fill(head, way, line, state);
       return std::nullopt;
     }
     // Evict the least recently used evictable way: a full set's ranks are
     // a permutation, so asking way by way from rank 0 upward and taking
     // the first yes finds it — usually with one question, the plain LRU.
+    const std::size_t base = base_of(head);
     std::uint8_t by_rank[kMaxAssoc];
     for (std::size_t i = 0; i < assoc_; ++i) {
       by_rank[ranks_[base + i]] = static_cast<std::uint8_t>(i);
@@ -117,7 +124,7 @@ class SetAssocCache {
       return std::nullopt;
     }
     Evicted out{tags_[base + victim], states_[base + victim]};
-    fill(set, victim, line, state);
+    fill(head, victim, line, state);
     return out;
   }
 
@@ -130,46 +137,64 @@ class SetAssocCache {
     return out;
   }
 
-  /// Drops the line if present.
+  /// Drops the line if present. The set keeps its storage.
   void erase(LineAddr line) {
-    const std::size_t set = set_of(line);
-    const std::size_t way = lookup(set, line);
-    if (way != kNoWay) valid_[set] &= ~(std::uint32_t{1} << way);
+    SetHead& head = heads_[set_of(line)];
+    const std::size_t way = lookup(head, line);
+    if (way != kNoWay) head.valid &= ~(std::uint32_t{1} << way);
   }
 
   /// Number of valid lines (diagnostics).
   [[nodiscard]] std::size_t occupancy() const {
     std::size_t n = 0;
-    for (const std::uint32_t v : valid_) n += std::popcount(v);
+    for (const SetHead& head : heads_) n += std::popcount(head.valid);
     return n;
   }
 
-  /// Visits every valid line in storage order (set-major, then way). Used
-  /// by the fault layer to flush a dying core's L1 back to the directory.
+  /// Number of sets ever filled, i.e. holding way storage (diagnostics).
+  [[nodiscard]] std::size_t sets_filled() const {
+    return ranks_.size() / assoc_;
+  }
+
+  /// Visits every valid line in set-major, then way order. Used by the
+  /// fault layer to flush a dying core's L1 back to the directory.
   template <class Visit>
   void for_each(Visit&& visit) {
-    for (std::size_t set = 0; set < sets_; ++set) {
-      for (std::uint32_t v = valid_[set]; v != 0; v &= v - 1) {
+    for (const SetHead& head : heads_) {
+      for (std::uint32_t v = head.valid; v != 0; v &= v - 1) {
         const std::size_t i =
-            set * assoc_ + static_cast<std::size_t>(std::countr_zero(v));
+            base_of(head) + static_cast<std::size_t>(std::countr_zero(v));
         visit(tags_[i], states_[i]);
       }
     }
   }
 
-  /// Bytes held by the tag, rank, state and validity arrays.
+  /// Bytes held by the set heads and by the tag, rank and state arrays of
+  /// the filled sets.
   [[nodiscard]] std::size_t state_bytes() const {
-    return tags_.size() * sizeof(LineAddr) + ranks_.size() +
-           states_.size() * sizeof(LineState) +
-           valid_.size() * sizeof(std::uint32_t);
+    return heads_.size() * sizeof(SetHead) +
+           sets_filled() * assoc_ *
+               (sizeof(LineAddr) + sizeof(std::uint8_t) + sizeof(LineState));
   }
 
  private:
   static constexpr std::size_t kNoWay = ~std::size_t{0};
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Per set: bit w of `valid` = way w valid; `slot` = index of the set's
+  /// ways in the way arrays (kNoSlot until the set is first filled).
+  struct SetHead {
+    std::uint32_t valid = 0;
+    std::uint32_t slot = kNoSlot;
+  };
 
   [[nodiscard]] std::size_t set_of(LineAddr line) const {
     return pow2_ ? static_cast<std::size_t>(line & mask_)
                  : static_cast<std::size_t>(line % sets_);
+  }
+
+  [[nodiscard]] std::size_t base_of(const SetHead& head) const {
+    return std::size_t{head.slot} * assoc_;
   }
 
   [[nodiscard]] std::uint32_t full_mask() const {
@@ -177,21 +202,34 @@ class SetAssocCache {
                                : (std::uint32_t{1} << assoc_) - 1;
   }
 
-  [[nodiscard]] std::size_t lookup(std::size_t set, LineAddr line) const {
-    const LineAddr* tags = &tags_[set * assoc_];
-    for (std::uint32_t v = valid_[set]; v != 0; v &= v - 1) {
+  /// The way holding `line`, or kNoWay. An unfilled set has no valid way,
+  /// so its slot is never read.
+  [[nodiscard]] std::size_t lookup(const SetHead& head, LineAddr line) const {
+    std::uint32_t v = head.valid;
+    if (v == 0) return kNoWay;
+    const LineAddr* tags = &tags_[base_of(head)];
+    for (; v != 0; v &= v - 1) {
       const auto way = static_cast<std::size_t>(std::countr_zero(v));
       if (tags[way] == line) return way;
     }
     return kNoWay;
   }
 
+  /// Gives a set its ways at the end of the way arrays, ranks all 0.
+  void allocate(SetHead& head) {
+    head.slot = static_cast<std::uint32_t>(sets_filled());
+    const std::size_t n = ranks_.size() + assoc_;
+    tags_.resize(n);
+    ranks_.resize(n);
+    states_.resize(n);
+  }
+
   /// Makes `way` the most recently used of its set. Ranks order the ways
   /// by last touch (assoc-1 = newest); untouched ways sit at 0 below every
   /// touched one, so once a set is full its ranks are a permutation and
   /// the lowest evictable rank is exactly the LRU evictable way.
-  void touch(std::size_t set, std::size_t way) {
-    std::uint8_t* ranks = &ranks_[set * assoc_];
+  void touch(std::size_t base, std::size_t way) {
+    std::uint8_t* ranks = &ranks_[base];
     const std::uint8_t old = ranks[way];
     for (std::size_t i = 0; i < assoc_; ++i) {
       ranks[i] = static_cast<std::uint8_t>(ranks[i] - (ranks[i] > old));
@@ -199,22 +237,23 @@ class SetAssocCache {
     ranks[way] = static_cast<std::uint8_t>(assoc_ - 1);
   }
 
-  void fill(std::size_t set, std::size_t way, LineAddr line,
+  void fill(SetHead& head, std::size_t way, LineAddr line,
             const LineState& state) {
-    tags_[set * assoc_ + way] = line;
-    states_[set * assoc_ + way] = state;
-    valid_[set] |= std::uint32_t{1} << way;
-    touch(set, way);
+    const std::size_t base = base_of(head);
+    tags_[base + way] = line;
+    states_[base + way] = state;
+    head.valid |= std::uint32_t{1} << way;
+    touch(base, way);
   }
 
   std::size_t assoc_;
   std::size_t sets_;
   LineAddr mask_;
   bool pow2_;
-  std::vector<LineAddr> tags_;
-  std::vector<std::uint8_t> ranks_;
-  std::vector<LineState> states_;
-  std::vector<std::uint32_t> valid_;  ///< per set: bit w = way w valid
+  std::vector<SetHead> heads_;
+  std::vector<LineAddr> tags_;       ///< assoc_ per filled set, by slot
+  std::vector<std::uint8_t> ranks_;  ///< assoc_ per filled set, by slot
+  std::vector<LineState> states_;    ///< assoc_ per filled set, by slot
 };
 
 }  // namespace aqua

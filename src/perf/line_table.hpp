@@ -8,7 +8,8 @@
 /// once created, lives as long as the simulation. The table starts small
 /// and doubles at 3/4 load. Every 64-bit value is a valid key (0 and ~0
 /// included — trace files carry arbitrary addresses), so occupancy is a
-/// per-slot flag, never a reserved key.
+/// per-table bitmap (one bit per slot), never a reserved key, and a slot is
+/// just the line and its value.
 ///
 /// Growth moves every entry: a reference returned by `find` or
 /// `operator[]` stays valid only until the next insert of a *different*
@@ -26,13 +27,16 @@ namespace aqua {
 template <class Value>
 class LineTable {
  public:
-  LineTable() : slots_(kInitialCapacity), shift_(64 - kInitialBits) {}
+  LineTable()
+      : slots_(kInitialCapacity),
+        used_(words_for(kInitialCapacity)),
+        shift_(64 - kInitialBits) {}
 
   /// The entry for `line`, or nullptr if the line was never inserted.
   Value* find(LineAddr line) {
     for (std::size_t i = home(line);; i = (i + 1) & (slots_.size() - 1)) {
+      if (!used(i)) return nullptr;
       Slot& s = slots_[i];
-      if (!s.used) return nullptr;
       if (s.line == line) return &s.value;
     }
   }
@@ -44,18 +48,16 @@ class LineTable {
   /// grow the table (see the header note on reference lifetime).
   Value& operator[](LineAddr line) {
     std::size_t i = home(line);
-    for (;; i = (i + 1) & (slots_.size() - 1)) {
+    for (; used(i); i = (i + 1) & (slots_.size() - 1)) {
       Slot& s = slots_[i];
-      if (!s.used) break;
       if (s.line == line) return s.value;
     }
     if ((size_ + 1) * 4 > slots_.size() * 3) {
       grow();
-      i = home(line);
-      while (slots_[i].used) i = (i + 1) & (slots_.size() - 1);
+      i = free_slot(line);
     }
     Slot& s = slots_[i];
-    s.used = true;
+    mark_used(i);
     s.line = line;
     ++size_;
     return s.value;
@@ -64,15 +66,16 @@ class LineTable {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
   [[nodiscard]] std::size_t state_bytes() const {
-    return slots_.size() * sizeof(Slot);
+    return slots_.size() * sizeof(Slot) +
+           used_.size() * sizeof(std::uint64_t);
   }
 
   /// Visits every entry as (line, value) in slot order — a hash-layout
   /// order: callers that need a stable order must sort.
   template <class Visit>
   void for_each(Visit&& visit) const {
-    for (const Slot& s : slots_) {
-      if (s.used) visit(s.line, s.value);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (used(i)) visit(slots_[i].line, slots_[i].value);
     }
   }
 
@@ -84,8 +87,25 @@ class LineTable {
   struct Slot {
     LineAddr line = 0;
     Value value{};
-    bool used = false;
   };
+
+  static std::size_t words_for(std::size_t slots) {
+    return (slots + 63) / 64;
+  }
+
+  [[nodiscard]] bool used(std::size_t i) const {
+    return (used_[i >> 6] >> (i & 63)) & 1;
+  }
+  void mark_used(std::size_t i) {
+    used_[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+
+  /// The first unused slot on `line`'s probe path.
+  [[nodiscard]] std::size_t free_slot(LineAddr line) const {
+    std::size_t i = home(line);
+    while (used(i)) i = (i + 1) & (slots_.size() - 1);
+    return i;
+  }
 
   [[nodiscard]] std::size_t home(LineAddr line) const {
     return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ULL) >>
@@ -95,16 +115,19 @@ class LineTable {
   void grow() {
     std::vector<Slot> old(slots_.size() * 2);
     old.swap(slots_);
+    std::vector<std::uint64_t> old_used(words_for(slots_.size()));
+    old_used.swap(used_);
     --shift_;
-    for (Slot& s : old) {
-      if (!s.used) continue;
-      std::size_t i = home(s.line);
-      while (slots_[i].used) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = std::move(s);
+    for (std::size_t j = 0; j < old.size(); ++j) {
+      if (((old_used[j >> 6] >> (j & 63)) & 1) == 0) continue;
+      const std::size_t i = free_slot(old[j].line);
+      mark_used(i);
+      slots_[i] = std::move(old[j]);
     }
   }
 
   std::vector<Slot> slots_;
+  std::vector<std::uint64_t> used_;  ///< bit i = slot i holds an entry
   unsigned shift_;  ///< 64 - log2(capacity)
   std::size_t size_ = 0;
 };

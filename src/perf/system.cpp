@@ -889,7 +889,7 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
                               DataSource::kL2);
           }
           e.state = DirState::kModified;
-          e.owner = static_cast<std::uint32_t>(r);
+          e.owner = static_cast<std::uint8_t>(r);
           e.sharers = 0;
           e.l2_valid = false;
           return;
@@ -904,7 +904,7 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
           send(MsgType::kAckCount, line, bank.tile, msg.requestor,
                msg.requestor, /*dirty=data-follows*/ true, 0);
           e.state = DirState::kModified;
-          e.owner = static_cast<std::uint32_t>(r);
+          e.owner = static_cast<std::uint8_t>(r);
           e.sharers = 0;
           e.l2_valid = false;
           return;
@@ -931,7 +931,7 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
                  msg.requestor, /*dirty=data-follows*/ true, n);
           }
           e.state = DirState::kModified;
-          e.owner = static_cast<std::uint32_t>(r);
+          e.owner = static_cast<std::uint8_t>(r);
           e.sharers = 0;
           e.l2_valid = false;
           return;
@@ -982,7 +982,7 @@ void CmpSystem::finish_fill(Bank& bank, const Message& request,
                             DataSource source) {
   DirEntry& entry = bank.directory[request.line];
   const std::size_t r = core_index_of(request.requestor);
-  entry.owner = static_cast<std::uint32_t>(r);
+  entry.owner = static_cast<std::uint8_t>(r);
   entry.sharers = 0;
   if (request.type == MsgType::kGetS) {
     entry.state = DirState::kExclusive;
@@ -1132,6 +1132,8 @@ ExecStats CmpSystem::run() {
           .add("chips", static_cast<std::uint64_t>(config_.chips))
           .add("seconds", wall_seconds);
     });
+    std::uint64_t l2_sets_filled = 0;
+    for (const Bank& bank : banks_) l2_sets_filled += bank.l2->sets_filled();
     report.emit("perf_run", [&](obs::JsonWriter& w) {
       w.add("chips", static_cast<std::uint64_t>(config_.chips))
           .add("cores", static_cast<std::uint64_t>(cores_.size()))
@@ -1150,6 +1152,8 @@ ExecStats CmpSystem::run() {
           .add("events_scheduled", events_.scheduled())
           .add("events_max_pending",
                static_cast<std::uint64_t>(events_.max_pending()))
+          .add("state_bytes", static_cast<std::uint64_t>(state_bytes()))
+          .add("l2_sets_filled", l2_sets_filled)
           .add("noc_latency_hist",
                [&] {
                  std::string hist;

@@ -91,8 +91,9 @@ struct ExecStats {
 /// NoC pumps — is a typed EventQueue entry (plain function pointer +
 /// Message payload, no closure), directories are flat open-addressed
 /// tables with pooled intrusive pending lists, caches are split tag/rank/
-/// state arrays, and the NoC is self-scheduling: it reports its next work
-/// cycle and full ticks only run on cycles that can move flits.
+/// state arrays whose sets get storage on first fill, and the NoC is
+/// self-scheduling: it reports its next work cycle and full ticks only run
+/// on cycles that can move flits.
 /// The pump event still fires every active-network cycle so the event
 /// stream (and therefore every result) stays bit-identical to the original
 /// per-cycle design.
@@ -124,8 +125,8 @@ class CmpSystem {
   [[nodiscard]] const CmpConfig& config() const { return config_; }
 
   /// Bytes of simulator state: every L1 and L2 tag store, every directory
-  /// table and the mesh (routers and packet slab). Directory tables grow
-  /// as lines are first touched, so this rises over run().
+  /// table and the mesh (routers and packet slab). Cache sets and directory
+  /// tables grow as lines are first touched, so this rises over run().
   [[nodiscard]] std::size_t state_bytes() const;
 
  private:
@@ -189,23 +190,28 @@ class CmpSystem {
     PendingNode* next = nullptr;
   };
 
+  /// 32 bytes, so a directory slot (line + entry) is 40.
   struct DirEntry {
     DirState state = DirState::kUncached;
-    bool busy = false;
-    bool l2_valid = false;         ///< L2 data array holds a valid copy
+    // One flags byte.
+    bool busy : 1 = false;
+    bool l2_valid : 1 = false;  ///< L2 data array holds a valid copy
     // FwdGetS transactions complete on TWO messages that race on the
     // response class: the owner's DowngradeAck and the requestor's
     // Unblock. The transaction closes only when both have arrived.
-    bool awaiting_downgrade = false;
-    bool downgrade_received = false;
-    bool unblock_received = false;
-    std::uint32_t owner = 0;       ///< core index
-    std::uint32_t pending_count = 0;
+    bool awaiting_downgrade : 1 = false;
+    bool downgrade_received : 1 = false;
+    bool unblock_received : 1 = false;
+    std::uint8_t owner = 0;        ///< core index (< 64)
+    /// Queued requests (diagnostics). Each core has at most one miss and
+    /// a few writebacks of a line in flight, far below the type's range.
+    std::uint16_t pending_count = 0;
     std::uint64_t sharers = 0;     ///< bitmask over core indices (<= 64)
     // Blocked requests, FIFO (intrusive list of pooled nodes).
     PendingNode* pending_head = nullptr;
     PendingNode* pending_tail = nullptr;
   };
+  static_assert(sizeof(DirEntry) == 32, "directory slots are 40 bytes");
 
   struct Bank {
     NodeId tile = 0;

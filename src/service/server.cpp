@@ -266,7 +266,7 @@ void SweepServer::handle_connection(std::shared_ptr<Connection> conn) {
           // and keep the connection — the stream is still in sync.
           conn->bad_requests.fetch_add(1, std::memory_order_relaxed);
           bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          send_error(conn, 0, error_code::kBadRequest, e.what());
+          send_error(conn, 0, error_code::kBadRequest, user_message(e));
           continue;
         }
         dispatch(request, conn);
@@ -274,7 +274,7 @@ void SweepServer::handle_connection(std::shared_ptr<Connection> conn) {
     } catch (const std::exception& e) {
       // Framing violation (zero/oversized length): impossible to resync a
       // length-prefixed stream, so poison and close this connection only.
-      send_error(conn, 0, error_code::kBadRequest, e.what());
+      send_error(conn, 0, error_code::kBadRequest, user_message(e));
       poisoned = true;
     }
   }
@@ -393,7 +393,8 @@ void SweepServer::handle_submit(const Request& request,
   } catch (const std::exception& e) {
     conn->bad_requests.fetch_add(1, std::memory_order_relaxed);
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, request.id, error_code::kBadRequest, e.what());
+    send_error(conn, request.id, error_code::kBadRequest,
+               user_message(e));
     return;
   }
 
@@ -440,7 +441,8 @@ void SweepServer::handle_figure(const Request& request,
   } catch (const std::exception& e) {
     conn->bad_requests.fetch_add(1, std::memory_order_relaxed);
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, request.id, error_code::kBadRequest, e.what());
+    send_error(conn, request.id, error_code::kBadRequest,
+               user_message(e));
     return;
   }
 

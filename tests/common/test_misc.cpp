@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/curve.hpp"
 #include "common/error.hpp"
@@ -103,6 +105,24 @@ TEST(ErrorHelpers, RequireThrowsWithContext) {
     EXPECT_NE(std::string(e.what()).find("my message"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("precondition"), std::string::npos);
   }
+}
+
+// what() keeps the full diagnostic; message() is the caller's text alone,
+// which is what tools and service replies show a user.
+TEST(ErrorHelpers, MessageIsTheCallersTextOnly) {
+  try {
+    ensure(false, "bad grid");
+    FAIL();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "bad grid");
+    EXPECT_EQ(user_message(e), "bad grid");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("invariant violated at "), std::string::npos);
+    EXPECT_NE(what.find("test_misc.cpp"), std::string::npos);
+  }
+  const Error plain("unknown figure: fig99");
+  EXPECT_EQ(plain.message(), std::string(plain.what()));
+  EXPECT_EQ(user_message(std::runtime_error("io")), "io");
 }
 
 TEST(ErrorHelpers, EnsurePassesWhenTrue) {

@@ -9,6 +9,7 @@
 #include "core/cosim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_reader.hpp"
+#include "perf/system.hpp"
 #include "power/chip_model.hpp"
 
 namespace aqua::obs {
@@ -127,6 +128,30 @@ TEST(RunReportTest, CoSimCoversAllThreePipelineStages) {
   EXPECT_TRUE(kinds.count("freq_cap"));
   EXPECT_TRUE(kinds.count("perf_run"));
   EXPECT_TRUE(kinds.count("cosim"));
+}
+
+// A DES run's perf_run record carries the simulator's footprint: its
+// state_bytes after the run, and how many L2 sets across all banks were
+// ever filled (a 1-chip system has 12 banks of 2048 sets).
+TEST(RunReportTest, PerfRunRecordsStateBytesAndL2SetsFilled) {
+  ReportCapture capture("/tmp/aqua_test_report_perf_run.jsonl");
+  WorkloadProfile p = npb_profile("cg");
+  p.instructions_per_thread = 4000;
+  CmpSystem system(CmpConfig{}, p, gigahertz(2.0));
+  system.run();
+
+  std::size_t perf_runs = 0;
+  for (const JsonValue& record : capture.records()) {
+    if (field(record, "kind")->string != "perf_run") continue;
+    ++perf_runs;
+    const JsonValue* state = field(record, "state_bytes");
+    const JsonValue* sets = field(record, "l2_sets_filled");
+    ASSERT_TRUE(state != nullptr && sets != nullptr);
+    EXPECT_EQ(state->number, static_cast<double>(system.state_bytes()));
+    EXPECT_GT(sets->number, 0.0);
+    EXPECT_LE(sets->number, 12.0 * 2048);
+  }
+  EXPECT_EQ(perf_runs, 1u);
 }
 
 }  // namespace

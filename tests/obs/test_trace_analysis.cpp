@@ -236,6 +236,23 @@ TEST(BenchCompareTest, ClassifiesMetricKinds) {
   EXPECT_EQ(classify_metric("max_chips_water"), MetricKind::kWork);
 }
 
+// perf_noc's per-cell `<cell>_state_bytes` is deterministic work: CI's
+// 0.2 work threshold gates it in both directions, so a layout change that
+// moves it fails until the perf_noc baselines are reseeded.
+TEST(BenchCompareTest, StateBytesGateTwoSidedAsWork) {
+  const std::string key = "cg_6chip_state_bytes";
+  EXPECT_EQ(classify_metric(key), MetricKind::kWork);
+  GateThresholds thresholds;
+  thresholds.timing = 5.0;
+  thresholds.work = 0.2;
+  const std::vector<std::map<std::string, double>> baselines = {
+      {{key, 1000.0}}, {{key, 1000.0}}, {{key, 1000.0}}};
+  EXPECT_TRUE(gate_bench({{key, 1150.0}}, baselines, thresholds).passed());
+  EXPECT_TRUE(gate_bench({{key, 850.0}}, baselines, thresholds).passed());
+  EXPECT_FALSE(gate_bench({{key, 1300.0}}, baselines, thresholds).passed());
+  EXPECT_FALSE(gate_bench({{key, 500.0}}, baselines, thresholds).passed());
+}
+
 TEST(BenchCompareTest, MedianAbsorbsOneOutlierRun) {
   EXPECT_DOUBLE_EQ(median_of({1.0, 100.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median_of({4.0, 2.0}), 3.0);

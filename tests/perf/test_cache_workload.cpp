@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <optional>
@@ -92,6 +93,45 @@ TEST(Cache, EraseAndPeek) {
   c.erase(9);
   EXPECT_EQ(c.peek(9), nullptr);
   c.erase(9);  // idempotent
+}
+
+// A cache gives a set's ways storage only when the set is first filled:
+// a fresh L2 bank (2048 sets x 8 ways) holds only its set heads, each new
+// set adds exactly one set's ways, and refilling, overwriting, erasing or
+// evicting within filled sets adds nothing.
+TEST(Cache, StorageGrowsOnlyWithTouchedSets) {
+  SetAssocCache<TagOnly> c(1024 * 1024, 64, 8);
+  ASSERT_EQ(c.sets(), 2048u);
+  const std::size_t fresh = c.state_bytes();
+  EXPECT_LE(fresh, 32u * 1024);
+  EXPECT_EQ(c.sets_filled(), 0u);
+  const std::size_t per_set = 8 * (sizeof(LineAddr) + 1 + sizeof(TagOnly));
+
+  // The lookups, misses and erases of an empty cache allocate nothing.
+  EXPECT_EQ(c.find(5), nullptr);
+  EXPECT_EQ(c.peek(~LineAddr{0}), nullptr);
+  c.erase(5);
+  EXPECT_EQ(c.state_bytes(), fresh);
+
+  for (std::size_t k = 1; k <= 64; ++k) {
+    const LineAddr line = (k * 37) % 2048;  // a new set each time
+    c.insert(line, TagOnly{static_cast<int>(k)});
+    ASSERT_EQ(c.sets_filled(), k);
+    ASSERT_EQ(c.state_bytes(), fresh + k * per_set);
+  }
+  // Twenty lines per filled set: fills, evictions, overwrites and erases
+  // all stay inside the 64 sets' storage.
+  for (LineAddr j = 0; j < 20; ++j) {
+    for (std::size_t k = 1; k <= 64; ++k) {
+      const LineAddr line = (k * 37) % 2048 + j * 2048;
+      c.insert(line, TagOnly{static_cast<int>(j)});
+      c.insert(line, TagOnly{static_cast<int>(j + 1)});
+      if (j % 3 == 0) c.erase(line);
+    }
+  }
+  EXPECT_EQ(c.sets_filled(), 64u);
+  EXPECT_EQ(c.state_bytes(), fresh + 64 * per_set);
+  EXPECT_EQ(c.occupancy(), 64u * 8);
 }
 
 /// The tag store SetAssocCache replaced, kept verbatim in behavior as the
@@ -203,14 +243,19 @@ std::vector<std::pair<LineAddr, int>> contents(Cache& c) {
 // traffic on a few crowded sets — power-of-two (mask) and odd (modulo) set
 // counts — with lines 0, ~0 and ~0 - 1 in the mix: the split-array cache
 // answers every operation exactly as the way-array oracle does, victims
-// and storage order included.
+// and storage order included. The lines in play widen over the first half
+// of the run, so sets are first filled (and given storage) between
+// operations on sets filled long before; a set counts as filled from its
+// first accepted insert. A pointer from find stays valid, and keeps
+// pointing at its line, until an insert fills a new set.
 TEST(Cache, MatchesWayArrayOracleOnRandomOps) {
   struct Geometry {
     std::size_t sets;
     std::size_t assoc;
   };
   for (const Geometry g : {Geometry{4, 4}, Geometry{3, 2}, Geometry{8, 8},
-                           Geometry{1, 32}}) {
+                           Geometry{1, 32}, Geometry{64, 4},
+                           Geometry{96, 2}}) {
     SCOPED_TRACE(testing::Message() << g.sets << " sets x " << g.assoc);
     SetAssocCache<TagOnly> cache(g.sets * g.assoc * 64, 64, g.assoc);
     WayArrayCache<TagOnly> oracle(g.sets * g.assoc * 64, 64, g.assoc);
@@ -224,9 +269,17 @@ TEST(Cache, MatchesWayArrayOracleOnRandomOps) {
     Xoshiro256 rng(g.sets * 100 + g.assoc);
     std::size_t evictions = 0;
     std::size_t rejections = 0;
-    for (int step = 0; step < 20000; ++step) {
-      const LineAddr line = pool[rng.uniform_index(pool.size())];
+    std::set<std::size_t> filled;  // sets with an accepted insert so far
+    LineAddr held_line = 0;
+    const TagOnly* held = nullptr;  // last find hit, under the contract
+    constexpr int kSteps = 20000;
+    for (int step = 0; step < kSteps; ++step) {
+      const std::size_t in_play = std::min(
+          pool.size(), 1 + static_cast<std::size_t>(step) * 2 *
+                               pool.size() / kSteps);
+      const LineAddr line = pool[rng.uniform_index(in_play)];
       const int tag = step;
+      const std::size_t sets_before = cache.sets_filled();
       switch (rng.uniform_index(6)) {
         case 0: {
           TagOnly* a = cache.find(line);
@@ -234,6 +287,8 @@ TEST(Cache, MatchesWayArrayOracleOnRandomOps) {
           ASSERT_EQ(a == nullptr, b == nullptr) << "find " << line;
           if (a != nullptr) {
             ASSERT_EQ(a->tag, b->tag);
+            held_line = line;
+            held = a;
           }
           break;
         }
@@ -258,6 +313,7 @@ TEST(Cache, MatchesWayArrayOracleOnRandomOps) {
             ASSERT_EQ(a->state.tag, b->state.tag);
             ++evictions;
           }
+          filled.insert(line % g.sets);
           break;
         }
         case 3:
@@ -279,6 +335,7 @@ TEST(Cache, MatchesWayArrayOracleOnRandomOps) {
             ASSERT_EQ(a->state.tag, b->state.tag);
           }
           rejections += in_a ? 0 : 1;
+          if (in_a) filled.insert(line % g.sets);
           break;
         }
         default:
@@ -287,11 +344,23 @@ TEST(Cache, MatchesWayArrayOracleOnRandomOps) {
           break;
       }
       ASSERT_EQ(cache.occupancy(), oracle.occupancy()) << "step " << step;
+      ASSERT_EQ(cache.sets_filled(), filled.size()) << "step " << step;
+      if (cache.sets_filled() != sets_before) held = nullptr;
+      if (held != nullptr) {
+        const TagOnly* now = cache.peek(held_line);
+        if (now == nullptr) {
+          held = nullptr;  // evicted or erased: nothing to compare
+        } else {
+          ASSERT_EQ(now, held) << "step " << step;
+          ASSERT_EQ(held->tag, oracle.peek(held_line)->tag);
+        }
+      }
       if (step % 500 == 0) {
         ASSERT_EQ(contents(cache), contents(oracle));
       }
     }
     EXPECT_EQ(contents(cache), contents(oracle));
+    EXPECT_EQ(cache.sets_filled(), g.sets);
     EXPECT_GT(evictions, 0u);
     EXPECT_GT(rejections, 0u);
   }
@@ -356,6 +425,52 @@ TEST(LineTable, CollidingLinesSurviveGrowth) {
   EXPECT_EQ(visited, oracle);
   EXPECT_EQ(table.find(1), nullptr);
   EXPECT_EQ(table.find(12345), nullptr);
+}
+
+// Occupancy is a per-table bitmap, so a slot holds only the line and its
+// value (40 bytes for a 32-byte entry, a directory slot's size) and no key
+// is reserved: 0 — the line of every never-used slot — and ~0 are absent
+// until inserted, then keep their values through every doubling, and a
+// line whose probe path crosses their slots is not mistaken for them.
+TEST(LineTable, BitmapKeepsZeroAndAllOnesAsKeysThroughGrowth) {
+  struct Entry {
+    std::uint64_t a = 0, b = 0, c = 0, d = 0;
+  };
+  LineTable<Entry> table;
+  const auto bitmap_bytes = [&table] {
+    return (table.capacity() + 63) / 64 * sizeof(std::uint64_t);
+  };
+  EXPECT_EQ(table.state_bytes(), table.capacity() * 40 + bitmap_bytes());
+  EXPECT_EQ(table.find(0), nullptr);
+  EXPECT_EQ(table.find(~LineAddr{0}), nullptr);
+
+  table[0].a = 11;
+  EXPECT_EQ(table.find(~LineAddr{0}), nullptr);
+  table[~LineAddr{0}].a = 22;
+  EXPECT_EQ(table.size(), 2u);
+
+  std::size_t capacity = table.capacity();
+  std::size_t growths = 0;
+  for (LineAddr l = 1; l <= 2000; ++l) {
+    table[l * 0x10001].a = l;
+    if (table.capacity() == capacity) continue;
+    ++growths;
+    capacity = table.capacity();
+    ASSERT_NE(table.find(0), nullptr) << "capacity " << capacity;
+    ASSERT_EQ(table.find(0)->a, 11u);
+    ASSERT_NE(table.find(~LineAddr{0}), nullptr) << "capacity " << capacity;
+    ASSERT_EQ(table.find(~LineAddr{0})->a, 22u);
+    ASSERT_EQ(table.state_bytes(), capacity * 40 + bitmap_bytes());
+  }
+  EXPECT_GE(growths, 7u);
+  EXPECT_EQ(table.size(), 2002u);
+  EXPECT_EQ(table[0].a, 11u);  // an update, not a second key 0
+  EXPECT_EQ(table.size(), 2002u);
+  EXPECT_EQ(table.find(1), nullptr);
+  EXPECT_EQ(table.find(~LineAddr{0} - 1), nullptr);
+  std::size_t visited = 0;
+  table.for_each([&visited](LineAddr, const Entry&) { ++visited; });
+  EXPECT_EQ(visited, 2002u);
 }
 
 // ------------------------------------------------------------- protocol ----

@@ -159,5 +159,17 @@ TEST(System, HighContentionPendingQueuesDrain) {
   EXPECT_EQ(st.barriers, p.phases - 1);
 }
 
+// DES state grows with the lines a cell touches (DESIGN.md §7). The Fig. 13
+// cell cg at 8 chips, 2.2 GHz, instruction scale 0.2, seed 1 held 27.3 MiB
+// when every L2 set was allocated up front and a directory slot took 56
+// bytes; its 96 banks each index only 64 of their 2048 sets.
+TEST(System, Fig13CellStateStaysWithin12MiB) {
+  CmpConfig cfg;
+  cfg.chips = 8;
+  CmpSystem sys(cfg, tiny("cg", 24'000), gigahertz(2.2), 1);
+  sys.run();
+  EXPECT_LE(sys.state_bytes(), std::size_t{12} << 20);
+}
+
 }  // namespace
 }  // namespace aqua

@@ -236,6 +236,12 @@ TEST_F(ServerTest, BadRequestsAreTypedAndDoNotPoisonTheConnection) {
       "freq_cap", {{"chip", "low_power_cmp"}, {"chips", "99999"},
                    {"cooling", "water"}});
   EXPECT_EQ(out_of_range.status, error_code::kBadRequest);
+  // The reply names the problem, not the server's source files.
+  EXPECT_FALSE(out_of_range.message.empty());
+  EXPECT_EQ(out_of_range.message.find("violated at"), std::string::npos)
+      << out_of_range.message;
+  EXPECT_EQ(out_of_range.message.find(".cpp"), std::string::npos)
+      << out_of_range.message;
 
   // Three strikes and the connection still works fine.
   const CellResult good = client.submit("freq_cap", cheap_cell(1));
