@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -131,6 +132,21 @@ aqua::FreqVsChipsData data_from_cells(
   return data;
 }
 
+/// The server's per-cell latency percentiles (stats keys
+/// `<stage>_{p50,p95,p99}_ms`), one line per stage.
+void print_latencies(const std::string& label,
+                     const std::map<std::string, double>& stats) {
+  std::cout << label << " per-cell latency (ms, p50/p95/p99):";
+  for (const char* stage : {"queue_wait", "compute", "total"}) {
+    const std::string prefix(stage);
+    std::cout << " " << prefix << " "
+              << aqua::format_double(stats.at(prefix + "_p50_ms"), 2) << "/"
+              << aqua::format_double(stats.at(prefix + "_p95_ms"), 2) << "/"
+              << aqua::format_double(stats.at(prefix + "_p99_ms"), 2);
+  }
+  std::cout << "\n";
+}
+
 void microbench_protocol_roundtrip(benchmark::State& state) {
   aqua::service::Response response;
   response.op = aqua::service::Response::Op::kResult;
@@ -224,6 +240,7 @@ int main(int argc, char** argv) {
   const std::map<std::string, double> drill_stats =
       drill_server.stats_snapshot();
   drill_server.stop();
+  print_latencies("drill", drill_stats);
 
   // --- 3: byte identity through an undelayed server -----------------------
   aqua::service::ServerConfig serve;
@@ -237,6 +254,8 @@ int main(int argc, char** argv) {
   const aqua::service::FigureResult fig07 =
       figure_client.submit_figure("fig07");
   const double figure_seconds = seconds_since(figure_start);
+  const std::map<std::string, double> figure_stats =
+      figure_server.stats_snapshot();
   figure_server.stop();
 
   std::ostringstream service_table;
@@ -257,6 +276,7 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << service_table.str();
   aqua::require(identical, "service table diverges from serial golden");
+  print_latencies("fig07", figure_stats);
 
   // --- 4: stop while a figure is streaming --------------------------------
   aqua::service::ServerConfig under_load;

@@ -65,9 +65,15 @@ int main(int argc, char** argv) {
     const FlipPolicy flip = cfg.get_bool("experiment", "flip", false)
                                 ? FlipPolicy::kFlipEven
                                 : FlipPolicy::kNone;
+    const std::int64_t grid_in = cfg.get_int("thermal", "grid", 32);
+    if (grid_in < static_cast<std::int64_t>(kMinGridCells) ||
+        grid_in > static_cast<std::int64_t>(kMaxGridCells)) {
+      throw Error("[thermal] grid must be in [" +
+                  std::to_string(kMinGridCells) + ", " +
+                  std::to_string(kMaxGridCells) + "]");
+    }
     GridOptions grid;
-    grid.nx = grid.ny =
-        static_cast<std::size_t>(cfg.get_int("thermal", "grid", 32));
+    grid.nx = grid.ny = static_cast<std::size_t>(grid_in);
     const std::string workload =
         cfg.get_string("experiment", "workload", "none");
     WorkloadProfile p;

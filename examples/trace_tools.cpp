@@ -479,8 +479,9 @@ int run_summarize_faults(int argc, char** argv) {
   return 0;
 }
 
-/// `summarize --service`: per-connection ledgers plus the daemon's
-/// stop-time totals from sweep-service run-report records. The rates line
+/// `summarize --service`: per-connection ledgers, the daemon's stop-time
+/// totals and its per-cell queue-wait, compute and total latency
+/// percentiles from sweep-service run-report records. The rates line
 /// is the overload drill's evidence: rejections were explicit
 /// (rejection_rate), deadlines enforced (deadline_rate), and dedupe +
 /// cache saved recomputation (warm_fraction).
@@ -528,6 +529,20 @@ int run_summarize_service(int argc, char** argv) {
             << aqua::format_double(summary.deadline_rate(), 3)
             << " warm_fraction="
             << aqua::format_double(summary.warm_fraction(), 3) << "\n";
+
+  if (!summary.latencies.empty()) {
+    std::cout << "\nper-cell latency (ms):\n";
+    aqua::Table latency({"sweep", "stage", "p50_ms", "p95_ms", "p99_ms"});
+    for (const aqua::obs::ServiceLatencyRow& row : summary.latencies) {
+      latency.row()
+          .add(row.sweep)
+          .add(row.stage)
+          .add(row.p50_ms, 3)
+          .add(row.p95_ms, 3)
+          .add(row.p99_ms, 3);
+    }
+    latency.print(std::cout);
+  }
   return 0;
 }
 

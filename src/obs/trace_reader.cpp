@@ -602,6 +602,17 @@ ServiceSummary summarize_service_records(
       summary.computed += number_or(rec, "computed");
       summary.cache_hits += number_or(rec, "cache_hits");
       summary.total_connections += number_or(rec, "total_connections");
+      for (const char* stage : {"queue_wait", "compute", "total"}) {
+        const std::string prefix(stage);
+        if (rec.find(prefix + "_p50_ms") == nullptr) continue;
+        ServiceLatencyRow row;
+        row.sweep = string_or(rec, "sweep", "");
+        row.stage = prefix;
+        row.p50_ms = number_or(rec, prefix + "_p50_ms");
+        row.p95_ms = number_or(rec, prefix + "_p95_ms");
+        row.p99_ms = number_or(rec, prefix + "_p99_ms");
+        summary.latencies.push_back(std::move(row));
+      }
     } else if (kind->string == "service_conn") {
       ServiceConnRow row;
       row.conn = count_or(rec, "conn");

@@ -173,6 +173,16 @@ struct ServiceConnRow {
   std::uint64_t failed = 0;
 };
 
+/// Per-cell latency percentiles of one server stage, read back from a
+/// `service` record's `<stage>_{p50,p95,p99}_ms` fields.
+struct ServiceLatencyRow {
+  std::string sweep;  ///< the record's sweep name
+  std::string stage;  ///< queue_wait, compute or total
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
 /// Aggregate of a run report's sweep-service records: the `service`
 /// stop-time totals plus every `service_conn` row. Rates are derived, not
 /// stored, so partially-drained reports stay self-consistent.
@@ -188,6 +198,9 @@ struct ServiceSummary {
   double cache_hits = 0.0;
   double total_connections = 0.0;
   std::vector<ServiceConnRow> connections;  ///< ordered by connection id
+  /// Three rows (queue_wait, compute, total) per `service` record that
+  /// carries them, in record order; percentiles do not sum across servers.
+  std::vector<ServiceLatencyRow> latencies;
 
   /// Fraction of submitted cells the admission gate turned away.
   [[nodiscard]] double rejection_rate() const {

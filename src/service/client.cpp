@@ -1,9 +1,5 @@
 #include "service/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -47,17 +43,7 @@ void SweepClient::close() {
 
 void SweepClient::ensure_connected() {
   if (sock_.valid()) return;
-  Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
-  require(sock.valid(), "cannot create a client socket");
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port_);
-  require(::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) == 1,
-          "cannot parse the server host: " + host_);
-  require(::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof(addr)) == 0,
-          "cannot connect to " + host_ + ":" + std::to_string(port_));
-  sock_ = std::move(sock);
+  sock_ = connect_tcp(host_, port_);
   decoder_ = FrameDecoder();
 }
 

@@ -92,8 +92,10 @@ CoolingOption cooling_by_name(const std::string& name) {
 
 GridOptions grid_from_params(const std::map<std::string, std::string>& params) {
   GridOptions grid;
-  grid.nx = size_param_or(params, "nx", grid.nx, 4, 256);
-  grid.ny = size_param_or(params, "ny", grid.ny, 4, 256);
+  grid.nx =
+      size_param_or(params, "nx", grid.nx, kMinGridCells, kMaxGridCells);
+  grid.ny =
+      size_param_or(params, "ny", grid.ny, kMinGridCells, kMaxGridCells);
   return grid;
 }
 

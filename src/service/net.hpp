@@ -1,16 +1,18 @@
 #pragma once
 
 /// Minimal POSIX socket plumbing shared by the sweep service's server,
-/// client and tests: an RAII fd wrapper plus full-buffer send/recv
-/// helpers. Sends use MSG_NOSIGNAL so a peer that vanished mid-write
-/// surfaces as an error return, never SIGPIPE (the daemon must not die
-/// because one client disconnected).
+/// client and tests: an RAII fd wrapper, the helpers that open every TCP
+/// socket, and full-buffer send/recv helpers. Sends use MSG_NOSIGNAL so a
+/// peer that vanished mid-write surfaces as an error return, never SIGPIPE
+/// (the daemon must not die because one client disconnected).
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <utility>
 
 namespace aqua::service {
@@ -57,6 +59,31 @@ class Socket {
  private:
   int fd_ = -1;
 };
+
+// The only places the service opens TCP sockets. Every socket that carries
+// frames (from accept_tcp or connect_tcp) has TCP_NODELAY set (DESIGN.md
+// §13, "Wire"): each reply and request is one send_all of a whole frame,
+// so Nagle's coalescing has nothing to merge; left on, it holds a reply
+// written while the previous one is unacknowledged until the peer's
+// delayed ACK (40 ms minimum on Linux) releases it.
+
+/// A socket bound to `host` (dotted IPv4) and `port` (0 = ephemeral) and
+/// listening. Throws aqua::Error when the host does not parse or the
+/// address cannot be bound.
+Socket listen_tcp(const std::string& host, std::uint16_t port);
+
+/// The next connection on `listener`, retrying EINTR, with TCP_NODELAY
+/// set (set here, not inherited from the listener). An invalid Socket
+/// means the listener was shut down (or failed): stop accepting.
+Socket accept_tcp(const Socket& listener);
+
+/// A socket connected to `host` (dotted IPv4) and `port`, with
+/// TCP_NODELAY set. Throws
+/// aqua::Error when the host does not parse or the connect fails.
+Socket connect_tcp(const std::string& host, std::uint16_t port);
+
+/// The local port `sock` is bound to (the real port after listen_tcp(.., 0)).
+std::uint16_t local_port(const Socket& sock);
 
 /// Sends the whole buffer; false on any transport error (peer gone,
 /// shutdown). Retries EINTR so an unrelated signal does not tear a frame.

@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "service/evaluator.hpp"
 #include "service/net.hpp"
 #include "service/protocol.hpp"
@@ -91,7 +92,8 @@ class SweepServer {
     return draining_.load(std::memory_order_relaxed);
   }
 
-  /// Live counter snapshot (also what a stats request returns).
+  /// Live counter snapshot (also what a stats request returns), with
+  /// `{queue_wait,compute,total}_{p50,p95,p99}_ms` per-cell latencies.
   [[nodiscard]] std::map<std::string, double> stats_snapshot() const;
 
  private:
@@ -164,6 +166,14 @@ class SweepServer {
   std::atomic<std::uint64_t> bad_requests_{0};
   std::atomic<std::uint64_t> failed_cells_{0};
   std::atomic<std::uint64_t> total_connections_{0};
+
+  /// Per-cell latency in ms, one sample for every cell a worker picks up:
+  /// queue wait (admitted -> picked up), compute (runner_.run) and total
+  /// (admitted -> reply written). A client latency well above `total`
+  /// is time spent on the wire, not in the server.
+  obs::Histogram queue_wait_ms_;
+  obs::Histogram compute_ms_;
+  obs::Histogram total_ms_;
 };
 
 }  // namespace aqua::service

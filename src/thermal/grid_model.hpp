@@ -41,6 +41,11 @@ enum class PreconditionerKind {
   kMultigrid,  ///< geometric V-cycle over the structured grid (default)
 };
 
+/// Grid cells per die side accepted from outside the process: the
+/// service's `nx`/`ny` and `scenario_runner`'s `[thermal] grid`.
+inline constexpr std::size_t kMinGridCells = 4;
+inline constexpr std::size_t kMaxGridCells = 256;
+
 /// Discretization and solver options for the grid model.
 struct GridOptions {
   std::size_t nx = 32;  ///< cells across the die width

@@ -372,6 +372,30 @@ TEST(ServiceSummaryTest, AggregatesServiceAndConnectionRecords) {
   EXPECT_EQ(summary.connections[1].results, 35u);
 }
 
+TEST(ServiceSummaryTest, ReadsLatencyPercentilesPerServiceRecord) {
+  std::vector<JsonValue> records;
+  records.push_back(parse_json(
+      R"({"kind":"service","sweep":"a","accepted":4,)"
+      R"("queue_wait_p50_ms":0.1,"queue_wait_p95_ms":0.5,)"
+      R"("queue_wait_p99_ms":0.9,"compute_p50_ms":2,"compute_p95_ms":8,)"
+      R"("compute_p99_ms":19,"total_p50_ms":2.5,"total_p95_ms":9,)"
+      R"("total_p99_ms":20})"));
+  // A record from before the latency fields adds no rows.
+  records.push_back(parse_json(R"({"kind":"service","sweep":"old"})"));
+
+  const ServiceSummary summary = summarize_service_records(records);
+  EXPECT_EQ(summary.service_records, 2u);
+  ASSERT_EQ(summary.latencies.size(), 3u);
+  EXPECT_EQ(summary.latencies[0].sweep, "a");
+  EXPECT_EQ(summary.latencies[0].stage, "queue_wait");
+  EXPECT_DOUBLE_EQ(summary.latencies[0].p95_ms, 0.5);
+  EXPECT_EQ(summary.latencies[1].stage, "compute");
+  EXPECT_DOUBLE_EQ(summary.latencies[1].p99_ms, 19.0);
+  EXPECT_EQ(summary.latencies[2].stage, "total");
+  EXPECT_DOUBLE_EQ(summary.latencies[2].p50_ms, 2.5);
+  EXPECT_DOUBLE_EQ(summary.latencies[2].p99_ms, 20.0);
+}
+
 TEST(ServiceSummaryTest, EmptyInputYieldsSafeZeroRates) {
   const ServiceSummary summary = summarize_service_records({});
   EXPECT_EQ(summary.service_records, 0u);

@@ -7,10 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -82,15 +78,8 @@ class ServerTest : public ::testing::Test {
 /// SweepClient, which never sends malformed bytes.
 class RawConn {
  public:
-  explicit RawConn(std::uint16_t port) : sock_(::socket(AF_INET, SOCK_STREAM, 0)) {
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    require(::connect(sock_.fd(), reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)) == 0,
-            "raw connect failed");
-  }
+  explicit RawConn(std::uint16_t port)
+      : sock_(connect_tcp("127.0.0.1", port)) {}
 
   void send_bytes(const std::string& bytes) {
     ASSERT_TRUE(send_all(sock_.fd(), bytes.data(), bytes.size()));
@@ -144,6 +133,38 @@ TEST_F(ServerTest, SubmitComputesThenServesSingleFlight) {
   EXPECT_EQ(stats.at("accepted"), 2.0);
   EXPECT_EQ(stats.at("computed"), 1.0);
   EXPECT_EQ(stats.at("single_flight_hits"), 1.0);
+}
+
+TEST_F(ServerTest, StatsReplyCarriesLatencyPercentiles) {
+  SweepServer& server = start({});
+  SweepClient client("127.0.0.1", server.port());
+  for (std::size_t chips = 1; chips <= 3; ++chips) {
+    ASSERT_TRUE(client.submit("freq_cap", cheap_cell(chips)).ok());
+  }
+  ASSERT_TRUE(client.submit("freq_cap", cheap_cell(1)).ok());  // memo hit
+
+  // The stats reply over the wire, not just the in-process snapshot.
+  const std::map<std::string, double> stats = client.stats();
+  for (const char* stage : {"queue_wait", "compute", "total"}) {
+    const std::string prefix(stage);
+    ASSERT_TRUE(stats.count(prefix + "_p50_ms")) << prefix;
+    ASSERT_TRUE(stats.count(prefix + "_p95_ms")) << prefix;
+    ASSERT_TRUE(stats.count(prefix + "_p99_ms")) << prefix;
+    EXPECT_GE(stats.at(prefix + "_p50_ms"), 0.0) << prefix;
+    EXPECT_LE(stats.at(prefix + "_p50_ms"), stats.at(prefix + "_p95_ms"))
+        << prefix;
+    EXPECT_LE(stats.at(prefix + "_p95_ms"), stats.at(prefix + "_p99_ms"))
+        << prefix;
+  }
+  // A cell's total spans its compute, so the quantiles keep that order.
+  // The total is recorded just after the reply is written, which can
+  // trail the client's next request: compare once stop() has joined the
+  // workers.
+  server.stop();
+  const std::map<std::string, double> final_stats = server.stats_snapshot();
+  EXPECT_GT(final_stats.at("total_p99_ms"), 0.0);
+  EXPECT_GE(final_stats.at("total_p99_ms"), final_stats.at("compute_p99_ms"));
+  EXPECT_GE(final_stats.at("total_p50_ms"), final_stats.at("compute_p50_ms"));
 }
 
 TEST_F(ServerTest, OverloadRejectsExplicitlyWhileControlStaysResponsive) {
