@@ -133,7 +133,7 @@ JsonReport& JsonReport::add_stats(const std::string& prefix,
                                   const obs::WorkTally& work) {
   add(prefix + "_solves", work.solves);
   add(prefix + "_iterations", work.cg_iterations);
-  add(prefix + "_vcycles", work.vcycles);
+  add(prefix + "_precond_applies", work.precond_applies);
   add(prefix + "_solver_seconds", static_cast<double>(work.solver_ns) * 1e-9,
       6);
   return *this;
@@ -168,7 +168,7 @@ JsonReport& JsonReport::add_cost_breakdown(const sweep::CostBreakdown& cost) {
   field("serialize_us", sum.serialize_us);
   field("apply_us", sum.apply_us);
   os << ",\n    \"cg_iterations\": " << sum.work.cg_iterations;
-  os << ",\n    \"vcycles\": " << sum.work.vcycles;
+  os << ",\n    \"precond_applies\": " << sum.work.precond_applies;
   os << ",\n    \"des_events\": " << sum.work.des_events;
   os << "\n  }";
   return add_raw("cost_breakdown", os.str());

@@ -63,8 +63,11 @@ int run_microbenchmarks(int argc, char** argv);
 /// times and solver/DES work from the sweep cost ledger, DESIGN.md §11);
 /// 5 = drops the resume-journal keys (`sweep_resumed` and the ledger's
 /// journal lookup time) with the journal itself; 6 = drops the
-/// partition-hole count with the multi-process sweep partition.
-inline constexpr int kSchemaVersion = 6;
+/// partition-hole count with the multi-process sweep partition; 7 =
+/// renames the multigrid V-cycle counts (`*_vcycles`,
+/// `cost_breakdown.vcycles`) to preconditioner applications
+/// (`*_precond_applies`).
+inline constexpr int kSchemaVersion = 7;
 
 /// Machine-readable counterpart of the printed tables: a flat ordered
 /// key -> value map written as `BENCH_<name>.json` in the working
@@ -88,7 +91,7 @@ class JsonReport {
   JsonReport& add(const std::string& key, const std::string& value);
 
   /// Expands the solver part of a work tally into `<prefix>_solves`,
-  /// `_iterations`, `_vcycles` and `_solver_seconds` (CG time summed
+  /// `_iterations`, `_precond_applies` and `_solver_seconds` (CG time summed
   /// across threads) entries.
   JsonReport& add_stats(const std::string& prefix, const obs::WorkTally& work);
 
@@ -100,9 +103,9 @@ class JsonReport {
 
   /// Writes the sweep cost ledger as the nested "cost_breakdown" object
   /// (schema_version 4): cells, the per-phase *_us wall times, and the
-  /// cg_iterations / vcycles / des_events work counters. `trace_tools
-  /// perf-gate` flattens it to dotted `cost_breakdown.*` metrics and gates
-  /// the work counters as deterministic work.
+  /// cg_iterations / precond_applies / des_events work counters.
+  /// `trace_tools perf-gate` flattens it to dotted `cost_breakdown.*`
+  /// metrics and gates the work counters as deterministic work.
   JsonReport& add_cost_breakdown(const sweep::CostBreakdown& cost);
 
   /// Writes `BENCH_<name>.json` and prints the path; returns it.

@@ -1,11 +1,12 @@
-/// Solver performance: multigrid-preconditioned CG vs. the Jacobi baseline
+/// Solver performance: spectral-preconditioned CG vs. the Jacobi baseline
 /// on the paper's stack sweeps (Figs. 7 / 8 configurations).
 ///
 /// The headline table runs the full frequency-vs-chips sweep for the
 /// low-power and high-frequency CMPs under both preconditioners and checks
-/// that every max-frequency answer agrees, then compares total CG
-/// iterations and wall time. The numbers also land in BENCH_solver.json
-/// (format in EXPERIMENTS.md) for scripted regression tracking.
+/// that every frequency cap agrees, then compares total CG iterations and
+/// wall time. The numbers also land in BENCH_solver.json (format in
+/// EXPERIMENTS.md) for scripted regression tracking. Exits 1, after the
+/// table, when any cap differs or any cell failed.
 
 #include <chrono>
 
@@ -32,9 +33,11 @@ SweepRun run_sweep(const aqua::ChipModel& chip, std::size_t max_chips,
   return run;
 }
 
-/// True when both sweeps produced identical feasibility and frequencies.
+/// True when both sweeps produced identical feasibility and frequencies,
+/// with no failed cell.
 bool answers_match(const aqua::FreqVsChipsData& a,
                    const aqua::FreqVsChipsData& b) {
+  if (!a.failed_cells.empty() || !b.failed_cells.empty()) return false;
   if (a.series.size() != b.series.size()) return false;
   for (std::size_t k = 0; k < a.series.size(); ++k) {
     if (a.series[k].ghz != b.series[k].ghz) return false;
@@ -42,45 +45,47 @@ bool answers_match(const aqua::FreqVsChipsData& a,
   return true;
 }
 
-void report_config(const std::string& tag, const aqua::ChipModel& chip,
+/// Runs one configuration under both preconditioners; true when every
+/// cap agrees.
+bool report_config(const std::string& tag, const aqua::ChipModel& chip,
                    std::size_t max_chips, aqua::Table& table,
                    aqua::bench::JsonReport& report) {
   const SweepRun jacobi =
       run_sweep(chip, max_chips, aqua::PreconditionerKind::kJacobi);
-  const SweepRun mg =
-      run_sweep(chip, max_chips, aqua::PreconditionerKind::kMultigrid);
+  const SweepRun spectral =
+      run_sweep(chip, max_chips, aqua::PreconditionerKind::kSpectral);
 
-  const bool agree = answers_match(jacobi.data, mg.data);
+  const bool agree = answers_match(jacobi.data, spectral.data);
   const aqua::obs::WorkTally& jacobi_work = jacobi.data.cost.sum.work;
-  const aqua::obs::WorkTally& mg_work = mg.data.cost.sum.work;
+  const aqua::obs::WorkTally& spectral_work = spectral.data.cost.sum.work;
   const double iter_ratio =
-      mg_work.cg_iterations > 0
+      spectral_work.cg_iterations > 0
           ? static_cast<double>(jacobi_work.cg_iterations) /
-                static_cast<double>(mg_work.cg_iterations)
+                static_cast<double>(spectral_work.cg_iterations)
           : 0.0;
 
-  for (const auto* run : {&jacobi, &mg}) {
-    const bool is_mg = run == &mg;
+  for (const auto* run : {&jacobi, &spectral}) {
     const aqua::obs::WorkTally& work = run->data.cost.sum.work;
     table.row()
         .add(tag)
-        .add(is_mg ? "multigrid" : "jacobi")
+        .add(run == &spectral ? "spectral" : "jacobi")
         .add_int(static_cast<long long>(work.solves))
         .add_int(static_cast<long long>(work.cg_iterations))
-        .add_int(static_cast<long long>(work.vcycles))
+        .add_int(static_cast<long long>(work.precond_applies))
         .add(static_cast<double>(work.solver_ns) * 1e-9, 3)
         .add(run->seconds, 3);
   }
 
   report.add_stats(tag + "_jacobi", jacobi_work);
   report.add(tag + "_jacobi_sweep_seconds", jacobi.seconds, 3);
-  report.add_stats(tag + "_multigrid", mg_work);
-  report.add(tag + "_multigrid_sweep_seconds", mg.seconds, 3);
+  report.add_stats(tag + "_spectral", spectral_work);
+  report.add(tag + "_spectral_sweep_seconds", spectral.seconds, 3);
   report.add(tag + "_iteration_ratio", iter_ratio, 2);
   report.add(tag + "_answers_match", agree);
 
   std::cout << tag << ": " << (agree ? "answers match" : "ANSWERS DIFFER")
-            << ", jacobi/multigrid iteration ratio = " << iter_ratio << "x\n";
+            << ", jacobi/spectral iteration ratio = " << iter_ratio << "x\n";
+  return agree;
 }
 
 // ------------------------------------------------------- micro-timings ----
@@ -127,9 +132,9 @@ void microbench_steady_jacobi(benchmark::State& state) {
 BENCHMARK(microbench_steady_jacobi)->Arg(2)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
-void microbench_steady_multigrid(benchmark::State& state) {
+void microbench_steady_spectral(benchmark::State& state) {
   SteadyProblem p = make_steady(static_cast<std::size_t>(state.range(0)),
-                                aqua::PreconditionerKind::kMultigrid);
+                                aqua::PreconditionerKind::kSpectral);
   bool hi = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -137,22 +142,29 @@ void microbench_steady_multigrid(benchmark::State& state) {
     hi = !hi;
   }
 }
-BENCHMARK(microbench_steady_multigrid)->Arg(2)->Arg(8)->Unit(
+BENCHMARK(microbench_steady_spectral)->Arg(2)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  aqua::bench::banner("Solver", "multigrid vs. Jacobi preconditioning on the "
+  aqua::bench::banner("Solver", "spectral vs. Jacobi preconditioning on the "
                                 "Fig. 7/8 stack sweeps");
-  aqua::Table t({"config", "preconditioner", "solves", "cg_iters", "vcycles",
+  aqua::Table t({"config", "preconditioner", "solves", "cg_iters", "applies",
                  "solve_s", "sweep_s"});
   aqua::bench::JsonReport report("solver");
-  report_config("fig07_lowpower", aqua::make_low_power_cmp(), 14, t, report);
-  report_config("fig08_highfreq", aqua::make_high_frequency_cmp(), 15, t,
-                report);
+  bool agree =
+      report_config("fig07_lowpower", aqua::make_low_power_cmp(), 14, t, report);
+  agree = report_config("fig08_highfreq", aqua::make_high_frequency_cmp(), 15,
+                        t, report) &&
+          agree;
   std::cout << '\n';
   t.print(std::cout);
   report.write();
+  if (!agree) {
+    std::cerr << "perf_solver: a frequency cap differs between the "
+                 "preconditioners\n";
+    return 1;
+  }
   return aqua::bench::run_microbenchmarks(argc, argv);
 }

@@ -20,7 +20,8 @@ struct GlobalSolverCounters {
   obs::Counter& solves = obs::Registry::instance().counter("solver.solves");
   obs::Counter& iterations =
       obs::Registry::instance().counter("solver.cg_iterations");
-  obs::Counter& vcycles = obs::Registry::instance().counter("solver.vcycles");
+  obs::Counter& precond_applies =
+      obs::Registry::instance().counter("solver.precond_applies");
   obs::Counter& wall_ns = obs::Registry::instance().counter("solver.wall_ns");
   obs::Counter& fallbacks =
       obs::Registry::instance().counter("solver.fallbacks");
@@ -88,10 +89,8 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
   require(b.size() == a.rows(), "solve_cg: rhs dimension mismatch");
   const std::size_t n = b.size();
   const auto start = std::chrono::steady_clock::now();
-  // The preconditioner runs on this thread, so the V-cycles it applies
-  // during the solve show up in this thread's tally.
   obs::WorkTally& work = obs::thread_work();
-  const std::uint64_t vcycles_before = work.vcycles;
+  std::uint64_t applies = 0;
 
   SolveResult out;
   out.x = x0.empty() ? std::vector<double>(n, 0.0) : std::move(x0);
@@ -104,12 +103,13 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
             .count());
     work.solves += 1;
     work.cg_iterations += result.iterations;
+    work.precond_applies += applies;
     work.solver_ns += wall_ns;
     if (result.breakdown) work.breakdowns += 1;
     GlobalSolverCounters& global = global_solver_counters();
     global.solves.add(1);
     global.iterations.add(result.iterations);
-    global.vcycles.add(work.vcycles - vcycles_before);
+    global.precond_applies.add(applies);
     if (result.breakdown) global.breakdowns.add(1);
     global.wall_ns.add(wall_ns);
     obs::Registry& registry = obs::Registry::instance();
@@ -138,10 +138,9 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
   std::vector<double> r;
   residual_into(a, b, out.x, r);
   std::vector<double> z(n);
-  preconditioner->apply(r, z);
-  std::vector<double> p = z;
+  std::vector<double> p(n);
   std::vector<double> ap(n);
-  double rz = dot(r, z);
+  double rz = 0.0;
   // ||r||^2 is maintained from the update recurrence below instead of an
   // extra O(n) norm pass per iteration.
   double rr = dot(r, r);
@@ -169,6 +168,19 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
       out.iterations = it;
       return finish(std::move(out));
     }
+    // The search direction is built only once the residual misses the
+    // target, so a converged solve applies the preconditioner exactly
+    // once per iteration.
+    preconditioner->apply(r, z);
+    ++applies;
+    const double rz_next = dot(r, z);
+    if (it == 0) {
+      p = z;
+    } else {
+      const double beta = rz_next / rz;
+      for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    }
+    rz = rz_next;
     a.multiply(p, ap);
     const double pap = dot(p, ap);
     if (!(pap > 0.0)) {  // negated compare also catches NaN curvature
@@ -191,11 +203,6 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
     } else if (rr > kDivergenceFactor * best_rr) {
       return break_down(it + 1, "solve_cg: divergence detected");
     }
-    preconditioner->apply(r, z);
-    const double rz_next = dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
   }
 
   out.iterations = options.max_iterations;

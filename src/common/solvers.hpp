@@ -8,8 +8,8 @@
 /// path's StencilMatrix; CG uses only its product and diagonal.
 /// Preconditioning is pluggable through the `Preconditioner` interface:
 /// Jacobi (diagonal scaling) is the robust default for small systems, and
-/// the geometric multigrid V-cycle (common/multigrid.hpp) is the
-/// production choice for the 3-D stack grids.
+/// the exact layered DCT solve (common/spectral.hpp) is the production
+/// choice for the 3-D stack grids.
 /// Gauss-Seidel is kept as a reference and for the solver-ablation bench.
 
 #include <cstddef>
@@ -60,7 +60,7 @@ struct SolveResult {
   bool degraded = false;
   /// Solve attempts consumed (1 unless a fallback chain ran).
   std::uint32_t attempts = 1;
-  /// Human-readable attempt chain, e.g. "multigrid>jacobi" (the resilient
+  /// Human-readable attempt chain, e.g. "spectral>jacobi" (the resilient
   /// path fills this; a plain solve_cg leaves it empty).
   std::string attempt_chain;
 };
@@ -77,10 +77,12 @@ struct SolverOptions {
 
 /// Preconditioned conjugate gradients for SPD systems.
 /// `x0` (optional) provides a warm start; pass an empty vector for zeros.
-/// `preconditioner` defaults to Jacobi when null. Every solve adds its
-/// count, iterations, wall time and the V-cycles its preconditioner
-/// applied to the process-wide `solver.*` registry counters and its
-/// solve, iteration and wall time to the calling thread's obs::WorkTally.
+/// `preconditioner` defaults to Jacobi when null. The preconditioner is
+/// applied once per iteration and never after the residual meets the
+/// target, so a converged solve applies it `iterations` times. Every solve
+/// adds its count, iterations, preconditioner applications and wall time
+/// to the process-wide `solver.*` registry counters and to the calling
+/// thread's obs::WorkTally.
 SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
                      const SolverOptions& options = {},
                      std::vector<double> x0 = {},
@@ -96,7 +98,7 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
 /// breakdown counts in the `solver.*` counters and the thread's
 /// obs::WorkTally, and a "fault_absorbed"/"degraded_result" run-report
 /// record is emitted per fallback. `label` names attempt 1 in the chain
-/// (e.g. "multigrid").
+/// (e.g. "spectral").
 SolveResult solve_cg_resilient(const StencilMatrix& a,
                                const std::vector<double>& b,
                                const SolverOptions& options = {},

@@ -2,12 +2,12 @@
 
 /// Seven-point stencil operator on a structured box grid.
 ///
-/// The thermal stack matrix and every multigrid level built from it couple
-/// each node only to its six face neighbours, so the operator is stored as
-/// seven band arrays instead of CSR: no column indices, no row pointers,
-/// and an SpMV that streams the bands. The bands follow the CSR column
-/// order of a row, -plane, -nx, -1, diag, +1, +nx, +plane, and an off-grid
-/// neighbour has a +0.0 coefficient.
+/// The thermal stack matrix couples each node only to its six face
+/// neighbours, so the operator is stored as seven band arrays instead of
+/// CSR: no column indices, no row pointers, and an SpMV that streams the
+/// bands. The bands follow the CSR column order of a row, -plane, -nx,
+/// -1, diag, +1, +nx, +plane, and an off-grid neighbour has a +0.0
+/// coefficient.
 ///
 /// Bit-identity with CSR: a row's product sums its seven terms from +0.0
 /// in that order. An off-grid term is multiplied by a 0.0 stand-in, never
@@ -85,15 +85,14 @@ class StencilMatrix {
   /// y = A * x. `y` must already have rows() elements and not alias `x`.
   void multiply(std::span<const double> x, std::span<double> y) const;
 
-  /// y[0, nx) = (A * x) over grid row (layer, iy), the building block of
-  /// the fused multigrid passes. `x` is the whole vector; `y` must not
-  /// alias it. Sums exactly as multiply() does.
-  void multiply_row(std::size_t layer, std::size_t iy, const double* x,
-                    double* y) const;
-
   [[nodiscard]] std::vector<double> diagonal() const;
 
  private:
+  /// y[0, nx) = (A * x) over grid row (layer, iy); `x` is the whole
+  /// vector.
+  void multiply_row(std::size_t layer, std::size_t iy, const double* x,
+                    double* y) const;
+
   GridShape shape_;
   /// Distance between band starts: the node count padded so that the seven
   /// streams do not start at the same cache-set offset.

@@ -32,7 +32,7 @@ void report_experiment(const char* name,
         .add("seconds", seconds)
         .add("solves", cost.sum.work.solves)
         .add("cg_iterations", cost.sum.work.cg_iterations)
-        .add("vcycles", cost.sum.work.vcycles);
+        .add("precond_applies", cost.sum.work.precond_applies);
   });
 }
 

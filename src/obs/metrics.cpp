@@ -168,7 +168,7 @@ std::string Registry::to_json() const {
 WorkTally& WorkTally::operator+=(const WorkTally& other) {
   solves += other.solves;
   cg_iterations += other.cg_iterations;
-  vcycles += other.vcycles;
+  precond_applies += other.precond_applies;
   solver_ns += other.solver_ns;
   fallbacks += other.fallbacks;
   breakdowns += other.breakdowns;
@@ -180,7 +180,7 @@ WorkTally WorkTally::operator-(const WorkTally& before) const {
   WorkTally d;
   d.solves = solves - before.solves;
   d.cg_iterations = cg_iterations - before.cg_iterations;
-  d.vcycles = vcycles - before.vcycles;
+  d.precond_applies = precond_applies - before.precond_applies;
   d.solver_ns = solver_ns - before.solver_ns;
   d.fallbacks = fallbacks - before.fallbacks;
   d.breakdowns = breakdowns - before.breakdowns;

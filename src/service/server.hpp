@@ -67,6 +67,15 @@ struct ServerConfig {
   static ServerConfig from_env();
 };
 
+/// The CPUs the calling thread may run on (sched_getaffinity), in
+/// ascending order; empty when the mask cannot be read.
+std::vector<int> allowed_cpus();
+
+/// The CPU worker slot `slot` pins itself to: the (slot mod n)-th of the
+/// n CPUs in `allowed`, so up to n workers get distinct CPUs and more
+/// wrap around. -1 (run unpinned) when `allowed` is empty.
+int worker_cpu(const std::vector<int>& allowed, std::size_t slot);
+
 class SweepServer {
  public:
   explicit SweepServer(ServerConfig config);
@@ -75,8 +84,11 @@ class SweepServer {
   SweepServer(const SweepServer&) = delete;
   SweepServer& operator=(const SweepServer&) = delete;
 
-  /// Binds, listens and spawns the accept loop + worker pool. Throws
-  /// aqua::Error when the address cannot be bound.
+  /// Binds, listens and spawns the accept loop + worker pool. Worker slot
+  /// i pins itself to worker_cpu(allowed_cpus(), i), read on the calling
+  /// thread, and names itself `aqua-worker-<i>`; a worker whose pinning
+  /// fails runs unpinned. Throws aqua::Error when the address cannot be
+  /// bound.
   void start();
 
   /// The bound port (after start; useful with port 0).

@@ -6,8 +6,8 @@ std::string_view preconditioner_name(PreconditionerKind kind) {
   switch (kind) {
     case PreconditionerKind::kJacobi:
       return "jacobi";
-    case PreconditionerKind::kMultigrid:
-      return "multigrid";
+    case PreconditionerKind::kSpectral:
+      return "spectral";
   }
   return "unknown";
 }

@@ -28,7 +28,7 @@
 
 namespace aqua::sweep {
 
-/// Stable name for the preconditioner field ("multigrid" / "jacobi").
+/// Stable name for the preconditioner field ("spectral" / "jacobi").
 std::string_view preconditioner_name(PreconditionerKind kind);
 
 /// Materializes the discretization fields every thermal cell carries.

@@ -270,7 +270,7 @@ void SweepRunner::record_cost(const std::string& cell, CellSource source,
         .add("apply_us", cost.apply_us)
         .add("solves", cost.work.solves)
         .add("cg_iterations", cost.work.cg_iterations)
-        .add("vcycles", cost.work.vcycles)
+        .add("precond_applies", cost.work.precond_applies)
         .add("des_events", cost.work.des_events);
   });
 }

@@ -247,13 +247,11 @@ void StackThermalModel::assemble() {
 }
 
 const Preconditioner* StackThermalModel::preconditioner() {
-  if (options_.preconditioner != PreconditionerKind::kMultigrid) {
+  if (options_.preconditioner != PreconditionerKind::kSpectral) {
     return nullptr;  // solve_cg falls back to Jacobi
   }
-  if (!multigrid_) {
-    multigrid_ = std::make_unique<MultigridPreconditioner>(matrix_);
-  }
-  return multigrid_.get();
+  if (!spectral_) spectral_ = std::make_unique<SpectralPreconditioner>(matrix_);
+  return spectral_.get();
 }
 
 std::vector<double> StackThermalModel::power_vector(
@@ -280,11 +278,11 @@ ThermalSolution StackThermalModel::solve_steady(
   const std::vector<double> rhs = power_vector(layer_block_powers);
   // Resilient solve from x0 = 0, never from an earlier solution: the first
   // attempt runs the configured solver exactly; breakdown/divergence falls
-  // back multigrid -> jacobi -> relaxed jacobi (DESIGN.md §8).
+  // back spectral -> jacobi -> relaxed jacobi (DESIGN.md §8).
   const Preconditioner* precond = preconditioner();
   last_solve_ =
       solve_cg_resilient(matrix_, rhs, options_.solver, precond,
-                         precond != nullptr ? "multigrid" : "jacobi");
+                         precond != nullptr ? "spectral" : "jacobi");
   ensure(last_solve_.converged, "steady-state thermal solve did not converge");
 
   std::vector<double> temps = last_solve_.x;

@@ -27,8 +27,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/multigrid.hpp"
 #include "common/solvers.hpp"
+#include "common/spectral.hpp"
 #include "common/stencil.hpp"
 #include "floorplan/stack.hpp"
 #include "thermal/package.hpp"
@@ -37,8 +37,8 @@ namespace aqua {
 
 /// Which preconditioner drives the steady-state CG solve.
 enum class PreconditionerKind {
-  kJacobi,     ///< diagonal scaling (reference / tiny grids)
-  kMultigrid,  ///< geometric V-cycle over the structured grid (default)
+  kJacobi,    ///< diagonal scaling (reference)
+  kSpectral,  ///< exact layered DCT / tridiagonal solve (default)
 };
 
 /// Grid cells per die side accepted from outside the process: the
@@ -51,7 +51,7 @@ struct GridOptions {
   std::size_t nx = 32;  ///< cells across the die width
   std::size_t ny = 32;  ///< cells across the die height
   SolverOptions solver{};
-  PreconditionerKind preconditioner = PreconditionerKind::kMultigrid;
+  PreconditionerKind preconditioner = PreconditionerKind::kSpectral;
 };
 
 /// The temperature field produced by a solve. All values in deg C.
@@ -97,10 +97,9 @@ class ThermalSolution {
 ///
 /// Typical use: construct once per (stack, boundary, grid) configuration,
 /// then call `solve_steady` with one or more power maps (e.g. across a VFS
-/// sweep); the matrix, multigrid hierarchy and heat capacities are reused
-/// across those solves, never changing an answer, because every solve
-/// starts from x0 = 0. Neither copyable nor movable: the multigrid
-/// hierarchy reads the model's matrix in place.
+/// sweep); the matrix, spectral preconditioner and heat capacities are
+/// reused across those solves, never changing an answer, because every
+/// solve starts from x0 = 0. Neither copyable nor movable.
 class StackThermalModel {
  public:
   /// Throws, before allocating the grid, unless nx, ny >= 2 and the
@@ -128,7 +127,8 @@ class StackThermalModel {
   [[nodiscard]] const StencilMatrix& conductance() const { return matrix_; }
 
   /// Grid topology of the assembled system (die layers + spreader +
-  /// heatsink on the nx x ny plane) — what the multigrid coarsening needs.
+  /// heatsink on the nx x ny plane) — the layers the spectral solve
+  /// transforms.
   [[nodiscard]] GridShape grid_shape() const {
     return {options_.nx, options_.ny, stack_.layer_count() + 2};
   }
@@ -178,8 +178,8 @@ class StackThermalModel {
   std::vector<double> capacities_;
   SolveResult last_solve_;
 
-  // Multigrid hierarchy, built on the first multigrid solve.
-  std::unique_ptr<MultigridPreconditioner> multigrid_;
+  // Spectral preconditioner, built on the first spectral solve.
+  std::unique_ptr<SpectralPreconditioner> spectral_;
 
   // Per-cell conductances of the two ambient boundaries (uniform).
   double top_g_per_cell_ = 0.0;

@@ -229,6 +229,45 @@ TEST(Solvers, ResilientDivergenceIsCaught) {
   for (double v : r.x) EXPECT_TRUE(std::isfinite(v));
 }
 
+TEST(Solvers, CountsPreconditionerApplies) {
+  // The preconditioner runs once per iteration and not again once the
+  // updated residual meets the target: a converged solve applies it
+  // exactly `iterations` times, whatever the preconditioner.
+  const StencilMatrix a = grid_laplacian(12);
+  const std::vector<double> b(a.rows(), 1.0);
+  const JacobiPreconditioner jacobi(a);
+  for (const Preconditioner* precond :
+       {static_cast<const Preconditioner*>(nullptr),
+        static_cast<const Preconditioner*>(&jacobi)}) {
+    const obs::WorkTally start = obs::thread_work();
+    const SolveResult r = solve_cg(a, b, {}, {}, precond);
+    ASSERT_TRUE(r.converged);
+    ASSERT_GT(r.iterations, 1u);
+    EXPECT_EQ((obs::thread_work() - start).precond_applies, r.iterations);
+  }
+  // A warm start that already meets the target applies nothing.
+  const SolveResult exact = solve_cg(a, b);
+  const obs::WorkTally start = obs::thread_work();
+  const SolveResult again = solve_cg(a, b, {}, exact.x);
+  EXPECT_EQ(again.iterations, 0u);
+  EXPECT_EQ((obs::thread_work() - start).precond_applies, 0u);
+}
+
+TEST(Solvers, WorkTallyAccumulates) {
+  const StencilMatrix a = grid_laplacian(8);
+  const std::vector<double> b(a.rows(), 1.0);
+  const obs::WorkTally start = obs::thread_work();
+  const SolveResult r1 = solve_cg(a, b);
+  const SolveResult r2 = solve_cg(a, b);
+  ASSERT_TRUE(r1.converged);
+  ASSERT_TRUE(r2.converged);
+  const obs::WorkTally work = obs::thread_work() - start;
+  EXPECT_EQ(work.solves, 2u);
+  EXPECT_EQ(work.cg_iterations, r1.iterations + r2.iterations);
+  EXPECT_EQ(work.precond_applies, work.cg_iterations);
+  EXPECT_EQ(work.breakdowns, 0u);
+}
+
 TEST(Solvers, Norm2) {
   EXPECT_DOUBLE_EQ(norm2({3.0, 4.0}), 5.0);
   EXPECT_DOUBLE_EQ(norm2({}), 0.0);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/multigrid.hpp"
 #include "common/rng.hpp"
 #include "common/solvers.hpp"
 #include "support/csr_oracle.hpp"
@@ -20,8 +19,7 @@ namespace {
 
 /// A random 7-point operator on `g` (non-symmetric unless asked),
 /// assembled pairwise by the CSR oracle, so the CSR is independent of the
-/// stencil code. The diagonal dominates, so every multigrid level has a
-/// positive diagonal.
+/// stencil code. The diagonal dominates.
 oracle::Csr random_stencil_csr(const GridShape& g, std::uint64_t seed,
                                bool symmetric = false) {
   oracle::Coo b(g.nodes());
@@ -96,28 +94,8 @@ TEST(Stencil, MultiplyMatchesCsrBitwise) {
       x.back() = -std::numeric_limits<double>::infinity();
       x[x.size() / 2] = std::numeric_limits<double>::quiet_NaN();
       ASSERT_TRUE(multiply_matches(stencil, csr, x));
-
-      // Every multigrid level, down to the single-row ones (9x2 -> 5x1).
-      const MultigridPreconditioner mg(stencil);
-      for (std::size_t l = 0; l < mg.level_count(); ++l) {
-        const StencilMatrix& level = mg.level_operator(l);
-        SCOPED_TRACE("level " + std::to_string(l) + " " +
-                     shape_name(level.shape()));
-        std::vector<double> xl(level.rows());
-        for (double& v : xl) v = rng.uniform(-1.0, 1.0);
-        ASSERT_TRUE(multiply_matches(level, oracle::to_csr(level), xl));
-      }
     }
   }
-}
-
-TEST(Stencil, CoarseningReachesSingleRowLevels) {
-  const GridShape g{9, 2, 3};
-  const StencilMatrix a = oracle::to_stencil(random_stencil_csr(g, 1), g);
-  const MultigridPreconditioner mg(a);
-  ASSERT_EQ(mg.level_count(), 3u);
-  EXPECT_EQ(mg.level_operator(1).shape(), (GridShape{5, 1, 3}));
-  EXPECT_EQ(mg.level_operator(2).shape(), (GridShape{3, 1, 3}));
 }
 
 TEST(Stencil, ToCsrRoundTripsTheBuilder) {
@@ -214,14 +192,14 @@ TEST(Stencil, NonFiniteRhsFollowsTheCsrAttemptChain) {
       EXPECT_EQ(jacobi.iterations, 0u);
       EXPECT_FALSE(jacobi.converged);
 
-      // The multigrid-preconditioned path breaks down at the same point
-      // and falls back the same way.
-      const MultigridPreconditioner mg(stencil);
-      const SolveResult via_mg =
-          solve_cg_resilient(stencil, b, options, &mg, "multigrid");
-      EXPECT_EQ(via_mg.attempt_chain, "multigrid>jacobi>jacobi-relaxed");
-      EXPECT_EQ(via_mg.breakdown, jacobi.breakdown);
-      EXPECT_EQ(via_mg.iterations, jacobi.iterations);
+      // A caller-given preconditioner breaks down at the same point and
+      // falls back the same way.
+      const JacobiPreconditioner given(stencil);
+      const SolveResult via_given =
+          solve_cg_resilient(stencil, b, options, &given, "given");
+      EXPECT_EQ(via_given.attempt_chain, "given>jacobi>jacobi-relaxed");
+      EXPECT_EQ(via_given.breakdown, jacobi.breakdown);
+      EXPECT_EQ(via_given.iterations, jacobi.iterations);
     }
   }
   // A poisoned warm start next to a grid corner reaches the first

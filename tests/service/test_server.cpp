@@ -6,9 +6,14 @@
 /// nothing is mocked.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -104,11 +109,103 @@ class RawConn {
   FrameDecoder decoder_;
 };
 
+/// slot -> CPU mask of every live `aqua-worker-<slot>` thread of this
+/// process, read from /proc/self/task.
+std::map<std::size_t, std::vector<int>> worker_masks() {
+  std::map<std::size_t, std::vector<int>> out;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (!std::getline(comm, name) || name.rfind("aqua-worker-", 0) != 0) {
+      continue;
+    }
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    const pid_t tid = std::stoi(task.path().filename().string());
+    if (sched_getaffinity(tid, sizeof(set), &set) != 0) continue;
+    std::vector<int>& cpus = out[std::stoul(name.substr(12))];
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+    }
+  }
+  return out;
+}
+
+/// Waits up to 5 s for `workers` worker threads to have named themselves
+/// (each pins itself first).
+std::map<std::size_t, std::vector<int>> wait_for_workers(std::size_t workers) {
+  std::map<std::size_t, std::vector<int>> masks = worker_masks();
+  for (int i = 0; i < 500 && masks.size() < workers; ++i) {
+    sleep_ms(10);
+    masks = worker_masks();
+  }
+  return masks;
+}
+
 std::string ping_frame(std::uint64_t id) {
   Request ping;
   ping.op = Request::Op::kPing;
   ping.id = id;
   return encode_frame(encode_request(ping));
+}
+
+TEST(WorkerPlacement, SlotsSpreadOverTheAllowedCpus) {
+  // Distinct CPUs while the workers fit, then wrap-around.
+  const std::vector<int> four{0, 1, 2, 3};
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    EXPECT_EQ(worker_cpu(four, slot), static_cast<int>(slot));
+  }
+  EXPECT_EQ(worker_cpu(four, 4), 0);
+  EXPECT_EQ(worker_cpu(four, 7), 3);
+  // A restricted mask: only its CPUs, in ascending order.
+  const std::vector<int> restricted{2, 5, 7};
+  EXPECT_EQ(worker_cpu(restricted, 0), 2);
+  EXPECT_EQ(worker_cpu(restricted, 1), 5);
+  EXPECT_EQ(worker_cpu(restricted, 2), 7);
+  EXPECT_EQ(worker_cpu(restricted, 3), 2);
+  // No readable mask: run unpinned.
+  EXPECT_EQ(worker_cpu({}, 0), -1);
+
+  const std::vector<int> allowed = allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  EXPECT_TRUE(std::is_sorted(allowed.begin(), allowed.end()));
+}
+
+TEST_F(ServerTest, WorkerThreadsRunOnTheirSlotsCpu) {
+  const std::vector<int> allowed = allowed_cpus();
+  ServerConfig config;
+  config.workers = allowed.size() + 1;  // one wraps around
+  start(config);
+  const auto masks = wait_for_workers(config.workers);
+  ASSERT_EQ(masks.size(), config.workers);
+  for (const auto& [slot, cpus] : masks) {
+    EXPECT_EQ(cpus, std::vector<int>{worker_cpu(allowed, slot)})
+        << "worker " << slot;
+  }
+}
+
+TEST_F(ServerTest, WorkersStayInsideARestrictedMask) {
+  // A server started from a thread confined to one CPU places all of its
+  // workers there.
+  const std::vector<int> allowed = allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  const int only = allowed.back();
+  std::thread starter([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(only, &set);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(set), &set), 0);
+    ServerConfig config;
+    config.workers = 2;
+    start(config);
+  });
+  starter.join();
+  const auto masks = wait_for_workers(2);
+  ASSERT_EQ(masks.size(), 2u);
+  for (const auto& [slot, cpus] : masks) {
+    EXPECT_EQ(cpus, std::vector<int>{only}) << "worker " << slot;
+  }
 }
 
 TEST_F(ServerTest, SubmitComputesThenServesSingleFlight) {

@@ -85,7 +85,7 @@ TEST(CellKey, BuildersMaterializeGridDefaults) {
   spelled.ny = 32;
   spelled.solver.tolerance = GridOptions{}.solver.tolerance;
   spelled.solver.max_iterations = GridOptions{}.solver.max_iterations;
-  spelled.preconditioner = PreconditionerKind::kMultigrid;
+  spelled.preconditioner = PreconditionerKind::kSpectral;
 
   const CellConfig a = freq_cap_cell("low_power", 4, "water", 80.0, {});
   const CellConfig b = freq_cap_cell("low_power", 4, "water", 80.0, spelled);
@@ -177,8 +177,8 @@ TEST(CellKey, RandomDoublesRoundTripBitwise) {
 
 TEST(CellKey, SaltChangesEveryHash) {
   const CellConfig c = freq_cap_cell("low_power", 4, "water", 80.0, {});
-  EXPECT_NE(c.hash(kCellKeySalt), c.hash("aqua-sweep-v4"));
-  EXPECT_NE(c.hash_hex(kCellKeySalt), c.hash_hex("aqua-sweep-v4"));
+  EXPECT_NE(c.hash(kCellKeySalt), c.hash("aqua-sweep-v5"));
+  EXPECT_NE(c.hash_hex(kCellKeySalt), c.hash_hex("aqua-sweep-v5"));
 }
 
 TEST(CellKey, HashHexIsSixteenLowercaseDigits) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <string>
 
+#include "core/cooling.hpp"
 #include "floorplan/builders.hpp"
 #include "obs/metrics.hpp"
 #include "power/chip_model.hpp"
@@ -224,40 +228,98 @@ TEST(GridModel, ColdPlateBeatsNaturalAir) {
             air_model.solve_steady(powers).max_die_temperature_c());
 }
 
-TEST(GridModel, MultigridMatchesJacobiOnFlippedStack) {
-  // Asymmetric problem: four chips with every even layer rotated 180
-  // degrees, so the power map (and the field) has no symmetry the V-cycle
-  // could accidentally depend on.
-  const ChipModel chip = make_high_frequency_cmp();
-  const PackageConfig pkg;
-  const Stack3d stack(chip.floorplan(), 4, FlipPolicy::kFlipEven);
-
-  GridOptions jacobi = coarse_grid();
-  jacobi.preconditioner = PreconditionerKind::kJacobi;
-  GridOptions mg = coarse_grid();
-  mg.preconditioner = PreconditionerKind::kMultigrid;
-
-  StackThermalModel jacobi_model(stack, pkg, water_boundary(pkg), jacobi);
-  StackThermalModel mg_model(stack, pkg, water_boundary(pkg), mg);
-
-  const auto powers = uniform_powers(chip, stack, gigahertz(3.0));
-  const obs::WorkTally start = obs::thread_work();
-  const ThermalSolution sj = jacobi_model.solve_steady(powers);
-  const obs::WorkTally after_jacobi = obs::thread_work();
-  const ThermalSolution sm = mg_model.solve_steady(powers);
-  const obs::WorkTally jacobi_work = after_jacobi - start;
-  const obs::WorkTally mg_work = obs::thread_work() - after_jacobi;
-
-  for (std::size_t l = 0; l < sj.total_layer_count(); ++l) {
-    for (std::size_t iy = 0; iy < sj.ny(); ++iy) {
-      for (std::size_t ix = 0; ix < sj.nx(); ++ix) {
-        ASSERT_NEAR(sm.at(l, ix, iy), sj.at(l, ix, iy), 1e-5);
+/// Largest |T_a - T_b| over every node of two solutions of one grid.
+double max_abs_difference(const ThermalSolution& a, const ThermalSolution& b) {
+  double worst = 0.0;
+  for (std::size_t l = 0; l < a.total_layer_count(); ++l) {
+    for (std::size_t iy = 0; iy < a.ny(); ++iy) {
+      for (std::size_t ix = 0; ix < a.nx(); ++ix) {
+        worst = std::max(worst, std::abs(a.at(l, ix, iy) - b.at(l, ix, iy)));
       }
     }
   }
-  EXPECT_EQ(jacobi_work.vcycles, 0u);
-  EXPECT_GT(mg_work.vcycles, 0u);
-  EXPECT_LE(3 * mg_work.cg_iterations, jacobi_work.cg_iterations);
+  return worst;
+}
+
+/// The spectral solve at the default tolerance against Jacobi-CG at
+/// 1e-13, on one stack: the same field, in one CG iteration.
+void expect_spectral_matches_tight_jacobi(const ChipModel& chip,
+                                          const Stack3d& stack,
+                                          const ThermalBoundary& boundary,
+                                          GridOptions grid, Hertz f) {
+  GridOptions jacobi = grid;
+  jacobi.preconditioner = PreconditionerKind::kJacobi;
+  jacobi.solver.tolerance = 1e-13;
+  grid.preconditioner = PreconditionerKind::kSpectral;
+  const PackageConfig pkg;
+  StackThermalModel jacobi_model(stack, pkg, boundary, jacobi);
+  StackThermalModel spectral_model(stack, pkg, boundary, grid);
+
+  const auto powers = uniform_powers(chip, stack, f);
+  const ThermalSolution sj = jacobi_model.solve_steady(powers);
+  const obs::WorkTally start = obs::thread_work();
+  const ThermalSolution ss = spectral_model.solve_steady(powers);
+  const obs::WorkTally work = obs::thread_work() - start;
+
+  // 1e-8 C per 100 C of rise: the default tolerance (1e-9 on the
+  // residual) buys that on the hottest, most weakly cooled figure cells.
+  const double rise = ss.max_die_temperature_c() - boundary.ambient_c;
+  EXPECT_LE(max_abs_difference(ss, sj), 1e-8 * std::max(1.0, rise / 100.0));
+  EXPECT_EQ(spectral_model.last_solve().iterations, 1u);
+  EXPECT_EQ(work.precond_applies, 1u);
+  EXPECT_GT(jacobi_model.last_solve().iterations, 100u);
+}
+
+TEST(GridModel, SpectralMatchesJacobiOnFlippedStack) {
+  // Asymmetric problem: four chips with every even layer rotated 180
+  // degrees, so the power map (and the field) has no symmetry the
+  // transforms could accidentally depend on.
+  const ChipModel chip = make_high_frequency_cmp();
+  const PackageConfig pkg;
+  const Stack3d stack(chip.floorplan(), 4, FlipPolicy::kFlipEven);
+  expect_spectral_matches_tight_jacobi(chip, stack, water_boundary(pkg),
+                                       coarse_grid(), gigahertz(3.0));
+}
+
+TEST(GridModel, SpectralMatchesTightJacobiOnFigureStacks) {
+  // The figures' grid and their extremes at the top VFS step: the tallest
+  // stacks (Figs. 7 and 8), the weakest boundaries (air, Fig. 14's
+  // 14 W/m^2K), a cold plate, and the Xeon floorplans of Figs. 1 and 17.
+  const PackageConfig pkg;
+  const auto boundary = [&pkg](CoolingKind kind) {
+    return CoolingOption(kind).boundary(pkg);
+  };
+  ThermalBoundary htc14 = water_boundary(pkg);
+  htc14.top_htc = HeatTransferCoefficient(14.0);
+  htc14.bottom_htc = HeatTransferCoefficient(14.0);
+  struct Case {
+    ChipModel chip;
+    std::size_t chips;
+    FlipPolicy flip;
+    ThermalBoundary boundary;
+  };
+  const Case cases[] = {
+      {make_low_power_cmp(), 14, FlipPolicy::kNone,
+       boundary(CoolingKind::kWaterImmersion)},
+      {make_high_frequency_cmp(), 15, FlipPolicy::kFlipEven,
+       boundary(CoolingKind::kWaterImmersion)},
+      {make_high_frequency_cmp(), 4, FlipPolicy::kFlipEven,
+       boundary(CoolingKind::kAir)},
+      {make_high_frequency_cmp(), 7, FlipPolicy::kNone,
+       boundary(CoolingKind::kWaterPipe)},
+      {make_low_power_cmp(), 4, FlipPolicy::kNone, htc14},
+      {make_xeon_e5_2667v4(), 4, FlipPolicy::kNone,
+       boundary(CoolingKind::kAir)},
+      {make_xeon_phi_7290(), 4, FlipPolicy::kNone,
+       boundary(CoolingKind::kFluorinert)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.chip.name() + " x" + std::to_string(c.chips));
+    const Stack3d stack(c.chip.floorplan(), c.chips, c.flip);
+    expect_spectral_matches_tight_jacobi(c.chip, stack, c.boundary,
+                                         GridOptions{},
+                                         c.chip.max_frequency());
+  }
 }
 
 TEST(GridModel, ValidatesInput) {
