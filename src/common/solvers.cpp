@@ -83,7 +83,7 @@ void residual_into(const StencilMatrix& a, const std::vector<double>& b,
 }  // namespace
 
 SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
-                     const SolverOptions& options, std::vector<double> x0,
+                     const SolverOptions& options,
                      const Preconditioner* preconditioner) {
   AQUA_TRACE_SCOPE_C("solver.cg", "solver");
   require(b.size() == a.rows(), "solve_cg: rhs dimension mismatch");
@@ -93,8 +93,7 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
   std::uint64_t applies = 0;
 
   SolveResult out;
-  out.x = x0.empty() ? std::vector<double>(n, 0.0) : std::move(x0);
-  require(out.x.size() == n, "solve_cg: warm start dimension mismatch");
+  out.x.assign(n, 0.0);
 
   const auto finish = [&](SolveResult&& result) {
     const std::uint64_t wall_ns = static_cast<std::uint64_t>(
@@ -123,7 +122,6 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
 
   const double bnorm = norm2(b);
   if (bnorm == 0.0) {
-    out.x.assign(n, 0.0);
     out.converged = true;
     return finish(std::move(out));
   }
@@ -237,7 +235,7 @@ SolveResult solve_cg_resilient(const StencilMatrix& a,
   SolverOptions opts = options;
   opts.throw_on_breakdown = false;
 
-  SolveResult first = solve_cg(a, b, opts, {}, preconditioner);
+  SolveResult first = solve_cg(a, b, opts, preconditioner);
   first.attempt_chain = label ? label : (preconditioner ? "custom" : "jacobi");
   if (first.converged) return first;
 
@@ -251,7 +249,7 @@ SolveResult solve_cg_resilient(const StencilMatrix& a,
   if (preconditioner != nullptr) {
     count_fallback();
     report_solver_fallback(first, "jacobi_restart");
-    SolveResult second = solve_cg(a, b, opts, {}, nullptr);
+    SolveResult second = solve_cg(a, b, opts, nullptr);
     second.attempts = first.attempts + 1;
     second.attempt_chain = first.attempt_chain + ">jacobi";
     if (second.converged) return second;
@@ -267,7 +265,7 @@ SolveResult solve_cg_resilient(const StencilMatrix& a,
   SolverOptions relaxed = opts;
   relaxed.tolerance = opts.tolerance * 100.0;
   relaxed.max_iterations = opts.max_iterations * 4;
-  SolveResult last = solve_cg(a, b, relaxed, {}, nullptr);
+  SolveResult last = solve_cg(a, b, relaxed, nullptr);
   last.attempts = first.attempts + 1;
   last.attempt_chain = first.attempt_chain + ">jacobi-relaxed";
   last.degraded = last.converged;

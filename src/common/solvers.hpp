@@ -7,9 +7,9 @@
 /// conjugate gradients is the workhorse. Every solver runs on the thermal
 /// path's StencilMatrix; CG uses only its product and diagonal.
 /// Preconditioning is pluggable through the `Preconditioner` interface:
-/// Jacobi (diagonal scaling) is the robust default for small systems, and
-/// the exact layered DCT solve (common/spectral.hpp) is the production
-/// choice for the 3-D stack grids.
+/// every thermal solve, steady and transient, runs the exact layered DCT
+/// solve (common/spectral.hpp); Jacobi (diagonal scaling) is the fallback
+/// of solve_cg_resilient and the tests' reference.
 /// Gauss-Seidel is kept as a reference and for the solver-ablation bench.
 
 #include <cstddef>
@@ -75,8 +75,7 @@ struct SolverOptions {
   bool throw_on_breakdown = true;
 };
 
-/// Preconditioned conjugate gradients for SPD systems.
-/// `x0` (optional) provides a warm start; pass an empty vector for zeros.
+/// Preconditioned conjugate gradients for SPD systems, from x = 0.
 /// `preconditioner` defaults to Jacobi when null. The preconditioner is
 /// applied once per iteration and never after the residual meets the
 /// target, so a converged solve applies it `iterations` times. Every solve
@@ -85,15 +84,14 @@ struct SolverOptions {
 /// thread's obs::WorkTally.
 SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
                      const SolverOptions& options = {},
-                     std::vector<double> x0 = {},
                      const Preconditioner* preconditioner = nullptr);
 
 /// Degradation wrapper around solve_cg (DESIGN.md §8): attempt 1 runs
-/// exactly as asked from a zero start (bit-identical to a plain solve_cg
-/// when it succeeds); on breakdown, divergence or non-convergence it falls
-/// back to plain Jacobi-CG when the caller gave a preconditioner (it may
-/// be the poison), and finally to a relaxed-tolerance Jacobi-CG retry
-/// with a 4x iteration budget whose success is flagged as degraded. The
+/// exactly as asked (bit-identical to a plain solve_cg when it succeeds);
+/// on breakdown, divergence or non-convergence it falls back to plain
+/// Jacobi-CG when the caller gave a preconditioner (it may be the
+/// poison), and finally to a relaxed-tolerance Jacobi-CG retry with a 4x
+/// iteration budget whose success is flagged as degraded. The
 /// attempt chain is recorded in SolveResult::attempt_chain, fallback and
 /// breakdown counts in the `solver.*` counters and the thread's
 /// obs::WorkTally, and a "fault_absorbed"/"degraded_result" run-report

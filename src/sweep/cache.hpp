@@ -9,7 +9,7 @@
 ///     bit-identical behavior to an uncached build.
 ///
 /// Record shape (one JSON object per line, flushed per store):
-///   {"kind":"sweep_cache","salt":"aqua-sweep-v3","hash":"<16 hex>",
+///   {"kind":"sweep_cache","salt":"<kCellKeySalt>","hash":"<16 hex>",
 ///    "cell":"<canonical CellConfig>","v_seconds":12.5,...}
 ///
 /// The file is loaded leniently: lines that do not parse, records whose

@@ -2,22 +2,11 @@
 
 namespace aqua::sweep {
 
-std::string_view preconditioner_name(PreconditionerKind kind) {
-  switch (kind) {
-    case PreconditionerKind::kJacobi:
-      return "jacobi";
-    case PreconditionerKind::kSpectral:
-      return "spectral";
-  }
-  return "unknown";
-}
-
 void set_grid_fields(CellConfig& config, const GridOptions& grid) {
   config.set("grid_nx", grid.nx)
       .set("grid_ny", grid.ny)
       .set("solver_tol", grid.solver.tolerance)
-      .set("solver_max_iter", grid.solver.max_iterations)
-      .set("precond", preconditioner_name(grid.preconditioner));
+      .set("solver_max_iter", grid.solver.max_iterations);
 }
 
 CellConfig freq_cap_cell(std::string_view chip, std::size_t chips,

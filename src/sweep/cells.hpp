@@ -28,9 +28,6 @@
 
 namespace aqua::sweep {
 
-/// Stable name for the preconditioner field ("spectral" / "jacobi").
-std::string_view preconditioner_name(PreconditionerKind kind);
-
 /// Materializes the discretization fields every thermal cell carries.
 void set_grid_fields(CellConfig& config, const GridOptions& grid);
 

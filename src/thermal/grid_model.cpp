@@ -246,14 +246,6 @@ void StackThermalModel::assemble() {
   }
 }
 
-const Preconditioner* StackThermalModel::preconditioner() {
-  if (options_.preconditioner != PreconditionerKind::kSpectral) {
-    return nullptr;  // solve_cg falls back to Jacobi
-  }
-  if (!spectral_) spectral_ = std::make_unique<SpectralPreconditioner>(matrix_);
-  return spectral_.get();
-}
-
 std::vector<double> StackThermalModel::power_vector(
     const std::vector<std::vector<double>>& layer_block_powers) const {
   require(layer_block_powers.size() == stack_.layer_count(),
@@ -276,13 +268,12 @@ ThermalSolution StackThermalModel::solve_steady(
   AQUA_TRACE_SCOPE_ARG("thermal.solve_steady", "thermal",
                        stack_.layer_count());
   const std::vector<double> rhs = power_vector(layer_block_powers);
-  // Resilient solve from x0 = 0, never from an earlier solution: the first
-  // attempt runs the configured solver exactly; breakdown/divergence falls
-  // back spectral -> jacobi -> relaxed jacobi (DESIGN.md §8).
-  const Preconditioner* precond = preconditioner();
-  last_solve_ =
-      solve_cg_resilient(matrix_, rhs, options_.solver, precond,
-                         precond != nullptr ? "spectral" : "jacobi");
+  // Resilient solve from zero, never from an earlier solution: the first
+  // attempt runs spectral CG exactly; breakdown/divergence falls back
+  // spectral -> jacobi -> relaxed jacobi (DESIGN.md §8).
+  if (!spectral_) spectral_ = std::make_unique<SpectralPreconditioner>(matrix_);
+  last_solve_ = solve_cg_resilient(matrix_, rhs, options_.solver,
+                                   spectral_.get(), "spectral");
   ensure(last_solve_.converged, "steady-state thermal solve did not converge");
 
   std::vector<double> temps = last_solve_.x;

@@ -35,12 +35,6 @@
 
 namespace aqua {
 
-/// Which preconditioner drives the steady-state CG solve.
-enum class PreconditionerKind {
-  kJacobi,    ///< diagonal scaling (reference)
-  kSpectral,  ///< exact layered DCT / tridiagonal solve (default)
-};
-
 /// Grid cells per die side accepted from outside the process: the
 /// service's `nx`/`ny` and `scenario_runner`'s `[thermal] grid`.
 inline constexpr std::size_t kMinGridCells = 4;
@@ -50,8 +44,7 @@ inline constexpr std::size_t kMaxGridCells = 256;
 struct GridOptions {
   std::size_t nx = 32;  ///< cells across the die width
   std::size_t ny = 32;  ///< cells across the die height
-  SolverOptions solver{};
-  PreconditionerKind preconditioner = PreconditionerKind::kSpectral;
+  SolverOptions solver{};  ///< CG settings of every steady and transient solve
 };
 
 /// The temperature field produced by a solve. All values in deg C.
@@ -99,7 +92,7 @@ class ThermalSolution {
 /// then call `solve_steady` with one or more power maps (e.g. across a VFS
 /// sweep); the matrix, spectral preconditioner and heat capacities are
 /// reused across those solves, never changing an answer, because every
-/// solve starts from x0 = 0. Neither copyable nor movable.
+/// solve starts from zero. Neither copyable nor movable.
 class StackThermalModel {
  public:
   /// Throws, before allocating the grid, unless nx, ny >= 2 and the
@@ -161,7 +154,6 @@ class StackThermalModel {
 
  private:
   void assemble();
-  [[nodiscard]] const Preconditioner* preconditioner();
 
   [[nodiscard]] std::size_t node(std::size_t layer, std::size_t ix,
                                  std::size_t iy) const {
@@ -178,7 +170,7 @@ class StackThermalModel {
   std::vector<double> capacities_;
   SolveResult last_solve_;
 
-  // Spectral preconditioner, built on the first spectral solve.
+  // Spectral preconditioner, built on the first steady solve.
   std::unique_ptr<SpectralPreconditioner> spectral_;
 
   // Per-cell conductances of the two ambient boundaries (uniform).

@@ -31,6 +31,7 @@ TransientSolver::TransientSolver(StackThermalModel& model,
       options_(options),
       stepping_matrix_(build_stepping_matrix(
           model.conductance(), model.capacities(), options.dt_seconds)),
+      spectral_(stepping_matrix_),
       theta_(model.node_count(), 0.0) {}
 
 void TransientSolver::reset() {
@@ -80,8 +81,8 @@ std::vector<TransientSample> TransientSolver::continue_run(
     for (std::size_t i = 0; i < n; ++i) {
       rhs[i] = cap[i] / dt * theta_[i] + p[i];
     }
-    SolveResult result =
-        solve_cg(stepping_matrix_, rhs, options_.solver, theta_);
+    SolveResult result = solve_cg_resilient(
+        stepping_matrix_, rhs, model_.options().solver, &spectral_, "spectral");
     ensure(result.converged, "transient step solve did not converge");
     theta_ = std::move(result.x);
     now_s_ = t_now;

@@ -7,18 +7,22 @@
 /// provides it: implicit (backward Euler) integration of
 ///     C dT/dt = -G T + P(t)
 /// reusing the steady model's conductance matrix and per-node capacities.
+/// Each step is the steady path's solve on the stepping matrix C/dt + G:
+/// spectral-preconditioned CG from zero under the model's solver options.
+/// C is uniform within a layer, so C/dt + G is layered and the spectral
+/// solve is exact: one CG iteration per step.
 
 #include <functional>
 #include <vector>
 
+#include "common/spectral.hpp"
 #include "thermal/grid_model.hpp"
 
 namespace aqua {
 
 /// Options for the transient integrator.
 struct TransientOptions {
-  double dt_seconds = 0.01;     ///< fixed implicit step
-  SolverOptions solver{};       ///< inner CG settings per step
+  double dt_seconds = 0.01;  ///< fixed implicit step
 };
 
 /// One recorded instant of a transient run.
@@ -76,6 +80,7 @@ class TransientSolver {
   StackThermalModel& model_;
   TransientOptions options_;
   StencilMatrix stepping_matrix_;  // C/dt + G
+  SpectralPreconditioner spectral_;  // exact inverse of stepping_matrix_
   std::vector<double> theta_;     // field relative to ambient
   double now_s_ = 0.0;
 };

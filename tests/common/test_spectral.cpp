@@ -221,7 +221,7 @@ TEST(Spectral, CgMatchesJacobiCgOnManufacturedSolution) {
   opts.tolerance = 1e-11;
   const SolveResult jacobi = solve_cg(a, b, opts);
   const SpectralPreconditioner m(a);
-  const SolveResult spectral = solve_cg(a, b, opts, {}, &m);
+  const SolveResult spectral = solve_cg(a, b, opts, &m);
 
   ASSERT_TRUE(jacobi.converged);
   ASSERT_TRUE(spectral.converged);
@@ -238,7 +238,7 @@ TEST(Spectral, CgConvergesInOneIteration) {
   const std::vector<double> b = random_vector(a.rows(), rng);
   const SolveResult jacobi = solve_cg(a, b);
   const SpectralPreconditioner m(a);
-  const SolveResult spectral = solve_cg(a, b, {}, {}, &m);
+  const SolveResult spectral = solve_cg(a, b, {}, &m);
   ASSERT_TRUE(jacobi.converged);
   ASSERT_TRUE(spectral.converged);
   EXPECT_EQ(spectral.iterations, 1u);

@@ -85,7 +85,6 @@ TEST(CellKey, BuildersMaterializeGridDefaults) {
   spelled.ny = 32;
   spelled.solver.tolerance = GridOptions{}.solver.tolerance;
   spelled.solver.max_iterations = GridOptions{}.solver.max_iterations;
-  spelled.preconditioner = PreconditionerKind::kSpectral;
 
   const CellConfig a = freq_cap_cell("low_power", 4, "water", 80.0, {});
   const CellConfig b = freq_cap_cell("low_power", 4, "water", 80.0, spelled);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
 
+#include "obs/metrics.hpp"
 #include "power/chip_model.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/thermal_map.hpp"
@@ -116,6 +120,59 @@ TEST(Transient, FinalStateMatchesLastSample) {
     max_die = std::max(max_die, state[i]);
   }
   EXPECT_NEAR(max_die, samples.back().max_die_temperature_c, 1e-9);
+}
+
+TEST(Transient, EveryStepIsOneSpectralIterationAndMatchesTightJacobi) {
+  // The stepping matrix C/dt + G is layered, so the spectral solve is its
+  // exact inverse: each step takes one CG iteration and one
+  // preconditioner application, with no fallback.
+  Fixture f;
+  TransientOptions opts;
+  opts.dt_seconds = 0.05;
+  TransientSolver solver(f.model, opts);
+  const auto powers = f.powers(2.0);
+  constexpr std::size_t kSteps = 20;
+  for (std::size_t s = 0; s < kSteps; ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    const obs::WorkTally start = obs::thread_work();
+    ASSERT_EQ(solver.continue_run(opts.dt_seconds,
+                                  [&](double) { return powers; })
+                  .size(),
+              1u);
+    const obs::WorkTally work = obs::thread_work() - start;
+    EXPECT_EQ(work.solves, 1u);
+    EXPECT_EQ(work.cg_iterations, 1u);
+    EXPECT_EQ(work.precond_applies, 1u);
+    EXPECT_EQ(work.fallbacks, 0u);
+  }
+
+  // Reference stepping: Jacobi-CG at 1e-13 on the same stepping matrix.
+  const StencilMatrix& a = solver.stepping_matrix();
+  const std::vector<double>& cap = f.model.capacities();
+  const std::vector<double> p = f.model.power_vector(powers);
+  SolverOptions tight;
+  tight.tolerance = 1e-13;
+  std::vector<double> theta(f.model.node_count(), 0.0);
+  std::vector<double> rhs(theta.size());
+  for (std::size_t s = 0; s < kSteps; ++s) {
+    for (std::size_t i = 0; i < theta.size(); ++i) {
+      rhs[i] = cap[i] / opts.dt_seconds * theta[i] + p[i];
+    }
+    const SolveResult ref = solve_cg(a, rhs, tight);
+    ASSERT_TRUE(ref.converged);
+    theta = ref.x;
+  }
+
+  // 1e-8 C per 100 C of rise, the steady path's bound.
+  const double ambient = f.model.boundary().ambient_c;
+  const std::vector<double> got = solver.final_state_c();
+  double worst = 0.0;
+  for (std::size_t i = 0; i < theta.size(); ++i) {
+    worst = std::max(worst, std::abs(got[i] - ambient - theta[i]));
+  }
+  const double rise = solver.max_die_temperature_c() - ambient;
+  EXPECT_GT(rise, 1.0);
+  EXPECT_LE(worst, 1e-8 * std::max(1.0, rise / 100.0));
 }
 
 // ---------------------------------------------------------- thermal map ----
