@@ -1,8 +1,7 @@
 /// Ablation: linear-solver choice for the steady-state thermal grid.
 /// Spectral-preconditioned CG is every thermal solve's path; Jacobi-CG is
-/// its fallback and reference, and Gauss-Seidel the classic alternative.
-/// Same answers, very different iteration counts. All three run on the
-/// model's stencil operator.
+/// its fallback and reference. Same answers, very different iteration
+/// counts. Both run on the model's stencil operator.
 
 #include <chrono>
 
@@ -48,37 +47,21 @@ void microbench_spectral_cg(benchmark::State& state) {
 }
 BENCHMARK(microbench_spectral_cg)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
-void microbench_gauss_seidel(benchmark::State& state) {
-  const Problem p = make_problem(static_cast<std::size_t>(state.range(0)));
-  aqua::SolverOptions opts;
-  opts.max_iterations = 200000;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(aqua::solve_gauss_seidel(p.matrix, p.rhs, opts));
-  }
-}
-BENCHMARK(microbench_gauss_seidel)->Arg(2)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   aqua::bench::banner("Ablation",
-                      "spectral-CG vs. Jacobi-CG vs. Gauss-Seidel on the "
-                      "thermal grid");
-  aqua::Table t({"chips", "nodes", "spectral_iters", "cg_iters", "gs_iters",
-                 "max_T_diff_C"});
+                      "spectral-CG vs. Jacobi-CG on the thermal grid");
+  aqua::Table t(
+      {"chips", "nodes", "spectral_iters", "cg_iters", "max_T_diff_C"});
   for (std::size_t chips : {2u, 4u, 8u}) {
     const Problem p = make_problem(chips);
     const aqua::SpectralPreconditioner spectral_precond(p.matrix);
     const aqua::SolveResult spectral =
         aqua::solve_cg(p.matrix, p.rhs, {}, &spectral_precond);
     const aqua::SolveResult cg = aqua::solve_cg(p.matrix, p.rhs);
-    aqua::SolverOptions gs_opts;
-    gs_opts.max_iterations = 200000;
-    const aqua::SolveResult gs =
-        aqua::solve_gauss_seidel(p.matrix, p.rhs, gs_opts);
     double diff = 0.0;
     for (std::size_t i = 0; i < cg.x.size(); ++i) {
-      diff = std::max(diff, std::abs(cg.x[i] - gs.x[i]));
       diff = std::max(diff, std::abs(cg.x[i] - spectral.x[i]));
     }
     t.row()
@@ -86,11 +69,10 @@ int main(int argc, char** argv) {
         .add_int(static_cast<long long>(p.matrix.rows()))
         .add_int(static_cast<long long>(spectral.iterations))
         .add_int(static_cast<long long>(cg.iterations))
-        .add_int(static_cast<long long>(gs.iterations))
         .add(diff, 6);
   }
   t.print(std::cout);
-  std::cout << "\nall three converge to the same field; spectral-CG needs "
+  std::cout << "\nboth converge to the same field; spectral-CG needs "
                "one iteration — hence the default\n\n";
   return aqua::bench::run_microbenchmarks(argc, argv);
 }

@@ -66,8 +66,9 @@ int run_microbenchmarks(int argc, char** argv);
 /// partition-hole count with the multi-process sweep partition; 7 =
 /// renames the multigrid V-cycle counts (`*_vcycles`,
 /// `cost_breakdown.vcycles`) to preconditioner applications
-/// (`*_precond_applies`).
-inline constexpr int kSchemaVersion = 7;
+/// (`*_precond_applies`); 8 = drops the NoC skipped-cycle counts of the
+/// NPB figure benches and perf_noc with the mesh's quiet-cycle skip.
+inline constexpr int kSchemaVersion = 8;
 
 /// Machine-readable counterpart of the printed tables: a flat ordered
 /// key -> value map written as `BENCH_<name>.json` in the working

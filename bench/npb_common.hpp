@@ -31,7 +31,6 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
   // sweep at a time, so the diff is this figure's simulations only).
   obs::Registry& reg = obs::Registry::instance();
   const std::uint64_t instr0 = reg.counter("perf.instructions").value();
-  const std::uint64_t skipped0 = reg.counter("perf.events_skipped").value();
   const std::uint64_t ticks0 = reg.counter("perf.noc_ticks").value();
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -44,8 +43,6 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
           .count();
   const std::uint64_t instr = reg.counter("perf.instructions").value() - instr0;
   const std::uint64_t events = data.cost.sum.work.des_events;
-  const std::uint64_t skipped =
-      reg.counter("perf.events_skipped").value() - skipped0;
   const std::uint64_t ticks = reg.counter("perf.noc_ticks").value() - ticks0;
 
   npb_table(data).print(std::cout);
@@ -83,7 +80,6 @@ inline bool run_npb_figure(const std::string& slug, const std::string& figure,
                        : 0.0,
              4);
   report.add("des_noc_ticks", static_cast<std::int64_t>(ticks));
-  report.add("des_cycles_skipped", static_cast<std::int64_t>(skipped));
   report.add_cost_breakdown(data.cost);
   report.write();
   return true;

@@ -146,8 +146,6 @@ int main(int argc, char** argv) {
       report.add(key + "_events_per_instruction", ev_per_instr, 4);
       report.add(key + "_noc_ticks",
                  static_cast<std::int64_t>(cal.stats.noc.ticks));
-      report.add(key + "_noc_cycles_skipped",
-                 static_cast<std::int64_t>(cal.stats.noc.cycles_skipped));
       report.add(key + "_state_bytes",
                  static_cast<std::int64_t>(cal.state_bytes));
     }

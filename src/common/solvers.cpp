@@ -282,76 +282,4 @@ SolveResult solve_cg_resilient(const StencilMatrix& a,
   return last;
 }
 
-namespace {
-
-/// One Gauss-Seidel forward sweep in place on x for A x = b: each row
-/// subtracts its on-grid neighbour terms from b in band order, the CSR
-/// column order, then divides by the diagonal.
-void gauss_seidel_sweep(const StencilMatrix& a, const std::vector<double>& b,
-                        std::vector<double>& x) {
-  using Band = StencilMatrix::Band;
-  const GridShape& g = a.shape();
-  const std::size_t plane = g.plane();
-  const auto down = a.band(Band::kMinusPlane);
-  const auto south = a.band(Band::kMinusRow);
-  const auto west = a.band(Band::kMinusOne);
-  const auto diag = a.band(Band::kDiag);
-  const auto east = a.band(Band::kPlusOne);
-  const auto north = a.band(Band::kPlusRow);
-  const auto up = a.band(Band::kPlusPlane);
-  std::size_t r = 0;
-  for (std::size_t layer = 0; layer < g.layers; ++layer) {
-    for (std::size_t iy = 0; iy < g.ny; ++iy) {
-      for (std::size_t ix = 0; ix < g.nx; ++ix, ++r) {
-        double acc = b[r];
-        if (layer > 0) acc -= down[r] * x[r - plane];
-        if (iy > 0) acc -= south[r] * x[r - g.nx];
-        if (ix > 0) acc -= west[r] * x[r - 1];
-        if (ix + 1 < g.nx) acc -= east[r] * x[r + 1];
-        if (iy + 1 < g.ny) acc -= north[r] * x[r + g.nx];
-        if (layer + 1 < g.layers) acc -= up[r] * x[r + plane];
-        if (diag[r] == 0.0) ensure(false, "gauss_seidel: zero diagonal");
-        x[r] = acc / diag[r];
-      }
-    }
-  }
-}
-
-}  // namespace
-
-SolveResult solve_gauss_seidel(const StencilMatrix& a,
-                               const std::vector<double>& b,
-                               const SolverOptions& options) {
-  require(b.size() == a.rows(), "solve_gauss_seidel: rhs mismatch");
-  SolveResult out;
-  out.x.assign(b.size(), 0.0);
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    out.converged = true;
-    return out;
-  }
-  const double target = options.tolerance * bnorm;
-
-  std::vector<double> r;  // residual scratch, reused across checks
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    gauss_seidel_sweep(a, b, out.x);
-    // Checking the residual every sweep would double the cost; every 8th
-    // sweep keeps the overhead ~12% while bounding extra sweeps.
-    if (it % 8 == 7 || it + 1 == options.max_iterations) {
-      residual_into(a, b, out.x, r);
-      out.residual_norm = norm2(r);
-      if (out.residual_norm <= target) {
-        out.converged = true;
-        out.iterations = it + 1;
-        return out;
-      }
-    }
-  }
-  out.iterations = options.max_iterations;
-  residual_into(a, b, out.x, r);
-  out.residual_norm = norm2(r);
-  out.converged = out.residual_norm <= target;
-  return out;
-}
-
 }  // namespace aqua

@@ -10,7 +10,6 @@
 /// every thermal solve, steady and transient, runs the exact layered DCT
 /// solve (common/spectral.hpp); Jacobi (diagonal scaling) is the fallback
 /// of solve_cg_resilient and the tests' reference.
-/// Gauss-Seidel is kept as a reference and for the solver-ablation bench.
 
 #include <cstddef>
 #include <cstdint>
@@ -102,14 +101,6 @@ SolveResult solve_cg_resilient(const StencilMatrix& a,
                                const SolverOptions& options = {},
                                const Preconditioner* preconditioner = nullptr,
                                const char* label = nullptr);
-
-/// Gauss-Seidel fixed-point iteration; converges for the diagonally dominant
-/// thermal systems but much slower than CG. Reference / ablation use. Each
-/// sweep updates x in place, row by row, subtracting a row's on-grid
-/// neighbour terms in band order (CSR column order).
-SolveResult solve_gauss_seidel(const StencilMatrix& a,
-                               const std::vector<double>& b,
-                               const SolverOptions& options = {});
 
 /// Euclidean norm helper shared by solvers and tests.
 double norm2(const std::vector<double>& v);

@@ -119,7 +119,7 @@ struct HtcSweepPoint {
   double htc;           ///< W/(m^2 K) applied to both wetted paths
   double temperature_c; ///< peak die temperature at max frequency
   bool failed = false;  ///< the cell threw and was isolated
-  bool skipped = false; ///< always false; ROADMAP item 10 deletes it
+  bool skipped = false; ///< always false; ROADMAP item 9 deletes it
 };
 
 /// Sweeps the coolant coefficient for a `chips`-high stack at the chip's

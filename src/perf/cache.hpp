@@ -133,7 +133,7 @@ class SetAssocCache {
     bool inserted = false;
     auto out = insert(line, state, inserted,
                       [](LineAddr, const LineState&) { return true; });
-    ensure(inserted, "unconditional insert failed");
+    if (!inserted) ensure(false, "unconditional insert failed");
     return out;
   }
 

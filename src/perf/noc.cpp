@@ -238,7 +238,7 @@ void Mesh3d::pop_front_flit(InputVc& in, FlitRun* runs) {
   }
 }
 
-Cycle Mesh3d::inject(Cycle now, Packet packet) {
+void Mesh3d::inject(Cycle now, Packet packet) {
   if (packet.src >= routers_.size() || packet.dst >= routers_.size()) {
     require(false, "packet endpoints out of range");
   }
@@ -256,7 +256,7 @@ Cycle Mesh3d::inject(Cycle now, Packet packet) {
     stats_.total_packet_latency += 1;
     stats_.observe_latency(1);
     deliver_(packet);
-    return kIdle;
+    return;
   }
 
   std::uint32_t slot;
@@ -268,22 +268,17 @@ Cycle Mesh3d::inject(Cycle now, Packet packet) {
     free_slots_.pop_back();
     slab_[slot] = packet;
   }
-  if (flits_in_network_ == 0) activity_since_ = now;
   flits_in_network_ += packet.flits;
   ni_[packet.src][packet.vc].push_back(
       NiPacket{slot, packet.dst, packet.flits, 0});
-  if (!drain_ni(now, packet.src)) return kIdle;
-  // Freshly buffered flits clear the RC+VSA stages first; the earliest
-  // tick that can move anything is their switch-traversal cycle.
-  return std::max<Cycle>(now + 1, now + config_.router_pipeline - 1);
+  drain_ni(now, packet.src);
 }
 
-bool Mesh3d::drain_ni(Cycle now, NodeId node) {
+void Mesh3d::drain_ni(Cycle now, NodeId node) {
   Router& r = routers_[node];
   // The router pipeline's RC+VSA stages precede switch traversal.
   const Cycle ready = now + (config_.router_pipeline - 1);
   bool backlog = false;
-  bool buffered = false;
   for (std::uint8_t vc = 0; vc < 3; ++vc) {
     auto& queue = ni_[node][vc];
     InputVc& in = r.in[kLocal][vc];
@@ -296,38 +291,27 @@ bool Mesh3d::drain_ni(Cycle now, NodeId node) {
       }
       r.vc_mask |= 1u << vc;  // slot index of in[kLocal][vc] is just vc
       ++r.occupancy;
-      buffered = true;
       if (++head.next_flit == head.flits) queue.pop_front();
     }
     if (!queue.empty()) backlog = true;
   }
-  if (buffered && ready < pass_next_) pass_next_ = ready;
   if (r.occupancy > 0) activate_router(node);
   if (backlog) mark_ni_backlog(node);
-  return buffered;
 }
 
-Cycle Mesh3d::tick(Cycle now) {
+void Mesh3d::tick(Cycle now) {
   if (now < last_tick_) {
     require(false, "NoC ticks must move forward in time");
   }
-  // Account the active-network cycles this tick skipped over (none when
-  // the host ticks or skip_cycles every cycle).
-  if (flits_in_network_ > 0) {
-    const Cycle from = std::max(last_tick_, activity_since_);
-    if (now > from + 1) stats_.cycles_skipped += now - from - 1;
-  }
   last_tick_ = now;
   ++stats_.ticks;
-  pass_next_ = kIdle;
 
   // Visit only routers known to hold flits, in activation order: a credit
   // returned by one router's pass is visible to every router after it.
   // Routers that receive flits during this pass get activated for the next
   // tick (their flits are not ready before then anyway). A router whose
   // wake lies ahead would find every front still in its pipeline, so its
-  // pass reduces to what happens here: the round-robin offset advances
-  // and the wake feeds the next-work accumulator.
+  // pass reduces to what happens here: the round-robin offset advances.
   router_work_.clear();
   router_work_.swap(active_routers_);
   for (NodeId id : router_work_) {
@@ -335,7 +319,6 @@ Cycle Mesh3d::tick(Cycle now) {
     if (r.occupancy == 0) continue;
     if (r.wake > now) {
       if (++r.rr >= kIvcCount) r.rr = 0;
-      if (r.wake < pass_next_) pass_next_ = r.wake;
       continue;
     }
     tick_router(now, id);
@@ -350,39 +333,12 @@ Cycle Mesh3d::tick(Cycle now) {
 
   // NI queues with backlog drain into any buffer slots this cycle freed.
   if (!ni_backlog_.empty()) {
-    std::vector<NodeId> backlog;
-    backlog.swap(ni_backlog_);
-    for (NodeId id : backlog) {
+    ni_work_.clear();
+    ni_work_.swap(ni_backlog_);
+    for (NodeId id : ni_work_) {
       ni_backlog_flag_[id] = 0;
       drain_ni(now, id);  // re-marks itself if still backed up
     }
-  }
-
-  if (flits_in_network_ == 0) {
-    activity_since_ = kIdle;
-    return kIdle;
-  }
-  // The switch pass accumulated, for every buffered front it saw (and every
-  // flit it forwarded), the earliest cycle that flit could move; NI backlog
-  // only drains when a move frees buffer space, so it cannot need an
-  // earlier tick than the fronts themselves.
-  if (pass_next_ == kIdle) {
-    ensure(false, "active mesh reported no next work cycle");
-  }
-  return std::max(now + 1, pass_next_);
-}
-
-void Mesh3d::skip_cycle(Cycle now) {
-  if (now < last_tick_) {
-    require(false, "NoC ticks must move forward in time");
-  }
-  last_tick_ = now;
-  ++stats_.cycles_skipped;
-  for (NodeId id : active_routers_) {
-    Router& r = routers_[id];
-    if (r.occupancy == 0) continue;
-    ++r.rr;
-    if (r.rr >= kIvcCount) r.rr = 0;
   }
 }
 
@@ -393,9 +349,9 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
   std::uint32_t input_used = 0;
   std::uint32_t output_used = 0;
   // Earliest cycle one of this router's own fronts could move (its next
-  // wake); flits forwarded downstream feed pass_next_ and the receiving
-  // router's wake directly. A flit landing here mid-pass (a delivery
-  // callback that injects) lowers r.wake, so the pass starts it at kIdle.
+  // wake); flits forwarded downstream lower the receiving router's wake
+  // directly. A flit landing here mid-pass (a delivery callback that
+  // injects) lowers r.wake, so the pass starts it at kIdle.
   Cycle own = kIdle;
   r.wake = kIdle;
 
@@ -537,7 +493,6 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
         nr.wake = ready;
       }
       nr.vc_mask |= 1u << back_ivc;
-      if (ready < pass_next_) pass_next_ = ready;
       ++nr.occupancy;
       activate_router(next);
     }
@@ -545,7 +500,6 @@ void Mesh3d::tick_router(Cycle now, NodeId id) {
   ++r.rr;
   if (r.rr >= kIvcCount) r.rr = 0;
   if (own < r.wake) r.wake = own;
-  if (own < pass_next_) pass_next_ = own;
 }
 
 std::size_t Mesh3d::state_bytes() const {

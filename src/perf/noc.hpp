@@ -9,12 +9,9 @@
 /// joined by vertical links (TSV / ThruChip), giving each router up to
 /// seven ports (local, +-x, +-y, up, down).
 ///
-/// The mesh is ticked one cycle at a time, but only routers holding flits
-/// do work, and `tick`/`inject` report the next cycle at which anything can
-/// move. The host calls `skip_cycle` on the quiet cycles in between instead
-/// of `tick`: it advances the round-robin arbitration state exactly as a
-/// motionless tick would, without scanning any buffers
-/// (`stats().cycles_skipped` counts those cycles).
+/// The host ticks the mesh on every cycle while `active()`; only routers
+/// holding flits are visited, and a quiet cycle costs one wake check per
+/// such router (see the wake note below).
 ///
 /// VC buffers store flits as *runs*: consecutive flits of one packet that
 /// arrived back-to-back collapse into a single 32-byte {slot, start, count}
@@ -65,8 +62,7 @@ struct NocStats {
   std::uint64_t flits_delivered = 0;
   std::uint64_t total_packet_latency = 0;  ///< sum of (deliver - inject)
   std::uint64_t total_hops = 0;
-  std::uint64_t ticks = 0;  ///< mesh cycles actually simulated (not skipped)
-  std::uint64_t cycles_skipped = 0;  ///< active-network cycles skip_cycle'd
+  std::uint64_t ticks = 0;  ///< active-network cycles ticked
   std::array<std::uint64_t, kLatencyBuckets> latency_hist{};
 
   /// Buckets `latency` into latency_hist.
@@ -98,35 +94,18 @@ class Mesh3d {
  public:
   using DeliverFn = std::function<void(const Packet&)>;
 
-  /// Sentinel "no work scheduled" cycle returned by inject/tick.
-  static constexpr Cycle kIdle = ~Cycle{0};
-
   Mesh3d(const CmpConfig& config, DeliverFn deliver);
 
-  /// Queues a packet at the source network interface at cycle `now`.
-  /// Returns the earliest cycle at which a newly buffered flit could
-  /// traverse its first switch, or kIdle if nothing new was buffered
-  /// (tile-local delivery, or the packet queued entirely behind an NI
-  /// backlog — in that case an earlier tick is already due).
-  Cycle inject(Cycle now, Packet packet);
+  /// Queues a packet at the source network interface at cycle `now`. A
+  /// tile-local packet is delivered at once and never activates the mesh.
+  void inject(Cycle now, Packet packet);
 
   /// True while any flit is buffered or queued anywhere in the network.
   [[nodiscard]] bool active() const { return flits_in_network_ > 0; }
 
-  /// Advances the network one cycle. `now` must increase monotonically
-  /// across calls (gaps are fine — quiet cycles need no tick). Returns the
-  /// next cycle at which the mesh may have movable work (>= now + 1), or
-  /// kIdle once the network has drained. Callers ticking every cycle may
-  /// ignore the return value.
-  Cycle tick(Cycle now);
-
-  /// Stands in for a tick on a cycle where `tick` previously reported that
-  /// nothing can move: replicates the only state change such a tick would
-  /// make — advancing the round-robin arbitration offset of every active
-  /// router — at O(active routers) instead of a full buffer scan. Keeps
-  /// arbitration (and thus results) bit-identical to a host that ticks
-  /// every active-network cycle.
-  void skip_cycle(Cycle now);
+  /// Advances the network one cycle. The host ticks every cycle while
+  /// `active()`; `now` must not move backwards across calls.
+  void tick(Cycle now);
 
   /// Test hook: verifies exact credit conservation on every live link —
   /// upstream credits + downstream buffered flits must equal the VC buffer
@@ -176,6 +155,9 @@ class Mesh3d {
   [[nodiscard]] std::size_t state_bytes() const;
 
  private:
+  /// The wake of an empty router: no buffered front to move.
+  static constexpr Cycle kIdle = ~Cycle{0};
+
   /// A run of consecutive flits of one packet inside a VC buffer.
   ///
   /// `ready` is the cycle the run's *front* flit may traverse the switch;
@@ -251,7 +233,7 @@ class Mesh3d {
   /// validates live-router connectivity. Called by fail_link/fail_router.
   void rebuild_reroute();
 
-  bool drain_ni(Cycle now, NodeId node);
+  void drain_ni(Cycle now, NodeId node);
   void tick_router(Cycle now, NodeId id);
   void activate_router(NodeId id);
   void mark_ni_backlog(NodeId id);
@@ -289,8 +271,6 @@ class Mesh3d {
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t flits_in_network_ = 0;
   Cycle last_tick_ = 0;
-  Cycle activity_since_ = kIdle;  ///< first cycle of the current busy spell
-  Cycle pass_next_ = kIdle;  ///< next-work accumulator of the current tick
   NocStats stats_;
 
   // Activity tracking: only routers holding flits and NIs with queued
@@ -299,6 +279,7 @@ class Mesh3d {
   std::vector<NodeId> router_work_;  // scratch, reused across ticks
   std::vector<std::uint8_t> router_active_flag_;
   std::vector<NodeId> ni_backlog_;
+  std::vector<NodeId> ni_work_;  // scratch, reused across ticks
   std::vector<std::uint8_t> ni_backlog_flag_;
 };
 

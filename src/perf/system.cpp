@@ -208,24 +208,15 @@ void CmpSystem::pump_event(void* ctx, void*, const Message&) {
   auto* self = static_cast<CmpSystem*>(ctx);
   const Cycle now = self->events_.now();
 
-  // One pump event per active-network cycle, exactly like the original
-  // per-cycle pump chain — scheduling the successor here keeps every
-  // event's sequence number (and so all same-cycle handler interleaving)
-  // identical to that design. Only the mesh tick is lazy:
-  // below the gate nothing can move, so the tick reduces to advancing the
-  // arbitration clock.
-  if (now >= self->noc_gate_) {
-    const Cycle next = self->noc_->tick(now);
-    self->noc_gate_ = next == Mesh3d::kIdle ? 0 : next;
-  } else {
-    self->noc_->skip_cycle(now);
-  }
+  // One pump event, and one mesh tick, per active-network cycle:
+  // scheduling the successor here fixes every event's sequence number (and
+  // so all same-cycle handler interleaving).
+  self->noc_->tick(now);
   if (self->noc_->active()) {
     self->events_.schedule_in(1, &CmpSystem::pump_event, self, self,
                               Message{});
   } else {
     self->noc_pumping_ = false;
-    self->noc_gate_ = 0;
   }
 }
 
@@ -245,15 +236,9 @@ void CmpSystem::send(MsgType type, LineAddr line, NodeId from, NodeId to,
                                           : config_.control_packet_flits);
   p.msg = Message{type, line, from, requestor, source, dirty, acks};
 
-  const Cycle hint = noc_->inject(events_.now(), p);
-
-  // Fresh flits may need an earlier tick than the standing
-  // gate; arming matches the original per-cycle pump (same condition, same
-  // scheduling point, hence the same event sequence).
-  if (hint != Mesh3d::kIdle && hint < noc_gate_) noc_gate_ = hint;
+  noc_->inject(events_.now(), p);
   if (!noc_pumping_ && noc_->active()) {
     noc_pumping_ = true;
-    noc_gate_ = 0;  // the first tick of a busy spell always runs
     events_.schedule_in(1, &CmpSystem::pump_event, this, this, Message{});
   }
 }
@@ -282,7 +267,7 @@ void CmpSystem::advance_core(Core& core) {
     retire_core(core);
     return;
   }
-  ensure(!core.miss_active, "core advanced with a miss outstanding");
+  if (core.miss_active) ensure(false, "core advanced with a miss outstanding");
 
   const TraceOp op = core.trace->next();
   switch (op.kind) {
@@ -391,7 +376,7 @@ void CmpSystem::install_line(Core& core, LineAddr line, L1State state) {
   auto evicted = core.l1->insert(
       line, L1Line{state}, inserted,
       [](LineAddr, const L1Line&) { return true; });
-  ensure(inserted, "L1 insert must always succeed");
+  if (!inserted) ensure(false, "L1 insert must always succeed");
   if (!evicted) return;
 
   const LineAddr victim = evicted->line;
@@ -444,8 +429,10 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
              home_tile_of(msg.line), msg.requestor, dirty);
       } else {
         const WbEntry* wb = core.find_writeback(msg.line);
-        ensure(wb != nullptr,
-               "FwdGetS owner holds the line in neither L1 nor WB buffer");
+        if (wb == nullptr) {
+          ensure(false,
+                 "FwdGetS owner holds the line in neither L1 nor WB buffer");
+        }
         send(MsgType::kData, msg.line, core.tile, msg.requestor,
              msg.requestor, false, -1, DataSource::kForward);
         send(MsgType::kDowngradeAck, msg.line, core.tile,
@@ -457,8 +444,10 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
     case MsgType::kFwdGetM: {
       L1Line* l = core.l1->find(msg.line);
       if (l == nullptr) {
-        ensure(core.find_writeback(msg.line) != nullptr,
-               "FwdGetM owner holds the line in neither L1 nor WB buffer");
+        if (core.find_writeback(msg.line) == nullptr) {
+          ensure(false,
+                 "FwdGetM owner holds the line in neither L1 nor WB buffer");
+        }
       } else {
         core.l1->erase(msg.line);
       }
@@ -483,8 +472,9 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
     case MsgType::kData:
     case MsgType::kDataE:
     case MsgType::kDataM: {
-      ensure(core.miss_active && core.miss_line == msg.line,
-             "data response without a matching miss");
+      if (!core.miss_active || core.miss_line != msg.line) {
+        ensure(false, "data response without a matching miss");
+      }
       core.data_received = true;
       core.data_kind = msg.type;
       if (msg.source != DataSource::kNone) core.miss_source = msg.source;
@@ -494,8 +484,9 @@ void CmpSystem::handle_core_message(Core& core, const Message& msg) {
     }
 
     case MsgType::kAckCount: {
-      ensure(core.miss_active && core.miss_line == msg.line,
-             "AckCount without a matching miss");
+      if (!core.miss_active || core.miss_line != msg.line) {
+        ensure(false, "AckCount without a matching miss");
+      }
       core.acks_expected = msg.acks;
       // msg.dirty == "forwarded data follows": even a sharer that already
       // holds the S data must then wait for the owner's DataM, or the
@@ -762,8 +753,9 @@ void CmpSystem::handle_home_message(Bank& bank, const Message& msg) {
       return;
 
     case MsgType::kDowngradeAck: {
-      ensure(e.busy && e.awaiting_downgrade,
-             "DowngradeAck outside a forward transaction");
+      if (!e.busy || !e.awaiting_downgrade) {
+        ensure(false, "DowngradeAck outside a forward transaction");
+      }
       const std::size_t req = core_index_of(msg.requestor);
       if (msg.dirty) {
         e.state = DirState::kOwned;
@@ -843,7 +835,9 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
           fetch_line(bank, msg);
           return;
         case DirState::kShared:
-          ensure(e.l2_valid, "Shared line missing from L2 data array");
+          if (!e.l2_valid) {
+            ensure(false, "Shared line missing from L2 data array");
+          }
           e.sharers |= (std::uint64_t{1} << r);
           respond_with_data(bank, line, msg.requestor, MsgType::kData, 0,
                             DataSource::kL2);
@@ -851,7 +845,9 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
         case DirState::kExclusive:
         case DirState::kModified:
         case DirState::kOwned: {
-          ensure(e.owner != r, "owner re-requested its own line (GetS)");
+          if (e.owner == r) {
+            ensure(false, "owner re-requested its own line (GetS)");
+          }
           ++stats_.coherence_forwards;
           e.awaiting_downgrade = true;
           send(MsgType::kFwdGetS, line, bank.tile, core_tile_of(e.owner),
@@ -884,7 +880,9 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
             send(MsgType::kAckCount, line, bank.tile, msg.requestor,
                  msg.requestor, false, n);
           } else {
-            ensure(e.l2_valid, "Shared line missing from L2 data array");
+            if (!e.l2_valid) {
+              ensure(false, "Shared line missing from L2 data array");
+            }
             respond_with_data(bank, line, msg.requestor, MsgType::kDataM, n,
                               DataSource::kL2);
           }
@@ -897,7 +895,9 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
 
         case DirState::kExclusive:
         case DirState::kModified: {
-          ensure(e.owner != r, "owner re-requested its own line (GetM)");
+          if (e.owner == r) {
+            ensure(false, "owner re-requested its own line (GetM)");
+          }
           ++stats_.coherence_forwards;
           send(MsgType::kFwdGetM, line, bank.tile, core_tile_of(e.owner),
                msg.requestor);
@@ -947,7 +947,7 @@ void CmpSystem::process_request(Bank& bank, const Message& msg) {
 
 void CmpSystem::finish_transaction(Bank& bank, LineAddr line) {
   DirEntry& e = bank.directory[line];
-  ensure(e.busy, "Unblock without an open transaction");
+  if (!e.busy) ensure(false, "Unblock without an open transaction");
   e.busy = false;
   e.awaiting_downgrade = false;
   e.downgrade_received = false;
@@ -1101,8 +1101,6 @@ ExecStats CmpSystem::run() {
         obs::Registry::instance().counter("perf.instructions");
     static obs::Counter& events =
         obs::Registry::instance().counter("perf.events");
-    static obs::Counter& events_skipped =
-        obs::Registry::instance().counter("perf.events_skipped");
     static obs::Counter& noc_packets =
         obs::Registry::instance().counter("perf.noc_packets");
     static obs::Counter& noc_ticks =
@@ -1113,8 +1111,6 @@ ExecStats CmpSystem::run() {
     instructions.add(stats_.instructions);
     events.add(events_.scheduled());
     obs::thread_work().des_events += events_.scheduled();
-    // Active-network cycles whose mesh tick skip_cycle stood in for.
-    events_skipped.add(stats_.noc.cycles_skipped);
     noc_packets.add(stats_.noc.packets_delivered);
     noc_ticks.add(stats_.noc.ticks);
     if (wall_seconds > 0.0) {
@@ -1148,7 +1144,6 @@ ExecStats CmpSystem::run() {
           .add("noc_packets", stats_.noc.packets_delivered)
           .add("noc_avg_latency", stats_.noc.average_latency())
           .add("noc_ticks", stats_.noc.ticks)
-          .add("noc_cycles_skipped", stats_.noc.cycles_skipped)
           .add("events_scheduled", events_.scheduled())
           .add("events_max_pending",
                static_cast<std::uint64_t>(events_.max_pending()))

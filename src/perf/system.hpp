@@ -92,11 +92,9 @@ struct ExecStats {
 /// Message payload, no closure), directories are flat open-addressed
 /// tables with pooled intrusive pending lists, caches are split tag/rank/
 /// state arrays whose sets get storage on first fill, and the NoC is
-/// self-scheduling: it reports its next work cycle and full ticks only run
-/// on cycles that can move flits.
-/// The pump event still fires every active-network cycle so the event
-/// stream (and therefore every result) stays bit-identical to the original
-/// per-cycle design.
+/// pumped by one event per active-network cycle that ticks the mesh once.
+/// A tick visits only routers holding flits and passes over those whose
+/// wake lies ahead, so a quiet cycle costs one check per such router.
 class CmpSystem {
  public:
   CmpSystem(const CmpConfig& config, const WorkloadProfile& profile,
@@ -308,11 +306,8 @@ class CmpSystem {
 
   EventQueue events_;
   std::unique_ptr<Mesh3d> noc_;
-  // NoC pump scheduling: one pump event per active-network cycle (the
-  // legacy event stream) with a lazy mesh tick gated by noc_gate_ — cycles
-  // below the gate only advance the arbitration clock.
+  // NoC pump: one event per active-network cycle, each ticking the mesh.
   bool noc_pumping_ = false;  ///< a live pump event exists
-  Cycle noc_gate_ = 0;        ///< earliest cycle a tick can move flits
 
   // Topology tables (built once): tile -> core index and tile -> bank index
   // (-1 = no core / bank on that tile), line-interleaving -> home bank tile.

@@ -36,7 +36,7 @@ namespace aqua::service {
 struct CellJob {
   sweep::CellConfig config;
   std::string cell;  ///< display name, same spelling as the fig drivers
-  sweep::CellPolicy policy;  ///< unread by the runner; ROADMAP item 10 drops it
+  sweep::CellPolicy policy;  ///< unread by the runner; ROADMAP item 9 drops it
   std::function<std::map<std::string, double>()> compute;
 };
 

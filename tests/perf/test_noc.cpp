@@ -208,6 +208,45 @@ TEST(Noc, AllToAllStressAllDelivered) {
   EXPECT_EQ(h.mesh->stats().packets_delivered, sent);
 }
 
+// The host contract: tick every cycle while active(), and never while
+// idle. stats().ticks then counts exactly those cycles — idle gaps between
+// busy spells add none, and neither does a tile-local packet.
+TEST(Noc, TicksCountEveryActiveCycleAcrossIdleGaps) {
+  Harness h(2);
+  Xoshiro256 rng(31);
+  const std::size_t tiles = h.config.total_tiles();
+  std::size_t sent = 0;
+  std::uint64_t active_cycles = 0;
+  Cycle t = 0;
+  for (int spell = 0; spell < 5; ++spell) {
+    t += 40 + 13 * static_cast<Cycle>(spell);  // idle gap: no ticks
+    const NodeId local = static_cast<NodeId>(rng.uniform_index(tiles));
+    h.mesh->inject(t, make_packet(local, local));
+    ++sent;
+    EXPECT_FALSE(h.mesh->active()) << "a tile-local packet activated it";
+    // Spell 0 is one control packet: its first ticks fall inside the
+    // router pipeline, cycles on which nothing can move.
+    const int packets = spell == 0 ? 1 : 4 * spell;
+    for (int k = 0; k < packets; ++k) {
+      const NodeId src = static_cast<NodeId>(rng.uniform_index(tiles));
+      NodeId dst = static_cast<NodeId>(rng.uniform_index(tiles));
+      if (dst == src) dst = static_cast<NodeId>((src + 1) % tiles);
+      const auto vc = static_cast<std::uint8_t>(rng.uniform_index(3));
+      const auto flits = static_cast<std::uint8_t>(rng.bernoulli(0.5) ? 5 : 1);
+      h.mesh->inject(t, make_packet(src, dst, vc, flits));
+      ++sent;
+    }
+    ASSERT_TRUE(h.mesh->active());
+    while (h.mesh->active() && t < 100000) {
+      h.mesh->tick(++t);
+      ++active_cycles;
+    }
+    ASSERT_FALSE(h.mesh->active()) << "spell " << spell << " did not drain";
+  }
+  EXPECT_EQ(h.delivered.size(), sent);
+  EXPECT_EQ(h.mesh->stats().ticks, active_cycles);
+}
+
 TEST(Noc, HeavyContentionOnOneSinkDrains) {
   Harness h;
   // Everyone floods tile 15 (corner): wormhole + credits must not wedge.

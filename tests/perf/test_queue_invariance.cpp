@@ -61,7 +61,6 @@ void expect_identical(const ExecStats& a, const ExecStats& b,
   EXPECT_EQ(a.noc.total_packet_latency, b.noc.total_packet_latency) << label;
   EXPECT_EQ(a.noc.total_hops, b.noc.total_hops) << label;
   EXPECT_EQ(a.noc.ticks, b.noc.ticks) << label;
-  EXPECT_EQ(a.noc.cycles_skipped, b.noc.cycles_skipped) << label;
   EXPECT_EQ(a.core_utilization, b.core_utilization) << label;
 }
 
