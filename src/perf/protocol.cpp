@@ -2,49 +2,29 @@
 
 namespace aqua {
 
+namespace {
+
+template <class Enum, std::size_t N>
+const char* name_of(Enum value, const char* const (&names)[N]) {
+  const auto i = static_cast<std::size_t>(value);
+  return i < N ? names[i] : "?";
+}
+
+}  // namespace
+
 const char* to_string(MsgType t) {
-  switch (t) {
-    case MsgType::kGetS: return "GetS";
-    case MsgType::kGetM: return "GetM";
-    case MsgType::kPutS: return "PutS";
-    case MsgType::kPutM: return "PutM";
-    case MsgType::kFwdGetS: return "FwdGetS";
-    case MsgType::kFwdGetM: return "FwdGetM";
-    case MsgType::kInv: return "Inv";
-    case MsgType::kWBAck: return "WBAck";
-    case MsgType::kData: return "Data";
-    case MsgType::kDataE: return "DataE";
-    case MsgType::kDataM: return "DataM";
-    case MsgType::kInvAck: return "InvAck";
-    case MsgType::kAckCount: return "AckCount";
-    case MsgType::kDowngradeAck: return "DowngradeAck";
-    case MsgType::kUnblock: return "Unblock";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "GetS",    "GetM",    "PutS",  "PutM",                  // requests
+      "FwdGetS", "FwdGetM", "Inv",   "WBAck",                 // forwards
+      "Data",    "DataE",   "DataM", "InvAck",   "AckCount",  // responses
+      "DowngradeAck",       "Unblock"};
+  return name_of(t, kNames);
 }
 
 std::uint8_t vc_class_of(MsgType t) {
-  switch (t) {
-    case MsgType::kGetS:
-    case MsgType::kGetM:
-    case MsgType::kPutS:
-    case MsgType::kPutM:
-      return 0;
-    case MsgType::kFwdGetS:
-    case MsgType::kFwdGetM:
-    case MsgType::kInv:
-    case MsgType::kWBAck:
-      return 1;
-    case MsgType::kData:
-    case MsgType::kDataE:
-    case MsgType::kDataM:
-    case MsgType::kInvAck:
-    case MsgType::kAckCount:
-    case MsgType::kDowngradeAck:
-    case MsgType::kUnblock:
-      return 2;
-  }
-  return 0;
+  // MsgType lists the requests, then the forwards, then the responses.
+  if (t <= MsgType::kPutM) return 0;
+  return t <= MsgType::kWBAck ? 1 : 2;
 }
 
 bool carries_data(MsgType t) {
@@ -64,25 +44,14 @@ bool carries_data(MsgType t) {
 }
 
 const char* to_string(L1State s) {
-  switch (s) {
-    case L1State::kI: return "I";
-    case L1State::kS: return "S";
-    case L1State::kE: return "E";
-    case L1State::kO: return "O";
-    case L1State::kM: return "M";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"I", "S", "E", "O", "M"};
+  return name_of(s, kNames);
 }
 
 const char* to_string(DirState s) {
-  switch (s) {
-    case DirState::kUncached: return "Uncached";
-    case DirState::kShared: return "Shared";
-    case DirState::kExclusive: return "Exclusive";
-    case DirState::kOwned: return "Owned";
-    case DirState::kModified: return "Modified";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"Uncached", "Shared", "Exclusive",
+                                           "Owned", "Modified"};
+  return name_of(s, kNames);
 }
 
 }  // namespace aqua

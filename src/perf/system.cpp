@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -39,7 +40,7 @@ void CmpSystem::init_topology() {
       Core& core = cores_[idx];
       core.index = idx;
       core.tile = core_tile(config_, chip, c);
-      core.l1 = std::make_unique<SetAssocCache<L1Line>>(
+      core.l1 = std::make_unique<SetAssocCache<L1State>>(
           config_.l1_bytes, config_.line_bytes, config_.l1_assoc);
     }
   }
@@ -119,25 +120,125 @@ std::size_t CmpSystem::core_index_of(NodeId tile) const {
   return static_cast<std::size_t>(idx);
 }
 
-NodeId CmpSystem::core_tile_of(std::size_t core_index) const {
-  return cores_[core_index].tile;
-}
+// ---------------------------------------------------------------------------
+// Coherence ports: how the transitions in perf/coherence.hpp act on this
+// system. Sends go onto the mesh; the DES counts protocol events by the
+// messages they send (every PutM is a writeback, every InvAck an
+// invalidation, every FwdGet* a coherence forward).
+// ---------------------------------------------------------------------------
 
-CmpSystem::Core& CmpSystem::core_at(NodeId tile) {
-  return cores_[core_index_of(tile)];
-}
+struct CmpSystem::CorePort {
+  CmpSystem& sys;
+  Core& core;
 
-CmpSystem::WbEntry* CmpSystem::Core::find_writeback(LineAddr line) {
-  for (WbEntry& wb : writeback_buffer) {
-    if (wb.line == line) return &wb;
+  [[nodiscard]] NodeId self() const { return core.tile; }
+  [[nodiscard]] NodeId home_of(LineAddr line) const {
+    return sys.home_tile_of(line);
   }
-  return nullptr;
-}
+  L1State* find(LineAddr line) { return core.l1->find(line); }
+  [[nodiscard]] L1State peek(LineAddr line) const {
+    const L1State* s = core.l1->peek(line);
+    return s == nullptr ? L1State::kI : *s;
+  }
+  void erase(LineAddr line) { core.l1->erase(line); }
+  void install(LineAddr line, L1State state) {
+    if (L1State* s = core.l1->find(line); s != nullptr) {
+      *s = state;  // upgrade in place
+      return;
+    }
+    bool inserted = false;
+    auto evicted = core.l1->insert(line, state, inserted,
+                                   [](LineAddr, L1State) { return true; });
+    if (!inserted) ensure(false, "L1 insert must always succeed");
+    if (evicted) coherence::evict(*this, evicted->line, evicted->state);
+  }
+  coherence::Writeback* find_writeback(LineAddr line) {
+    for (coherence::Writeback& wb : core.writeback_buffer) {
+      if (wb.line == line) return &wb;
+    }
+    return nullptr;
+  }
+  coherence::Writeback& writeback_entry(LineAddr line) {
+    if (coherence::Writeback* wb = find_writeback(line)) return *wb;
+    core.writeback_buffer.push_back(coherence::Writeback{line});
+    return core.writeback_buffer.back();
+  }
+  void drop_writeback(coherence::Writeback& wb) {
+    wb = core.writeback_buffer.back();
+    core.writeback_buffer.pop_back();
+  }
+  coherence::Miss& miss() { return core.miss; }
+  void send(MsgType type, LineAddr line, NodeId to, NodeId requestor,
+            bool dirty = false, std::int32_t acks = 0,
+            DataSource source = DataSource::kNone) {
+    if (type == MsgType::kPutM) ++sys.stats_.writebacks;
+    if (type == MsgType::kInvAck) ++sys.stats_.invalidations;
+    sys.send(type, line, core.tile, to, requestor, dirty, acks, source);
+  }
+  void miss_done() {
+    // CPI stack, by DataSource; no source is an ack-only upgrade.
+    static constexpr std::uint64_t ExecStats::*kStall[] = {
+        &ExecStats::stall_upgrade_cycles, &ExecStats::stall_l2_cycles,
+        &ExecStats::stall_dram_cycles, &ExecStats::stall_forward_cycles};
+    sys.stats_.*kStall[static_cast<std::size_t>(core.miss.source)] +=
+        sys.events_.now() - core.miss_start;
+    sys.events_.schedule_in(1, &CmpSystem::advance_event, &sys, &core,
+                            Message{});
+  }
+};
 
-CmpSystem::WbEntry& CmpSystem::Core::writeback_entry(LineAddr line) {
-  if (WbEntry* wb = find_writeback(line); wb != nullptr) return *wb;
-  writeback_buffer.push_back(WbEntry{line});
-  return writeback_buffer.back();
+struct CmpSystem::HomePort {
+  CmpSystem& sys;
+  Bank& bank;
+  HomeLine& home;  ///< the line being handled
+
+  [[nodiscard]] std::size_t core_index(NodeId tile) const {
+    return sys.core_index_of(tile);
+  }
+  [[nodiscard]] NodeId core_tile(std::size_t index) const {
+    return sys.cores_[index].tile;
+  }
+  void send(MsgType type, LineAddr line, NodeId to, NodeId requestor,
+            bool dirty = false, std::int32_t acks = 0,
+            DataSource source = DataSource::kNone) {
+    if (type == MsgType::kFwdGetS || type == MsgType::kFwdGetM) {
+      ++sys.stats_.coherence_forwards;
+    }
+    sys.send(type, line, bank.tile, to, requestor, dirty, acks, source);
+  }
+  void defer(const Message& msg) {
+    sys.queue_pending_back(home, msg);
+    sys.pump_pending(bank, msg.line);
+  }
+  bool fetch(const Message& request) {
+    if (bank.l2->find(request.line) != nullptr) {
+      ++sys.stats_.l2_data_hits;
+      return true;
+    }
+    ++sys.stats_.l2_data_misses;
+    ++sys.stats_.dram_accesses;
+    MemoryController& mc = sys.memory_[bank.chip];
+    const Cycle start = std::max(sys.events_.now(), mc.next_free);
+    mc.next_free = start + sys.dram_service_cycles_;
+    sys.events_.schedule(start + sys.dram_latency_cycles_,
+                         &CmpSystem::dram_fill_event, &sys, &bank, request);
+    return false;
+  }
+  void accept_writeback(LineAddr line, bool dirty) {
+    sys.l2_insert(bank, line, L2Line{dirty});
+  }
+  void closed(LineAddr line) { sys.pump_pending(bank, line); }
+};
+
+void CmpSystem::l2_insert(Bank& bank, LineAddr line, L2Line value) {
+  bool inserted = false;
+  auto evicted = bank.l2->insert(line, value, inserted, L2Evictable{bank});
+  if (!inserted) ++stats_.l2_overflow_inserts;
+  if (evicted) {
+    if (HomeLine* v = bank.directory.find(evicted->line)) {
+      v->dir.l2_valid = false;
+    }
+  }
 }
 
 std::size_t CmpSystem::state_bytes() const {
@@ -165,38 +266,36 @@ void CmpSystem::access_event(void* ctx, void* target, const Message& msg) {
 }
 
 void CmpSystem::core_event(void* ctx, void* target, const Message& msg) {
-  static_cast<CmpSystem*>(ctx)->handle_core_message(
-      *static_cast<Core*>(target), msg);
+  CorePort port{*static_cast<CmpSystem*>(ctx), *static_cast<Core*>(target)};
+  coherence::at_l1(port, msg);
 }
 
 void CmpSystem::home_event(void* ctx, void* target, const Message& msg) {
-  static_cast<CmpSystem*>(ctx)->handle_home_message(
-      *static_cast<Bank*>(target), msg);
+  auto& bank = *static_cast<Bank*>(target);
+  HomeLine& home = bank.directory[msg.line];
+  HomePort port{*static_cast<CmpSystem*>(ctx), bank, home};
+  coherence::at_home(port, home.dir, msg);
 }
 
 void CmpSystem::dram_fill_event(void* ctx, void* target, const Message& msg) {
   auto* self = static_cast<CmpSystem*>(ctx);
   auto& bank = *static_cast<Bank*>(target);
-  bool inserted = false;
-  auto evicted = bank.l2->insert(msg.line, L2Line{false}, inserted,
-                                 L2Evictable{bank});
-  if (!inserted) ++self->stats_.l2_overflow_inserts;
-  if (evicted) {
-    if (DirEntry* e = bank.directory.find(evicted->line)) e->l2_valid = false;
-  }
-  bank.directory[msg.line].l2_valid = true;
-  self->finish_fill(bank, msg, DataSource::kDram);
+  self->l2_insert(bank, msg.line, L2Line{false});
+  HomeLine& home = bank.directory[msg.line];
+  HomePort port{*self, bank, home};
+  coherence::fill(port, home.dir, msg, DataSource::kDram);
 }
 
 void CmpSystem::pending_event(void* ctx, void* target, const Message& msg) {
   auto* self = static_cast<CmpSystem*>(ctx);
   auto& bank = *static_cast<Bank*>(target);
-  DirEntry& entry = bank.directory[msg.line];
-  if (entry.busy) {
-    self->queue_pending_front(entry, msg);
+  HomeLine& home = bank.directory[msg.line];
+  if (home.dir.busy) {
+    self->queue_pending_front(home, msg);
     return;
   }
-  self->process_request(bank, msg);
+  HomePort port{*self, bank, home};
+  coherence::request(port, home.dir, msg);
   self->pump_pending(bank, msg.line);
 }
 
@@ -251,7 +350,7 @@ void CmpSystem::deliver(const Packet& packet) {
                         &banks_[static_cast<std::size_t>(bank)], packet.msg);
   } else {
     events_.schedule_in(config_.l1_latency, &CmpSystem::core_event, this,
-                        &core_at(packet.dst), packet.msg);
+                        &cores_[core_index_of(packet.dst)], packet.msg);
   }
 }
 
@@ -267,7 +366,7 @@ void CmpSystem::advance_core(Core& core) {
     retire_core(core);
     return;
   }
-  if (core.miss_active) ensure(false, "core advanced with a miss outstanding");
+  if (core.miss.active) ensure(false, "core advanced with a miss outstanding");
 
   const TraceOp op = core.trace->next();
   switch (op.kind) {
@@ -292,228 +391,14 @@ void CmpSystem::advance_core(Core& core) {
 
 void CmpSystem::execute_access(Core& core, bool is_store, LineAddr line) {
   ++stats_.mem_ops;
-  L1Line* l = core.l1->find(line);
-  if (l != nullptr) {
-    if (!is_store || l->state == L1State::kM) {
-      ++stats_.l1_hits;
-      advance_core(core);
-      return;
-    }
-    if (l->state == L1State::kE) {
-      // MOESI silent upgrade: E -> M without a message.
-      l->state = L1State::kM;
-      ++stats_.l1_hits;
-      advance_core(core);
-      return;
-    }
-    // Store to S or O: upgrade miss (data already held).
-    ++stats_.l1_misses;
-    start_miss(core, line, /*is_store=*/true, /*had_s=*/true);
+  CorePort port{*this, core};
+  if (coherence::access(port, line, is_store)) {
+    ++stats_.l1_hits;
+    advance_core(core);
     return;
   }
   ++stats_.l1_misses;
-  start_miss(core, line, is_store, /*had_s=*/false);
-}
-
-void CmpSystem::start_miss(Core& core, LineAddr line, bool is_store,
-                           bool had_s) {
-  core.miss_active = true;
   core.miss_start = events_.now();
-  core.miss_source = DataSource::kNone;
-  core.miss_is_store = is_store;
-  core.miss_had_s = had_s;
-  core.miss_line = line;
-  core.data_received = false;
-  // Loads never wait on invalidation acks; stores learn their count from
-  // the home's Data/AckCount message (-1 = not yet known).
-  core.acks_expected = is_store ? -1 : 0;
-  core.acks_received = 0;
-  send(is_store ? MsgType::kGetM : MsgType::kGetS, line, core.tile,
-       home_tile_of(line), core.tile);
-}
-
-void CmpSystem::maybe_complete_miss(Core& core) {
-  if (!core.miss_active || !core.data_received || core.acks_expected < 0 ||
-      core.acks_received < core.acks_expected) {
-    return;
-  }
-  const LineAddr line = core.miss_line;
-  const Cycle stall = events_.now() - core.miss_start;
-  switch (core.miss_source) {
-    case DataSource::kL2:
-      stats_.stall_l2_cycles += stall;
-      break;
-    case DataSource::kDram:
-      stats_.stall_dram_cycles += stall;
-      break;
-    case DataSource::kForward:
-      stats_.stall_forward_cycles += stall;
-      break;
-    case DataSource::kNone:
-      stats_.stall_upgrade_cycles += stall;  // ack-only upgrade
-      break;
-  }
-  L1State new_state;
-  if (core.miss_is_store) {
-    new_state = L1State::kM;
-  } else {
-    new_state =
-        core.data_kind == MsgType::kDataE ? L1State::kE : L1State::kS;
-  }
-  install_line(core, line, new_state);
-  core.miss_active = false;
-  send(MsgType::kUnblock, line, core.tile, home_tile_of(line),
-       core.tile);
-  events_.schedule_in(1, &CmpSystem::advance_event, this, &core, Message{});
-}
-
-void CmpSystem::install_line(Core& core, LineAddr line, L1State state) {
-  if (L1Line* l = core.l1->find(line); l != nullptr) {
-    l->state = state;  // upgrade in place
-    return;
-  }
-  bool inserted = false;
-  auto evicted = core.l1->insert(
-      line, L1Line{state}, inserted,
-      [](LineAddr, const L1Line&) { return true; });
-  if (!inserted) ensure(false, "L1 insert must always succeed");
-  if (!evicted) return;
-
-  const LineAddr victim = evicted->line;
-  switch (evicted->state.state) {
-    case L1State::kS:
-      send(MsgType::kPutS, victim, core.tile, home_tile_of(victim),
-           core.tile);
-      break;
-    case L1State::kE:
-    case L1State::kM:
-    case L1State::kO: {
-      const bool dirty = evicted->state.state != L1State::kE;
-      // Keep the line in the writeback buffer until the home acknowledges;
-      // forwarded requests meanwhile are served from here.
-      WbEntry& wb = core.writeback_entry(victim);
-      wb.dirty = dirty;
-      ++wb.pending_acks;
-      ++stats_.writebacks;
-      send(MsgType::kPutM, victim, core.tile, home_tile_of(victim),
-           core.tile, dirty);
-      break;
-    }
-    case L1State::kI:
-      break;
-  }
-}
-
-void CmpSystem::handle_core_message(Core& core, const Message& msg) {
-  switch (msg.type) {
-    case MsgType::kFwdGetS: {
-      L1Line* l = core.l1->find(msg.line);
-      if (l != nullptr) {
-        bool dirty = false;
-        switch (l->state) {
-          case L1State::kM:
-          case L1State::kO:
-            l->state = L1State::kO;
-            dirty = true;
-            break;
-          case L1State::kE:
-            l->state = L1State::kS;
-            dirty = false;
-            break;
-          default:
-            ensure(false, "FwdGetS to a non-owner L1 state");
-        }
-        send(MsgType::kData, msg.line, core.tile, msg.requestor,
-             msg.requestor, false, -1, DataSource::kForward);
-        send(MsgType::kDowngradeAck, msg.line, core.tile,
-             home_tile_of(msg.line), msg.requestor, dirty);
-      } else {
-        const WbEntry* wb = core.find_writeback(msg.line);
-        if (wb == nullptr) {
-          ensure(false,
-                 "FwdGetS owner holds the line in neither L1 nor WB buffer");
-        }
-        send(MsgType::kData, msg.line, core.tile, msg.requestor,
-             msg.requestor, false, -1, DataSource::kForward);
-        send(MsgType::kDowngradeAck, msg.line, core.tile,
-             home_tile_of(msg.line), msg.requestor, wb->dirty);
-      }
-      return;
-    }
-
-    case MsgType::kFwdGetM: {
-      L1Line* l = core.l1->find(msg.line);
-      if (l == nullptr) {
-        if (core.find_writeback(msg.line) == nullptr) {
-          ensure(false,
-                 "FwdGetM owner holds the line in neither L1 nor WB buffer");
-        }
-      } else {
-        core.l1->erase(msg.line);
-      }
-      send(MsgType::kDataM, msg.line, core.tile, msg.requestor, msg.requestor,
-           false, -1, DataSource::kForward);
-      return;
-    }
-
-    case MsgType::kInv: {
-      core.l1->erase(msg.line);
-      ++stats_.invalidations;
-      // If this core is mid-upgrade on the same line, its S data just died:
-      // the transaction must now wait for real data.
-      if (core.miss_active && core.miss_line == msg.line && core.miss_had_s) {
-        core.miss_had_s = false;
-      }
-      send(MsgType::kInvAck, msg.line, core.tile, msg.requestor,
-           msg.requestor);
-      return;
-    }
-
-    case MsgType::kData:
-    case MsgType::kDataE:
-    case MsgType::kDataM: {
-      if (!core.miss_active || core.miss_line != msg.line) {
-        ensure(false, "data response without a matching miss");
-      }
-      core.data_received = true;
-      core.data_kind = msg.type;
-      if (msg.source != DataSource::kNone) core.miss_source = msg.source;
-      if (msg.acks >= 0) core.acks_expected = msg.acks;
-      maybe_complete_miss(core);
-      return;
-    }
-
-    case MsgType::kAckCount: {
-      if (!core.miss_active || core.miss_line != msg.line) {
-        ensure(false, "AckCount without a matching miss");
-      }
-      core.acks_expected = msg.acks;
-      // msg.dirty == "forwarded data follows": even a sharer that already
-      // holds the S data must then wait for the owner's DataM, or the
-      // in-flight data would land after the miss retired.
-      if (core.miss_had_s && !msg.dirty) core.data_received = true;
-      maybe_complete_miss(core);
-      return;
-    }
-
-    case MsgType::kInvAck: {
-      ++core.acks_received;
-      maybe_complete_miss(core);
-      return;
-    }
-
-    case MsgType::kWBAck: {
-      WbEntry* wb = core.find_writeback(msg.line);
-      if (wb != nullptr && --wb->pending_acks <= 0) {
-        *wb = core.writeback_buffer.back();
-        core.writeback_buffer.pop_back();
-      }
-      return;
-    }
-
-    default:
-      ensure(false, "unexpected message type at an L1");
-  }
 }
 
 void CmpSystem::arrive_barrier(Core& core) {
@@ -677,291 +562,48 @@ void CmpSystem::retire_core(Core& core) {
 }
 
 void CmpSystem::flush_l1(Core& core) {
-  // Push every held line back to the directory, mirroring the eviction
-  // paths: PutS for shared lines, PutM (via the writeback buffer) for
-  // owned ones. The Core object stays alive afterwards so in-flight
-  // FwdGet*/Inv for these lines are still served from the buffer.
-  struct FlushLine {
-    LineAddr line;
-    L1State state;
-  };
-  std::vector<FlushLine> lines;
+  // Push every held line back to the directory as an eviction. The Core
+  // object stays alive afterwards so in-flight FwdGet*/Inv for these lines
+  // are still served from the writeback buffer.
+  std::vector<std::pair<LineAddr, L1State>> lines;
   core.l1->for_each(
-      [&](LineAddr line, L1Line& l) { lines.push_back({line, l.state}); });
-  for (const FlushLine& f : lines) {
-    core.l1->erase(f.line);
-    switch (f.state) {
-      case L1State::kS:
-        send(MsgType::kPutS, f.line, core.tile, home_tile_of(f.line),
-             core.tile);
-        break;
-      case L1State::kE:
-      case L1State::kM:
-      case L1State::kO: {
-        const bool dirty = f.state != L1State::kE;
-        WbEntry& wb = core.writeback_entry(f.line);
-        wb.dirty = dirty;
-        ++wb.pending_acks;
-        ++stats_.writebacks;
-        send(MsgType::kPutM, f.line, core.tile, home_tile_of(f.line),
-             core.tile, dirty);
-        break;
-      }
-      case L1State::kI:
-        break;
-    }
+      [&](LineAddr line, L1State s) { lines.emplace_back(line, s); });
+  CorePort port{*this, core};
+  for (const auto& [line, state] : lines) {
+    core.l1->erase(line);
+    coherence::evict(port, line, state);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Home / directory side
+// Home request queue
 // ---------------------------------------------------------------------------
 
-void CmpSystem::queue_pending_back(DirEntry& e, const Message& msg) {
+void CmpSystem::queue_pending_back(HomeLine& h, const Message& msg) {
   PendingNode* node = pending_pool_.create(PendingNode{msg, nullptr});
-  if (e.pending_tail == nullptr) {
-    e.pending_head = node;
+  if (h.pending_tail == nullptr) {
+    h.pending_head = node;
   } else {
-    e.pending_tail->next = node;
+    h.pending_tail->next = node;
   }
-  e.pending_tail = node;
-  ++e.pending_count;
+  h.pending_tail = node;
+  ++h.dir.pending_count;
 }
 
-void CmpSystem::queue_pending_front(DirEntry& e, const Message& msg) {
-  PendingNode* node = pending_pool_.create(PendingNode{msg, e.pending_head});
-  e.pending_head = node;
-  if (e.pending_tail == nullptr) e.pending_tail = node;
-  ++e.pending_count;
-}
-
-void CmpSystem::handle_home_message(Bank& bank, const Message& msg) {
-  DirEntry& e = bank.directory[msg.line];
-  switch (msg.type) {
-    case MsgType::kGetS:
-    case MsgType::kGetM:
-    case MsgType::kPutS:
-    case MsgType::kPutM:
-      // Queue behind any earlier waiters even when the line is idle (a
-      // pop from the pending queue may be in flight): FIFO per line.
-      if (e.busy || e.pending_head != nullptr) {
-        queue_pending_back(e, msg);
-        pump_pending(bank, msg.line);
-        return;
-      }
-      process_request(bank, msg);
-      return;
-
-    case MsgType::kDowngradeAck: {
-      if (!e.busy || !e.awaiting_downgrade) {
-        ensure(false, "DowngradeAck outside a forward transaction");
-      }
-      const std::size_t req = core_index_of(msg.requestor);
-      if (msg.dirty) {
-        e.state = DirState::kOwned;
-        e.sharers |= (std::uint64_t{1} << req);
-      } else {
-        e.state = DirState::kShared;
-        e.sharers |= (std::uint64_t{1} << req);
-        e.sharers |= (std::uint64_t{1} << e.owner);
-      }
-      e.downgrade_received = true;
-      if (e.unblock_received) finish_transaction(bank, msg.line);
-      return;
-    }
-
-    case MsgType::kUnblock:
-      if (e.awaiting_downgrade && !e.downgrade_received) {
-        e.unblock_received = true;  // wait for the owner's DowngradeAck
-        return;
-      }
-      finish_transaction(bank, msg.line);
-      return;
-
-    default:
-      ensure(false, "unexpected message type at a home bank");
-  }
-}
-
-void CmpSystem::process_request(Bank& bank, const Message& msg) {
-  DirEntry& e = bank.directory[msg.line];
-  const LineAddr line = msg.line;
-
-  switch (msg.type) {
-    case MsgType::kPutS: {
-      const std::size_t s = core_index_of(msg.sender);
-      e.sharers &= ~(std::uint64_t{1} << s);
-      if (e.state == DirState::kShared && e.sharers == 0) {
-        e.state = DirState::kUncached;
-      }
-      return;
-    }
-
-    case MsgType::kPutM: {
-      const std::size_t s = core_index_of(msg.sender);
-      const bool is_owner =
-          (e.state == DirState::kExclusive || e.state == DirState::kModified ||
-           e.state == DirState::kOwned) &&
-          e.owner == s;
-      if (is_owner) {
-        // Accept the writeback into the L2 data array.
-        bool inserted = false;
-        auto evicted = bank.l2->insert(line, L2Line{msg.dirty}, inserted,
-                                       L2Evictable{bank});
-        if (!inserted) ++stats_.l2_overflow_inserts;
-        if (evicted) {
-          if (DirEntry* v = bank.directory.find(evicted->line)) {
-            v->l2_valid = false;
-          }
-        }
-        e.l2_valid = true;
-        if (e.state == DirState::kOwned && e.sharers != 0) {
-          e.state = DirState::kShared;
-        } else {
-          e.state = DirState::kUncached;
-          e.sharers = 0;
-        }
-      }
-      // Stale PutM (ownership already moved on): data dropped.
-      send(MsgType::kWBAck, line, bank.tile, msg.sender, msg.sender);
-      return;
-    }
-
-    case MsgType::kGetS: {
-      e.busy = true;
-      const std::size_t r = core_index_of(msg.requestor);
-      switch (e.state) {
-        case DirState::kUncached:
-          fetch_line(bank, msg);
-          return;
-        case DirState::kShared:
-          if (!e.l2_valid) {
-            ensure(false, "Shared line missing from L2 data array");
-          }
-          e.sharers |= (std::uint64_t{1} << r);
-          respond_with_data(bank, line, msg.requestor, MsgType::kData, 0,
-                            DataSource::kL2);
-          return;
-        case DirState::kExclusive:
-        case DirState::kModified:
-        case DirState::kOwned: {
-          if (e.owner == r) {
-            ensure(false, "owner re-requested its own line (GetS)");
-          }
-          ++stats_.coherence_forwards;
-          e.awaiting_downgrade = true;
-          send(MsgType::kFwdGetS, line, bank.tile, core_tile_of(e.owner),
-               msg.requestor);
-          return;  // DowngradeAck will update the directory state
-        }
-      }
-      return;
-    }
-
-    case MsgType::kGetM: {
-      e.busy = true;
-      const std::size_t r = core_index_of(msg.requestor);
-      const std::uint64_t r_bit = std::uint64_t{1} << r;
-      switch (e.state) {
-        case DirState::kUncached:
-          fetch_line(bank, msg);
-          return;
-
-        case DirState::kShared: {
-          const std::uint64_t others = e.sharers & ~r_bit;
-          const int n = std::popcount(others);
-          for (std::size_t c = 0; c < cores_.size(); ++c) {
-            if (others & (std::uint64_t{1} << c)) {
-              send(MsgType::kInv, line, bank.tile, core_tile_of(c),
-                   msg.requestor);
-            }
-          }
-          if (e.sharers & r_bit) {
-            send(MsgType::kAckCount, line, bank.tile, msg.requestor,
-                 msg.requestor, false, n);
-          } else {
-            if (!e.l2_valid) {
-              ensure(false, "Shared line missing from L2 data array");
-            }
-            respond_with_data(bank, line, msg.requestor, MsgType::kDataM, n,
-                              DataSource::kL2);
-          }
-          e.state = DirState::kModified;
-          e.owner = static_cast<std::uint8_t>(r);
-          e.sharers = 0;
-          e.l2_valid = false;
-          return;
-        }
-
-        case DirState::kExclusive:
-        case DirState::kModified: {
-          if (e.owner == r) {
-            ensure(false, "owner re-requested its own line (GetM)");
-          }
-          ++stats_.coherence_forwards;
-          send(MsgType::kFwdGetM, line, bank.tile, core_tile_of(e.owner),
-               msg.requestor);
-          send(MsgType::kAckCount, line, bank.tile, msg.requestor,
-               msg.requestor, /*dirty=data-follows*/ true, 0);
-          e.state = DirState::kModified;
-          e.owner = static_cast<std::uint8_t>(r);
-          e.sharers = 0;
-          e.l2_valid = false;
-          return;
-        }
-
-        case DirState::kOwned: {
-          const std::uint64_t others = e.sharers & ~r_bit;
-          const int n = std::popcount(others);
-          for (std::size_t c = 0; c < cores_.size(); ++c) {
-            if (others & (std::uint64_t{1} << c)) {
-              send(MsgType::kInv, line, bank.tile, core_tile_of(c),
-                   msg.requestor);
-            }
-          }
-          if (e.owner == r) {
-            // The owner upgrades O -> M; it already holds the dirty data.
-            send(MsgType::kAckCount, line, bank.tile, msg.requestor,
-                 msg.requestor, false, n);
-          } else {
-            ++stats_.coherence_forwards;
-            send(MsgType::kFwdGetM, line, bank.tile, core_tile_of(e.owner),
-                 msg.requestor);
-            send(MsgType::kAckCount, line, bank.tile, msg.requestor,
-                 msg.requestor, /*dirty=data-follows*/ true, n);
-          }
-          e.state = DirState::kModified;
-          e.owner = static_cast<std::uint8_t>(r);
-          e.sharers = 0;
-          e.l2_valid = false;
-          return;
-        }
-      }
-      return;
-    }
-
-    default:
-      ensure(false, "process_request on a non-request message");
-  }
-}
-
-void CmpSystem::finish_transaction(Bank& bank, LineAddr line) {
-  DirEntry& e = bank.directory[line];
-  if (!e.busy) ensure(false, "Unblock without an open transaction");
-  e.busy = false;
-  e.awaiting_downgrade = false;
-  e.downgrade_received = false;
-  e.unblock_received = false;
-  pump_pending(bank, line);
+void CmpSystem::queue_pending_front(HomeLine& h, const Message& msg) {
+  PendingNode* node = pending_pool_.create(PendingNode{msg, h.pending_head});
+  h.pending_head = node;
+  if (h.pending_tail == nullptr) h.pending_tail = node;
+  ++h.dir.pending_count;
 }
 
 void CmpSystem::pump_pending(Bank& bank, LineAddr line) {
-  DirEntry& e = bank.directory[line];
-  if (e.busy || e.pending_head == nullptr) return;
-  PendingNode* node = e.pending_head;
-  e.pending_head = node->next;
-  if (e.pending_head == nullptr) e.pending_tail = nullptr;
-  --e.pending_count;
+  HomeLine& h = bank.directory[line];
+  if (h.dir.busy || h.pending_head == nullptr) return;
+  PendingNode* node = h.pending_head;
+  h.pending_head = node->next;
+  if (h.pending_head == nullptr) h.pending_tail = nullptr;
+  --h.dir.pending_count;
   const Message next = node->msg;
   pending_pool_.destroy(node);
   // Re-dispatch after one cycle to bound recursion and model queue pop.
@@ -972,48 +614,6 @@ void CmpSystem::pump_pending(Bank& bank, LineAddr line) {
   events_.schedule_in(1, &CmpSystem::pending_event, this, &bank, next);
 }
 
-void CmpSystem::respond_with_data(Bank& bank, LineAddr line, NodeId requestor,
-                                  MsgType kind, std::int32_t acks,
-                                  DataSource source) {
-  send(kind, line, bank.tile, requestor, requestor, false, acks, source);
-}
-
-void CmpSystem::finish_fill(Bank& bank, const Message& request,
-                            DataSource source) {
-  DirEntry& entry = bank.directory[request.line];
-  const std::size_t r = core_index_of(request.requestor);
-  entry.owner = static_cast<std::uint8_t>(r);
-  entry.sharers = 0;
-  if (request.type == MsgType::kGetS) {
-    entry.state = DirState::kExclusive;
-    respond_with_data(bank, request.line, request.requestor, MsgType::kDataE,
-                      0, source);
-  } else {
-    entry.state = DirState::kModified;
-    entry.l2_valid = false;  // the new owner's copy supersedes L2
-    respond_with_data(bank, request.line, request.requestor, MsgType::kDataM,
-                      0, source);
-  }
-}
-
-void CmpSystem::fetch_line(Bank& bank, const Message& request) {
-  const LineAddr line = request.line;
-  if (bank.l2->find(line) != nullptr) {
-    ++stats_.l2_data_hits;
-    bank.directory[line].l2_valid = true;
-    finish_fill(bank, request, DataSource::kL2);
-    return;
-  }
-  ++stats_.l2_data_misses;
-  ++stats_.dram_accesses;
-
-  MemoryController& mc = memory_[bank.chip];
-  const Cycle start = std::max(events_.now(), mc.next_free);
-  mc.next_free = start + dram_service_cycles_;
-  events_.schedule(start + dram_latency_cycles_, &CmpSystem::dram_fill_event,
-                   this, &bank, request);
-}
-
 // ---------------------------------------------------------------------------
 
 void CmpSystem::report_deadlock() {
@@ -1022,31 +622,39 @@ void CmpSystem::report_deadlock() {
                      std::to_string(events_.now()) + ": noc " +
                      (noc_->active() ? "ACTIVE" : "idle");
   for (const Core& c : cores_) {
+    const coherence::Miss& m = c.miss;
     dump += "\n core " + std::to_string(c.index) +
             (c.finished ? " done" : "") +
             (c.at_barrier ? " barrier" : "") +
-            (c.miss_active
-                 ? " miss line=" + std::to_string(c.miss_line) +
-                       (c.miss_is_store ? " store" : " load") +
-                       " data=" + std::to_string(c.data_received) +
-                       " acks=" + std::to_string(c.acks_received) + "/" +
-                       std::to_string(c.acks_expected)
-                 : "");
+            (m.active ? " miss line=" + std::to_string(m.line) +
+                            (m.is_store ? " store" : " load") +
+                            " data=" + std::to_string(m.data_received) +
+                            " acks=" + std::to_string(m.acks_received) + "/" +
+                            std::to_string(m.acks_expected)
+                      : "");
   }
-  // Busy lines in (bank, line) order, independent of the table layout.
+  // Busy lines in (bank, line) order, independent of the table layout, each
+  // with the fields a stuck transaction turns on.
   std::vector<LineAddr> busy;
   for (const Bank& b : banks_) {
     busy.clear();
-    b.directory.for_each([&busy](LineAddr line, const DirEntry& e) {
-      if (e.busy || e.pending_count != 0) busy.push_back(line);
+    b.directory.for_each([&busy](LineAddr line, const HomeLine& h) {
+      if (h.dir.busy || h.dir.pending_count != 0) busy.push_back(line);
     });
     std::sort(busy.begin(), busy.end());
     for (const LineAddr line : busy) {
-      const DirEntry& e = *b.directory.find(line);
+      const coherence::DirEntry& e = b.directory.find(line)->dir;
+      char sharers[24];
+      std::snprintf(sharers, sizeof sharers, "0x%llx",
+                    static_cast<unsigned long long>(e.sharers));
       dump += "\n bank tile " + std::to_string(b.tile) + " line " +
               std::to_string(line) + " state " +
               std::string(to_string(e.state)) + (e.busy ? " BUSY" : "") +
-              " pending " + std::to_string(e.pending_count);
+              " pending " + std::to_string(e.pending_count) + " owner " +
+              std::to_string(e.owner) + " sharers " + sharers +
+              " awaiting_downgrade " + std::to_string(e.awaiting_downgrade) +
+              " downgrade_received " + std::to_string(e.downgrade_received) +
+              " unblock_received " + std::to_string(e.unblock_received);
     }
   }
   ensure(false, dump);

@@ -13,6 +13,7 @@
 #include "common/pool.hpp"
 #include "common/units.hpp"
 #include "perf/cache.hpp"
+#include "perf/coherence.hpp"
 #include "perf/event_queue.hpp"
 #include "perf/faults.hpp"
 #include "perf/line_table.hpp"
@@ -131,49 +132,23 @@ class CmpSystem {
   friend struct CmpSystemTestPeer;  ///< white-box hooks (tests/perf)
 
   // ---- L1 / core side ----
-  struct L1Line {
-    L1State state = L1State::kI;
-  };
-
-  struct WbEntry {
-    LineAddr line = 0;
-    bool dirty = false;
-    // A line can be evicted again before the first WBAck returns; the entry
-    // must survive until every outstanding PutM is acknowledged.
-    std::int32_t pending_acks = 0;
-  };
-
   struct Core {
     std::size_t index = 0;
     NodeId tile = 0;
-    std::unique_ptr<SetAssocCache<L1Line>> l1;
+    std::unique_ptr<SetAssocCache<L1State>> l1;
     std::unique_ptr<OpSource> trace;
 
     bool finished = false;
     bool at_barrier = false;
     bool dying = false;  ///< mid-run kill pending; retires at next quiesce
 
-    // In-flight miss (at most one: in-order core).
-    bool miss_active = false;
-    bool miss_is_store = false;
-    bool miss_had_s = false;  ///< store upgrade from S/O (data already held)
-    LineAddr miss_line = 0;
-    bool data_received = false;
-    MsgType data_kind = MsgType::kData;
-    std::int32_t acks_expected = -1;
-    std::int32_t acks_received = 0;
-    Cycle miss_start = 0;                      ///< CPI-stack attribution
-    DataSource miss_source = DataSource::kNone;
+    coherence::Miss miss;
+    Cycle miss_start = 0;  ///< CPI-stack attribution
     Cycle barrier_arrive = 0;
 
-    // Evicted dirty/exclusive lines awaiting WBAck; FwdGet* for these lines
-    // are served from here. A handful of entries at most: a flat vector,
-    // searched linearly, unordered.
-    std::vector<WbEntry> writeback_buffer;
-
-    [[nodiscard]] WbEntry* find_writeback(LineAddr line);
-    /// The line's entry, appended (zeroed) if absent.
-    WbEntry& writeback_entry(LineAddr line);
+    // Evicted dirty/exclusive lines awaiting WBAck. A handful of entries at
+    // most: a flat vector, searched linearly, unordered.
+    std::vector<coherence::Writeback> writeback_buffer;
   };
 
   // ---- L2 / directory side ----
@@ -188,28 +163,15 @@ class CmpSystem {
     PendingNode* next = nullptr;
   };
 
+  /// A line at its home: the protocol's entry and its blocked requests,
+  /// FIFO (an intrusive list of pooled nodes, `dir.pending_count` long).
   /// 32 bytes, so a directory slot (line + entry) is 40.
-  struct DirEntry {
-    DirState state = DirState::kUncached;
-    // One flags byte.
-    bool busy : 1 = false;
-    bool l2_valid : 1 = false;  ///< L2 data array holds a valid copy
-    // FwdGetS transactions complete on TWO messages that race on the
-    // response class: the owner's DowngradeAck and the requestor's
-    // Unblock. The transaction closes only when both have arrived.
-    bool awaiting_downgrade : 1 = false;
-    bool downgrade_received : 1 = false;
-    bool unblock_received : 1 = false;
-    std::uint8_t owner = 0;        ///< core index (< 64)
-    /// Queued requests (diagnostics). Each core has at most one miss and
-    /// a few writebacks of a line in flight, far below the type's range.
-    std::uint16_t pending_count = 0;
-    std::uint64_t sharers = 0;     ///< bitmask over core indices (<= 64)
-    // Blocked requests, FIFO (intrusive list of pooled nodes).
+  struct HomeLine {
+    coherence::DirEntry dir;
     PendingNode* pending_head = nullptr;
     PendingNode* pending_tail = nullptr;
   };
-  static_assert(sizeof(DirEntry) == 32, "directory slots are 40 bytes");
+  static_assert(sizeof(HomeLine) == 32, "directory slots are 40 bytes");
 
   struct Bank {
     NodeId tile = 0;
@@ -217,7 +179,7 @@ class CmpSystem {
     std::unique_ptr<SetAssocCache<L2Line>> l2;
     // Never erased. Handlers insert only the line they are handling, so a
     // DirEntry& they hold stays valid (see line_table.hpp).
-    LineTable<DirEntry> directory;
+    LineTable<HomeLine> directory;
   };
 
   /// L2 victim filter: a line may leave a bank's data array only while its
@@ -225,10 +187,16 @@ class CmpSystem {
   struct L2Evictable {
     const Bank& bank;
     bool operator()(LineAddr line, const L2Line&) const {
-      const DirEntry* e = bank.directory.find(line);
-      return e == nullptr || (!e->busy && e->state == DirState::kUncached);
+      const HomeLine* h = bank.directory.find(line);
+      return h == nullptr ||
+             (!h->dir.busy && h->dir.state == DirState::kUncached);
     }
   };
+
+  // The ports through which the coherence transitions (perf/coherence.hpp)
+  // act on this system: a core's L1 side, and a bank's home side.
+  struct CorePort;
+  struct HomePort;
 
   struct MemoryController {
     Cycle next_free = 0;
@@ -251,17 +219,13 @@ class CmpSystem {
 
   // ---- wiring ----
   void send(MsgType type, LineAddr line, NodeId from, NodeId to,
-            NodeId requestor, bool dirty = false, std::int32_t acks = 0,
-            DataSource source = DataSource::kNone);
+            NodeId requestor, bool dirty, std::int32_t acks,
+            DataSource source);
   void deliver(const Packet& packet);
 
   // Core behavior.
   void advance_core(Core& core);
   void execute_access(Core& core, bool is_store, LineAddr line);
-  void start_miss(Core& core, LineAddr line, bool is_store, bool had_s);
-  void maybe_complete_miss(Core& core);
-  void install_line(Core& core, LineAddr line, L1State state);
-  void handle_core_message(Core& core, const Message& msg);
   void arrive_barrier(Core& core);
   void maybe_release_barrier();
 
@@ -270,25 +234,16 @@ class CmpSystem {
   void retire_core(Core& core);
   void flush_l1(Core& core);
 
-  // Home/directory behavior (runs after the bank's tag latency).
-  void handle_home_message(Bank& bank, const Message& msg);
-  void process_request(Bank& bank, const Message& msg);
-  void finish_transaction(Bank& bank, LineAddr line);
+  // Home side: the request queue (the blocking directory's waiters) and
+  // the L2 data array.
   void pump_pending(Bank& bank, LineAddr line);
-  void queue_pending_back(DirEntry& e, const Message& msg);
-  void queue_pending_front(DirEntry& e, const Message& msg);
-  void respond_with_data(Bank& bank, LineAddr line, NodeId requestor,
-                         MsgType kind, std::int32_t acks,
-                         DataSource source);
-  /// Serves `request` (kGetS/kGetM, directory already busy) from the L2
-  /// data array or DRAM; the grant kind is derived from request.type when
-  /// the data arrives (finish_fill).
-  void fetch_line(Bank& bank, const Message& request);
-  void finish_fill(Bank& bank, const Message& request, DataSource source);
+  void queue_pending_back(HomeLine& h, const Message& msg);
+  void queue_pending_front(HomeLine& h, const Message& msg);
+  /// Inserts into the bank's L2 data array; an evicted line's directory
+  /// entry loses its valid copy.
+  void l2_insert(Bank& bank, LineAddr line, L2Line value);
 
-  [[nodiscard]] Core& core_at(NodeId tile);
   [[nodiscard]] std::size_t core_index_of(NodeId tile) const;
-  [[nodiscard]] NodeId core_tile_of(std::size_t core_index) const;
   [[nodiscard]] NodeId home_tile_of(LineAddr line) const {
     return home_tiles_[line % home_tiles_.size()];
   }

@@ -2,7 +2,8 @@
 /// unfinished cores, the simulator must fail fast with a snapshot of every
 /// core's wait state (not hang, not exit silently). Wedged protocol states
 /// are hard to reach through the public API on purpose, so the test swaps
-/// one core's op stream for a barrier that no other thread ever reaches.
+/// one core's op stream for a barrier that no other thread ever reaches,
+/// and plants directory entries to see how busy lines are reported.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,11 @@ struct CmpSystemTestPeer {
     system.cores_[core].trace = std::move(trace);
   }
   static void mark_busy(CmpSystem& system, std::size_t bank, LineAddr line) {
-    system.banks_[bank].directory[line].busy = true;
+    system.banks_[bank].directory[line].dir.busy = true;
+  }
+  static void set_line(CmpSystem& system, std::size_t bank, LineAddr line,
+                       const coherence::DirEntry& e) {
+    system.banks_[bank].directory[line].dir = e;
   }
   static NodeId bank_tile(const CmpSystem& system, std::size_t bank) {
     return system.banks_[bank].tile;
@@ -102,7 +107,9 @@ TEST(DeadlockDiagnostic, BusyLinesListedInBankAndLineOrder) {
   const auto entry = [&](std::size_t bank, LineAddr line) {
     return "bank tile " +
            std::to_string(CmpSystemTestPeer::bank_tile(system, bank)) +
-           " line " + std::to_string(line) + " state ";
+           " line " + std::to_string(line) +
+           " state Uncached BUSY pending 0 owner 0 sharers 0x0 "
+           "awaiting_downgrade 0 downgrade_received 0 unblock_received 0";
   };
   expected.push_back(entry(1, 9));
   for (const LineAddr line : {LineAddr{0}, LineAddr{7}, LineAddr{300},
@@ -116,6 +123,39 @@ TEST(DeadlockDiagnostic, BusyLinesListedInBankAndLineOrder) {
                                       << what;
     at = pos + e.size();
   }
+}
+
+// Each stuck line shows the fields a stuck transaction turns on: who owns
+// it, who shares it, and which of the two closing messages arrived.
+TEST(DeadlockDiagnostic, BusyLineShowsOwnerSharersAndFlags) {
+  CmpConfig cfg;
+  cfg.chips = 2;
+  WorkloadProfile p = npb_profile("ep");
+  p.instructions_per_thread = 50;
+  p.phases = 1;
+  CmpSystem system(cfg, p, gigahertz(1.0), /*seed=*/1);
+  CmpSystemTestPeer::replace_trace(system, 0,
+                                   std::make_unique<LoneBarrierSource>());
+  coherence::DirEntry e;
+  e.state = DirState::kShared;
+  e.busy = true;
+  e.awaiting_downgrade = true;
+  e.unblock_received = true;
+  e.owner = 16;
+  e.sharers = (std::uint64_t{1} << 16) | (std::uint64_t{1} << 17);
+  CmpSystemTestPeer::set_line(system, 2, 285213785, e);
+
+  std::string what;
+  try {
+    system.run();
+  } catch (const Error& err) {
+    what = err.what();
+  }
+  const std::string expected =
+      "bank tile " + std::to_string(CmpSystemTestPeer::bank_tile(system, 2)) +
+      " line 285213785 state Shared BUSY pending 0 owner 16 sharers 0x30000 "
+      "awaiting_downgrade 1 downgrade_received 0 unblock_received 1";
+  EXPECT_NE(what.find(expected), std::string::npos) << what;
 }
 
 }  // namespace

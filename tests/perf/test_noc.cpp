@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -358,6 +359,56 @@ TEST(Noc, FaultedAllToAllStillDrains) {
   while (h.mesh->active() && t < 100000) h.mesh->tick(++t);
   EXPECT_FALSE(h.mesh->active()) << "packets stuck in the faulted mesh";
   EXPECT_EQ(h.delivered.size(), sent);
+}
+
+// The coherence protocol, and the exhaustive checker that verifies it
+// (support/coherence_checker.hpp), assume FIFO delivery per (source,
+// destination, message class): one VC per class and one route per pair.
+// Random all-to-all traffic, numbered per (source, destination, VC), must
+// eject in injection order under contention.
+void expect_pair_fifo(Harness& h, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const std::size_t tiles = h.config.total_tiles();
+  using Pair = std::tuple<NodeId, NodeId, std::uint8_t>;  // src, dst, VC
+  std::map<Pair, std::int32_t> sent;
+  Cycle t = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (int k = 0; k < 10; ++k) {
+      // Few endpoints, so pairs repeat while earlier packets are in flight.
+      const auto src = static_cast<NodeId>(rng.uniform_index(tiles / 4));
+      const auto dst = static_cast<NodeId>(tiles - 1 - rng.uniform_index(4));
+      const auto vc = static_cast<std::uint8_t>(rng.uniform_index(3));
+      const auto flits = static_cast<std::uint8_t>(rng.bernoulli(0.5) ? 5 : 1);
+      Packet p = make_packet(src, dst, vc, flits);
+      p.msg.acks = sent[Pair(src, dst, vc)]++;
+      h.mesh->inject(t, p);
+    }
+    h.mesh->tick(++t);
+  }
+  while (h.mesh->active() && t < 100000) h.mesh->tick(++t);
+  ASSERT_FALSE(h.mesh->active()) << "packets stuck in the mesh";
+  std::map<Pair, std::int32_t> next;
+  for (const Packet& p : h.delivered) {
+    const std::int32_t expected = next[Pair(p.src, p.dst, p.vc)]++;
+    EXPECT_EQ(p.msg.acks, expected)
+        << "pair " << p.src << " -> " << p.dst << " on VC " << int{p.vc};
+  }
+  EXPECT_EQ(next, sent);
+}
+
+TEST(Noc, PairDeliveryIsFifoPerClass) {
+  Harness h(2);
+  expect_pair_fifo(h, 5);
+}
+
+TEST(Noc, PairDeliveryIsFifoPerClassAroundAFailedLink) {
+  Harness h(2);
+  const NodeId a = tile_id(h.config, {1, 0, 0});
+  const NodeId b = tile_id(h.config, {2, 0, 0});
+  h.mesh->fail_link(a, b);
+  // Pairs whose dimension-order path crossed the link now detour.
+  ASSERT_NE(h.mesh->route(a, tile_id(h.config, {3, 3, 1})), Mesh3d::kXPos);
+  expect_pair_fifo(h, 5);
 }
 
 TEST(Noc, RejectsFaultsAfterTraffic) {
