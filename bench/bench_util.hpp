@@ -67,8 +67,10 @@ int run_microbenchmarks(int argc, char** argv);
 /// renames the multigrid V-cycle counts (`*_vcycles`,
 /// `cost_breakdown.vcycles`) to preconditioner applications
 /// (`*_precond_applies`); 8 = drops the NoC skipped-cycle counts of the
-/// NPB figure benches and perf_noc with the mesh's quiet-cycle skip.
-inline constexpr int kSchemaVersion = 8;
+/// NPB figure benches and perf_noc with the mesh's quiet-cycle skip; 9 =
+/// drops perf_sweep_parallel's `steals_w*` keys (every sweep task is
+/// unpinned, so none is ever stolen).
+inline constexpr int kSchemaVersion = 9;
 
 /// Machine-readable counterpart of the printed tables: a flat ordered
 /// key -> value map written as `BENCH_<name>.json` in the working

@@ -5,7 +5,7 @@
 /// non-zero. Also records the engine's batch dispatch rate for empty
 /// tasks.
 ///
-/// Emits BENCH_sweep_parallel.json (schema v6). AQUA_NPB_SCALE scales the
+/// Emits BENCH_sweep_parallel.json (schema v9). AQUA_NPB_SCALE scales the
 /// DES portion as usual; the sweep cache/poison env is cleared so every
 /// run is a cold compute (warm runs would void the scaling numbers).
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/metrics.hpp"
 #include "power/chip_model.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/cell_key.hpp"
@@ -75,13 +74,10 @@ struct MixResult {
   std::string rendered;
   double wall_seconds = 0.0;
   std::size_t cells = 0;
-  std::uint64_t steals = 0;
 };
 
 MixResult run_mix(std::size_t workers) {
   aqua::sweep::TaskEngine::shared().configure(workers);
-  const std::uint64_t steals_before =
-      aqua::obs::Registry::instance().counter("engine.steals").value();
   const double t0 = now_seconds();
   const aqua::FreqVsChipsData freq =
       aqua::frequency_vs_chips(aqua::make_low_power_cmp(), kFreqChips);
@@ -94,8 +90,6 @@ MixResult run_mix(std::size_t workers) {
   r.cells = freq.max_chips * freq.series.size()   // freq cells
             + npb.coolings.size()                 // cap cells
             + (npb.rows.size() - 1) * npb.coolings.size();  // DES slots
-  r.steals = aqua::obs::Registry::instance().counter("engine.steals").value() -
-             steals_before;
   return r;
 }
 
@@ -156,12 +150,10 @@ int main(int argc, char** argv) {
     const double speedup = reference.wall_seconds / r.wall_seconds;
     std::cout << "workers=" << workers << " wall=" << r.wall_seconds
               << "s cells/sec=" << cells_per_sec << " speedup=" << speedup
-              << " steals=" << r.steals
               << (matches ? "" : "  TABLE MISMATCH") << "\n";
     report.add("wall_seconds_w" + w, r.wall_seconds)
         .add("cells_per_sec_w" + w, cells_per_sec)
         .add("speedup_w" + w, speedup)
-        .add("steals_w" + w, static_cast<std::size_t>(r.steals))
         .add("identical_w" + w, matches);
   }
   aqua::sweep::TaskEngine::shared().configure(0);

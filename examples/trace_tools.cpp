@@ -7,7 +7,6 @@
 ///   $ ./build/examples/trace_tools summarize [--json] TRACE_aqua.json
 ///   $ ./build/examples/trace_tools summarize --faults REPORT_aqua.jsonl
 ///   $ ./build/examples/trace_tools timeline [--json] TRACE_aqua.json
-///   $ ./build/examples/trace_tools critical-path [--json] TRACE_aqua.json
 ///   $ ./build/examples/trace_tools perf-gate BENCH_x.json bench/baselines
 ///   $ ./build/examples/trace_tools merge out.json a.json b.json
 ///   $ ./build/examples/trace_tools check TRACE_aqua.json
@@ -24,10 +23,9 @@
 /// its sweep_cache.jsonl): valid entries, duplicates, corrupt lines and
 /// stale-salt records, broken down per sweep family.
 ///
-/// The flight-recorder commands read a trace recorded with AQUA_TRACE=1:
-/// `timeline` prints per-worker utilization, task mix and steal balance;
-/// `critical-path` prints the strict-chain serial floor — the wall time an
-/// infinite-worker engine could not beat. `perf-gate` compares a fresh
+/// `timeline` reads the task engine's `engine.task` spans from a trace
+/// recorded with AQUA_TRACE=1 and prints per-worker utilization and idle
+/// gaps, plus the total and longest task time. `perf-gate` compares a fresh
 /// BENCH_*.json against committed baseline runs (median-of-k, noise-aware
 /// per-kind thresholds; see obs/bench_compare.hpp) and exits 1 on
 /// regression — the CI perf gate. EXPERIMENTS.md walks the workflow.
@@ -60,7 +58,6 @@ int usage() {
             << "  trace_tools summarize --faults <report.jsonl>...\n"
             << "  trace_tools summarize --service <report.jsonl>...\n"
             << "  trace_tools timeline [--json] <trace.json>...\n"
-            << "  trace_tools critical-path [--json] <trace.json>...\n"
             << "  trace_tools perf-gate [--json] [--time-threshold X]\n"
             << "      [--work-threshold Y] <fresh.json> <baseline-dir-or-"
                "json>...\n"
@@ -176,8 +173,8 @@ int run_summarize(int argc, char** argv) {
   return 0;
 }
 
-/// `timeline`: per-worker utilization, task mix and steal balance from the
-/// flight recorder's engine.task.* spans.
+/// `timeline`: per-worker utilization and idle gaps from the task
+/// engine's engine.task spans.
 int run_timeline(int argc, char** argv) {
   int first = 2;
   const bool json = eat_json_flag(first, argc, argv);
@@ -187,19 +184,16 @@ int run_timeline(int argc, char** argv) {
       aqua::obs::summarize_worker_timeline(events);
   if (json) {
     std::cout << "{\"window_us\": " << aqua::obs::json_number(t.window_us)
-              << ", \"tasks\": " << t.tasks << ", \"steals\": " << t.steals
-              << ", \"claims\": " << t.claims << ", \"workers\": [";
+              << ", \"tasks\": " << t.tasks << ", \"total_task_us\": "
+              << aqua::obs::json_number(t.total_task_us)
+              << ", \"longest_task_us\": "
+              << aqua::obs::json_number(t.longest_task_us)
+              << ", \"workers\": [";
     bool comma = false;
     for (const aqua::obs::WorkerTimelineRow& w : t.workers) {
       aqua::obs::JsonWriter row;
       row.add("worker", static_cast<std::uint64_t>(w.worker))
           .add("tasks", static_cast<std::uint64_t>(w.tasks))
-          .add("strict", static_cast<std::uint64_t>(w.strict))
-          .add("loose", static_cast<std::uint64_t>(w.loose))
-          .add("unpinned", static_cast<std::uint64_t>(w.unpinned))
-          .add("stolen", static_cast<std::uint64_t>(w.stolen))
-          .add("steals_in", static_cast<std::uint64_t>(w.steals_in))
-          .add("steals_out", static_cast<std::uint64_t>(w.steals_out))
           .add("busy_us", w.busy_us)
           .add("idle_us", w.idle_us)
           .add("longest_gap_us", w.longest_gap_us)
@@ -211,22 +205,15 @@ int run_timeline(int argc, char** argv) {
     return 0;
   }
   if (t.tasks == 0) {
-    std::cout << "no engine.task.* spans found — record with AQUA_TRACE=1 "
-                 "and AQUA_SWEEP_WORKERS>=1\n";
+    std::cout << "no engine.task spans found — record with AQUA_TRACE=1\n";
     return 0;
   }
-  aqua::Table table({"worker", "tasks", "strict", "loose", "unpinned",
-                     "stolen", "steals out", "busy ms", "idle ms",
-                     "max gap ms", "util %"});
+  aqua::Table table(
+      {"worker", "tasks", "busy ms", "idle ms", "max gap ms", "util %"});
   for (const aqua::obs::WorkerTimelineRow& w : t.workers) {
     table.row()
         .add_int(static_cast<long long>(w.worker))
         .add_int(static_cast<long long>(w.tasks))
-        .add_int(static_cast<long long>(w.strict))
-        .add_int(static_cast<long long>(w.loose))
-        .add_int(static_cast<long long>(w.unpinned))
-        .add_int(static_cast<long long>(w.stolen))
-        .add_int(static_cast<long long>(w.steals_out))
         .add(w.busy_us / 1e3)
         .add(w.idle_us / 1e3)
         .add(w.longest_gap_us / 1e3)
@@ -234,67 +221,9 @@ int run_timeline(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << t.tasks << " tasks over " << t.window_us / 1e3 << " ms on "
-            << t.workers.size() << " worker(s); " << t.steals
-            << " steal(s), " << t.claims << " shared claim(s)\n";
-  return 0;
-}
-
-/// `critical-path`: the strict-chain serial floor — what an infinite
-/// worker count could not beat.
-int run_critical_path(int argc, char** argv) {
-  int first = 2;
-  const bool json = eat_json_flag(first, argc, argv);
-  if (first >= argc) return usage();
-  const auto events = load_all(argc, argv, first);
-  const aqua::obs::CriticalPathSummary c =
-      aqua::obs::critical_path_of(events);
-  if (json) {
-    std::cout << "{\"window_us\": " << aqua::obs::json_number(c.window_us)
-              << ", \"total_task_us\": "
-              << aqua::obs::json_number(c.total_task_us)
-              << ", \"longest_task_us\": "
-              << aqua::obs::json_number(c.longest_task_us)
-              << ", \"longest_chain_us\": "
-              << aqua::obs::json_number(c.longest_chain_us)
-              << ", \"floor_us\": " << aqua::obs::json_number(c.floor_us)
-              << ", \"max_speedup\": "
-              << aqua::obs::json_number(c.max_speedup())
-              << ", \"chains\": [";
-    bool comma = false;
-    for (const aqua::obs::StrictChainRow& r : c.chains) {
-      aqua::obs::JsonWriter row;
-      row.add("chain", static_cast<std::uint64_t>(r.chain))
-          .add("worker", static_cast<std::uint64_t>(r.worker))
-          .add("tasks", static_cast<std::uint64_t>(r.tasks))
-          .add("total_us", r.total_us);
-      std::cout << (comma ? "," : "") << row.str();
-      comma = true;
-    }
-    std::cout << "]}\n";
-    return 0;
-  }
-  if (c.total_task_us == 0.0) {
-    std::cout << "no engine.task.* spans found — record with AQUA_TRACE=1\n";
-    return 0;
-  }
-  if (!c.chains.empty()) {
-    aqua::Table table({"strict chain", "home worker", "tasks", "total ms"});
-    for (const aqua::obs::StrictChainRow& r : c.chains) {
-      table.row()
-          .add_int(static_cast<long long>(r.chain))
-          .add_int(static_cast<long long>(r.worker))
-          .add_int(static_cast<long long>(r.tasks))
-          .add(r.total_us / 1e3);
-    }
-    table.print(std::cout);
-  }
-  std::cout << "total task time  " << c.total_task_us / 1e3 << " ms\n"
-            << "longest task     " << c.longest_task_us / 1e3 << " ms\n"
-            << "longest chain    " << c.longest_chain_us / 1e3 << " ms";
-  if (!c.chains.empty()) std::cout << " (chain " << c.longest_chain << ")";
-  std::cout << "\nserial floor     " << c.floor_us / 1e3
-            << " ms -> max speedup over one worker " << c.max_speedup()
-            << "x\n";
+            << t.workers.size() << " worker(s); total task time "
+            << t.total_task_us / 1e3 << " ms, longest task "
+            << t.longest_task_us / 1e3 << " ms\n";
   return 0;
 }
 
@@ -681,7 +610,6 @@ int main(int argc, char** argv) {
     return run_summarize(argc, argv);
   }
   if (mode == "timeline") return run_timeline(argc, argv);
-  if (mode == "critical-path") return run_critical_path(argc, argv);
   if (mode == "perf-gate") return run_perf_gate(argc, argv);
   if (mode == "merge") return run_merge(argc, argv);
   if (mode == "check") return run_check(argc, argv);

@@ -2,7 +2,7 @@
 
 /// End-to-end co-simulation: power model -> thermal cap -> full-system
 /// performance — the paper's McPAT -> HotSpot -> gem5 pipeline in one call.
-/// Used by the NPB experiments (Figs. 10-13).
+/// Used by the quickstart and scenario_runner examples.
 
 #include <optional>
 #include <string>

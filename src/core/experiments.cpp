@@ -11,7 +11,6 @@
 #include "sweep/cell_key.hpp"
 #include "sweep/cells.hpp"
 #include "sweep/runner.hpp"
-#include "sweep/task_engine.hpp"
 
 namespace aqua {
 
@@ -249,45 +248,39 @@ NpbData npb_experiment(const ChipModel& chip, std::size_t chips,
       group->push_back(k);
     }
   }
-  std::vector<sweep::TaskEngine::Task> des_tasks;
-  des_tasks.reserve(suite.size() * cap_groups.size());
-  for (std::size_t b = 0; b < suite.size(); ++b) {
-    for (std::size_t g = 0; g < cap_groups.size(); ++g) {
-      sweep::TaskEngine::Task task;
-      task.body = [&, b, g](sweep::WorkerContext&) {
-        for (const std::size_t k : cap_groups[g]) {
-          AQUA_TRACE_SCOPE_ARG("experiment.npb_cell", "experiment",
-                               b * data.coolings.size() + k);
-          const sweep::CellConfig config = sweep::npb_des_cell(
-              chips, base_config.cores_per_chip, suite[b].name,
-              data.caps[k].frequency.value(),
-              suite[b].instructions_per_thread, seed, /*faulted=*/false);
-          const std::string cellkey = "chip=" + data.chip_name +
-                                      ";chips=" + std::to_string(chips) +
-                                      ";bench=" + suite[b].name +
-                                      ";cooling=" + to_string(data.coolings[k]);
-          const sweep::CellSource src = runner.run(
-              config, cellkey, {},
-              [&] {
-                return npb_des_values(base_config, suite[b],
-                                      data.caps[k].frequency, seed);
-              },
-              [&](const std::map<std::string, double>& values) {
-                const auto seconds = values.find("seconds");
-                if (seconds != values.end()) {
-                  data.rows[b].seconds[k] = seconds->second;
-                }
-              });
-          if (src == sweep::CellSource::kFailed) {
-            std::lock_guard lock(failed_mu);
-            data.failed_cells.push_back(cellkey);
-          }
-        }
-      };
-      des_tasks.push_back(std::move(task));
+  // Program-major: task i runs program i / groups, cap group i % groups.
+  const std::size_t groups = cap_groups.size();
+  sweep::dispatch_cells(suite.size() * groups, [&](std::size_t i) {
+    const std::size_t b = i / groups;
+    for (const std::size_t k : cap_groups[i % groups]) {
+      AQUA_TRACE_SCOPE_ARG("experiment.npb_cell", "experiment",
+                           b * data.coolings.size() + k);
+      const sweep::CellConfig config = sweep::npb_des_cell(
+          chips, base_config.cores_per_chip, suite[b].name,
+          data.caps[k].frequency.value(),
+          suite[b].instructions_per_thread, seed, /*faulted=*/false);
+      const std::string cellkey = "chip=" + data.chip_name +
+                                  ";chips=" + std::to_string(chips) +
+                                  ";bench=" + suite[b].name +
+                                  ";cooling=" + to_string(data.coolings[k]);
+      const sweep::CellSource src = runner.run(
+          config, cellkey, {},
+          [&] {
+            return npb_des_values(base_config, suite[b],
+                                  data.caps[k].frequency, seed);
+          },
+          [&](const std::map<std::string, double>& values) {
+            const auto seconds = values.find("seconds");
+            if (seconds != values.end()) {
+              data.rows[b].seconds[k] = seconds->second;
+            }
+          });
+      if (src == sweep::CellSource::kFailed) {
+        std::lock_guard lock(failed_mu);
+        data.failed_cells.push_back(cellkey);
+      }
     }
-  }
-  sweep::TaskEngine::shared().run(std::move(des_tasks));
+  });
   const sweep::SweepRunner::Stats st = runner.stats();
   data.cached_cells = st.cache_hits;
   data.deduped_cells = st.memo_hits;

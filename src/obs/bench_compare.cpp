@@ -80,9 +80,6 @@ MetricKind classify_metric(std::string_view full_key) {
   // timings they divide, and one-sided the same way a rate is.
   if (full_key.substr(0, 8) == "speedup_") return MetricKind::kRate;
   const std::string_view key = strip_worker_suffix(full_key);
-  // Steal counts depend on which idle worker wins a race: scheduling
-  // noise, not deterministic work.
-  if (key == "steals") return MetricKind::kIgnored;
   for (const char* suffix : {"_seconds", "_wall_seconds", "_us", "_ns",
                              "_ms", "seconds"}) {
     if (has_suffix(key, suffix)) return MetricKind::kTiming;

@@ -24,8 +24,7 @@
 ///                                   TRACE_<bench>.json)
 ///   AQUA_TRACE=<path>            -> enabled, output to <path>
 /// An env-enabled tracer auto-writes its file at process exit if nothing
-/// wrote it explicitly. Defining AQUA_OBS_NO_TRACING compiles every scope
-/// macro to nothing.
+/// wrote it explicitly.
 ///
 /// Span names and categories must be string literals (or otherwise outlive
 /// the tracer): events store the pointers, which keeps the enabled hot path
@@ -163,11 +162,6 @@ class TraceScope {
 #define AQUA_OBS_CONCAT_INNER(a, b) a##b
 #define AQUA_OBS_CONCAT(a, b) AQUA_OBS_CONCAT_INNER(a, b)
 
-#if defined(AQUA_OBS_NO_TRACING)
-#define AQUA_TRACE_SCOPE(name)
-#define AQUA_TRACE_SCOPE_C(name, category)
-#define AQUA_TRACE_SCOPE_ARG(name, category, arg)
-#else
 /// Traces the enclosing scope under `name` (category "aqua").
 #define AQUA_TRACE_SCOPE(name)                                        \
   ::aqua::obs::TraceScope AQUA_OBS_CONCAT(aqua_trace_scope_,          \
@@ -187,6 +181,5 @@ class TraceScope {
                                           __COUNTER__) {              \
     name, category, static_cast<std::int64_t>(arg)                    \
   }
-#endif
 
 }  // namespace aqua::obs

@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "obs/flight_recorder.hpp"
-
 namespace aqua::obs {
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -440,75 +438,40 @@ std::vector<SpanSummary> summarize_spans(
   return out;
 }
 
-namespace {
-
-constexpr std::string_view kTaskPrefix = "engine.task.";
-
-bool is_task_span(const ParsedTraceEvent& e) {
-  return e.phase == "X" &&
-         std::string_view(e.name).substr(0, kTaskPrefix.size()) ==
-             kTaskPrefix;
-}
-
-/// Worker id of a flight-recorder event: the packed arg's high half, or
-/// the thread id for traces recorded before args carried placement.
-std::uint32_t worker_of(const ParsedTraceEvent& e) {
-  return e.has_arg ? pair_hi(e.arg) : static_cast<std::uint32_t>(e.tid);
-}
-
-}  // namespace
-
 TimelineSummary summarize_worker_timeline(
     const std::vector<ParsedTraceEvent>& events) {
   TimelineSummary summary;
-  std::map<std::uint32_t, WorkerTimelineRow> rows;
   // Per-worker task intervals for the gap analysis.
   std::map<std::uint32_t, std::vector<std::pair<double, double>>> intervals;
   double window_start = 0.0;
   double window_end = 0.0;
-  bool any = false;
 
   for (const ParsedTraceEvent& e : events) {
-    if (e.name == FlightRecorder::kSteal) {
-      ++summary.steals;
-      ++rows[pair_hi(e.arg)].steals_in;
-      ++rows[pair_lo(e.arg)].steals_out;
-      continue;
-    }
-    if (e.name == FlightRecorder::kClaim) {
-      ++summary.claims;
-      continue;
-    }
-    if (!is_task_span(e)) continue;
-    const std::uint32_t w = worker_of(e);
-    WorkerTimelineRow& row = rows[w];
-    ++row.tasks;
-    ++summary.tasks;
-    row.busy_us += e.dur_us;
-    const std::string_view kind = std::string_view(e.name).substr(
-        kTaskPrefix.size());
-    if (kind == "strict") ++row.strict;
-    else if (kind == "loose") ++row.loose;
-    else if (kind == "unpinned") ++row.unpinned;
-    else if (kind == "stolen") ++row.stolen;
+    if (e.phase != "X" || e.name != kEngineTaskSpan) continue;
+    // The arg is the worker id; without one, the thread stands in.
+    const auto w = static_cast<std::uint32_t>(e.has_arg ? e.arg : e.tid);
     intervals[w].emplace_back(e.ts_us, e.ts_us + e.dur_us);
-    if (!any || e.ts_us < window_start) window_start = e.ts_us;
-    if (!any || e.ts_us + e.dur_us > window_end) {
+    if (summary.tasks == 0 || e.ts_us < window_start) window_start = e.ts_us;
+    if (summary.tasks == 0 || e.ts_us + e.dur_us > window_end) {
       window_end = e.ts_us + e.dur_us;
     }
-    any = true;
+    ++summary.tasks;
+    summary.total_task_us += e.dur_us;
+    summary.longest_task_us = std::max(summary.longest_task_us, e.dur_us);
   }
-  summary.window_us = any ? window_end - window_start : 0.0;
+  summary.window_us = window_end - window_start;
 
-  for (auto& [w, row] : rows) {
+  for (auto& [w, spans] : intervals) {
+    WorkerTimelineRow row;
     row.worker = w;
-    auto& spans = intervals[w];
+    row.tasks = spans.size();
     std::sort(spans.begin(), spans.end());
     // A worker runs one task at a time, so gaps between consecutive task
-    // intervals are genuine idle time (waiting on steals/claims or done).
+    // intervals are genuine idle time (waiting for work or done).
     double prev_end = 0.0;
     bool first = true;
     for (const auto& [start, end] : spans) {
+      row.busy_us += end - start;
       if (!first && start > prev_end) {
         const double gap = start - prev_end;
         row.idle_us += gap;
@@ -521,50 +484,6 @@ TimelineSummary summarize_worker_timeline(
         summary.window_us > 0.0 ? row.busy_us / summary.window_us : 0.0;
     summary.workers.push_back(row);
   }
-  return summary;
-}
-
-CriticalPathSummary critical_path_of(
-    const std::vector<ParsedTraceEvent>& events) {
-  CriticalPathSummary summary;
-  std::map<std::uint32_t, StrictChainRow> chains;
-  double window_start = 0.0;
-  double window_end = 0.0;
-  bool any = false;
-
-  for (const ParsedTraceEvent& e : events) {
-    if (!is_task_span(e)) continue;
-    summary.total_task_us += e.dur_us;
-    summary.longest_task_us = std::max(summary.longest_task_us, e.dur_us);
-    if (!any || e.ts_us < window_start) window_start = e.ts_us;
-    if (!any || e.ts_us + e.dur_us > window_end) {
-      window_end = e.ts_us + e.dur_us;
-    }
-    any = true;
-    if (std::string_view(e.name) != FlightRecorder::kTaskStrict) continue;
-    const std::uint32_t chain =
-        e.has_arg ? pair_lo(e.arg) : FlightRecorder::kNoChain;
-    StrictChainRow& row = chains[chain];
-    row.chain = chain;
-    row.worker = worker_of(e);
-    ++row.tasks;
-    row.total_us += e.dur_us;
-  }
-  summary.window_us = any ? window_end - window_start : 0.0;
-
-  for (auto& [chain, row] : chains) {
-    if (row.total_us > summary.longest_chain_us) {
-      summary.longest_chain_us = row.total_us;
-      summary.longest_chain = chain;
-    }
-    summary.chains.push_back(row);
-  }
-  std::sort(summary.chains.begin(), summary.chains.end(),
-            [](const StrictChainRow& a, const StrictChainRow& b) {
-              return a.total_us > b.total_us;
-            });
-  summary.floor_us = std::max(summary.longest_chain_us,
-                              summary.longest_task_us);
   return summary;
 }
 

@@ -91,22 +91,19 @@ std::vector<SpanSummary> summarize_spans(
     const std::vector<ParsedTraceEvent>& events);
 
 // ---------------------------------------------------------------------------
-// Flight-recorder analysis (`trace_tools timeline` / `critical-path`)
+// Engine task analysis (`trace_tools timeline`)
 // ---------------------------------------------------------------------------
 
-/// One engine worker's activity over the trace, built from the flight
-/// recorder's `engine.task.*` spans (args pack (worker, chain)) and the
-/// `engine.steal` / `engine.claim` markers.
+/// Name of the span the task engine records around every task it runs;
+/// its arg is the executing worker's id.
+inline constexpr std::string_view kEngineTaskSpan = "engine.task";
+
+/// One engine worker's activity over the trace, built from its
+/// `engine.task` spans.
 struct WorkerTimelineRow {
   std::uint32_t worker = 0;
   std::uint64_t tasks = 0;
-  std::uint64_t strict = 0;    ///< tasks run from the strict lane
-  std::uint64_t loose = 0;     ///< tasks run from the own loose lane
-  std::uint64_t unpinned = 0;  ///< tasks claimed from the shared queue
-  std::uint64_t stolen = 0;    ///< tasks stolen from another worker
-  std::uint64_t steals_in = 0;   ///< steals this worker performed
-  std::uint64_t steals_out = 0;  ///< tasks other workers stole from it
-  double busy_us = 0.0;          ///< sum of task-span durations
+  double busy_us = 0.0;    ///< sum of task-span durations
   double idle_us = 0.0;    ///< gaps between tasks inside the worker's window
   double longest_gap_us = 0.0;  ///< largest single such gap
   double utilization = 0.0;     ///< busy / timeline window
@@ -115,45 +112,15 @@ struct WorkerTimelineRow {
 struct TimelineSummary {
   double window_us = 0.0;  ///< first task start .. last task end, all workers
   std::uint64_t tasks = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t claims = 0;
+  double total_task_us = 0.0;    ///< sum of every task span
+  double longest_task_us = 0.0;  ///< no worker count finishes sooner
   std::vector<WorkerTimelineRow> workers;  ///< ordered by worker id
 };
 
-/// Aggregates the flight-recorder events into per-worker utilization,
-/// steal balance and idle gaps. Events without the engine category are
-/// ignored, so the whole trace file can be passed in.
+/// Aggregates the `engine.task` spans into per-worker utilization and idle
+/// gaps. Other events are ignored, so the whole trace file can be passed
+/// in.
 TimelineSummary summarize_worker_timeline(
-    const std::vector<ParsedTraceEvent>& events);
-
-/// One strict-affinity chain: tasks sharing an affinity run on one worker
-/// in submission order, so the chain's total is a serial lower bound.
-struct StrictChainRow {
-  std::uint32_t chain = 0;   ///< affinity (low 32 bits)
-  std::uint32_t worker = 0;  ///< home worker observed in the trace
-  std::uint64_t tasks = 0;
-  double total_us = 0.0;
-};
-
-/// The theoretical floor for AQUA_SWEEP_WORKERS=inf: every loose/unpinned
-/// task parallelizes, but a strict chain cannot, so wall time cannot drop
-/// below max(longest strict chain, longest single task).
-struct CriticalPathSummary {
-  double window_us = 0.0;       ///< observed task window (see timeline)
-  double total_task_us = 0.0;   ///< sum of every engine task span
-  double longest_task_us = 0.0;
-  double longest_chain_us = 0.0;
-  std::uint32_t longest_chain = 0;  ///< its chain id (valid when chains>0)
-  double floor_us = 0.0;  ///< max(longest_chain_us, longest_task_us)
-  std::vector<StrictChainRow> chains;  ///< ordered by descending total
-  /// total_task_us / floor_us — the speedup bound over one worker.
-  [[nodiscard]] double max_speedup() const {
-    return floor_us > 0.0 ? total_task_us / floor_us : 1.0;
-  }
-};
-
-/// Computes the strict-chain critical path from flight-recorder events.
-CriticalPathSummary critical_path_of(
     const std::vector<ParsedTraceEvent>& events);
 
 // ---------------------------------------------------------------------------

@@ -169,8 +169,8 @@ class SweepRunner {
 /// on the shared TaskEngine: workers claim the next unclaimed cell index
 /// in ascending order, so slow cells never leave fast workers idle and a
 /// driver that numbers its longest cells first starts them first. Every
-/// thermal sweep goes through here; only NPB's DES groups, which run
-/// several cells per task, build a TaskEngine batch directly.
+/// sweep in src/ goes through here; a "cell" may run several sweep cells
+/// (NPB runs each group of same-cap DES slots as one).
 void dispatch_cells(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 

@@ -5,7 +5,6 @@
 #include <exception>
 #include <string>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -13,13 +12,11 @@ namespace aqua::sweep {
 
 namespace {
 
-/// Engine-wide instrumentation. Per-worker queue depths and executed
-/// counts use the indexed-instrument helpers so `engine.queue_depth.w3`
-/// etc. show up individually in metrics snapshots and run reports.
+/// Engine-wide instrumentation, shown in metrics snapshots and run
+/// reports.
 struct EngineMetrics {
   obs::Counter& executed =
       obs::Registry::instance().counter("engine.tasks_executed");
-  obs::Counter& steals = obs::Registry::instance().counter("engine.steals");
   obs::Counter& shared_claimed =
       obs::Registry::instance().counter("engine.shared_claimed");
   obs::Counter& runs = obs::Registry::instance().counter("engine.runs");
@@ -55,9 +52,6 @@ struct TaskEngine::Batch {
 
     void refresh_stealable() {
       stealable.store(loose_tail - loose_head, std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::size_t depth() const {
-      return (strict.size() - strict_head) + (loose_tail - loose_head);
     }
   };
 
@@ -284,11 +278,10 @@ void TaskEngine::worker_loop(std::size_t id) {
 }
 
 void TaskEngine::execute(Batch& batch, WorkerContext& ctx,
-                         std::function<void(WorkerContext&)>& body, bool strict,
-                         const char* span, std::uint32_t chain) {
-  const auto worker = static_cast<std::uint32_t>(ctx.worker());
+                         std::function<void(WorkerContext&)>& body,
+                         bool strict) {
   {
-    obs::FlightRecorder::TaskScope scope(span, worker, chain);
+    AQUA_TRACE_SCOPE_ARG("engine.task", "engine", ctx.worker());
     try {
       body(ctx);
     } catch (...) {
@@ -304,30 +297,20 @@ void TaskEngine::execute(Batch& batch, WorkerContext& ctx,
 
 void TaskEngine::drain(Batch& batch, WorkerContext& ctx) {
   const std::size_t id = ctx.worker();
-  const auto wid = static_cast<std::uint32_t>(id);
   Batch::WorkerQueue& own = batch.queues[id];
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
-  obs::Gauge& depth = obs::Registry::instance().gauge(
-      "engine.queue_depth.w" + std::to_string(id));
 
   const auto pop_own = [&](std::uint32_t* out, bool* strict) {
-    std::size_t left = 0;
-    {
-      std::lock_guard lock(own.m);
-      if (own.strict_head < own.strict.size()) {
-        *out = own.strict[own.strict_head++];
-        *strict = true;
-      } else if (own.loose_head < own.loose_tail) {
-        *out = own.loose[own.loose_head++];
-        *strict = false;
-      } else {
-        return false;
-      }
-      own.refresh_stealable();
-      left = own.depth();
-      depth.set(static_cast<double>(left));
+    std::lock_guard lock(own.m);
+    if (own.strict_head < own.strict.size()) {
+      *out = own.strict[own.strict_head++];
+      *strict = true;
+    } else if (own.loose_head < own.loose_tail) {
+      *out = own.loose[own.loose_head++];
+      *strict = false;
+    } else {
+      return false;
     }
-    recorder.queue_depth(wid, static_cast<std::uint32_t>(left));
+    own.refresh_stealable();
     return true;
   };
 
@@ -337,7 +320,6 @@ void TaskEngine::drain(Batch& batch, WorkerContext& ctx) {
     if (i >= batch.shared.size()) return false;
     *out = batch.shared[i];
     batch.shared_claimed.fetch_add(1, std::memory_order_relaxed);
-    recorder.claim(wid, static_cast<std::uint32_t>(i));
     return true;
   };
 
@@ -364,8 +346,6 @@ void TaskEngine::drain(Batch& batch, WorkerContext& ctx) {
           *out = q.loose[--q.loose_tail];
           q.refresh_stealable();
           batch.stolen.fetch_add(1, std::memory_order_relaxed);
-          engine_metrics().steals.add();
-          recorder.steal(wid, static_cast<std::uint32_t>(victim));
           return true;
         }
       }
@@ -374,35 +354,20 @@ void TaskEngine::drain(Batch& batch, WorkerContext& ctx) {
     }
   };
 
-  // A task's dependent-chain id is its affinity truncated to 32 bits;
-  // stolen / unpinned work belongs to no chain (a thief rebuilds state, so
-  // the serial-order dependency is broken by construction).
-  const auto chain_of = [&](std::uint32_t idx) {
-    return static_cast<std::uint32_t>(batch.tasks[idx].affinity &
-                                      0xFFFFFFFFu);
-  };
-
   for (;;) {
     std::uint32_t idx = 0;
     bool strict = false;
     if (pop_own(&idx, &strict)) {
-      execute(batch, ctx, batch.tasks[idx].body, strict,
-              strict ? obs::FlightRecorder::kTaskStrict
-                     : obs::FlightRecorder::kTaskLoose,
-              chain_of(idx));
+      execute(batch, ctx, batch.tasks[idx].body, strict);
       continue;
     }
     if (claim_shared(&idx)) {
       engine_metrics().shared_claimed.add();
-      execute(batch, ctx, batch.tasks[idx].body, false,
-              obs::FlightRecorder::kTaskUnpinned,
-              obs::FlightRecorder::kNoChain);
+      execute(batch, ctx, batch.tasks[idx].body, false);
       continue;
     }
     if (steal(&idx)) {
-      execute(batch, ctx, batch.tasks[idx].body, false,
-              obs::FlightRecorder::kTaskStolen,
-              obs::FlightRecorder::kNoChain);
+      execute(batch, ctx, batch.tasks[idx].body, false);
       continue;
     }
     // Nothing queued, claimable, or stealable: whatever is left is already
@@ -410,7 +375,6 @@ void TaskEngine::drain(Batch& batch, WorkerContext& ctx) {
     // returning early, which destroys this worker's context and solver
     // state while the others still compute, measured 6-20% slower on the
     // thermal sweeps (perfbench freqcap, 4 workers on a 4-core host).
-    depth.set(0.0);
     std::unique_lock lock(batch.done_m);
     batch.done_cv.wait(lock, [&] {
       return batch.remaining.load(std::memory_order_acquire) == 0;

@@ -162,12 +162,10 @@ class TaskEngine {
   void stop_workers();
   void worker_loop(std::size_t id);
   void drain(Batch& batch, WorkerContext& ctx);
-  /// `span` is the flight-recorder task-span name (how the task reached
-  /// this worker); `chain` is the task's dependent-chain id or
-  /// FlightRecorder::kNoChain.
+  /// Runs one task body inside an `engine.task` trace span whose arg is
+  /// the worker id.
   void execute(Batch& batch, WorkerContext& ctx,
-               std::function<void(WorkerContext&)>& body, bool strict,
-               const char* span, std::uint32_t chain);
+               std::function<void(WorkerContext&)>& body, bool strict);
   void run_inline(std::vector<Task>& tasks);
 
   std::vector<std::thread> workers_;

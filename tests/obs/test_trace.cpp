@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/trace_reader.hpp"
 
 // Allocation probe for the disabled-hot-path regression test: the
@@ -162,85 +161,6 @@ TEST(TraceDisabledTest, EmitsNothingAndNeverAllocates) {
   EXPECT_EQ(allocs_after, allocs_before)
       << "disabled trace scopes must not allocate";
   EXPECT_EQ(tracer.event_count(), 0u);
-}
-
-TEST(FlightRecorderTest, PackPairRoundTrips) {
-  const std::int64_t packed = pack_pair(3u, 0xDEADBEEFu);
-  EXPECT_EQ(pair_hi(packed), 3u);
-  EXPECT_EQ(pair_lo(packed), 0xDEADBEEFu);
-  EXPECT_EQ(pair_lo(pack_pair(0u, FlightRecorder::kNoChain)),
-            FlightRecorder::kNoChain);
-}
-
-TEST(FlightRecorderTest, RecordsTaskSpansAndMarkersWhenEnabled) {
-  Tracer& tracer = Tracer::instance();
-  tracer.clear();
-  tracer.set_enabled(true);
-  FlightRecorder& recorder = FlightRecorder::instance();
-  {
-    FlightRecorder::TaskScope scope(FlightRecorder::kTaskStrict, 2u, 7u);
-  }
-  recorder.steal(1u, 3u);
-  recorder.claim(0u, 42u);
-  recorder.queue_depth(1u, 5u);
-  tracer.set_enabled(false);
-
-  const std::vector<TraceEvent> events = tracer.snapshot_events();
-  ASSERT_EQ(events.size(), 4u);
-  const TraceEvent* task = find_event(events, FlightRecorder::kTaskStrict);
-  ASSERT_NE(task, nullptr);
-  EXPECT_EQ(pair_hi(task->arg), 2u);
-  EXPECT_EQ(pair_lo(task->arg), 7u);
-  const TraceEvent* steal = find_event(events, FlightRecorder::kSteal);
-  ASSERT_NE(steal, nullptr);
-  EXPECT_EQ(pair_hi(steal->arg), 1u);
-  EXPECT_EQ(pair_lo(steal->arg), 3u);
-  const TraceEvent* claim = find_event(events, FlightRecorder::kClaim);
-  ASSERT_NE(claim, nullptr);
-  EXPECT_EQ(pair_lo(claim->arg), 42u);
-  const TraceEvent* depth = find_event(events, FlightRecorder::kQueueDepth);
-  ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(pair_hi(depth->arg), 1u);
-  EXPECT_EQ(pair_lo(depth->arg), 5u);
-  tracer.clear();
-}
-
-// The disabled-mode contract the task engine relies on to keep recorder
-// calls unconditionally inline in its hot loop (flight_recorder.hpp): with
-// tracing off, a full task transition — TaskScope construction and
-// destruction plus the queue-depth, claim and steal markers — performs no
-// allocation and no trace-buffer store; each call is one relaxed atomic
-// load of the tracer's enable flag and nothing else (no clock read — the
-// scope skips even timestamp capture, which this test observes indirectly
-// through the zero allocation + zero event counts).
-TEST(FlightRecorderTest, DisabledModeAddsNoAllocationsPerTaskTransition) {
-  Tracer& tracer = Tracer::instance();
-  tracer.set_enabled(false);
-  tracer.clear();
-  FlightRecorder& recorder = FlightRecorder::instance();
-  ASSERT_FALSE(recorder.enabled());
-
-  // Warm-up transition outside the measurement window.
-  {
-    FlightRecorder::TaskScope scope(FlightRecorder::kTaskLoose, 0u, 0u);
-    recorder.queue_depth(0u, 0u);
-  }
-
-  const std::uint64_t allocs_before =
-      g_allocations.load(std::memory_order_relaxed);
-  for (std::uint32_t i = 0; i < 10000; ++i) {
-    FlightRecorder::TaskScope scope(FlightRecorder::kTaskStrict, i & 3u, i);
-    recorder.queue_depth(i & 3u, i);
-    recorder.claim(i & 3u, i);
-    recorder.steal(i & 3u, (i + 1) & 3u);
-  }
-  const std::uint64_t allocs_after =
-      g_allocations.load(std::memory_order_relaxed);
-
-  EXPECT_EQ(allocs_after, allocs_before)
-      << "disabled flight-recorder transitions must not allocate";
-  EXPECT_EQ(tracer.event_count(), 0u)
-      << "disabled flight-recorder transitions must not record";
 }
 
 // parse_json reads untrusted input (service frames): nesting is capped at

@@ -6,138 +6,87 @@
 #include <vector>
 
 #include "obs/bench_compare.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/trace_reader.hpp"
 
 namespace aqua::obs {
 namespace {
 
-ParsedTraceEvent task(const char* name, std::uint32_t worker,
-                      std::uint32_t chain, double ts_us, double dur_us) {
+ParsedTraceEvent task(std::uint32_t worker, double ts_us, double dur_us) {
   ParsedTraceEvent e;
-  e.name = name;
-  e.category = FlightRecorder::kCategory;
+  e.name = std::string(kEngineTaskSpan);
+  e.category = "engine";
   e.phase = "X";
   e.ts_us = ts_us;
   e.dur_us = dur_us;
-  e.tid = worker;
+  e.tid = worker + 1;
   e.has_arg = true;
-  e.arg = pack_pair(worker, chain);
+  e.arg = worker;
   return e;
 }
 
-ParsedTraceEvent marker(const char* name, std::uint32_t hi,
-                        std::uint32_t lo) {
-  ParsedTraceEvent e;
-  e.name = name;
-  e.category = FlightRecorder::kCategory;
-  e.phase = "X";
-  e.has_arg = true;
-  e.arg = pack_pair(hi, lo);
-  return e;
-}
-
-// Two workers: w0 runs two loose tasks back to back with a 10us gap, w1
-// runs one stolen task; one steal (w1 from w0) and one claim.
+// Two workers: w0 runs two tasks back to back with a 10us gap, w1 runs
+// one.
 std::vector<ParsedTraceEvent> two_worker_trace() {
   std::vector<ParsedTraceEvent> events;
-  events.push_back(task(FlightRecorder::kTaskLoose, 0, 5, 0.0, 100.0));
-  events.push_back(task(FlightRecorder::kTaskLoose, 0, 5, 110.0, 90.0));
-  events.push_back(task(FlightRecorder::kTaskStolen, 1,
-                        FlightRecorder::kNoChain, 50.0, 60.0));
-  events.push_back(marker(FlightRecorder::kSteal, 1, 0));
-  events.push_back(marker(FlightRecorder::kClaim, 1, 7));
-  // Unrelated span: analyzers must ignore it.
+  events.push_back(task(0, 0.0, 100.0));
+  events.push_back(task(0, 110.0, 90.0));
+  events.push_back(task(1, 50.0, 60.0));
+  // Other spans, the engine's own batch span among them: the analyzer
+  // must ignore them.
   ParsedTraceEvent other;
   other.name = "thermal.solve";
   other.category = "thermal";
   other.phase = "X";
   other.dur_us = 9999.0;
   events.push_back(other);
+  other.name = "engine.run";
+  other.category = "engine";
+  events.push_back(other);
   return events;
 }
 
-TEST(WorkerTimelineTest, AggregatesPerWorkerMixStealsAndGaps) {
+TEST(WorkerTimelineTest, AggregatesPerWorkerBusyIdleAndTaskTimes) {
   const TimelineSummary t = summarize_worker_timeline(two_worker_trace());
   EXPECT_EQ(t.tasks, 3u);
-  EXPECT_EQ(t.steals, 1u);
-  EXPECT_EQ(t.claims, 1u);
   EXPECT_DOUBLE_EQ(t.window_us, 200.0);  // 0 .. 110+90
+  EXPECT_DOUBLE_EQ(t.total_task_us, 250.0);
+  EXPECT_DOUBLE_EQ(t.longest_task_us, 100.0);
   ASSERT_EQ(t.workers.size(), 2u);
 
   const WorkerTimelineRow& w0 = t.workers[0];
   EXPECT_EQ(w0.worker, 0u);
   EXPECT_EQ(w0.tasks, 2u);
-  EXPECT_EQ(w0.loose, 2u);
-  EXPECT_EQ(w0.stolen, 0u);
-  EXPECT_EQ(w0.steals_out, 1u);  // w1 took a task from it
-  EXPECT_EQ(w0.steals_in, 0u);
   EXPECT_DOUBLE_EQ(w0.busy_us, 190.0);
   EXPECT_DOUBLE_EQ(w0.idle_us, 10.0);        // 100 .. 110
   EXPECT_DOUBLE_EQ(w0.longest_gap_us, 10.0);
   EXPECT_DOUBLE_EQ(w0.utilization, 190.0 / 200.0);
 
   const WorkerTimelineRow& w1 = t.workers[1];
+  EXPECT_EQ(w1.worker, 1u);
   EXPECT_EQ(w1.tasks, 1u);
-  EXPECT_EQ(w1.stolen, 1u);
-  EXPECT_EQ(w1.steals_in, 1u);
   EXPECT_DOUBLE_EQ(w1.busy_us, 60.0);
   EXPECT_DOUBLE_EQ(w1.idle_us, 0.0);
 }
 
-TEST(WorkerTimelineTest, UnknownTaskKindsStillCountAsTasks) {
-  // Traces recorded by older engines carry task kinds this one no longer
-  // emits (e.g. `engine.task.lifo`): they load and count toward the
-  // worker's tasks and busy time without a lane column of their own.
+TEST(WorkerTimelineTest, ReadsTheWorkerFromAChromeTraceArg) {
+  // The worker id comes from args.v, not the recording thread's id.
   const std::vector<ParsedTraceEvent> events = trace_events_of(parse_json(
-      R"({"traceEvents":[{"name":"engine.task.lifo","cat":"engine",)"
-      R"("ph":"X","ts":0,"dur":25,"tid":0,"args":{"v":4294967295}}]})"));
+      R"({"traceEvents":[{"name":"engine.task","cat":"engine",)"
+      R"("ph":"X","ts":0,"dur":25,"tid":9,"args":{"v":3}}]})"));
   const TimelineSummary t = summarize_worker_timeline(events);
   EXPECT_EQ(t.tasks, 1u);
   ASSERT_EQ(t.workers.size(), 1u);
-  EXPECT_EQ(t.workers[0].tasks, 1u);
+  EXPECT_EQ(t.workers[0].worker, 3u);
   EXPECT_DOUBLE_EQ(t.workers[0].busy_us, 25.0);
+  EXPECT_DOUBLE_EQ(t.longest_task_us, 25.0);
 }
 
 TEST(WorkerTimelineTest, EmptyTraceYieldsEmptySummary) {
   const TimelineSummary t = summarize_worker_timeline({});
   EXPECT_EQ(t.tasks, 0u);
   EXPECT_DOUBLE_EQ(t.window_us, 0.0);
+  EXPECT_DOUBLE_EQ(t.total_task_us, 0.0);
   EXPECT_TRUE(t.workers.empty());
-}
-
-TEST(CriticalPathTest, StrictChainsGroupByAffinityNotWorker) {
-  std::vector<ParsedTraceEvent> events;
-  // Chain 1 (worker 0): 100 + 50 us. Chain 2 (also worker 0): 30 us —
-  // distinct affinities on one worker are independent chains.
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 1, 0.0, 100.0));
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 1, 100.0, 50.0));
-  events.push_back(task(FlightRecorder::kTaskStrict, 0, 2, 150.0, 30.0));
-  // Loose work contributes to the totals but never to a chain.
-  events.push_back(task(FlightRecorder::kTaskLoose, 1, 3, 0.0, 40.0));
-
-  const CriticalPathSummary c = critical_path_of(events);
-  EXPECT_DOUBLE_EQ(c.total_task_us, 220.0);
-  EXPECT_DOUBLE_EQ(c.longest_task_us, 100.0);
-  ASSERT_EQ(c.chains.size(), 2u);
-  EXPECT_EQ(c.chains[0].chain, 1u);
-  EXPECT_EQ(c.chains[0].tasks, 2u);
-  EXPECT_DOUBLE_EQ(c.chains[0].total_us, 150.0);
-  EXPECT_EQ(c.longest_chain, 1u);
-  EXPECT_DOUBLE_EQ(c.longest_chain_us, 150.0);
-  EXPECT_DOUBLE_EQ(c.floor_us, 150.0);
-  EXPECT_DOUBLE_EQ(c.max_speedup(), 220.0 / 150.0);
-}
-
-TEST(CriticalPathTest, FloorIsLongestTaskWithoutStrictChains) {
-  std::vector<ParsedTraceEvent> events;
-  events.push_back(task(FlightRecorder::kTaskLoose, 0, 9, 0.0, 80.0));
-  events.push_back(task(FlightRecorder::kTaskUnpinned, 1,
-                        FlightRecorder::kNoChain, 0.0, 20.0));
-  const CriticalPathSummary c = critical_path_of(events);
-  EXPECT_TRUE(c.chains.empty());
-  EXPECT_DOUBLE_EQ(c.longest_chain_us, 0.0);
-  EXPECT_DOUBLE_EQ(c.floor_us, 80.0);
 }
 
 // ---------------------------------------------------------------- gate --
@@ -229,7 +178,6 @@ TEST(BenchCompareTest, ClassifiesMetricKinds) {
   EXPECT_EQ(classify_metric("wall_seconds_w4"), MetricKind::kTiming);
   EXPECT_EQ(classify_metric("wall_seconds_w16"), MetricKind::kTiming);
   EXPECT_EQ(classify_metric("cells_per_sec_w8"), MetricKind::kRate);
-  EXPECT_EQ(classify_metric("steals_w2"), MetricKind::kIgnored);
   EXPECT_EQ(classify_metric("identical_w1"), MetricKind::kWork);
   // Only a digit run after `_w` is a worker tag.
   EXPECT_EQ(classify_metric("queue_w"), MetricKind::kWork);

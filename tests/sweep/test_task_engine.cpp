@@ -1,7 +1,7 @@
 /// TaskEngine unit tests: placement (strict / loose / unpinned lanes),
 /// submission-order guarantees, worker-local state reuse, stealing under
-/// injected delays, exception isolation, nested-run inlining, and the
-/// AQUA_SWEEP_WORKERS env contract.
+/// injected delays, exception isolation, nested-run inlining, the
+/// per-task trace span, and the AQUA_SWEEP_WORKERS env contract.
 
 #include "sweep/task_engine.hpp"
 
@@ -12,10 +12,13 @@
 #include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_reader.hpp"
 
 namespace aqua::sweep {
 namespace {
@@ -186,6 +189,42 @@ TEST(TaskEngine, ConfigureResizesTheWorkerSet) {
   }
   engine.run(std::move(tasks));
   EXPECT_EQ(ran.load(), 10);
+}
+
+// Every task runs inside one `engine.task` span whose arg is its worker,
+// so the timeline a trace yields matches the engine's own counts.
+TEST(TaskEngine, TracesEachTaskAsOneSpanOnItsWorker) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kTasks = 64;
+  TaskEngine engine(kWorkers);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  engine.run(std::vector<Task>(kTasks, Task{[](WorkerContext&) {}}));
+  tracer.set_enabled(false);
+  const std::string json = tracer.to_json();
+
+  std::size_t spans = 0;
+  for (const obs::TraceEvent& e : tracer.snapshot_events()) {
+    if (std::string(e.name) != obs::kEngineTaskSpan) continue;
+    ++spans;
+    EXPECT_EQ(std::string(e.category), "engine");
+    EXPECT_GE(e.arg, 0);
+    EXPECT_LT(e.arg, static_cast<std::int64_t>(kWorkers));
+  }
+  tracer.clear();
+  EXPECT_EQ(spans, kTasks);
+
+  const obs::TimelineSummary t = obs::summarize_worker_timeline(
+      obs::trace_events_of(obs::parse_json(json)));
+  EXPECT_EQ(t.tasks, kTasks);
+  const TaskEngine::Stats stats = engine.last_run_stats();
+  std::vector<std::uint64_t> traced(kWorkers, 0);
+  for (const obs::WorkerTimelineRow& row : t.workers) {
+    ASSERT_LT(row.worker, kWorkers);
+    traced[row.worker] = row.tasks;
+  }
+  EXPECT_EQ(traced, stats.per_worker);
 }
 
 TEST(TaskEngine, WorkersFromEnvContract) {
