@@ -1,6 +1,6 @@
 /// Ablation: linear-solver choice for the steady-state thermal grid.
 /// Spectral-preconditioned CG is every thermal solve's path; Jacobi-CG is
-/// its fallback and reference. Same answers, very different iteration
+/// its reference. Same answers, very different iteration
 /// counts. Both run on the model's stencil operator.
 
 #include <chrono>

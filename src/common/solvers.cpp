@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 
 namespace aqua {
@@ -23,10 +22,6 @@ struct GlobalSolverCounters {
   obs::Counter& precond_applies =
       obs::Registry::instance().counter("solver.precond_applies");
   obs::Counter& wall_ns = obs::Registry::instance().counter("solver.wall_ns");
-  obs::Counter& fallbacks =
-      obs::Registry::instance().counter("solver.fallbacks");
-  obs::Counter& breakdowns =
-      obs::Registry::instance().counter("solver.breakdowns");
 };
 
 GlobalSolverCounters& global_solver_counters() {
@@ -34,9 +29,9 @@ GlobalSolverCounters& global_solver_counters() {
   return counters;
 }
 
-/// Divergence detector: CG bails out (breakdown) once ||r||^2 exceeds this
-/// factor times the best ||r||^2 seen so far. Converging solves never trip
-/// it, so it costs nothing on the healthy path.
+/// Divergence detector: CG throws once ||r||^2 exceeds this factor times
+/// the best ||r||^2 seen so far. Converging solves never trip it, so it
+/// costs nothing on the healthy path.
 constexpr double kDivergenceFactor = 1e8;
 
 }  // namespace
@@ -104,12 +99,10 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
     work.cg_iterations += result.iterations;
     work.precond_applies += applies;
     work.solver_ns += wall_ns;
-    if (result.breakdown) work.breakdowns += 1;
     GlobalSolverCounters& global = global_solver_counters();
     global.solves.add(1);
     global.iterations.add(result.iterations);
     global.precond_applies.add(applies);
-    if (result.breakdown) global.breakdowns.add(1);
     global.wall_ns.add(wall_ns);
     obs::Registry& registry = obs::Registry::instance();
     if (registry.enabled()) {
@@ -145,19 +138,12 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
 
   const double target = options.tolerance * bnorm;
   const double target_sq = target * target;
-  // Breakdown/divergence exit shared by the checks below. Comparisons only:
-  // a healthy solve runs arithmetic bit-identical to the pre-guard loop.
+  // Breakdown and divergence checks are comparisons only, and each builds
+  // its message only on failure: a healthy solve runs arithmetic
+  // bit-identical to the unguarded loop.
   double best_rr = rr;
-  const auto break_down = [&](std::size_t it, const char* what) {
-    ensure(!options.throw_on_breakdown, what);
-    out.iterations = it;
-    out.residual_norm = std::isfinite(rr) ? std::sqrt(rr) : rr;
-    out.converged = false;
-    out.breakdown = true;
-    return finish(std::move(out));
-  };
   if (!std::isfinite(rr)) {
-    return break_down(0, "solve_cg: non-finite initial residual");
+    ensure(false, "solve_cg: non-finite initial residual");
   }
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     if (rr <= target_sq) {
@@ -182,8 +168,7 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
     a.multiply(p, ap);
     const double pap = dot(p, ap);
     if (!(pap > 0.0)) {  // negated compare also catches NaN curvature
-      return break_down(it,
-                        "solve_cg: curvature non-positive (matrix not SPD?)");
+      ensure(false, "solve_cg: curvature non-positive (matrix not SPD?)");
     }
     const double alpha = rz / pap;
     double rr_next = 0.0;
@@ -194,12 +179,12 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
     }
     rr = rr_next;
     if (!std::isfinite(rr)) {
-      return break_down(it + 1, "solve_cg: residual became non-finite");
+      ensure(false, "solve_cg: residual became non-finite");
     }
     if (rr < best_rr) {
       best_rr = rr;
     } else if (rr > kDivergenceFactor * best_rr) {
-      return break_down(it + 1, "solve_cg: divergence detected");
+      ensure(false, "solve_cg: divergence detected");
     }
   }
 
@@ -207,79 +192,6 @@ SolveResult solve_cg(const StencilMatrix& a, const std::vector<double>& b,
   out.residual_norm = std::sqrt(rr);
   out.converged = out.residual_norm <= target;
   return finish(std::move(out));
-}
-
-namespace {
-
-/// One "fault_absorbed" record per fallback hop so trace_tools can audit
-/// which solves needed rescuing and why.
-void report_solver_fallback(const SolveResult& failed, const char* action) {
-  obs::RunReport& report = obs::RunReport::instance();
-  if (!report.enabled()) return;
-  report.emit("fault_absorbed", [&](obs::JsonWriter& w) {
-    w.add("stage", "solver")
-        .add("fault", failed.breakdown ? "cg_breakdown" : "cg_nonconvergence")
-        .add("action", action)
-        .add("iterations", failed.iterations)
-        .add("residual_norm", failed.residual_norm);
-  });
-}
-
-}  // namespace
-
-SolveResult solve_cg_resilient(const StencilMatrix& a,
-                               const std::vector<double>& b,
-                               const SolverOptions& options,
-                               const Preconditioner* preconditioner,
-                               const char* label) {
-  SolverOptions opts = options;
-  opts.throw_on_breakdown = false;
-
-  SolveResult first = solve_cg(a, b, opts, preconditioner);
-  first.attempt_chain = label ? label : (preconditioner ? "custom" : "jacobi");
-  if (first.converged) return first;
-
-  const auto count_fallback = [] {
-    global_solver_counters().fallbacks.add(1);
-    obs::thread_work().fallbacks += 1;
-  };
-
-  // Attempt 2: plain Jacobi-CG — drops the caller's preconditioner, which
-  // may be the poison. Pointless when attempt 1 already ran plain Jacobi.
-  if (preconditioner != nullptr) {
-    count_fallback();
-    report_solver_fallback(first, "jacobi_restart");
-    SolveResult second = solve_cg(a, b, opts, nullptr);
-    second.attempts = first.attempts + 1;
-    second.attempt_chain = first.attempt_chain + ">jacobi";
-    if (second.converged) return second;
-    first = std::move(second);
-  }
-
-  // Attempt 3: relaxed-tolerance Jacobi-CG with a 4x iteration budget.
-  // A success here is usable but flagged degraded (the ISSUE's
-  // "tightened-tolerance retry" read literally cannot rescue a solve that
-  // failed at the looser tolerance; DESIGN.md §8 records this reading).
-  count_fallback();
-  report_solver_fallback(first, "relaxed_retry");
-  SolverOptions relaxed = opts;
-  relaxed.tolerance = opts.tolerance * 100.0;
-  relaxed.max_iterations = opts.max_iterations * 4;
-  SolveResult last = solve_cg(a, b, relaxed, nullptr);
-  last.attempts = first.attempts + 1;
-  last.attempt_chain = first.attempt_chain + ">jacobi-relaxed";
-  last.degraded = last.converged;
-  obs::RunReport& report = obs::RunReport::instance();
-  if (report.enabled()) {
-    report.emit("degraded_result", [&](obs::JsonWriter& w) {
-      w.add("stage", "solver")
-          .add("what", last.converged ? "relaxed_tolerance_solution"
-                                      : "solve_failed_all_attempts")
-          .add("attempt_chain", last.attempt_chain)
-          .add("residual_norm", last.residual_norm);
-    });
-  }
-  return last;
 }
 
 }  // namespace aqua

@@ -170,8 +170,6 @@ WorkTally& WorkTally::operator+=(const WorkTally& other) {
   cg_iterations += other.cg_iterations;
   precond_applies += other.precond_applies;
   solver_ns += other.solver_ns;
-  fallbacks += other.fallbacks;
-  breakdowns += other.breakdowns;
   des_events += other.des_events;
   return *this;
 }
@@ -182,8 +180,6 @@ WorkTally WorkTally::operator-(const WorkTally& before) const {
   d.cg_iterations = cg_iterations - before.cg_iterations;
   d.precond_applies = precond_applies - before.precond_applies;
   d.solver_ns = solver_ns - before.solver_ns;
-  d.fallbacks = fallbacks - before.fallbacks;
-  d.breakdowns = breakdowns - before.breakdowns;
   d.des_events = des_events - before.des_events;
   return d;
 }

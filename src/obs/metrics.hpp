@@ -152,18 +152,16 @@ class Registry {
 
 /// Solver and DES work done by one thread, in the units of the `solver.*`
 /// and `perf.events` registry counters. The code that does the work
-/// (solve_cg, solve_cg_resilient, CmpSystem::run) adds to the calling
-/// thread's tally with plain non-atomic adds, and the same amounts reach
-/// the registry counters. A sweep cell computes start to finish on one
-/// thread, so the tally diffed around its compute is exactly the work that
-/// cell caused, at any worker count (DESIGN.md §11).
+/// (solve_cg, CmpSystem::run) adds to the calling thread's tally with
+/// plain non-atomic adds, and the same amounts reach the registry
+/// counters. A sweep cell computes start to finish on one thread, so the
+/// tally diffed around its compute is exactly the work that cell caused,
+/// at any worker count (DESIGN.md §11).
 struct WorkTally {
   std::uint64_t solves = 0;           ///< solve_cg calls
   std::uint64_t cg_iterations = 0;    ///< CG iterations across those solves
   std::uint64_t precond_applies = 0;  ///< preconditioner applications in CG
   std::uint64_t solver_ns = 0;        ///< wall time inside solve_cg
-  std::uint64_t fallbacks = 0;        ///< solve_cg_resilient fallback attempts
-  std::uint64_t breakdowns = 0;       ///< CG attempts ending in breakdown
   std::uint64_t des_events = 0;       ///< DES events scheduled by CmpSystem
 
   WorkTally& operator+=(const WorkTally& other);

@@ -13,8 +13,10 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <thread>
 
+#include "common/error.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -61,30 +63,30 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  aqua::service::ServerConfig config = aqua::service::ServerConfig::from_env();
-  if (config.port == 0) config.port = 7447;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      config.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else {
-      return usage(argv[0]);
-    }
-  }
-
-  install_daemon_signal_handlers();
-
-  if (config.workers == 0) {
-    config.workers = std::max(1u, std::thread::hardware_concurrency());
-  }
-  aqua::service::SweepServer server(config);
+  aqua::service::ServerConfig config;
+  std::optional<aqua::service::SweepServer> server;
   try {
-    server.start();
+    config = aqua::service::ServerConfig::from_env();
+    if (config.port == 0) config.port = 7447;
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
+        config.port = aqua::service::parse_port(argv[++i]);
+      } else {
+        return usage(argv[0]);
+      }
+    }
+    if (config.workers == 0) {
+      config.workers = std::max(1u, std::thread::hardware_concurrency());
+    }
+    install_daemon_signal_handlers();
+    server.emplace(config);
+    server->start();
   } catch (const std::exception& e) {
-    std::cerr << "aqua_sweepd: " << e.what() << "\n";
+    std::cerr << "error: " << aqua::user_message(e) << "\n";
     return 1;
   }
   std::cout << "aqua_sweepd listening on " << config.host << ":"
-            << server.port() << " (" << config.workers << " workers, queue "
+            << server->port() << " (" << config.workers << " workers, queue "
             << config.queue_low_watermark << "/" << config.queue_high_watermark
             << ")" << std::endl;  // endl: scripts wait for this line
 
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   std::cout << "aqua_sweepd: signal received, draining" << std::endl;
-  server.stop();
+  server->stop();
   std::cout << "aqua_sweepd: drained, exiting 0" << std::endl;
   return 0;
 }

@@ -110,8 +110,9 @@ ServerConfig ServerConfig::from_env() {
   if (const char* host = std::getenv("AQUA_SERVICE_HOST")) {
     if (*host != '\0') config.host = host;
   }
-  config.port =
-      static_cast<std::uint16_t>(env_size("AQUA_SERVICE_PORT", config.port));
+  if (const char* port = std::getenv("AQUA_SERVICE_PORT")) {
+    if (*port != '\0') config.port = parse_port(port);
+  }
   config.workers = env_size("AQUA_SERVICE_WORKERS", config.workers);
   config.queue_high_watermark =
       env_size("AQUA_SERVICE_QUEUE_HIGH", config.queue_high_watermark);
@@ -125,9 +126,16 @@ ServerConfig ServerConfig::from_env() {
       env_size("AQUA_SERVICE_DEADLINE_MS", config.default_deadline_ms);
   config.drain_timeout_s =
       env_size("AQUA_SERVICE_DRAIN_TIMEOUT_S", config.drain_timeout_s);
-  config.debug_compute_delay_ms =
-      env_size("AQUA_SERVICE_DEBUG_DELAY_MS", config.debug_compute_delay_ms);
   return config;
+}
+
+std::uint16_t parse_port(const char* text) {
+  char* end = nullptr;
+  const long value = std::strtol(text, &end, 10);
+  require(end != text && *end == '\0' && value >= 0 && value <= 65535,
+          std::string("port must be an integer in [0, 65535], got '") + text +
+              "'");
+  return static_cast<std::uint16_t>(value);
 }
 
 std::vector<int> allowed_cpus() {

@@ -62,10 +62,14 @@ struct ServerConfig {
   std::uint64_t debug_compute_delay_ms = 0;
 
   /// Reads AQUA_SERVICE_{PORT,HOST,WORKERS,QUEUE_HIGH,QUEUE_LOW,
-  /// INFLIGHT_CAP,MAX_CONNECTIONS,DEADLINE_MS,DRAIN_TIMEOUT_S,
-  /// DEBUG_DELAY_MS} over the defaults.
+  /// INFLIGHT_CAP,MAX_CONNECTIONS,DEADLINE_MS,DRAIN_TIMEOUT_S} over the
+  /// defaults. Throws aqua::Error for a port that parse_port rejects.
   static ServerConfig from_env();
 };
+
+/// `text` as a TCP port: a decimal integer in [0, 65535], else
+/// aqua::Error naming `text`.
+std::uint16_t parse_port(const char* text);
 
 /// The CPUs the calling thread may run on (sched_getaffinity), in
 /// ascending order; empty when the mask cannot be read.

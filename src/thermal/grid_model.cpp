@@ -268,12 +268,11 @@ ThermalSolution StackThermalModel::solve_steady(
   AQUA_TRACE_SCOPE_ARG("thermal.solve_steady", "thermal",
                        stack_.layer_count());
   const std::vector<double> rhs = power_vector(layer_block_powers);
-  // Resilient solve from zero, never from an earlier solution: the first
-  // attempt runs spectral CG exactly; breakdown/divergence falls back
-  // spectral -> jacobi -> relaxed jacobi (DESIGN.md §8).
+  // Spectral CG from zero, never from an earlier solution. A solve that
+  // breaks down or misses its tolerance throws, failing the caller's cell
+  // (DESIGN.md §8).
   if (!spectral_) spectral_ = std::make_unique<SpectralPreconditioner>(matrix_);
-  last_solve_ = solve_cg_resilient(matrix_, rhs, options_.solver,
-                                   spectral_.get(), "spectral");
+  last_solve_ = solve_cg(matrix_, rhs, options_.solver, spectral_.get());
   ensure(last_solve_.converged, "steady-state thermal solve did not converge");
 
   std::vector<double> temps = last_solve_.x;

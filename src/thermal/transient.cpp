@@ -81,8 +81,9 @@ std::vector<TransientSample> TransientSolver::continue_run(
     for (std::size_t i = 0; i < n; ++i) {
       rhs[i] = cap[i] / dt * theta_[i] + p[i];
     }
-    SolveResult result = solve_cg_resilient(
-        stepping_matrix_, rhs, model_.options().solver, &spectral_, "spectral");
+    // One spectral CG per step; a breakdown or a missed tolerance throws.
+    SolveResult result =
+        solve_cg(stepping_matrix_, rhs, model_.options().solver, &spectral_);
     ensure(result.converged, "transient step solve did not converge");
     theta_ = std::move(result.x);
     now_s_ = t_now;

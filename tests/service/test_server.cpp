@@ -172,6 +172,23 @@ TEST(WorkerPlacement, SlotsSpreadOverTheAllowedCpus) {
   EXPECT_TRUE(std::is_sorted(allowed.begin(), allowed.end()));
 }
 
+TEST(ServerConfig, RejectsAPortOutsideSixteenBits) {
+  {
+    ScopedEnv port("AQUA_SERVICE_PORT", "70000");
+    EXPECT_THROW((void)ServerConfig::from_env(), Error);
+  }
+  {
+    ScopedEnv port("AQUA_SERVICE_PORT", "8123");
+    EXPECT_EQ(ServerConfig::from_env().port, 8123);
+  }
+  EXPECT_EQ(parse_port("0"), 0);
+  EXPECT_EQ(parse_port("65535"), 65535);
+  for (const char* bad : {"65536", "70000", "-1", "", "port", "80x"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)parse_port(bad), Error);
+  }
+}
+
 TEST_F(ServerTest, WorkerThreadsRunOnTheirSlotsCpu) {
   const std::vector<int> allowed = allowed_cpus();
   ServerConfig config;

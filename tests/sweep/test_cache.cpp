@@ -9,10 +9,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+#include "core/cooling.hpp"
 #include "core/experiments.hpp"
 #include "power/chip_model.hpp"
 #include "sweep/cache.hpp"
@@ -313,6 +316,41 @@ TEST_F(SweepCacheTest, FailedComputeIsNeverCached) {
       },
       [](const std::map<std::string, double>&) {});
   EXPECT_EQ(src, CellSource::kFailed);
+  EXPECT_EQ(inspect_cache_file(file_path()).records, 0u);
+  EXPECT_FALSE(SweepCache::instance().lookup(config, nullptr));
+}
+
+TEST_F(SweepCacheTest, UnconvergedSolveFailsItsCellUncached) {
+  // A NaN in one block's power poisons the steady solve's right-hand side:
+  // solve_steady throws instead of returning an answer, so the cell fails
+  // and nothing reaches the cache.
+  const ChipModel chip = make_low_power_cmp();
+  const PackageConfig pkg{};
+  const Stack3d stack(chip.floorplan(), 2, FlipPolicy::kNone);
+  const GridOptions grid{16, 16, {}};
+  StackThermalModel model(
+      stack, pkg, CoolingOption(CoolingKind::kWaterImmersion).boundary(pkg),
+      grid);
+  std::vector<std::vector<double>> powers;
+  for (std::size_t l = 0; l < stack.layer_count(); ++l) {
+    powers.push_back(chip.block_powers(stack.layer(l), gigahertz(1.5)));
+  }
+  powers[1][0] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)model.solve_steady(powers), Error);
+
+  SweepRunner runner("cache_nan_power");
+  const CellConfig config = htc_cell("low_power", 2, 800.0, grid);
+  bool applied = false;
+  const CellSource src = runner.run(
+      config, "chip=low_power;chips=2;htc=800.000000", {},
+      [&] {
+        const ThermalSolution sol = model.solve_steady(powers);
+        return std::map<std::string, double>{
+            {"temperature_c", sol.max_die_temperature_c()}};
+      },
+      [&](const std::map<std::string, double>&) { applied = true; });
+  EXPECT_EQ(src, CellSource::kFailed);
+  EXPECT_FALSE(applied);
   EXPECT_EQ(inspect_cache_file(file_path()).records, 0u);
   EXPECT_FALSE(SweepCache::instance().lookup(config, nullptr));
 }

@@ -39,8 +39,6 @@ obs::WorkTally registry_work() {
   t.cg_iterations = reg.counter("solver.cg_iterations").value();
   t.precond_applies = reg.counter("solver.precond_applies").value();
   t.solver_ns = reg.counter("solver.wall_ns").value();
-  t.fallbacks = reg.counter("solver.fallbacks").value();
-  t.breakdowns = reg.counter("solver.breakdowns").value();
   t.des_events = reg.counter("perf.events").value();
   return t;
 }
