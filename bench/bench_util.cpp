@@ -18,6 +18,9 @@
 namespace aqua::bench {
 
 void banner(const std::string& id, const std::string& description) {
+  // Opens the run-report sink from the environment now, so an AQUA_METRICS
+  // run ends with its registry dump even when nothing emits a record.
+  (void)obs::RunReport::instance();
   std::cout << "\n=== " << id << ": " << description << " ===\n\n";
 }
 

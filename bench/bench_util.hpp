@@ -20,7 +20,9 @@
 
 namespace aqua::bench {
 
-/// Prints the figure banner ("=== Figure 7: ... ===").
+/// Prints the figure banner ("=== Figure 7: ... ===") and opens the run
+/// report (obs/report.hpp), so an AQUA_METRICS run ends with a metrics
+/// record.
 void banner(const std::string& id, const std::string& description);
 
 /// Exit code for an interrupted sweep driver (128 + SIGINT, the shell

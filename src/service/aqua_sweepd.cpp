@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
   aqua::service::ServerConfig config;
   std::optional<aqua::service::SweepServer> server;
   try {
-    config = aqua::service::ServerConfig::from_env();
-    if (config.port == 0) config.port = 7447;
+    config.port = 7447;  // unless AQUA_SERVICE_PORT or --port sets one
+    config = aqua::service::ServerConfig::from_env(config);
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
         config.port = aqua::service::parse_port(argv[++i]);

@@ -4,6 +4,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -18,11 +19,20 @@ namespace aqua::service {
 
 namespace {
 
-std::size_t env_size(const char* name, std::size_t fallback) {
+/// `name`'s value, or `fallback` when it is unset or empty. Throws
+/// aqua::Error naming the variable unless the value is a decimal integer
+/// of at least `min` (0 only where the knob gives 0 a meaning).
+std::size_t env_size(const char* name, std::size_t fallback,
+                     long long min = 1) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  const long long value = std::atoll(raw);
-  return value > 0 ? static_cast<std::size_t>(value) : fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(raw, &end, 10);
+  require(end != raw && *end == '\0' && errno != ERANGE && value >= min,
+          std::string(name) + " must be an integer >= " +
+              std::to_string(min) + ", got '" + raw + "'");
+  return static_cast<std::size_t>(value);
 }
 
 obs::Gauge& active_connections_gauge() {
@@ -105,15 +115,14 @@ struct SweepServer::Job {
 // Config / lifecycle
 // ---------------------------------------------------------------------------
 
-ServerConfig ServerConfig::from_env() {
-  ServerConfig config;
+ServerConfig ServerConfig::from_env(ServerConfig config) {
   if (const char* host = std::getenv("AQUA_SERVICE_HOST")) {
     if (*host != '\0') config.host = host;
   }
   if (const char* port = std::getenv("AQUA_SERVICE_PORT")) {
     if (*port != '\0') config.port = parse_port(port);
   }
-  config.workers = env_size("AQUA_SERVICE_WORKERS", config.workers);
+  config.workers = env_size("AQUA_SERVICE_WORKERS", config.workers, 0);
   config.queue_high_watermark =
       env_size("AQUA_SERVICE_QUEUE_HIGH", config.queue_high_watermark);
   config.queue_low_watermark =
@@ -123,7 +132,7 @@ ServerConfig ServerConfig::from_env() {
   config.max_connections =
       env_size("AQUA_SERVICE_MAX_CONNECTIONS", config.max_connections);
   config.default_deadline_ms =
-      env_size("AQUA_SERVICE_DEADLINE_MS", config.default_deadline_ms);
+      env_size("AQUA_SERVICE_DEADLINE_MS", config.default_deadline_ms, 0);
   config.drain_timeout_s =
       env_size("AQUA_SERVICE_DRAIN_TIMEOUT_S", config.drain_timeout_s);
   return config;

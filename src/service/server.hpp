@@ -62,9 +62,13 @@ struct ServerConfig {
   std::uint64_t debug_compute_delay_ms = 0;
 
   /// Reads AQUA_SERVICE_{PORT,HOST,WORKERS,QUEUE_HIGH,QUEUE_LOW,
-  /// INFLIGHT_CAP,MAX_CONNECTIONS,DEADLINE_MS,DRAIN_TIMEOUT_S} over the
-  /// defaults. Throws aqua::Error for a port that parse_port rejects.
-  static ServerConfig from_env();
+  /// INFLIGHT_CAP,MAX_CONNECTIONS,DEADLINE_MS,DRAIN_TIMEOUT_S} over
+  /// `config`; an unset or empty variable keeps its field. Throws
+  /// aqua::Error for a port that parse_port rejects, and, naming the
+  /// variable, for a size that is not a decimal integer of at least 1 (at
+  /// least 0 for WORKERS, 0 = hardware_concurrency, and DEADLINE_MS, 0 =
+  /// none).
+  static ServerConfig from_env(ServerConfig config);
 };
 
 /// `text` as a TCP port: a decimal integer in [0, 65535], else

@@ -175,17 +175,81 @@ TEST(WorkerPlacement, SlotsSpreadOverTheAllowedCpus) {
 TEST(ServerConfig, RejectsAPortOutsideSixteenBits) {
   {
     ScopedEnv port("AQUA_SERVICE_PORT", "70000");
-    EXPECT_THROW((void)ServerConfig::from_env(), Error);
+    EXPECT_THROW((void)ServerConfig::from_env({}), Error);
   }
   {
     ScopedEnv port("AQUA_SERVICE_PORT", "8123");
-    EXPECT_EQ(ServerConfig::from_env().port, 8123);
+    EXPECT_EQ(ServerConfig::from_env({}).port, 8123);
   }
   EXPECT_EQ(parse_port("0"), 0);
   EXPECT_EQ(parse_port("65535"), 65535);
   for (const char* bad : {"65536", "70000", "-1", "", "port", "80x"}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW((void)parse_port(bad), Error);
+  }
+}
+
+TEST(ServerConfig, EnvPortZeroIsEphemeralOverTheDaemonDefault) {
+  // aqua_sweepd reads the environment over a 7447 default: only an unset
+  // (or empty) variable keeps it, and 0 asks for an ephemeral port.
+  ServerConfig daemon;
+  daemon.port = 7447;
+  EXPECT_EQ(ServerConfig::from_env(daemon).port, 7447);
+  {
+    ScopedEnv port("AQUA_SERVICE_PORT", "");
+    EXPECT_EQ(ServerConfig::from_env(daemon).port, 7447);
+  }
+  {
+    ScopedEnv port("AQUA_SERVICE_PORT", "0");
+    EXPECT_EQ(ServerConfig::from_env(daemon).port, 0);
+  }
+}
+
+TEST(ServerConfig, RejectsMalformedSizesNamingTheVariable) {
+  for (const char* name :
+       {"AQUA_SERVICE_WORKERS", "AQUA_SERVICE_QUEUE_HIGH",
+        "AQUA_SERVICE_QUEUE_LOW", "AQUA_SERVICE_INFLIGHT_CAP",
+        "AQUA_SERVICE_MAX_CONNECTIONS", "AQUA_SERVICE_DEADLINE_MS",
+        "AQUA_SERVICE_DRAIN_TIMEOUT_S"}) {
+    for (const char* bad :
+         {"abc", "-1", "5x", " ", "1.5", "99999999999999999999"}) {
+      SCOPED_TRACE(std::string(name) + "=" + bad);
+      ScopedEnv env(name, bad);
+      try {
+        (void)ServerConfig::from_env({});
+        ADD_FAILURE() << "accepted";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // 0 means something only for workers (hardware concurrency) and the
+  // deadline (none); elsewhere it is rejected.
+  {
+    ScopedEnv workers("AQUA_SERVICE_WORKERS", "0");
+    ScopedEnv deadline("AQUA_SERVICE_DEADLINE_MS", "0");
+    ServerConfig set;
+    set.workers = 3;
+    set.default_deadline_ms = 500;
+    const ServerConfig read = ServerConfig::from_env(set);
+    EXPECT_EQ(read.workers, 0u);
+    EXPECT_EQ(read.default_deadline_ms, 0u);
+  }
+  for (const char* name : {"AQUA_SERVICE_QUEUE_HIGH", "AQUA_SERVICE_QUEUE_LOW",
+                           "AQUA_SERVICE_INFLIGHT_CAP",
+                           "AQUA_SERVICE_MAX_CONNECTIONS",
+                           "AQUA_SERVICE_DRAIN_TIMEOUT_S"}) {
+    SCOPED_TRACE(name);
+    ScopedEnv env(name, "0");
+    EXPECT_THROW((void)ServerConfig::from_env({}), Error);
+  }
+  {
+    ScopedEnv high("AQUA_SERVICE_QUEUE_HIGH", "512");
+    ScopedEnv empty("AQUA_SERVICE_QUEUE_LOW", "");
+    const ServerConfig read = ServerConfig::from_env({});
+    EXPECT_EQ(read.queue_high_watermark, 512u);
+    EXPECT_EQ(read.queue_low_watermark, ServerConfig{}.queue_low_watermark);
   }
 }
 

@@ -176,8 +176,8 @@ TEST(CellKey, RandomDoublesRoundTripBitwise) {
 
 TEST(CellKey, SaltChangesEveryHash) {
   const CellConfig c = freq_cap_cell("low_power", 4, "water", 80.0, {});
-  EXPECT_NE(c.hash(kCellKeySalt), c.hash("aqua-sweep-v5"));
-  EXPECT_NE(c.hash_hex(kCellKeySalt), c.hash_hex("aqua-sweep-v5"));
+  EXPECT_NE(c.hash(kCellKeySalt), c.hash("aqua-sweep-v4"));
+  EXPECT_NE(c.hash_hex(kCellKeySalt), c.hash_hex("aqua-sweep-v4"));
 }
 
 TEST(CellKey, HashHexIsSixteenLowercaseDigits) {
