@@ -15,7 +15,6 @@ namespace {
 void microbench_availability_mc(benchmark::State& state) {
   aqua::AvailabilityOptions options;
   options.boards = 50;
-  options.calibrate_with_des = false;  // time the Monte Carlo alone
   for (auto _ : state) {
     benchmark::DoNotOptimize(aqua::availability_experiment(options));
   }
@@ -66,8 +65,7 @@ int main(int argc, char** argv) {
   report.add("boards", options.boards)
       .add("horizon_years", options.horizon_years)
       .add("link_fault_throughput_ratio",
-           result.link_fault_throughput_ratio)
-      .add("des_calibrated", result.des_calibrated);
+           result.link_fault_throughput_ratio);
   for (const aqua::AvailabilityCurve& curve : result.curves) {
     const aqua::AvailabilityEpoch& end = curve.epochs.back();
     report.add(curve.variant + "_pue", curve.pue)

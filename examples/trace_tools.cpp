@@ -594,12 +594,9 @@ int run_replay(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) return usage();
+/// Runs one subcommand; a missing or malformed input throws.
+int dispatch(int argc, char** argv) {
   const std::string mode = argv[1];
-
   if (mode == "summarize") {
     if (argc >= 3 && std::string(argv[2]) == "--faults") {
       return run_summarize_faults(argc, argv);
@@ -614,17 +611,21 @@ int main(int argc, char** argv) {
   if (mode == "merge") return run_merge(argc, argv);
   if (mode == "check") return run_check(argc, argv);
   if (mode == "cache") return run_cache(argc, argv);
-
-  if (mode == "capture" || mode == "replay") {
-    // Trace files and arguments come from outside the process: a bad one
-    // ends in an `error:` line and exit 1, never in std::terminate.
-    try {
-      return mode == "capture" ? run_capture(argc, argv)
-                               : run_replay(argc, argv);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << aqua::user_message(e) << "\n";
-      return 1;
-    }
-  }
+  if (mode == "capture") return run_capture(argc, argv);
+  if (mode == "replay") return run_replay(argc, argv);
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) return usage();
+  // Files and arguments come from outside the process: a bad one ends in
+  // an `error:` line and exit 1, never in std::terminate.
+  try {
+    return dispatch(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << aqua::user_message(e) << "\n";
+    return 1;
+  }
 }

@@ -33,6 +33,14 @@ std::vector<Floorplan> build_layers(const Floorplan& die,
   return layers;
 }
 
+/// True if layout `codes` with peak `cost` beats the best so far: a lower
+/// peak beyond the tie tolerance, or a tie and a smaller code vector.
+bool beats(double cost, const std::vector<OrientationCode>& codes,
+           double best_cost, const std::vector<OrientationCode>& best) {
+  if (cost < best_cost - kLayoutPeakTieC) return true;
+  return cost <= best_cost + kLayoutPeakTieC && codes < best;
+}
+
 }  // namespace
 
 LayoutSearchResult optimize_layout(const Floorplan& die, std::size_t layers,
@@ -62,16 +70,14 @@ LayoutSearchResult optimize_layout(const Floorplan& die, std::size_t layers,
   // Reference points: the identity layout and the paper's flip-even.
   std::vector<OrientationCode> current(layers, 0);
   result.baseline_peak_c = evaluate(current);
-  {
-    std::vector<OrientationCode> flip(layers, 0);
-    for (std::size_t l = 1; l < layers; l += 2) flip[l] = 2;  // 180 degrees
-    result.flip_even_peak_c = evaluate(flip);
-    if (result.flip_even_peak_c < result.baseline_peak_c) {
-      current = flip;
-    }
+  std::vector<OrientationCode> flip(layers, 0);
+  for (std::size_t l = 1; l < layers; l += 2) flip[l] = 2;  // 180 degrees
+  result.flip_even_peak_c = evaluate(flip);
+  double current_cost = result.baseline_peak_c;
+  if (beats(result.flip_even_peak_c, flip, current_cost, current)) {
+    current = flip;
+    current_cost = result.flip_even_peak_c;
   }
-  double current_cost = std::min(result.baseline_peak_c,
-                                 result.flip_even_peak_c);
   result.orientations = current;
   result.peak_c = current_cost;
   result.history.push_back(result.peak_c);
@@ -88,15 +94,15 @@ LayoutSearchResult optimize_layout(const Floorplan& die, std::size_t layers,
     candidate[layer] = next;
 
     const double cost = evaluate(candidate);
+    if (beats(cost, candidate, result.peak_c, result.orientations)) {
+      result.peak_c = cost;
+      result.orientations = candidate;
+    }
     const double delta = cost - current_cost;
     if (delta <= 0.0 ||
         rng.uniform() < std::exp(-delta / std::max(1e-9, temperature))) {
       current = std::move(candidate);
       current_cost = cost;
-      if (cost < result.peak_c) {
-        result.peak_c = cost;
-        result.orientations = current;
-      }
     }
     temperature *= options.cooling_rate;
     result.history.push_back(result.peak_c);

@@ -38,14 +38,24 @@ struct LayoutSearchOptions {
   bool allow_quarter_turns = true;     ///< only effective on square dies
 };
 
+/// Peaks closer than this are a tie [deg C]. Solver rounding moves a peak
+/// by about 1e-11 C, so a tie broken by the lower peak would follow the
+/// last bits of the solve; the search breaks it by the layout instead.
+inline constexpr double kLayoutPeakTieC = 1e-6;
+
 /// Search outcome.
 struct LayoutSearchResult {
-  std::vector<OrientationCode> orientations;  ///< bottom layer first
-  double peak_c = 0.0;                        ///< optimized peak
+  /// Bottom layer first. The best layout found: a new layout replaces it
+  /// when its peak is lower by more than kLayoutPeakTieC, or when the
+  /// peaks tie and its code vector is lexicographically smaller.
+  std::vector<OrientationCode> orientations;
+  double peak_c = 0.0;                        ///< peak of `orientations`
   double baseline_peak_c = 0.0;               ///< all-layers-unrotated peak
   double flip_even_peak_c = 0.0;              ///< the paper's Fig. 15 layout
   std::size_t evaluations = 0;
-  std::vector<double> history;                ///< best-so-far per iteration
+  /// Best-so-far peak per iteration. A broken tie may raise it, by at most
+  /// kLayoutPeakTieC.
+  std::vector<double> history;
 };
 
 /// Objective callback: peak temperature of a candidate stack layout.

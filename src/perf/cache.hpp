@@ -156,8 +156,8 @@ class SetAssocCache {
     return ranks_.size() / assoc_;
   }
 
-  /// Visits every valid line in set-major, then way order. Used by the
-  /// fault layer to flush a dying core's L1 back to the directory.
+  /// Visits every valid line in set-major, then way order (the cache
+  /// oracle test compares contents through it).
   template <class Visit>
   void for_each(Visit&& visit) {
     for (const SetHead& head : heads_) {

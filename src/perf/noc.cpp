@@ -115,24 +115,8 @@ void Mesh3d::fail_link(NodeId a, NodeId b) {
   rebuild_reroute();
 }
 
-void Mesh3d::fail_router(NodeId tile) {
-  require(flits_in_network_ == 0 && stats_.packets_delivered == 0,
-          "NoC faults are cycle-0 only (no traffic yet)");
-  require(tile < routers_.size(), "fail_router: bad tile");
-  if (router_dead_.empty()) router_dead_.assign(routers_.size(), 0);
-  router_dead_[tile] = 1;
-  for (std::uint8_t p = kXPos; p < kPortCount; ++p) {
-    const NodeId nbr = neighbors_[tile][p];
-    if (nbr == kNoNeighbor) continue;
-    neighbors_[tile][p] = kNoNeighbor;
-    neighbors_[nbr][opposite(static_cast<Port>(p))] = kNoNeighbor;
-  }
-  rebuild_reroute();
-}
-
 void Mesh3d::rebuild_reroute() {
   const std::size_t tiles = routers_.size();
-  if (router_dead_.empty()) router_dead_.assign(tiles, 0);
   route_.assign(tiles * tiles, static_cast<std::uint8_t>(kLocal));
   std::vector<std::uint32_t> dist(tiles);
   std::vector<NodeId> queue;
@@ -140,7 +124,6 @@ void Mesh3d::rebuild_reroute() {
   constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
 
   for (NodeId dst = 0; dst < tiles; ++dst) {
-    if (router_dead_[dst]) continue;
     // BFS from the destination over surviving links (the mesh is
     // undirected, so dist[] is the forward hop count too).
     dist.assign(tiles, kUnreached);
@@ -157,9 +140,9 @@ void Mesh3d::rebuild_reroute() {
       }
     }
     for (NodeId at = 0; at < tiles; ++at) {
-      if (at == dst || router_dead_[at]) continue;
+      if (at == dst) continue;
       ensure(dist[at] != kUnreached,
-             "NoC fault partitioned the mesh (live routers unreachable)");
+             "NoC fault partitioned the mesh (routers unreachable)");
       // Prefer the dimension-order port whenever it still lies on a
       // shortest surviving path — unaffected flows route exactly as the
       // fault-free mesh would.
@@ -181,7 +164,6 @@ void Mesh3d::rebuild_reroute() {
       route_[dst * tiles + at] = static_cast<std::uint8_t>(pick);
     }
   }
-  faulted_ = true;
 }
 
 bool Mesh3d::neighbor(NodeId at, Port port, NodeId& out) const {
@@ -243,9 +225,6 @@ void Mesh3d::inject(Cycle now, Packet packet) {
     require(false, "packet endpoints out of range");
   }
   if (packet.vc >= 3) require(false, "packet vc class out of range");
-  if (faulted_ && (router_dead_[packet.src] || router_dead_[packet.dst])) {
-    require(false, "packet endpoint is a dead router");
-  }
   packet.injected = now;
   ++stats_.packets_injected;
 

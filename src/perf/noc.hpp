@@ -129,27 +129,20 @@ class Mesh3d {
 
   /// Dimension-order (X, then Y, then Z) output port toward `dst` from
   /// router `at`; kLocal when at == dst. Exposed for tests. After a
-  /// fail_link/fail_router, routing switches to a precomputed minimal
-  /// reroute table that follows dimension-order whenever the DOR port
-  /// still lies on a shortest surviving path.
+  /// fail_link, routing switches to a precomputed minimal reroute table
+  /// that follows dimension-order whenever the DOR port still lies on a
+  /// shortest surviving path.
   [[nodiscard]] Port route(NodeId at, NodeId dst) const;
 
   /// Neighbor of router `at` through `port`; returns false if the port
   /// faces the mesh edge. Exposed for tests.
   [[nodiscard]] bool neighbor(NodeId at, Port port, NodeId& out) const;
 
-  // -- Fault injection (cycle-0 only: must precede any traffic) ----------
-  /// Removes the bidirectional link a<->b and rebuilds the reroute table.
-  /// ensure()s the link exists and that live routers stay mutually
-  /// reachable (a partitioned mesh cannot degrade gracefully).
+  /// Fault injection (cycle 0 only: must precede any traffic). Removes the
+  /// bidirectional link a<->b and rebuilds the reroute table. Requires the
+  /// link to exist, and ensure()s that every router can still reach every
+  /// other (a partitioned mesh cannot degrade gracefully).
   void fail_link(NodeId a, NodeId b);
-  /// Removes router `tile` (all its links). Traffic must never source or
-  /// sink at a dead router — the host kills the co-located core.
-  void fail_router(NodeId tile);
-  [[nodiscard]] bool router_dead(NodeId tile) const {
-    return faulted_ && router_dead_[tile] != 0;
-  }
-  [[nodiscard]] bool faulted() const { return faulted_; }
 
   /// Bytes held by the routers' buffers and the packet slab.
   [[nodiscard]] std::size_t state_bytes() const;
@@ -230,7 +223,7 @@ class Mesh3d {
 
   [[nodiscard]] Port dor_port(NodeId at, NodeId dst) const;
   /// Recomputes route_ (BFS per destination over surviving links) and
-  /// validates live-router connectivity. Called by fail_link/fail_router.
+  /// validates connectivity. Called by fail_link.
   void rebuild_reroute();
 
   void drain_ni(Cycle now, NodeId node);
@@ -259,13 +252,10 @@ class Mesh3d {
   std::vector<TileCoord> coords_;                       ///< by NodeId
   std::vector<std::array<NodeId, kPortCount>> neighbors_;  ///< kNoNeighbor = edge
   /// Output port by [dst * tiles + at]: dimension order at construction,
-  /// the fault reroute after fail_link/fail_router.
+  /// the fault reroute after fail_link.
   std::vector<std::uint8_t> route_;
   // Per-node, per-class injection queues (unbounded NI).
   std::vector<std::array<std::deque<NiPacket>, 3>> ni_;
-  // Fault state: empty/false until the first fail_* call.
-  bool faulted_ = false;
-  std::vector<std::uint8_t> router_dead_;              ///< by NodeId
   // Packets in flight, parked from injection until their tail ejects.
   std::vector<Packet> slab_;
   std::vector<std::uint32_t> free_slots_;

@@ -74,24 +74,21 @@ void CmpSystem::init_topology() {
     home_tiles_[g] = l2_tile(config_, g / config_.l2_banks_per_chip,
                              g % config_.l2_banks_per_chip);
   }
-
-  barrier_participants_ = cores_.size();
 }
 
 CmpSystem::CmpSystem(const CmpConfig& config, const WorkloadProfile& profile,
                      Hertz frequency, std::uint64_t seed)
-    : config_(config), profile_(profile), frequency_(frequency), seed_(seed) {
+    : config_(config), frequency_(frequency) {
   init_topology();
   for (Core& core : cores_) {
     core.trace = std::make_unique<TraceGenerator>(
-        profile_, core.index, config_.total_cores(), seed);
+        profile, core.index, config_.total_cores(), seed);
   }
 }
 
 CmpSystem::CmpSystem(const CmpConfig& config, const TraceBundle& bundle,
                      Hertz frequency)
     : config_(config), frequency_(frequency), replay_bundle_(bundle) {
-  replay_mode_ = true;
   init_topology();
   require(replay_bundle_.threads.size() == cores_.size(),
           "trace bundle must carry exactly one thread per core");
@@ -299,10 +296,6 @@ void CmpSystem::pending_event(void* ctx, void* target, const Message& msg) {
   self->pump_pending(bank, msg.line);
 }
 
-void CmpSystem::kill_event(void* ctx, void* target, const Message&) {
-  static_cast<CmpSystem*>(ctx)->kill_core(*static_cast<Core*>(target));
-}
-
 void CmpSystem::pump_event(void* ctx, void*, const Message&) {
   auto* self = static_cast<CmpSystem*>(ctx);
   const Cycle now = self->events_.now();
@@ -360,12 +353,6 @@ void CmpSystem::deliver(const Packet& packet) {
 
 void CmpSystem::advance_core(Core& core) {
   if (core.finished) return;
-  if (core.dying) {
-    // Quiesce point reached (no outstanding miss, not mid-access): the
-    // pending mid-run kill retires the core here.
-    retire_core(core);
-    return;
-  }
   if (core.miss.active) ensure(false, "core advanced with a miss outstanding");
 
   const TraceOp op = core.trace->next();
@@ -405,18 +392,8 @@ void CmpSystem::arrive_barrier(Core& core) {
   core.at_barrier = true;
   core.barrier_arrive = events_.now();
   ++barrier_.waiting;
-  maybe_release_barrier();
-}
-
-void CmpSystem::maybe_release_barrier() {
-  // Participants shrink when cores die; the re-check on retirement keeps
-  // survivors from waiting for the dead.
-  if (barrier_participants_ == 0 ||
-      barrier_.waiting < barrier_participants_) {
-    return;
-  }
-
-  // Last arrival releases everyone.
+  // The last arrival releases everyone.
+  if (barrier_.waiting < cores_.size()) return;
   ++stats_.barriers;
   ++barrier_.generation;
   barrier_.waiting = 0;
@@ -429,149 +406,22 @@ void CmpSystem::maybe_release_barrier() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault handling. Everything here is unreachable unless inject_faults() was
-// called with a non-empty plan: fault-free runs execute the exact event
-// sequence of the pre-fault simulator.
+// Fault injection: one failed mesh link, before any traffic. A run without
+// a fail_link call takes no fault path at all.
 // ---------------------------------------------------------------------------
 
-void CmpSystem::inject_faults(const PerfFaultPlan& plan) {
-  require(!ran_, "inject_faults must be called before run()");
-  require(!faults_injected_, "inject_faults may be called at most once");
-  if (plan.empty()) return;
-  faults_injected_ = true;
-  stats_.degraded = true;
-
-  // Dead-at-start set (validates router kills and drives the re-rank).
-  std::vector<std::uint8_t> dead(cores_.size(), 0);
-  for (const CoreFault& f : plan.core_faults) {
-    require(f.core < cores_.size(), "core fault index out of range");
-    if (f.at_cycle == 0) {
-      require(!dead[f.core], "duplicate dead-at-start core fault");
-      dead[f.core] = 1;
-    }
-  }
-
-  for (const LinkFault& f : plan.link_faults) {
-    noc_->fail_link(f.a, f.b);
-    ++stats_.noc_links_failed;
-  }
-  for (const RouterFault& f : plan.router_faults) {
-    require(f.tile < core_of_tile_.size() && core_of_tile_[f.tile] >= 0,
-            "router kills are restricted to core tiles");
-    require(dead[static_cast<std::size_t>(core_of_tile_[f.tile])] != 0,
-            "a router kill requires its co-located core dead at start");
-    noc_->fail_router(f.tile);
-    ++stats_.noc_routers_failed;
-  }
-
-  std::size_t live = 0;
-  for (std::uint8_t d : dead) live += d == 0;
-  require(live > 0, "fault plan kills every core at start");
-  if (live < cores_.size()) {
-    require(!replay_mode_,
-            "dead-at-start cores need the workload-profile constructor");
-    // Live cores re-rank over the same per-thread workload: the job runs
-    // with fewer threads, per-thread work unchanged, so throughput scales
-    // with survivors (the availability model's coupling).
-    std::size_t rank = 0;
-    for (Core& core : cores_) {
-      if (dead[core.index]) {
-        core.finished = true;
-        ++finished_cores_;
-        --barrier_participants_;
-        ++stats_.cores_failed;
-      } else {
-        core.trace = std::make_unique<TraceGenerator>(profile_, rank++, live,
-                                                      seed_);
-      }
-    }
-  }
-
-  for (const CoreFault& f : plan.core_faults) {
-    if (f.at_cycle == 0) continue;
-    require(dead[f.core] == 0, "core is already dead at start");
-    events_.schedule(f.at_cycle, &CmpSystem::kill_event, this,
-                     &cores_[f.core], Message{});
-  }
-
+void CmpSystem::fail_link(NodeId a, NodeId b) {
+  require(!ran_, "fail_link must be called before run()");
+  noc_->fail_link(a, b);
+  ++stats_.noc_links_failed;
   obs::RunReport& report = obs::RunReport::instance();
   if (report.enabled()) {
-    for (const CoreFault& f : plan.core_faults) {
-      report.emit("fault_injected", [&](obs::JsonWriter& w) {
-        w.add("stage", "perf")
-            .add("fault", "core_kill")
-            .add("core", static_cast<std::uint64_t>(f.core))
-            .add("at_cycle", f.at_cycle);
-      });
-    }
-    for (const LinkFault& f : plan.link_faults) {
-      report.emit("fault_injected", [&](obs::JsonWriter& w) {
-        w.add("stage", "perf")
-            .add("fault", "noc_link")
-            .add("tile_a", static_cast<std::uint64_t>(f.a))
-            .add("tile_b", static_cast<std::uint64_t>(f.b));
-      });
-    }
-    for (const RouterFault& f : plan.router_faults) {
-      report.emit("fault_injected", [&](obs::JsonWriter& w) {
-        w.add("stage", "perf")
-            .add("fault", "noc_router")
-            .add("tile", static_cast<std::uint64_t>(f.tile));
-      });
-    }
-  }
-}
-
-void CmpSystem::kill_core(Core& core) {
-  if (core.finished) return;  // died after its work completed: no-op
-  if (core.at_barrier) {
-    // Waiting at the barrier: no event will ever advance it again, so
-    // retire it now and take it out of the waiting count.
-    core.at_barrier = false;
-    stats_.barrier_wait_cycles += events_.now() - core.barrier_arrive;
-    ensure(barrier_.waiting > 0, "kill_core: barrier accounting underflow");
-    --barrier_.waiting;
-    retire_core(core);
-    return;
-  }
-  // Executing or mid-miss: defer to the next quiesce point (advance_core
-  // checks the flag once the outstanding access/miss has drained).
-  core.dying = true;
-}
-
-void CmpSystem::retire_core(Core& core) {
-  core.dying = false;
-  core.finished = true;
-  ++finished_cores_;
-  ++stats_.cores_failed;
-  flush_l1(core);
-  ensure(barrier_participants_ > 0, "retire_core: participant underflow");
-  --barrier_participants_;
-  // Survivors may all be at the barrier already, waiting for this core.
-  maybe_release_barrier();
-  obs::RunReport& report = obs::RunReport::instance();
-  if (report.enabled()) {
-    report.emit("fault_absorbed", [&](obs::JsonWriter& w) {
+    report.emit("fault_injected", [&](obs::JsonWriter& w) {
       w.add("stage", "perf")
-          .add("fault", "core_kill")
-          .add("action", "core_retired")
-          .add("core", static_cast<std::uint64_t>(core.index))
-          .add("cycle", events_.now());
+          .add("fault", "noc_link")
+          .add("tile_a", static_cast<std::uint64_t>(a))
+          .add("tile_b", static_cast<std::uint64_t>(b));
     });
-  }
-}
-
-void CmpSystem::flush_l1(Core& core) {
-  // Push every held line back to the directory as an eviction. The Core
-  // object stays alive afterwards so in-flight FwdGet*/Inv for these lines
-  // are still served from the writeback buffer.
-  std::vector<std::pair<LineAddr, L1State>> lines;
-  core.l1->for_each(
-      [&](LineAddr line, L1State s) { lines.emplace_back(line, s); });
-  CorePort port{*this, core};
-  for (const auto& [line, state] : lines) {
-    core.l1->erase(line);
-    coherence::evict(port, line, state);
   }
 }
 
@@ -671,7 +521,6 @@ ExecStats CmpSystem::run() {
   const auto run_start = std::chrono::steady_clock::now();
 
   for (Core& core : cores_) {
-    if (core.finished) continue;  // dead at start (inject_faults)
     events_.schedule(0, &CmpSystem::advance_event, this, &core, Message{});
   }
 

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/pool.hpp"
@@ -15,7 +14,6 @@
 #include "perf/cache.hpp"
 #include "perf/coherence.hpp"
 #include "perf/event_queue.hpp"
-#include "perf/faults.hpp"
 #include "perf/line_table.hpp"
 #include "perf/noc.hpp"
 #include "perf/params.hpp"
@@ -56,11 +54,7 @@ struct ExecStats {
   /// map (core/activity.hpp): stalled cores burn less dynamic power.
   std::vector<double> core_utilization;
 
-  // Fault accounting (all zero / false on a fault-free run).
-  std::uint64_t cores_failed = 0;       ///< dead-at-start + mid-run kills
-  std::uint64_t noc_links_failed = 0;
-  std::uint64_t noc_routers_failed = 0;
-  bool degraded = false;                ///< any fault was injected
+  std::uint64_t noc_links_failed = 0;  ///< fail_link calls (0 fault-free)
 
   [[nodiscard]] std::uint64_t total_stall_cycles() const {
     return stall_l2_cycles + stall_dram_cycles + stall_forward_cycles +
@@ -112,14 +106,10 @@ class CmpSystem {
   /// May be called once per instance.
   ExecStats run();
 
-  /// Applies a fault plan (perf/faults.hpp) before run(). Dead-at-start
-  /// cores shrink the thread count (live cores are re-ranked over the same
-  /// per-thread workload); mid-run kills retire the core at its next
-  /// quiesce point and flush its L1; NoC faults reroute around the loss.
-  /// Must be called at most once, before run(); an empty plan is a no-op.
-  /// Dead-at-start core faults require the workload-profile constructor
-  /// (a trace bundle is pinned one-thread-per-core).
-  void inject_faults(const PerfFaultPlan& plan);
+  /// Fails the bidirectional mesh link between adjacent tiles `a` and `b`
+  /// (Mesh3d::fail_link): traffic reroutes around it from cycle 0, and both
+  /// tiles keep running. Must be called before run().
+  void fail_link(NodeId a, NodeId b);
 
   [[nodiscard]] const CmpConfig& config() const { return config_; }
 
@@ -140,7 +130,6 @@ class CmpSystem {
 
     bool finished = false;
     bool at_barrier = false;
-    bool dying = false;  ///< mid-run kill pending; retires at next quiesce
 
     coherence::Miss miss;
     Cycle miss_start = 0;  ///< CPI-stack attribution
@@ -215,7 +204,6 @@ class CmpSystem {
   static void pending_event(void* ctx, void* target, const Message& msg);
   static void dram_fill_event(void* ctx, void* target, const Message& msg);
   static void pump_event(void* ctx, void* target, const Message& msg);
-  static void kill_event(void* ctx, void* target, const Message& msg);
 
   // ---- wiring ----
   void send(MsgType type, LineAddr line, NodeId from, NodeId to,
@@ -227,12 +215,6 @@ class CmpSystem {
   void advance_core(Core& core);
   void execute_access(Core& core, bool is_store, LineAddr line);
   void arrive_barrier(Core& core);
-  void maybe_release_barrier();
-
-  // Fault handling (inert unless inject_faults was called).
-  void kill_core(Core& core);
-  void retire_core(Core& core);
-  void flush_l1(Core& core);
 
   // Home side: the request queue (the blocking directory's waiters) and
   // the L2 data array.
@@ -253,7 +235,6 @@ class CmpSystem {
   [[noreturn]] void report_deadlock();
 
   CmpConfig config_;
-  WorkloadProfile profile_;
   Hertz frequency_;
   TraceBundle replay_bundle_;  ///< owned copy when replaying a trace
   Cycle dram_latency_cycles_ = 0;
@@ -274,13 +255,7 @@ class CmpSystem {
   std::vector<Bank> banks_;
   std::vector<MemoryController> memory_;
   Barrier barrier_;
-  /// Cores the barrier waits for: cores_.size() minus dead cores. Mid-run
-  /// deaths decrement it and re-check release so survivors never hang.
-  std::size_t barrier_participants_ = 0;
   ObjectPool<PendingNode> pending_pool_;
-  std::uint64_t seed_ = 1;     ///< trace seed (re-rank on dead-at-start)
-  bool replay_mode_ = false;   ///< trace-bundle constructor was used
-  bool faults_injected_ = false;
 
   std::size_t finished_cores_ = 0;
   Cycle completion_cycle_ = 0;

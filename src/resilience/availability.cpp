@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/report.hpp"
-#include "perf/faults.hpp"
 #include "perf/system.hpp"
 #include "perf/workload.hpp"
 #include "prototype/components.hpp"
@@ -135,13 +134,11 @@ double calibrate_link_ratio() {
   CmpSystem baseline(config, profile, freq, /*seed=*/7);
   const ExecStats clean = baseline.run();
 
-  PerfFaultPlan plan;
+  CmpSystem faulted(config, profile, freq, /*seed=*/7);
   // Kill the x-link between the first two bottom-row tiles: the worst
   // case for the core row's traffic to the L2 rows above.
-  plan.link_faults.push_back(
-      {tile_id(config, TileCoord{0, 0, 0}), tile_id(config, TileCoord{1, 0, 0})});
-  CmpSystem faulted(config, profile, freq, /*seed=*/7);
-  faulted.inject_faults(plan);
+  faulted.fail_link(tile_id(config, TileCoord{0, 0, 0}),
+                    tile_id(config, TileCoord{1, 0, 0}));
   const ExecStats broken = faulted.run();
 
   ensure(clean.seconds > 0.0 && broken.seconds > 0.0,
@@ -163,12 +160,7 @@ AvailabilityResult availability_experiment(
   const EnvironmentInfo env = environment_info(options.environment);
 
   AvailabilityResult result;
-  if (options.calibrate_with_des) {
-    result.link_fault_throughput_ratio = calibrate_link_ratio();
-    result.des_calibrated = true;
-  } else {
-    result.link_fault_throughput_ratio = options.fallback_link_ratio;
-  }
+  result.link_fault_throughput_ratio = calibrate_link_ratio();
   const double link_ratio = result.link_fault_throughput_ratio;
 
   const Variant variants[] = {

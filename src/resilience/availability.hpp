@@ -52,11 +52,6 @@ struct AvailabilityOptions {
   /// use direct_cooling_pue()). Benches override this with the Section 4.4
   /// chilled-air facility result.
   double air_pue = 1.40;
-  /// Run the two CmpSystem calibration runs (fault-free vs. one failed
-  /// mesh link) to measure the PCIex4 throughput penalty. When false the
-  /// ratio falls back to `fallback_link_ratio` (tests keep this cheap).
-  bool calibrate_with_des = true;
-  double fallback_link_ratio = 0.90;
 };
 
 /// One sampled epoch of one variant's cluster.
@@ -85,10 +80,8 @@ struct AvailabilityCurve {
 struct AvailabilityResult {
   std::vector<AvailabilityCurve> curves;  ///< air, tap_water, tap_water_masked
   /// DES-calibrated throughput ratio of a one-link-fault mesh vs. the
-  /// fault-free baseline (1.0 when calibration is disabled and the
-  /// fallback was used verbatim... i.e. whatever ratio was applied).
+  /// fault-free baseline: two CmpSystem runs, the PCIex4 penalty.
   double link_fault_throughput_ratio = 1.0;
-  bool des_calibrated = false;
 };
 
 /// Runs the experiment. Deterministic in (options); emits obs

@@ -113,6 +113,37 @@ TEST(Optimizer, DeterministicPerSeed) {
   EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
+// Codes 2 and 6 (a half turn, without and with the mirror) lift the core
+// row equally high, and every other code leaves a core lower: the objective
+// below ties them exactly. Whichever the walk meets first, the search must report
+// the smaller code.
+TEST(Optimizer, ExactTieKeepsTheSmallerOrientations) {
+  const Floorplan die = make_baseline_cmp_floorplan();
+  const LayoutObjective lowest_core =
+      [](const std::vector<Floorplan>& layers) {
+        double bottom = layers[0].height();
+        for (const Block& b : layers[0].blocks()) {
+          if (b.kind == UnitKind::kCore) bottom = std::min(bottom, b.rect.y);
+        }
+        return -bottom * 1e3;  // mm: higher cores cost less
+      };
+  const double best = lowest_core({oriented(die, 2)});
+  ASSERT_EQ(lowest_core({oriented(die, 6)}), best);
+  for (const OrientationCode c : {0, 1, 3, 4, 5, 7}) {
+    ASSERT_GT(lowest_core({oriented(die, c)}), best + 1.0) << int{c};
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    LayoutSearchOptions opts;
+    opts.iterations = 100;
+    opts.seed = seed;
+    const LayoutSearchResult r =
+        optimize_layout(die, 1, lowest_core, opts);
+    EXPECT_EQ(r.orientations, std::vector<OrientationCode>{2})
+        << "seed " << seed;
+    EXPECT_EQ(r.peak_c, best);
+  }
+}
+
 TEST(Optimizer, ThermalObjectiveMatchesFlipStudy) {
   // End-to-end: optimize the real thermal objective on a small grid and
   // confirm the optimizer at least matches the paper's flip layout.

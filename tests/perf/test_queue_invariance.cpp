@@ -1,19 +1,17 @@
-/// DES determinism: the same seed (and fault plan) must reproduce a
+/// DES determinism: the same seed (and failed links) must reproduce a
 /// simulation bit for bit — every timing-visible ExecStats field. The event
 /// queue's own ordering contract (global FIFO within a cycle across the
 /// calendar ring and its overflow heap) is checked against a reference
 /// priority queue in test_event_queue_params.cpp; these cases pin the
-/// system-level consequence across workloads and fault plans.
+/// system-level consequence across workloads, with and without failed links.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "perf/faults.hpp"
 #include "perf/system.hpp"
 #include "perf/workload.hpp"
-#include "resilience/schedule.hpp"
 
 namespace aqua {
 namespace {
@@ -22,14 +20,22 @@ namespace {
 // they exercise data packets, forwards, invalidations and barriers.
 const std::vector<std::string> kWorkloads = {"ft", "cg"};
 
+/// One failed mesh link, as a pair of tile coordinates.
+struct Link {
+  TileCoord a;
+  TileCoord b;
+};
+
 ExecStats run_once(const std::string& workload, std::size_t chips,
-                   std::uint64_t seed, const PerfFaultPlan& faults = {}) {
+                   std::uint64_t seed, const std::vector<Link>& links = {}) {
   CmpConfig cfg;
   cfg.chips = chips;
   WorkloadProfile p = npb_profile(workload);
   p.instructions_per_thread = 2000;
   CmpSystem system(cfg, p, gigahertz(1.6), seed);
-  if (!faults.empty()) system.inject_faults(faults);
+  for (const Link& l : links) {
+    system.fail_link(tile_id(cfg, l.a), tile_id(cfg, l.b));
+  }
   return system.run();
 }
 
@@ -64,65 +70,27 @@ void expect_identical(const ExecStats& a, const ExecStats& b,
   EXPECT_EQ(a.core_utilization, b.core_utilization) << label;
 }
 
-/// A dense seeded fault plan over a `chips`-chip system (dead cores,
-/// mid-run kills, failed links) — non-empty at these probabilities.
-PerfFaultPlan seeded_plan(std::size_t chips) {
-  CmpConfig cfg;
-  cfg.chips = chips;
-  FaultScheduleOptions opts;
-  opts.core_dead_prob = 0.2;
-  opts.core_midrun_prob = 0.3;
-  opts.midrun_window = 50000;
-  opts.link_fail_prob = 0.05;
-  return sample_fault_plan(cfg, opts, 11);
-}
-
 TEST(QueueInvariance, RepeatedRunsAreDeterministic) {
   const ExecStats a = run_once("ft", 2, 7);
   const ExecStats b = run_once("ft", 2, 7);
   expect_identical(a, b, "repeat seed=7");
 }
 
-// ---------------------------------------------------------------------------
-// Fault-injection determinism: the resilience contract is that a seeded
-// fault schedule keeps the DES deterministic — the same (seed, plan) must
-// be bit-identical across repeats on every workload, and an *empty* plan
-// must be bit-identical to never calling inject_faults at all (the
-// graceful-degradation hooks are inert when unused).
-// ---------------------------------------------------------------------------
-
+// A run with failed links reroutes from cycle 0 and must stay as
+// deterministic as a fault-free one. Both links lie on the mesh perimeter:
+// the calibration link of the availability experiment on chip 0, and an
+// edge y-link on chip 1.
 TEST(QueueInvariance, FaultedRunsAreRepeatable) {
-  const PerfFaultPlan plan = seeded_plan(2);
-  ASSERT_FALSE(plan.empty());
+  const std::vector<Link> links = {{{0, 0, 0}, {1, 0, 0}},
+                                   {{3, 2, 1}, {3, 3, 1}}};
   for (const std::string& w : kWorkloads) {
     const std::string label = w + " faulted repeat seed=9";
-    const ExecStats a = run_once(w, 2, 9, plan);
-    const ExecStats b = run_once(w, 2, 9, plan);
+    const ExecStats a = run_once(w, 2, 9, links);
+    const ExecStats b = run_once(w, 2, 9, links);
     expect_identical(a, b, label);
-    EXPECT_TRUE(a.degraded) << label;
-    EXPECT_GT(a.cores_failed, 0u) << label;
-    EXPECT_EQ(a.cores_failed, b.cores_failed) << label;
-    EXPECT_EQ(a.noc_links_failed, b.noc_links_failed) << label;
-    EXPECT_EQ(a.noc_routers_failed, b.noc_routers_failed) << label;
+    EXPECT_EQ(a.noc_links_failed, 2u) << label;
+    EXPECT_EQ(b.noc_links_failed, 2u) << label;
   }
-}
-
-TEST(QueueInvariance, EmptyPlanMatchesUninjectedRun) {
-  const ExecStats plain = run_once("ft", 2, 1);
-  const ExecStats empty = run_once("ft", 2, 1, PerfFaultPlan{});
-  // PerfFaultPlan{} is empty, so run_once skips inject_faults — assert the
-  // zero-fault path through the fault-aware code is bit-identical anyway.
-  CmpConfig cfg;
-  cfg.chips = 2;
-  WorkloadProfile p = npb_profile("ft");
-  p.instructions_per_thread = 2000;
-  CmpSystem system(cfg, p, gigahertz(1.6), 1);
-  system.inject_faults(PerfFaultPlan{});
-  const ExecStats injected_empty = system.run();
-  expect_identical(plain, empty, "no-plan vs default");
-  expect_identical(plain, injected_empty, "no-plan vs explicit empty plan");
-  EXPECT_FALSE(injected_empty.degraded);
-  EXPECT_EQ(injected_empty.cores_failed, 0u);
 }
 
 }  // namespace

@@ -114,6 +114,16 @@ TEST(System, RunTwiceThrows) {
   EXPECT_THROW(sys.run(), Error);
 }
 
+TEST(System, FailLinkOnlyBeforeRunAndBetweenNeighbours) {
+  CmpConfig cfg;
+  CmpSystem sys(cfg, tiny("ep", 1000), gigahertz(1.0));
+  EXPECT_THROW(sys.fail_link(tile_id(cfg, {0, 0, 0}), tile_id(cfg, {2, 0, 0})),
+               Error);
+  sys.run();
+  EXPECT_THROW(sys.fail_link(tile_id(cfg, {0, 0, 0}), tile_id(cfg, {1, 0, 0})),
+               Error);
+}
+
 TEST(System, WritebacksHappenUnderCapacityPressure) {
   CmpConfig cfg;
   WorkloadProfile p = tiny("is", 20000);
